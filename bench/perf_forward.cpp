@@ -15,21 +15,20 @@
 // microkernel (SIMD dispatch forced off) and the int8 quantized path
 // (ops::QuantizedScope), so the JSON tracks all three serving tiers.
 //
-// The batch sweep times each model at batch 1 / 8 / 32 under the
-// whole-batch conv path (ops::batched_conv) against the per-image
-// loop, in float and int8, reporting imgs/s and the batched speedup;
-// a depthwise row compares the GemmPool fan-out against single-thread
-// at batch 32. The JSON header carries GemmPool::stats() so a run
-// proves the pool actually engaged.
+// The batch sweep times each model at batch 1 / 8 / 32, float and
+// int8, at the default GEMM width (where float convs take the
+// whole-batch path of ops::batched_conv_pays), reporting imgs/s; a
+// depthwise row compares the GemmPool fan-out against single-thread at
+// batch 32. The JSON header records the host shape (nproc, SIMD and
+// int8 tiers, GemmPool::stats()) and every row group its GEMM width.
 //
 // Usage: perf_forward [--quick] [--out PATH]
 // Exit status is nonzero when, on any single-image forward, the GEMM
 // path is *slower* than the naive path, the dispatched SIMD kernel is
 // slower than the portable one, or (with a vectorized int8 tier) the
-// int8 path is slower than float; when the whole-batch GEMM loses to
-// the per-image loop at batch >= 8; or when (with >= 2 hardware
-// threads) the threaded depthwise loses to single-thread at batch 32
-// — the CI perf smoke gates.
+// int8 path is slower than float; or when (with >= 2 hardware threads)
+// the threaded depthwise loses to single-thread at batch 32 — the CI
+// perf smoke gates.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -150,21 +149,13 @@ struct ModelUnderTest {
   bench::DatasetKind kind;
 };
 
-/// One point of the batch sweep: whole-batch conv path vs the
-/// per-image loop at a fixed batch size, float and int8.
+/// One point of the batch sweep: a fixed batch size, float and int8.
 struct BatchRow {
   std::string model;
   int batch = 0;
-  double batched_ms = 0.0;         // ops::batched_conv() on (the default)
-  double per_image_ms = 0.0;       // ops::batched_conv() off
-  double int8_ms = 0.0;            // int8 tier, whole-batch path
-  double int8_per_image_ms = 0.0;  // int8 tier, per-image loop
-  double imgs_per_s() const {
-    return batched_ms > 0.0 ? batch * 1e3 / batched_ms : 0.0;
-  }
-  double batched_speedup() const {
-    return batched_ms > 0.0 ? per_image_ms / batched_ms : 0.0;
-  }
+  double float_ms = 0.0;
+  double int8_ms = 0.0;
+  double imgs_per_s(double ms) const { return ms > 0.0 ? batch * 1e3 / ms : 0.0; }
 };
 
 }  // namespace
@@ -213,48 +204,28 @@ int main(int argc, char** argv) {
     rows.push_back(measure_tiers(m.name + "_batch32", std::max(3, reps / 3),
                                  [&] { (void)net.forward_main(batch, nn::Mode::kEval); }));
 
-    // Batch sweep: whole-batch conv path vs the per-image loop, both at
-    // auto pool width (the single-stream serving config the batched
-    // path is built for — one wide GEMM fans out where the per-image
-    // GEMMs of the deep layers sit below the dispatch threshold; on a
-    // single-core runner auto resolves to 1 and the comparison is
-    // purely the single-thread cost model).
-    const int threads_before = ops::gemm_threads();
-    ops::set_gemm_threads(0);  // 0 = auto
+    // Batch sweep at the default GEMM width — the serving config, in
+    // which float convs batch per ops::batched_conv_pays and int8 runs
+    // per image.
     for (const int bs : {1, 8, 32}) {
       const Tensor input = Tensor::normal(
           Shape{bs, spec.channels, spec.height, spec.width}, data_rng);
-      // The flag flips inside each lambda (one relaxed atomic store) so
-      // the two paths can be interleaved rep by rep — see
-      // paired_median_ms on why that matters for the gated ratio.
-      auto batched_fwd = [&] {
-        ops::set_batched_conv(true);
-        (void)net.forward_main(input, nn::Mode::kEval);
-      };
-      auto per_image_fwd = [&] {
-        ops::set_batched_conv(false);
-        (void)net.forward_main(input, nn::Mode::kEval);
-      };
+      auto forward = [&] { (void)net.forward_main(input, nn::Mode::kEval); };
       const int batch_reps = std::max(5, reps / std::max(1, bs / 4));
       BatchRow row;
       row.model = m.name;
       row.batch = bs;
-      std::tie(row.batched_ms, row.per_image_ms) =
-          paired_median_ms(batch_reps, batched_fwd, per_image_fwd);
+      row.float_ms = median_ms(batch_reps, forward);
       {
         ops::QuantizedScope quantized(true);
-        std::tie(row.int8_ms, row.int8_per_image_ms) =
-            paired_median_ms(batch_reps, batched_fwd, per_image_fwd);
+        row.int8_ms = median_ms(batch_reps, forward);
       }
-      ops::set_batched_conv(true);
       std::printf(
-          "  %-28s batch %2d   batched %8.3f ms (%7.1f img/s)   per-image %8.3f ms   "
-          "%5.2fx   int8 %8.3f/%8.3f ms\n",
-          m.name.c_str(), bs, row.batched_ms, row.imgs_per_s(), row.per_image_ms,
-          row.batched_speedup(), row.int8_ms, row.int8_per_image_ms);
+          "  %-28s batch %2d   float %8.3f ms (%7.1f img/s)   int8 %8.3f ms (%7.1f img/s)\n",
+          m.name.c_str(), bs, row.float_ms, row.imgs_per_s(row.float_ms), row.int8_ms,
+          row.imgs_per_s(row.int8_ms));
       sweep.push_back(row);
     }
-    ops::set_gemm_threads(threads_before);
   }
 
   // Depthwise fan-out: one MobileNet-sized depthwise layer at batch 32,
@@ -339,6 +310,9 @@ int main(int argc, char** argv) {
   doc.set("schema", diag::kSchemaVersion);
   doc.set("bench", "perf_forward");
   doc.set("quick", quick);
+  doc.set("nproc", static_cast<int>(std::thread::hardware_concurrency()));
+  // The width the results and batch_sweep rows ran at; the depthwise
+  // row records its own.
   doc.set("gemm_threads", ops::gemm_threads());
   doc.set("simd", ops::simd_level_name(ops::simd_level()));
   doc.set("int8_kernel", ops::int8_kernel_name(ops::int8_kernel()));
@@ -367,12 +341,10 @@ int main(int argc, char** argv) {
     diag::Value v = diag::Value::object();
     v.set("model", row.model);
     v.set("batch", row.batch);
-    v.set("batched_ms", row.batched_ms);
-    v.set("per_image_ms", row.per_image_ms);
-    v.set("imgs_per_s", row.imgs_per_s());
-    v.set("batched_speedup", row.batched_speedup());
+    v.set("float_ms", row.float_ms);
+    v.set("imgs_per_s", row.imgs_per_s(row.float_ms));
     v.set("int8_ms", row.int8_ms);
-    v.set("int8_per_image_ms", row.int8_per_image_ms);
+    v.set("int8_imgs_per_s", row.imgs_per_s(row.int8_ms));
     batch_sweep.push(std::move(v));
   }
   doc.set("batch_sweep", std::move(batch_sweep));
@@ -420,23 +392,10 @@ int main(int argc, char** argv) {
       regressed = true;
     }
   }
-  // Whole-batch GEMM must pay for itself once there is a real batch.
-  // The 0.90 floor is a noise allowance for shared CI runners: the two
-  // paths run identical arithmetic, so a real regression (a packing or
-  // dispatch bug) shows up far below it while run-to-run timer jitter
-  // on these sub-10ms forwards stays above it.
-  for (const BatchRow& row : sweep) {
-    if (row.batch >= 8 && row.batched_speedup() < 0.90) {
-      std::fprintf(stderr,
-                   "PERF REGRESSION: %s batch %d whole-batch path (%.3f ms) slower than "
-                   "per-image (%.3f ms)\n",
-                   row.model.c_str(), row.batch, row.batched_ms, row.per_image_ms);
-      regressed = true;
-    }
-  }
   // Depthwise fan-out must not lose to single-thread — only judged on
-  // hardware that can actually run two threads, with the same noise
-  // allowance as the batched gate.
+  // hardware that can actually run two threads. The 1.10 factor is a
+  // noise allowance for shared CI runners: the two widths run identical
+  // arithmetic, so a real regression shows up far beyond it.
   if (std::thread::hardware_concurrency() >= 2 && dw_threads >= 2 &&
       dw_threaded_ms > 1.10 * dw_single_ms) {
     std::fprintf(stderr,

@@ -185,37 +185,6 @@ Tensor Conv2d::forward_with(const Tensor& input, const float* weight, const floa
         ops::Workspace::kQuantRowSums,
         static_cast<std::size_t>(out_channels_) * sizeof(std::int32_t)));
     ops::quantize_weight_rows(weight, out_channels_, patch, wq, scales, row_sums);
-    if (ops::batched_conv() && batch > 1) {
-      // Whole-batch int8: one activation scale for the whole batch
-      // (quantize-once-per-batch) and one qgemm per column chunk. The
-      // scale is max|x|/127 over all images — chunk-invariant, so the
-      // byte-budget chunking below never changes results; it does make
-      // the codes (slightly) coarser than per-image scales for images
-      // quieter than the batch peak, which is the usual per-tensor
-      // batching tradeoff (the parity tests bound it).
-      const float a_scale =
-          ops::activation_scale(input.data(), static_cast<std::size_t>(batch) * in_stride);
-      const std::size_t per_image_bytes = static_cast<std::size_t>(patch) * out_hw;
-      const std::size_t budget_images =
-          std::max<std::size_t>(1, ops::batched_columns_budget() / std::max<std::size_t>(
-                                                                       1, per_image_bytes));
-      const int chunk = static_cast<int>(
-          std::min<std::size_t>(static_cast<std::size_t>(batch), budget_images));
-      std::uint8_t* tile = workspace.byte_buffer(
-          ops::Workspace::kQuantTile, static_cast<std::size_t>(chunk) * in_stride);
-      std::uint8_t* act =
-          workspace.byte_buffer(ops::Workspace::kQuantAct, per_image_bytes * chunk);
-      for (int n0 = 0; n0 < batch; n0 += chunk) {
-        const int bc = std::min(chunk, batch - n0);
-        ops::quantize_activations_u8(input.data() + n0 * in_stride,
-                                     static_cast<std::size_t>(bc) * in_stride, a_scale, tile);
-        ops::im2col_u8_batched(tile, in_stride, bc, g, act);
-        ops::qgemm_u8s8_batched_nchw(out_channels_, bc, out_hw, patch, k_padded, wq, scales,
-                                     row_sums, act, a_scale, bias,
-                                     output.data() + n0 * out_stride, out_stride, out_hw);
-      }
-      return output;
-    }
     std::uint8_t* tile = workspace.byte_buffer(
         ops::Workspace::kQuantTile, static_cast<std::size_t>(in_stride));
     std::uint8_t* act = workspace.byte_buffer(
@@ -230,37 +199,16 @@ Tensor Conv2d::forward_with(const Tensor& input, const float* weight, const floa
     }
     return output;
   }
-  // Whole-batch float path: pack every image's patch columns into one
-  // [patch, bc*out_hw] matrix and run ONE striped GEMM per chunk — the
-  // A (weight) panel is packed once per NC block of the whole chunk
-  // instead of once per image, and on a multi-thread pool the one wide
-  // GEMM fans out where the per-image GEMMs sat under the dispatch
-  // threshold. The per-element accumulation order inside an image's
-  // column block is exactly the per-image GEMM's (k-blocking doesn't
-  // depend on the j extent), so this is bit-identical to the loop
-  // below at every GemmPool width and every chunk size.
-  int chunk = 0;
-  if (ops::batched_conv() && batch > 1 && ops::batched_conv_pays(out_hw)) {
-    const std::size_t per_image_bytes =
-        static_cast<std::size_t>(patch) * out_hw * sizeof(float);
-    std::size_t budget = ops::batched_columns_budget();
-    if (ops::gemm_threads() <= 1) {
-      // Single-thread chunks stay L2-sized: the tile is written
-      // (im2col) and immediately re-read (pack_b), so a chunk larger
-      // than the cache turns that round trip into DRAM traffic with no
-      // fan-out win to pay for it. Multi-thread keeps the configured
-      // budget — wide tiles are what feed the stripes.
-      budget = std::min(budget, std::size_t{512} << 10);
-    }
-    chunk = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(batch),
-        std::max<std::size_t>(1, budget / std::max<std::size_t>(1, per_image_bytes))));
-  }
-  if (chunk > 1) {
-    // A chunk of one image would replay the per-image schedule through
-    // the strided machinery — all bookkeeping, zero amortization — so
-    // when the budget can't fit two images' columns the plain loop
-    // below takes over (same results either way).
+  // Whole-batch float path (the one rule lives in ops::batched_conv_pays):
+  // pack `chunk` images' patch columns into one [patch, bc*out_hw]
+  // matrix and run ONE GEMM per tile — the A (weight) panel is packed
+  // once per NC block of the tile instead of once per image. The
+  // per-element accumulation order inside an image's column block is
+  // exactly the per-image GEMM's (k-blocking doesn't depend on the j
+  // extent), so this is bit-identical to the loop below at every tile
+  // size.
+  const int chunk = ops::batched_conv_pays(batch, patch, out_hw);
+  if (chunk > 0) {
     float* columns = workspace.buffer(
         ops::Workspace::kIm2col, static_cast<std::size_t>(patch) * chunk * out_hw);
     for (int n0 = 0; n0 < batch; n0 += chunk) {

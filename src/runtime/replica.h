@@ -1,12 +1,8 @@
-// Weight synchronization between architecturally identical MEANets.
-//
-// Historically this backed replica-based serving: eval forwards cached
-// activations, so every InferenceSession worker needed its own
-// weight-synced net. Eval forwards are cache-free now and workers share
-// one net (EngineConfig::replicas is a deprecated no-op) — sync_weights
-// remains as the model-distribution primitive: pushing a freshly
-// trained net to a deployed one (paper Alg. 1 step 4, "download to the
-// edge") bit-identically.
+// Weight synchronization between architecturally identical MEANets:
+// the model-distribution primitive — pushing a freshly trained net to a
+// deployed one (paper Alg. 1 step 4, "download to the edge")
+// bit-identically. Serving needs no copies: InferenceSession workers
+// share one net, because eval forwards are cache-free.
 #pragma once
 
 #include "core/meanet.h"

@@ -127,9 +127,6 @@ InferenceSession::InferenceSession(EngineConfig config)
   // the configured deadlines — i.e. when no route could still make it.
   admission_control_ = config.admission_control;
   quantized_inference_ = config.quantized_inference;
-  if (config.batched_columns_budget_bytes != 0) {
-    ops::set_batched_columns_budget(config.batched_columns_budget_bytes);
-  }
   admission_deadline_s_ =
       *std::max_element(route_deadline_s_.begin(), route_deadline_s_.end());
   service_estimate_s_ = std::max(0.0, config.admission_service_estimate_s);
@@ -159,8 +156,7 @@ InferenceSession::InferenceSession(EngineConfig config)
   // Every worker serves on the one shared net: eval-mode forwards are
   // cache-free and const-safe (nn/layer.h), so concurrent forwards do
   // not race. Each worker still owns an engine for its routing-signal
-  // scratch. config.replicas is a deprecated no-op — extra nets are
-  // neither required nor synced anymore.
+  // scratch.
   const int worker_count = std::max(1, config.worker_threads);
   engines_.reserve(static_cast<std::size_t>(worker_count));
   for (int i = 0; i < worker_count; ++i) {

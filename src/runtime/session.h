@@ -29,8 +29,7 @@
 //
 // Concurrency: all workers serve on the ONE net the config names —
 // eval-mode forwards are cache-free and const-safe (see nn/layer.h), so
-// a shared net is data-race free and the old weight-synced replica
-// machinery is gone (EngineConfig::replicas is a deprecated no-op).
+// a shared net is data-race free and needs no weight-synced replicas.
 // Each worker owns an EdgeInferenceEngine for its routing-signal
 // scratch, and the per-thread ops workspace keeps its im2col / GEMM
 // packing buffers alive across submits. Offloading is off the worker
@@ -190,24 +189,12 @@ struct EngineConfig {
   // ----- Batching -----
   /// Max instances coalesced into one edge forward pass.
   int batch_size = 64;
-
-  /// Byte budget of the whole-batch im2col column tile the batched conv
-  /// path builds per layer (ops::batched_columns_budget). 0 keeps the
-  /// process default (64 MiB, or MEANET_BATCH_COLUMNS_MB); a non-zero
-  /// value is applied process-wide at session construction. Batches
-  /// whose column matrix would exceed it run in per-image chunks that
-  /// fit — bounding workspace growth without changing results.
-  std::size_t batched_columns_budget_bytes = 0;
   /// Worker threads, all serving on the one shared `net` (eval-mode
   /// forwards are cache-free, so no per-worker copy is needed).
   int worker_threads = 1;
   /// Bound on queued requests (backpressure for submit()) and on
   /// pending completion callbacks.
   int queue_capacity = 256;
-  /// DEPRECATED no-op, kept for source compatibility: workers share the
-  /// primary net since eval forwards became cache-free; any nets listed
-  /// here are ignored (and no longer weight-synced).
-  std::vector<core::MEANet*> replicas;
 
   // ----- Admission -----
   /// Deadline-aware queue admission. When enabled and the estimated
@@ -364,7 +351,7 @@ class InferenceSession : public diag::DiagnosticProvider {
 
   const OffloadBackend& backend() const { return *backend_; }
   const core::RoutingPolicy& routing() const { return *routing_; }
-  /// Workers actually serving (worker_threads clamped to the replicas).
+  /// Workers serving on the shared net (worker_threads, at least 1).
   int worker_count() const { return static_cast<int>(workers_.size()); }
 
   // DiagnosticProvider: sessions self-register as "session/N" (N
@@ -465,7 +452,7 @@ class InferenceSession : public diag::DiagnosticProvider {
                       std::string& first_error);
 
   // Serving state derived from the EngineConfig at construction; the
-  // config itself is not kept (its policy/backend/replica fields would
+  // config itself is not kept (its policy/backend fields would
   // otherwise be a stale second source of truth).
   int batch_size_;
   double offload_timeout_s_;

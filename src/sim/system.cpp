@@ -20,12 +20,6 @@ DistributedSystem::DistributedSystem(EdgeNode edge, CloudNode* cloud)
                                   std::make_shared<runtime::NullBackend>())
                             : std::make_shared<runtime::RawImageBackend>(cloud)) {}
 
-void DistributedSystem::add_replica(core::MEANet& replica) {
-  // Deprecated no-op: workers share the edge net (cache-free eval
-  // forwards); the caller's net is deliberately ignored.
-  (void)replica;
-}
-
 SystemReport DistributedSystem::run(const data::Dataset& dataset, int batch_size,
                                     int worker_threads) {
   if (dataset.size() == 0) throw std::invalid_argument("DistributedSystem::run: empty dataset");

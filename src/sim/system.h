@@ -56,11 +56,6 @@ class DistributedSystem {
   /// main-exit prediction).
   DistributedSystem(EdgeNode edge, CloudNode* cloud);
 
-  /// DEPRECATED no-op, kept for source compatibility: run()'s worker
-  /// threads share the edge's net directly now that eval-mode forwards
-  /// are cache-free — no replica registration is needed (or used).
-  void add_replica(core::MEANet& replica);
-
   /// Times every offload payload over a simulated WiFi link (upload
   /// time from payload bytes, plus base RTT and seeded jitter) instead
   /// of the ideal instant link.
@@ -96,8 +91,6 @@ class DistributedSystem {
 
   EdgeNode& edge() { return edge_; }
   const runtime::OffloadBackend& backend() const { return *backend_; }
-  /// DEPRECATED: always 0 — replicas are gone (see add_replica).
-  int replica_count() const { return 0; }
 
  private:
   EdgeNode edge_;

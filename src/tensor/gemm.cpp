@@ -91,35 +91,13 @@ int default_threads() {
   return static_cast<int>(parsed);
 }
 
-// Whole-batch column tile budget: 64 MiB holds a 32-image CIFAR-scale
-// batch (the largest tile the model zoo produces is ~20 MiB) while a
-// batch-256 ImageNet-scale soak falls back to chunks instead of a
-// multi-GiB workspace.
-constexpr std::size_t kDefaultBatchColumnsBudget = 64u << 20;
-
-std::size_t default_batch_columns_budget() {
-  const char* value = std::getenv("MEANET_BATCH_COLUMNS_MB");
-  if (value == nullptr || value[0] == '\0') return kDefaultBatchColumnsBudget;
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE || parsed <= 0) {
-    std::fprintf(stderr,
-                 "meanet: MEANET_BATCH_COLUMNS_MB=\"%s\" is not a positive integer; "
-                 "using %zu MiB\n",
-                 value, kDefaultBatchColumnsBudget >> 20);
-    return kDefaultBatchColumnsBudget;
-  }
-  return static_cast<std::size_t>(parsed) << 20;
-}
+// Whole-batch conv column tile: L2-sized, because the tile is written
+// (im2col) and immediately re-read (pack_b) — a larger one turns that
+// round trip into DRAM traffic.
+constexpr std::size_t kBatchedColumnsTileBytes = std::size_t{512} << 10;
 
 std::atomic<bool> g_naive_kernels{env_flag("MEANET_NAIVE_KERNELS")};
 std::atomic<int> g_gemm_threads{default_threads()};
-std::atomic<bool> g_batched_conv{[] {
-  const char* value = std::getenv("MEANET_BATCHED_CONV");
-  return value == nullptr || value[0] == '\0' || value[0] != '0';
-}()};
-std::atomic<std::size_t> g_batch_columns_budget{default_batch_columns_budget()};
 
 // ----- Reference kernels (the MEANET_NAIVE_KERNELS comparison path) ----
 
@@ -533,23 +511,13 @@ void gemm_batched_nchw(int m, int k, int batch, int cols_per_image, const float*
   dispatch_striped(job);
 }
 
-bool batched_conv() { return g_batched_conv.load(std::memory_order_relaxed); }
-
-bool batched_conv_pays(int cols_per_image) {
-  return cols_per_image < kNC || gemm_threads() > 1;
-}
-
-void set_batched_conv(bool batched) {
-  g_batched_conv.store(batched, std::memory_order_relaxed);
-}
-
-std::size_t batched_columns_budget() {
-  return g_batch_columns_budget.load(std::memory_order_relaxed);
-}
-
-void set_batched_columns_budget(std::size_t bytes) {
-  g_batch_columns_budget.store(bytes == 0 ? kDefaultBatchColumnsBudget : bytes,
-                               std::memory_order_relaxed);
+int batched_conv_pays(int batch, int patch_rows, int cols_per_image) {
+  if (batch <= 1 || gemm_threads() != 1 || cols_per_image >= kNC) return 0;
+  const std::size_t per_image_bytes =
+      static_cast<std::size_t>(std::max(1, patch_rows)) * std::max(1, cols_per_image) *
+      sizeof(float);
+  const std::size_t images = kBatchedColumnsTileBytes / per_image_bytes;
+  return images < 2 ? 0 : static_cast<int>(std::min<std::size_t>(batch, images));
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b, bool transpose_a, bool transpose_b) {

@@ -84,17 +84,6 @@ void im2col_batched(const float* images, std::int64_t image_stride, int batch,
   }
 }
 
-void im2col_u8_batched(const std::uint8_t* images, std::int64_t image_stride, int batch,
-                       const ConvGeometry& g, std::uint8_t* columns) {
-  const int out_hw = g.out_height() * g.out_width();
-  const std::ptrdiff_t col_ld = static_cast<std::ptrdiff_t>(batch) * out_hw;
-  for (int n = 0; n < batch; ++n) {
-    im2col_into<std::uint8_t>(images + n * image_stride, g,
-                              columns + static_cast<std::ptrdiff_t>(n) * out_hw, col_ld,
-                              kU8ZeroPoint);
-  }
-}
-
 void col2im(const float* columns, const ConvGeometry& g, float* image) {
   const int out_h = g.out_height();
   const int out_w = g.out_width();

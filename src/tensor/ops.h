@@ -45,37 +45,19 @@ void set_naive_kernels(bool naive);
 int gemm_threads();
 void set_gemm_threads(int threads);
 
-/// True while conv forwards fold the whole batch into one im2col +
-/// GEMM (gemm_batched_nchw) instead of issuing one small GEMM per
-/// image. Default on; MEANET_BATCHED_CONV=0 (or set_batched_conv
-/// (false)) restores the per-image loop — the comparison baseline of
-/// bench/perf_forward's batch sweep. The float output is bit-identical
-/// either way; the int8 path's activation scale becomes per-batch
-/// instead of per-image (see conv2d.cpp).
-bool batched_conv();
-void set_batched_conv(bool batched);
-
-/// Cost-model gate of the float whole-batch path for a layer whose
-/// per-image GEMM has `cols_per_image` columns: batching pays when one
-/// image underfills the GEMM's NC panel (then the batched GEMM packs
-/// the A (weight) panel once per NC block instead of once per image)
-/// or when the pool is multi-threaded (one wide GEMM fans out better
-/// than many narrow ones). When neither holds, the batched tile only
-/// adds cache footprint, so conv falls back to the per-image loop —
-/// results are bit-identical either way, this is purely a speed
-/// choice.
-bool batched_conv_pays(int cols_per_image);
-
-/// Byte budget of the whole-batch im2col column tile. A batch whose
-/// column matrix would exceed this is processed in per-image chunks
-/// that fit (always at least one image), bounding workspace growth on
-/// batch-256 soaks; chunking never changes results (each image's
-/// accumulation is independent and the int8 activation scale is
-/// computed over the whole batch before chunking). Default 64 MiB;
-/// MEANET_BATCH_COLUMNS_MB overrides at startup,
-/// set_batched_columns_budget(0) restores the default.
-std::size_t batched_columns_budget();
-void set_batched_columns_budget(std::size_t bytes);
+/// The one whole-batch rule of the float conv forward over `batch`
+/// images whose per-image im2col is [patch_rows, cols_per_image].
+/// Returns how many images share one im2col + GEMM (gemm_batched_nchw)
+/// column tile, or 0 when the per-image loop runs instead. Whole-batch
+/// pays only when all of these hold: batch > 1; gemm_threads() == 1
+/// (on a wider pool it measured slower than per-image GEMMs); one
+/// image underfills the GEMM's NC block (1024 columns), so the batched
+/// GEMM packs the weight panel once per NC block instead of once per
+/// image; and at least two images fit in one fixed 512 KiB column
+/// tile. Larger batches run tile by tile. Results are bit-identical
+/// either way — this is purely a speed choice. The int8 path always
+/// runs per image, with per-image activation scales.
+int batched_conv_pays(int batch, int patch_rows, int cols_per_image);
 
 // ----- GEMM ------------------------------------------------------------
 
@@ -139,10 +121,6 @@ void im2col_u8(const std::uint8_t* image, const ConvGeometry& g, std::uint8_t* c
 /// per-image im2col would have produced.
 void im2col_batched(const float* images, std::int64_t image_stride, int batch,
                     const ConvGeometry& g, float* columns);
-
-/// Byte-domain twin of im2col_batched for the int8 serving path.
-void im2col_u8_batched(const std::uint8_t* images, std::int64_t image_stride, int batch,
-                       const ConvGeometry& g, std::uint8_t* columns);
 
 /// Inverse scatter-add of im2col: accumulates patch-matrix gradients back
 /// into an image gradient buffer of size C*H*W (which must be zeroed by

@@ -278,38 +278,4 @@ void qgemm_u8s8(int rows, int n, int k, int k_padded, const std::int8_t* wq, con
   qgemm_scalar(rows, n, k, k_padded, wq, scales, row_sums, act, a_scale, bias, c, ldc);
 }
 
-void qgemm_u8s8_batched_nchw(int rows, int batch, int cols_per_image, int k, int k_padded,
-                             const std::int8_t* wq, const float* scales,
-                             const std::int32_t* row_sums, const std::uint8_t* act,
-                             float a_scale, const float* bias, float* c,
-                             std::int64_t c_image_stride, int ldc) {
-  if (batch < 0 || cols_per_image < 0) {
-    throw std::invalid_argument("qgemm_u8s8_batched_nchw: negative batch shape");
-  }
-  if (batch <= 1) {
-    // One image: the NCHW block is a plain dense C — no scatter needed.
-    if (batch == 1) {
-      qgemm_u8s8(rows, cols_per_image, k, k_padded, wq, scales, row_sums, act, a_scale, bias, c,
-                 ldc);
-    }
-    return;
-  }
-  const int n = batch * cols_per_image;
-  // The kernels want a dense C; run them into workspace scratch and
-  // scatter each image's row segment into its NCHW slot. The scatter is
-  // a pure copy, so values match the per-image entry point bit for bit.
-  float* scratch = reinterpret_cast<float*>(Workspace::tls().byte_buffer(
-      Workspace::kQuantOut, static_cast<std::size_t>(rows) * n * sizeof(float)));
-  qgemm_u8s8(rows, n, k, k_padded, wq, scales, row_sums, act, a_scale, bias, scratch, n);
-  for (int r = 0; r < rows; ++r) {
-    const float* src_row = scratch + static_cast<std::ptrdiff_t>(r) * n;
-    for (int b = 0; b < batch; ++b) {
-      std::memcpy(c + static_cast<std::ptrdiff_t>(b) * c_image_stride +
-                      static_cast<std::ptrdiff_t>(r) * ldc,
-                  src_row + static_cast<std::ptrdiff_t>(b) * cols_per_image,
-                  static_cast<std::size_t>(cols_per_image) * sizeof(float));
-    }
-  }
-}
-
 }  // namespace meanet::ops

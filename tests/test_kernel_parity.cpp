@@ -18,9 +18,12 @@
 //  - the int8 quantized path (tensor/qgemm.h) round-trips weights
 //    within half a quantization step, tracks the float forward within
 //    the documented tolerance at 1/2/4 pool threads, and its scalar
-//    and VNNI kernels produce bit-identical results.
+//    and VNNI kernels produce bit-identical results;
+//  - a conv forward over a batch, float or int8, is bit-identical to
+//    one batch-1 forward per image at every pool width.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -451,31 +454,20 @@ TEST(DepthwiseParity, NarrowerThanKernelInputsStayInBounds) {
   EXPECT_TRUE(allclose(naive, fast, 1e-6f));
 }
 
-// ----- Whole-batch conv (ops::batched_conv) ----------------------------
+// ----- Whole-batch conv (ops::batched_conv_pays) ----------------------
 
-/// RAII set/restore of the batched-conv toggle.
-class BatchedConvScope {
- public:
-  explicit BatchedConvScope(bool on) : previous_(ops::batched_conv()) {
-    ops::set_batched_conv(on);
+/// The reference every batched conv forward must reproduce bit for bit:
+/// one batch-1 forward per image, stacked back into [N, ...].
+Tensor per_image_forwards(nn::Conv2d& conv, const Tensor& x) {
+  const int batch = x.shape().batch();
+  Tensor out(conv.output_shape(x.shape()));
+  const std::int64_t per_image = out.numel() / batch;
+  for (int n = 0; n < batch; ++n) {
+    const Tensor one = conv.forward(x.slice_batch(n, 1), nn::Mode::kEval);
+    std::copy_n(one.data(), per_image, out.data() + n * per_image);
   }
-  ~BatchedConvScope() { ops::set_batched_conv(previous_); }
-
- private:
-  bool previous_;
-};
-
-/// RAII set/restore of the batched-column byte budget.
-class ColumnBudgetScope {
- public:
-  explicit ColumnBudgetScope(std::size_t bytes) : previous_(ops::batched_columns_budget()) {
-    ops::set_batched_columns_budget(bytes);
-  }
-  ~ColumnBudgetScope() { ops::set_batched_columns_budget(previous_); }
-
- private:
-  std::size_t previous_;
-};
+  return out;
+}
 
 class BatchedParity : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 // batch, stride, padding
@@ -487,15 +479,8 @@ TEST_P(BatchedParity, WholeBatchFloatIsBitIdenticalToPerImage) {
   const int size = 9;  // odd, so strides hit ragged edges
   if (conv.output_shape(Shape{1, 3, size, size}).height() <= 0) GTEST_SKIP();
   const Tensor x = Tensor::normal(Shape{batch, 3, size, size}, rng);
-  Tensor per_image, batched;
-  {
-    BatchedConvScope scope(false);
-    per_image = conv.forward(x, nn::Mode::kEval);
-  }
-  {
-    BatchedConvScope scope(true);
-    batched = conv.forward(x, nn::Mode::kEval);
-  }
+  const Tensor per_image = per_image_forwards(conv, x);
+  const Tensor batched = conv.forward(x, nn::Mode::kEval);
   ASSERT_EQ(per_image.shape(), batched.shape());
   // Exactly equal, not merely close: the batched GEMM runs each image's
   // column block through the same k-blocking as the per-image call.
@@ -508,102 +493,63 @@ INSTANTIATE_TEST_SUITE_P(SeededShapes, BatchedParity,
                                             ::testing::Values(1, 2),
                                             ::testing::Values(0, 1, 2)));
 
-TEST(BatchedParity, WholeBatchFloatIsBitIdenticalAtOneTwoAndFourThreads) {
-  util::Rng rng(83);
-  // Big enough that the batched GEMM crosses the multi-thread flops
-  // threshold (the whole point: per-image GEMMs of this layer stay
-  // below it, the batched one fans out).
-  nn::Conv2d conv(8, 32, 3, 1, 1, /*bias=*/true, rng);
-  const Tensor x = Tensor::normal(Shape{8, 8, 14, 14}, rng);
-  Tensor per_image;
-  {
-    BatchedConvScope scope(false);
-    per_image = conv.forward(x, nn::Mode::kEval);
-  }
-  BatchedConvScope scope(true);
+TEST(BatchedParity, RuleBatchesOnlySingleThreadNarrowLayersThatFitTheTile) {
   const int before = ops::gemm_threads();
-  for (const int threads : {1, 2, 4}) {
+  ops::set_gemm_threads(1);
+  // patch 144 x 256 columns = 144 KiB per image: three fit in 512 KiB.
+  EXPECT_EQ(ops::batched_conv_pays(8, 144, 256), 3);
+  EXPECT_EQ(ops::batched_conv_pays(2, 144, 256), 2);
+  EXPECT_EQ(ops::batched_conv_pays(1, 144, 256), 0);   // one image
+  EXPECT_EQ(ops::batched_conv_pays(8, 3, 1024), 0);    // fills an NC block
+  EXPECT_EQ(ops::batched_conv_pays(8, 288, 256), 0);   // one image per tile
+  for (const int threads : {2, 4}) {
     ops::set_gemm_threads(threads);
-    const Tensor batched = conv.forward(x, nn::Mode::kEval);
-    EXPECT_TRUE(allclose(per_image, batched, 0.0f)) << "threads=" << threads;
+    EXPECT_EQ(ops::batched_conv_pays(8, 144, 256), 0) << "threads=" << threads;
   }
   ops::set_gemm_threads(before);
 }
 
-TEST(BatchedParity, ByteBudgetFallbackIsBitIdentical) {
-  util::Rng rng(89);
-  nn::Conv2d conv(3, 8, 3, 1, 1, /*bias=*/true, rng);
-  const Tensor x = Tensor::normal(Shape{5, 3, 9, 9}, rng);
-  BatchedConvScope batched_scope(true);
-  Tensor whole_batch;
-  {
-    ColumnBudgetScope budget(1u << 30);  // everything fits in one tile
-    whole_batch = conv.forward(x, nn::Mode::kEval);
-  }
-  // patch=27, out_hw=81 -> one image's columns are 27*81*4 bytes. A
-  // budget of two images forces 2/2/1 chunks; 1 byte forces per-image
-  // chunks through the batched machinery.
-  const std::size_t per_image_bytes = 27u * 81u * sizeof(float);
-  for (const std::size_t budget_bytes : {2 * per_image_bytes, std::size_t{1}}) {
-    ColumnBudgetScope budget(budget_bytes);
-    const Tensor chunked = conv.forward(x, nn::Mode::kEval);
-    EXPECT_TRUE(allclose(whole_batch, chunked, 0.0f)) << "budget=" << budget_bytes;
-  }
-}
-
-TEST(BatchedParity, WholeBatchInt8TracksPerImageScalesWithinTolerance) {
-  util::Rng rng(97);
-  nn::Conv2d conv(8, 16, 3, 1, 1, /*bias=*/true, rng);
-  const Tensor x = Tensor::normal(Shape{4, 8, 12, 12}, rng);
-  const Tensor fp = conv.forward(x, nn::Mode::kEval);
-  float max_abs = 0.0f;
-  for (std::int64_t i = 0; i < fp.numel(); ++i) max_abs = std::max(max_abs, std::fabs(fp[i]));
-  const float tolerance = 0.05f * std::max(1.0f, max_abs);
-  ops::QuantizedScope quantized(true);
-  Tensor per_image, batched;
-  {
-    BatchedConvScope scope(false);
-    per_image = conv.forward(x, nn::Mode::kEval);
-  }
-  {
-    BatchedConvScope scope(true);
-    batched = conv.forward(x, nn::Mode::kEval);
-  }
-  // The batch-wide activation scale is coarser than per-image scales,
-  // so the two int8 paths differ by (bounded) quantization error — both
-  // must still track the float forward.
-  for (std::int64_t i = 0; i < fp.numel(); ++i) {
-    ASSERT_NEAR(fp[i], batched[i], tolerance) << "i=" << i;
-    ASSERT_NEAR(per_image[i], batched[i], tolerance) << "i=" << i;
+TEST(BatchedParity, WholeBatchFloatIsBitIdenticalAtOneTwoAndFourThreads) {
+  util::Rng rng(83);
+  struct Case {
+    int in_channels, size;
+  };
+  // 16x3x3 patch over 16x16: tiles of 3 images, so a batch of 8 runs
+  // in 3/3/2 chunks. 32x3x3 over 16x16: one image per tile (per-image
+  // loop). 3x3x3 over 32x32: 1024 columns (per-image loop).
+  for (const Case c : {Case{16, 16}, Case{32, 16}, Case{3, 32}}) {
+    nn::Conv2d conv(c.in_channels, 32, 3, 1, 1, /*bias=*/true, rng);
+    const Tensor x = Tensor::normal(Shape{8, c.in_channels, c.size, c.size}, rng);
+    const int before = ops::gemm_threads();
+    ops::set_gemm_threads(1);
+    const Tensor per_image = per_image_forwards(conv, x);
+    for (const int threads : {1, 2, 4}) {
+      ops::set_gemm_threads(threads);
+      const Tensor batched = conv.forward(x, nn::Mode::kEval);
+      EXPECT_TRUE(allclose(per_image, batched, 0.0f))
+          << "cin=" << c.in_channels << " size=" << c.size << " threads=" << threads;
+    }
+    ops::set_gemm_threads(before);
   }
 }
 
-TEST(BatchedParity, Int8BatchedIsBitIdenticalAcrossThreadsAndChunks) {
+TEST(BatchedParity, Int8IsBitIdenticalToPerImageForwards) {
   util::Rng rng(101);
   nn::Conv2d conv(8, 16, 3, 1, 1, /*bias=*/true, rng);
-  const Tensor x = Tensor::normal(Shape{5, 8, 12, 12}, rng);
-  ops::QuantizedScope quantized(true);
-  BatchedConvScope batched_scope(true);
-  const int before = ops::gemm_threads();
-  ops::set_gemm_threads(1);
-  Tensor baseline;
-  {
-    ColumnBudgetScope budget(1u << 30);
-    baseline = conv.forward(x, nn::Mode::kEval);
+  Tensor x = Tensor::normal(Shape{5, 8, 12, 12}, rng);
+  // Give every image its own range, so a scale shared across the batch
+  // would change the quieter images' codes.
+  const std::int64_t per_image = x.numel() / 5;
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    x[i] *= 0.25f * static_cast<float>(1 + i / per_image);
   }
-  // The activation scale is computed over the whole batch BEFORE
-  // chunking (max-abs is chunk-invariant), so the int8 batched path is
-  // bit-identical at any chunk size and any pool width.
-  const std::size_t per_image_bytes = 8u * 9u * 12u * 12u;  // patch * out_hw u8 bytes
+  ops::QuantizedScope quantized(true);
+  const int before = ops::gemm_threads();
   for (const int threads : {1, 2, 4}) {
     ops::set_gemm_threads(threads);
-    for (const std::size_t budget_bytes :
-         {std::size_t{1u << 30}, 2 * per_image_bytes, std::size_t{1}}) {
-      ColumnBudgetScope budget(budget_bytes);
-      const Tensor run = conv.forward(x, nn::Mode::kEval);
-      EXPECT_TRUE(allclose(baseline, run, 0.0f))
-          << "threads=" << threads << " budget=" << budget_bytes;
-    }
+    const Tensor per_image_out = per_image_forwards(conv, x);
+    const Tensor batched = conv.forward(x, nn::Mode::kEval);
+    EXPECT_TRUE(allclose(per_image_out, batched, 0.0f)) << "threads=" << threads;
   }
   ops::set_gemm_threads(before);
 }

@@ -211,12 +211,6 @@ TEST(InferenceSession, WorkersShareOneNetWithoutReplicas) {
   cfg.worker_threads = 8;  // all serve on the one shared net
   InferenceSession session(cfg);
   EXPECT_EQ(session.worker_count(), 8);
-  // The deprecated replica list is ignored rather than required.
-  EngineConfig with_replicas = f.config();
-  with_replicas.worker_threads = 2;
-  with_replicas.replicas = {nullptr};  // would have thrown when it was real
-  InferenceSession shim(with_replicas);
-  EXPECT_EQ(shim.worker_count(), 2);
 }
 
 TEST(InferenceSession, SessionIsReusableAcrossDrains) {

@@ -143,11 +143,6 @@ TEST(DistributedSystem, ThreadedRunMatchesSingleThreadedAndReportsServing) {
   DistributedSystem system(std::move(edge), &cloud);
   const SystemReport single = system.run(f.ds.test, 16);
 
-  // add_replica is a deprecated no-op: workers share the edge net.
-  util::Rng replica_rng(11);
-  core::MEANet replica = tiny_meanet_b(replica_rng, 2);
-  system.add_replica(replica);
-  EXPECT_EQ(system.replica_count(), 0);
   // Two workers sharing the one net, small batches: the routed
   // predictions must be identical to the single-worker run.
   const SystemReport threaded = system.run(f.ds.test, 8, 2);
