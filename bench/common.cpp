@@ -235,26 +235,6 @@ nn::Sequential train_cloud_model(const TrainedSystem& system, int epochs, std::u
   return cloud;
 }
 
-EdgeMacs count_edge_macs(const core::MEANet& net, const Shape& instance_shape,
-                         core::FusionMode fusion) {
-  EdgeMacs macs;
-  const nn::LayerStats trunk = net.main_trunk().stats(instance_shape);
-  const Shape feature_shape = net.main_trunk().output_shape(instance_shape);
-  const nn::LayerStats exit1 = net.main_exit().stats(feature_shape);
-  macs.main = trunk.macs + exit1.macs;
-
-  const nn::LayerStats adaptive = net.adaptive().stats(instance_shape);
-  Shape fused = feature_shape;
-  if (fusion == core::FusionMode::kConcat) {
-    const Shape a = net.adaptive().output_shape(instance_shape);
-    fused = Shape{feature_shape.batch(), feature_shape.channels() + a.channels(),
-                  feature_shape.height(), feature_shape.width()};
-  }
-  const nn::LayerStats extension = net.extension().stats(fused);
-  macs.extension = adaptive.macs + extension.macs;
-  return macs;
-}
-
 std::vector<int> meanet_predictions_always_extended(core::MEANet& net,
                                                     const data::Dataset& dataset,
                                                     const data::ClassDict& dict,

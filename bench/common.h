@@ -68,14 +68,6 @@ TrainedSystem train_system(EdgeModel model, DatasetKind kind, int num_hard,
 nn::Sequential train_cloud_model(const TrainedSystem& system, int epochs = 18,
                                  std::uint64_t seed = 99);
 
-/// Per-image MAC counts of the deployed edge model, for the cost models.
-struct EdgeMacs {
-  std::int64_t main = 0;       // trunk + exit 1
-  std::int64_t extension = 0;  // adaptive + extension (when activated)
-};
-EdgeMacs count_edge_macs(const core::MEANet& net, const Shape& instance_shape,
-                         core::FusionMode fusion);
-
 /// Confidence-comparison prediction with the extension always activated
 /// (the evaluation mode of the paper's Tables II/V).
 std::vector<int> meanet_predictions_always_extended(core::MEANet& net,

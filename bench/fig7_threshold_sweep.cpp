@@ -8,6 +8,7 @@
 
 #include "common.h"
 #include "core/complexity.h"
+#include "sim/cloud_node.h"
 #include "util/stopwatch.h"
 
 using namespace meanet;
@@ -24,8 +25,7 @@ void sweep(bench::EdgeModel model, bench::DatasetKind kind) {
       core::profile_classifier(cloud.model(), system.data.test);
 
   const Shape instance = system.data.test.instance_shape();
-  const bench::EdgeMacs macs =
-      bench::count_edge_macs(system.net, instance, core::FusionMode::kSum);
+  const core::EdgeMacs macs = system.net.edge_macs(instance);
   sim::EdgeNodeCosts costs;
   costs.upload_bytes_per_instance = instance.numel();
   costs.main_macs = macs.main;
@@ -37,14 +37,16 @@ void sweep(bench::EdgeModel model, bench::DatasetKind kind) {
   // Thresholds span the validation entropy range of the scaled models
   // (mu_correct ~0.25, mu_wrong ~0.6 nats on 10-20 classes); the paper's
   // 0-3 range corresponds to 100-class softmax entropies.
+  runtime::EngineConfig config;
+  config.net = &system.net;
+  config.dict = &system.dict;
+  config.policy_config.cloud_available = true;
+  config.backend = std::make_shared<runtime::RawImageBackend>(&cloud);
+  config.costs = costs;
   for (const double threshold :
        {0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.85, 1.0}) {
-    core::PolicyConfig policy;
-    policy.cloud_available = true;
-    policy.entropy_threshold = threshold;
-    sim::EdgeNode edge(system.net, system.dict, policy, costs);
-    sim::DistributedSystem distributed(std::move(edge), &cloud);
-    const sim::SystemReport report = distributed.run(system.data.test);
+    config.policy_config.entropy_threshold = threshold;
+    const sim::SystemReport report = sim::run_system(config, system.data.test);
     std::printf("%-10.2f %12.2f %14.1f\n", threshold, 100.0 * report.accuracy,
                 100.0 * report.cloud_fraction);
   }

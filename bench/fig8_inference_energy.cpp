@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "common.h"
+#include "sim/cloud_node.h"
 #include "util/stopwatch.h"
 
 using namespace meanet;
@@ -49,12 +50,13 @@ void run(bench::EdgeModel model, bench::DatasetKind kind, const PaperCosts& pape
                 100.0 * beta, 100.0 * accuracy);
   };
 
-  // Edge-only row.
+  // Edge-only row. Energy is recomputed from the paper constants, so
+  // the session runs with default costs.
+  runtime::EngineConfig config;
+  config.net = &system.net;
+  config.dict = &system.dict;
   {
-    sim::EdgeNodeCosts costs;  // energy recomputed below from paper constants
-    sim::EdgeNode edge(system.net, system.dict, core::PolicyConfig{}, costs);
-    sim::DistributedSystem distributed(std::move(edge), nullptr);
-    const sim::SystemReport r = distributed.run(system.data.test);
+    const sim::SystemReport r = sim::run_system(config, system.data.test);
     const double ext_fraction =
         static_cast<double>(r.routes.extension_exit) / r.routes.total();
     print_row("edge only", 0.0, ext_fraction, r.accuracy);
@@ -63,14 +65,11 @@ void run(bench::EdgeModel model, bench::DatasetKind kind, const PaperCosts& pape
   // Threshold rows; the paper uses 1.2 / 1.0 / 0.8 / 0.5 on 100-class
   // entropies — scaled here to the ~2x smaller entropy range of the
   // 10-20 class models.
+  config.policy_config.cloud_available = true;
+  config.backend = std::make_shared<runtime::RawImageBackend>(&cloud);
   for (const double threshold : {0.6, 0.5, 0.4, 0.25}) {
-    core::PolicyConfig policy;
-    policy.cloud_available = true;
-    policy.entropy_threshold = threshold;
-    sim::EdgeNodeCosts costs;
-    sim::EdgeNode edge(system.net, system.dict, policy, costs);
-    sim::DistributedSystem distributed(std::move(edge), &cloud);
-    const sim::SystemReport r = distributed.run(system.data.test);
+    config.policy_config.entropy_threshold = threshold;
+    const sim::SystemReport r = sim::run_system(config, system.data.test);
     const double ext_fraction =
         static_cast<double>(r.routes.extension_exit) / r.routes.total();
     char name[32];

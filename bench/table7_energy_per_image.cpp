@@ -59,7 +59,7 @@ int main() {
                                 core::FusionMode::kSum, rng);
     const data::SyntheticSpec spec = bench::spec_for(kind);
     const Shape image{1, spec.channels, spec.height, spec.width};
-    const bench::EdgeMacs macs = bench::count_edge_macs(net, image, core::FusionMode::kSum);
+    const core::EdgeMacs macs = net.edge_macs(image);
     print_row(label, edge_device, wifi, macs.main, image.numel());
   }
 

@@ -66,7 +66,7 @@ int main() {
 
   runtime::EngineConfig serve;
   serve.net = &net;
-  serve.dict = &dict;  // edge-only: offload_mode defaults to kNone
+  serve.dict = &dict;  // edge-only: no backend means NullBackend
   serve.response_cache_capacity = ds.test.size();  // dedup repeated frames
   runtime::InferenceSession session(serve);
   const auto results = session.run(ds.test);

@@ -50,6 +50,7 @@
 #include "sim/cloud_node.h"
 #include "sim/shared_cell.h"
 #include "wire/process.h"
+#include "wire/wire_backend.h"
 
 using namespace meanet;
 
@@ -126,13 +127,9 @@ int main(int argc, char** argv) {
   costs.upload_bytes_per_instance = frame.numel();
   costs.device.compute_power_w = 5.0;
   costs.device.macs_per_second = 5e9;
-  const nn::LayerStats trunk = net.main_trunk().stats(frame);
-  const nn::LayerStats exit1 = net.main_exit().stats(net.main_trunk().output_shape(frame));
-  const nn::LayerStats adaptive = net.adaptive().stats(frame);
-  const nn::LayerStats extension =
-      net.extension().stats(net.main_trunk().output_shape(frame));
-  costs.main_macs = trunk.macs + exit1.macs;
-  costs.extension_macs = adaptive.macs + extension.macs;
+  const core::EdgeMacs macs = net.edge_macs(frame);
+  costs.main_macs = macs.main;
+  costs.extension_macs = macs.extension;
 
   // One radio cell, two stations: the camera and a neighbor device
   // whose background uploads contend for the same airtime (the
@@ -149,6 +146,15 @@ int main(int argc, char** argv) {
   runtime::TransportConfig wifi_link;
   wifi_link.cell = cell;
 
+  // Each session gets its own offload hop (with --wire, its own socket
+  // connection to the daemon).
+  auto cloud_hop = [&]() -> std::shared_ptr<runtime::OffloadBackend> {
+    if (cloudd == nullptr) return std::make_shared<runtime::RawImageBackend>(&cloud);
+    wire::WireBackendConfig wire_config;
+    wire_config.socket_path = socket_path;
+    return std::make_shared<wire::WireBackend>(std::move(wire_config));
+  };
+
   // The camera is one InferenceSession: entropy routing + raw-image
   // offload selected at runtime through the EngineConfig. Uploads ride
   // the shared cell (upload time scales with payload bytes and the
@@ -163,13 +169,7 @@ int main(int argc, char** argv) {
   serve.dict = &dict;
   serve.policy_config.cloud_available = true;
   serve.policy_config.entropy_threshold = 0.6;
-  if (cloudd != nullptr) {
-    serve.offload_mode = runtime::OffloadMode::kWire;
-    serve.wire_socket_path = socket_path;
-  } else {
-    serve.offload_mode = runtime::OffloadMode::kRawImage;
-    serve.cloud = &cloud;
-  }
+  serve.backend = cloud_hop();
   serve.batch_size = 32;
   serve.costs = costs;
   serve.route_deadline_s[static_cast<std::size_t>(core::Route::kCloud)] = 0.060;
@@ -196,6 +196,7 @@ int main(int argc, char** argv) {
     // camera's uploads genuinely contend for airtime.
     runtime::EngineConfig neighbor_cfg = serve;
     neighbor_cfg.batch_size = 8;
+    neighbor_cfg.backend = cloud_hop();
     runtime::InferenceSession neighbor(neighbor_cfg);
     std::atomic<bool> neighbor_stop{false};
     std::thread neighbor_traffic([&] {

@@ -16,6 +16,7 @@
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "runtime/offload_backend.h"
+#include "sim/cloud_node.h"
 #include "sim/system.h"
 
 using namespace meanet;
@@ -75,17 +76,19 @@ int main() {
   costs.upload_bytes_per_instance = ds.test.instance_shape().numel();
   costs.device.compute_power_w = 5.0;
   costs.device.macs_per_second = 5e9;
-  costs.main_macs = net.main_trunk().stats(ds.test.instance_shape()).macs;
-  costs.extension_macs = net.adaptive().stats(ds.test.instance_shape()).macs;
+  const core::EdgeMacs macs = net.edge_macs(ds.test.instance_shape());
+  costs.main_macs = macs.main;
+  costs.extension_macs = macs.extension;
 
-  const auto backend = std::make_shared<runtime::RawImageBackend>(&cloud);
+  runtime::EngineConfig serve;
+  serve.net = &net;
+  serve.dict = &dict;
+  serve.policy_config.cloud_available = true;
+  serve.backend = std::make_shared<runtime::RawImageBackend>(&cloud);
+  serve.costs = costs;
   auto evaluate = [&](const data::Dataset& dataset, double threshold) {
-    core::PolicyConfig policy;
-    policy.cloud_available = true;
-    policy.entropy_threshold = threshold;
-    sim::EdgeNode edge(net, dict, policy, costs);
-    sim::DistributedSystem system(std::move(edge), backend);
-    return system.run(dataset);
+    serve.policy_config.entropy_threshold = threshold;
+    return sim::run_system(serve, dataset);
   };
 
   // 2./3. Sweep and pick: cheapest threshold with >= target accuracy.

@@ -2,8 +2,8 @@
 // with the confidence comparison between the two exits.
 //
 // Instances routed to the cloud are *marked*, not classified — the
-// runtime::InferenceSession (or the sim::DistributedSystem shim) pairs
-// this engine with an OffloadBackend to complete the algorithm.
+// runtime::InferenceSession pairs this engine with an OffloadBackend to
+// complete the algorithm.
 #pragma once
 
 #include <memory>
@@ -63,7 +63,6 @@ class EdgeInferenceEngine {
   std::vector<InstanceDecision> infer_dataset(const data::Dataset& dataset, int batch_size = 64);
 
   const RoutingPolicy& routing() const { return *routing_; }
-  std::shared_ptr<const RoutingPolicy> routing_ptr() const { return routing_; }
 
   /// The single mutation path for the routing stage; every config change
   /// flows through here so the engine and its policy cannot drift.

@@ -137,12 +137,23 @@ int MEANet::num_classes(const Shape& image_shape) const {
 }
 
 int MEANet::num_hard_classes(const Shape& image_shape) const {
-  Shape f = main_trunk_.output_shape(image_shape);
-  if (fusion_ == FusionMode::kConcat) {
-    const Shape a = adaptive_.output_shape(image_shape);
-    f = Shape{f.batch(), f.channels() + a.channels(), f.height(), f.width()};
-  }
-  return extension_.output_shape(f).dim(-1);
+  return extension_.output_shape(extension_input_shape(image_shape)).dim(-1);
+}
+
+Shape MEANet::extension_input_shape(const Shape& image_shape) const {
+  const Shape f = main_trunk_.output_shape(image_shape);
+  if (fusion_ == FusionMode::kSum) return f;
+  const Shape a = adaptive_.output_shape(image_shape);
+  return Shape{f.batch(), f.channels() + a.channels(), f.height(), f.width()};
+}
+
+EdgeMacs MEANet::edge_macs(const Shape& instance) const {
+  const Shape features = main_trunk_.output_shape(instance);
+  EdgeMacs macs;
+  macs.main = main_trunk_.stats(instance).macs + main_exit_.stats(features).macs;
+  macs.extension =
+      adaptive_.stats(instance).macs + extension_.stats(extension_input_shape(instance)).macs;
+  return macs;
 }
 
 }  // namespace meanet::core

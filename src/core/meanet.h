@@ -24,6 +24,12 @@ enum class FusionMode {
   kConcat,
 };
 
+/// Per-instance multiply-adds of the edge model, for the cost models.
+struct EdgeMacs {
+  std::int64_t main = 0;       // trunk + exit 1
+  std::int64_t extension = 0;  // adaptive + extension (when activated)
+};
+
 /// Outputs of the main block for a batch.
 struct MainForward {
   Tensor features;  // F: [N, c, h, w]
@@ -96,6 +102,11 @@ class MEANet {
   int num_classes(const Shape& image_shape) const;
   /// Classes at exit 2 (= hard classes).
   int num_hard_classes(const Shape& image_shape) const;
+  /// Shape the extension block sees: the trunk's feature shape, with
+  /// the adaptive channels appended under kConcat.
+  Shape extension_input_shape(const Shape& image_shape) const;
+  /// Multiply-adds of one [1,C,H,W] instance on each edge path.
+  EdgeMacs edge_macs(const Shape& instance) const;
 
  private:
   Tensor fuse(const Tensor& features, const Tensor& adaptive_out) const;

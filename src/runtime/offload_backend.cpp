@@ -1,6 +1,5 @@
 #include "runtime/offload_backend.h"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "sim/cloud_node.h"
@@ -40,37 +39,6 @@ std::vector<int> NullBackend::classify(const OffloadPayload& /*payload*/) { retu
 std::int64_t NullBackend::payload_bytes(const Shape& /*image_shape*/,
                                         const Shape& /*feature_shape*/) const {
   return 0;
-}
-
-const char* offload_mode_name(OffloadMode mode) {
-  switch (mode) {
-    case OffloadMode::kNone:
-      return "none";
-    case OffloadMode::kRawImage:
-      return "raw-image";
-    case OffloadMode::kFeature:
-      return "feature";
-    case OffloadMode::kWire:
-      return "wire";
-  }
-  std::abort();  // unreachable: the switch is exhaustive (-Wswitch)
-}
-
-std::shared_ptr<OffloadBackend> make_backend(OffloadMode mode, sim::CloudNode* cloud,
-                                             sim::FeatureCloudNode* feature_cloud) {
-  switch (mode) {
-    case OffloadMode::kNone:
-      return std::make_shared<NullBackend>();
-    case OffloadMode::kRawImage:
-      return std::make_shared<RawImageBackend>(cloud);
-    case OffloadMode::kFeature:
-      return std::make_shared<FeatureBackend>(feature_cloud);
-    case OffloadMode::kWire:
-      throw std::invalid_argument(
-          "make_backend: OffloadMode::kWire is configured through "
-          "EngineConfig::wire_socket_path (InferenceSession builds it)");
-  }
-  std::abort();  // unreachable: the switch is exhaustive (-Wswitch)
 }
 
 }  // namespace meanet::runtime

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -95,25 +94,5 @@ class NullBackend : public OffloadBackend {
   std::int64_t payload_bytes(const Shape& image_shape, const Shape& feature_shape) const override;
   std::string describe() const override { return "null"; }
 };
-
-/// Runtime-selectable offload mode for EngineConfig.
-enum class OffloadMode {
-  kNone,
-  kRawImage,
-  kFeature,
-  /// Framed protocol to a meanet_cloudd over a real byte stream
-  /// (wire/wire_backend.h); configured by EngineConfig::wire_socket_path
-  /// — the session builds the WireBackend itself, make_backend rejects
-  /// this mode (it has no wire parameters).
-  kWire,
-};
-
-const char* offload_mode_name(OffloadMode mode);
-
-/// Builds the backend for `mode`; the matching node pointer must be
-/// non-null for kRawImage / kFeature. kWire is built by
-/// InferenceSession from its wire config fields, not here.
-std::shared_ptr<OffloadBackend> make_backend(OffloadMode mode, sim::CloudNode* cloud,
-                                             sim::FeatureCloudNode* feature_cloud);
 
 }  // namespace meanet::runtime

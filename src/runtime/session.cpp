@@ -9,7 +9,6 @@
 
 #include "tensor/ops.h"
 #include "tensor/qgemm.h"
-#include "wire/wire_backend.h"
 
 namespace meanet::runtime {
 
@@ -134,17 +133,7 @@ InferenceSession::InferenceSession(EngineConfig config)
                  ? config.policy
                  : std::make_shared<core::EntropyThresholdPolicy>(*config.dict,
                                                                   config.policy_config);
-  if (config.backend) {
-    backend_ = config.backend;
-  } else if (config.offload_mode == OffloadMode::kWire) {
-    wire::WireBackendConfig wire_config;
-    wire_config.socket_path = config.wire_socket_path;
-    wire_config.connect_timeout_s = config.wire_connect_timeout_s;
-    wire_config.response_timeout_s = config.wire_response_timeout_s;
-    backend_ = std::make_shared<wire::WireBackend>(std::move(wire_config));
-  } else {
-    backend_ = make_backend(config.offload_mode, config.cloud, config.feature_cloud);
-  }
+  backend_ = config.backend ? config.backend : std::make_shared<NullBackend>();
   if (config.transport) link_ = std::make_unique<SimulatedLink>(*config.transport, clock_);
   if (config.response_cache_capacity > 0) {
     cache_ = std::make_unique<ResponseCache>(

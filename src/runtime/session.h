@@ -18,7 +18,7 @@
 //   EngineConfig cfg;
 //   cfg.net = &net; cfg.dict = &dict;
 //   cfg.policy_config = {.entropy_threshold = 0.6, .cloud_available = true};
-//   cfg.offload_mode = OffloadMode::kRawImage; cfg.cloud = &cloud;
+//   cfg.backend = std::make_shared<RawImageBackend>(&cloud);
 //   cfg.route_deadline_s[size_t(core::Route::kCloud)] = 0.050;
 //   cfg.transport = TransportConfig{};  // WiFi-timed uploads
 //   InferenceSession session(cfg);
@@ -106,12 +106,10 @@ struct EngineConfig {
   core::PolicyConfig policy_config;
 
   // ----- Offload -----
-  /// Custom backend; when null, one is built from `offload_mode` and the
-  /// matching node pointer (kNone -> NullBackend).
+  /// The one offload hop: RawImageBackend, FeatureBackend,
+  /// wire::WireBackend or any other OffloadBackend. Null = NullBackend
+  /// (edge-only; cloud-marked instances keep their edge predictions).
   std::shared_ptr<OffloadBackend> backend;
-  OffloadMode offload_mode = OffloadMode::kNone;
-  sim::CloudNode* cloud = nullptr;
-  sim::FeatureCloudNode* feature_cloud = nullptr;
   /// How long a worker waits for the offload dispatcher's answer before
   /// the cloud-routed instances fall back to their edge predictions
   /// (the NullBackend behavior). Infinity = wait for the backend;
@@ -119,16 +117,6 @@ struct EngineConfig {
   /// Measured from dispatch — the per-route deadlines below are
   /// measured from submit() and bound the same wait from the other end.
   double offload_timeout_s = std::numeric_limits<double>::infinity();
-  /// Wire mode (offload_mode = OffloadMode::kWire): Unix-domain socket
-  /// path of the meanet_cloudd to dial. The session builds a
-  /// WireBackend over it — raw-image payloads framed per wire/frame.h;
-  /// a wire failure falls back to edge predictions exactly like an
-  /// unreachable in-process cloud. Ignored in the other modes.
-  std::string wire_socket_path;
-  /// Wire mode: bound on the initial connect (covers a daemon still
-  /// starting up) and on waiting for each response frame.
-  double wire_connect_timeout_s = 5.0;
-  double wire_response_timeout_s = 30.0;
   /// Simulated link the dispatcher applies to every dispatched payload:
   /// upload time derived from the WiFi model and the payload's byte
   /// size, plus base RTT and seeded jitter (see runtime/transport.h).

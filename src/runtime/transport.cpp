@@ -53,8 +53,4 @@ sim::TransferOutcome SimulatedLink::download(std::uint64_t key, std::int64_t res
 
 void SimulatedLink::poke() { cell_->poke(); }
 
-double SimulatedLink::delay_s(std::int64_t payload_bytes) {
-  return uplink_delay_s(next_key_.fetch_add(1), payload_bytes);
-}
-
 }  // namespace meanet::runtime

@@ -25,7 +25,6 @@
 // delay values than it did before PR 5.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -107,10 +106,6 @@ class SimulatedLink {
   /// cell cannot see).
   void poke();
 
-  /// Legacy PR 3 entry point: an uplink delay keyed by an internal
-  /// per-link call counter.
-  double delay_s(std::int64_t payload_bytes);
-
   /// Downlink transfer size for a payload of `instances` answers.
   std::int64_t response_bytes(std::int64_t instances) const {
     return config_.response_bytes_per_instance * instances;
@@ -129,7 +124,6 @@ class SimulatedLink {
   std::shared_ptr<sim::Clock> clock_;
   std::shared_ptr<sim::SharedCell> cell_;
   int station_ = 0;
-  std::atomic<std::uint64_t> next_key_{0};
 };
 
 }  // namespace meanet::runtime

@@ -1,19 +1,17 @@
-// Edge side of the distributed system: owns an MEANet + inference
-// engine and the device/WiFi cost models that price its work.
+// Edge-side pricing: the device/WiFi cost models that charge each
+// served instance by the route it took.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 
-#include "core/edge_inference.h"
-#include "core/meanet.h"
-#include "data/class_dict.h"
+#include "core/inference_policy.h"
 #include "sim/device_model.h"
 #include "sim/wifi_model.h"
 
 namespace meanet::sim {
 
-/// The edge's pricing model. The per-route cost math lives here so that
-/// both EdgeNode and runtime::InferenceSession charge identically.
+/// The edge's pricing model: runtime::InferenceSession charges every
+/// instance through this per-route cost math.
 struct EdgeNodeCosts {
   DeviceModel device;
   WifiModel wifi;
@@ -37,41 +35,6 @@ struct EdgeNodeCosts {
   /// Upload energy (J) if the instance goes to the cloud, else 0.
   double comm_energy_j(core::Route route) const;
   double comm_time_s(core::Route route) const;
-};
-
-class EdgeNode {
- public:
-  EdgeNode(core::MEANet& net, const data::ClassDict& dict, core::PolicyConfig policy,
-           EdgeNodeCosts costs)
-      : engine_(net, dict, policy), costs_(costs) {}
-
-  /// Pluggable-routing construction.
-  EdgeNode(core::MEANet& net, const data::ClassDict& dict,
-           std::shared_ptr<const core::RoutingPolicy> policy, EdgeNodeCosts costs)
-      : engine_(net, dict, std::move(policy)), costs_(costs) {}
-
-  core::EdgeInferenceEngine& engine() { return engine_; }
-  const EdgeNodeCosts& costs() const { return costs_; }
-
-  /// Per-instance compute energy (J) for a decision's route.
-  double compute_energy_j(const core::InstanceDecision& decision) const {
-    return costs_.compute_energy_j(decision.route);
-  }
-  /// Per-instance compute latency (s) for a decision's route.
-  double compute_time_s(const core::InstanceDecision& decision) const {
-    return costs_.compute_time_s(decision.route);
-  }
-  /// Upload energy (J) if the instance goes to the cloud, else 0.
-  double comm_energy_j(const core::InstanceDecision& decision) const {
-    return costs_.comm_energy_j(decision.route);
-  }
-  double comm_time_s(const core::InstanceDecision& decision) const {
-    return costs_.comm_time_s(decision.route);
-  }
-
- private:
-  core::EdgeInferenceEngine engine_;
-  EdgeNodeCosts costs_;
 };
 
 }  // namespace meanet::sim

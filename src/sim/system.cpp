@@ -3,46 +3,17 @@
 #include <stdexcept>
 #include <utility>
 
-#include "runtime/session.h"
-
 namespace meanet::sim {
 
-DistributedSystem::DistributedSystem(EdgeNode edge,
-                                     std::shared_ptr<runtime::OffloadBackend> backend)
-    : edge_(std::move(edge)), backend_(std::move(backend)) {
-  if (!backend_) throw std::invalid_argument("DistributedSystem: null backend");
-}
+SystemReport run_system(runtime::EngineConfig config, const data::Dataset& dataset) {
+  if (dataset.size() == 0) throw std::invalid_argument("run_system: empty dataset");
 
-DistributedSystem::DistributedSystem(EdgeNode edge, CloudNode* cloud)
-    : DistributedSystem(std::move(edge),
-                        cloud == nullptr
-                            ? std::shared_ptr<runtime::OffloadBackend>(
-                                  std::make_shared<runtime::NullBackend>())
-                            : std::make_shared<runtime::RawImageBackend>(cloud)) {}
-
-SystemReport DistributedSystem::run(const data::Dataset& dataset, int batch_size,
-                                    int worker_threads) {
-  if (dataset.size() == 0) throw std::invalid_argument("DistributedSystem::run: empty dataset");
-
-  runtime::EngineConfig config;
-  config.net = &edge_.engine().net();
-  config.dict = &edge_.engine().dict();
-  config.policy = edge_.engine().routing_ptr();
-  config.backend = backend_;
-  config.batch_size = batch_size;
-  config.worker_threads = worker_threads;
-  config.costs = edge_.costs();
-  config.transport = transport_;
-  config.route_deadline_s = route_deadline_s_;
-  config.route_priority = route_priority_;
-  config.starvation_bound = starvation_bound_;
-  config.clock = clock_;
+  const data::ClassDict* dict = config.dict;  // the session rejects a null one
   runtime::InferenceSession session(std::move(config));
   const std::vector<runtime::InferenceResult> results = session.run(dataset);
 
-  const data::ClassDict& dict = edge_.engine().dict();
   SystemReport report;
-  report.backend_description = backend_->describe();
+  report.backend_description = session.backend().describe();
   report.serving = session.metrics();
   report.predictions.reserve(results.size());
   report.instance_routes.reserve(results.size());
@@ -53,7 +24,7 @@ SystemReport DistributedSystem::run(const data::Dataset& dataset, int batch_size
     report.predictions.push_back(r.prediction);
     report.instance_routes.push_back(r.route);
     if (r.prediction == label) ++correct;
-    if (dict.is_hard(label)) {
+    if (dict->is_hard(label)) {
       ++hard_total;
       if (r.prediction == label) ++hard_correct;
     }

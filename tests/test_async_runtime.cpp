@@ -173,7 +173,7 @@ TEST(ResultHandle, InvalidHandleThrows) {
 TEST(OffloadTimeout, FallsBackToEdgeLikeNullBackend) {
   Fixture& f = Fixture::instance();
 
-  EngineConfig null_cfg = f.config();  // offload_mode defaults to kNone
+  EngineConfig null_cfg = f.config();  // no backend: NullBackend
   InferenceSession null_session(null_cfg);
   const auto baseline = null_session.run(f.ds.test);
 
@@ -210,18 +210,18 @@ TEST(OffloadTimeout, FallsBackToEdgeLikeNullBackend) {
 TEST(OffloadTimeout, ThreadedTimeoutRunMatchesSingleThreaded) {
   Fixture& f = Fixture::instance();
 
-  auto make_backend = [&] {
+  auto slow_backend = [&] {
     return std::make_shared<LatencyInjectingBackend>(
         std::make_shared<RawImageBackend>(&f.cloud), 0.100);
   };
   EngineConfig single = f.config();
-  single.backend = make_backend();
+  single.backend = slow_backend();
   single.offload_timeout_s = 0.001;
   InferenceSession single_session(single);
   const auto single_results = single_session.run(f.ds.test);
 
   EngineConfig threaded = f.config();
-  threaded.backend = make_backend();
+  threaded.backend = slow_backend();
   threaded.offload_timeout_s = 0.001;
   threaded.worker_threads = 4;  // all sharing the one net
   threaded.batch_size = 8;
@@ -240,8 +240,7 @@ TEST(OffloadTimeout, ThreadedTimeoutRunMatchesSingleThreaded) {
 TEST(BackendDecorators, LosslessChainMatchesBareBackend) {
   Fixture& f = Fixture::instance();
   EngineConfig bare = f.config();
-  bare.offload_mode = OffloadMode::kRawImage;
-  bare.cloud = &f.cloud;
+  bare.backend = std::make_shared<RawImageBackend>(&f.cloud);
   InferenceSession bare_session(bare);
   const auto expected = bare_session.run(f.ds.test);
 
@@ -318,8 +317,7 @@ TEST(BackendDecorators, ChainForwardsContractAndDescription) {
 TEST(SessionMetrics, PercentilesAndCountsAreSaneUnderFourWorkers) {
   Fixture& f = Fixture::instance();
   EngineConfig cfg = f.config();
-  cfg.offload_mode = OffloadMode::kRawImage;
-  cfg.cloud = &f.cloud;
+  cfg.backend = std::make_shared<RawImageBackend>(&f.cloud);
   cfg.worker_threads = 4;  // all sharing the one net
   cfg.batch_size = 8;
   InferenceSession session(cfg);
@@ -359,8 +357,7 @@ TEST(SessionMetrics, PercentileIsNearestRank) {
 TEST(ResponseCache, SecondPassIsServedFromCache) {
   Fixture& f = Fixture::instance();
   EngineConfig cfg = f.config();
-  cfg.offload_mode = OffloadMode::kRawImage;
-  cfg.cloud = &f.cloud;
+  cfg.backend = std::make_shared<RawImageBackend>(&f.cloud);
   cfg.response_cache_capacity = f.ds.test.size();
   InferenceSession session(cfg);
   // With an always-answering backend every result is fully served, so
@@ -388,8 +385,7 @@ TEST(ResponseCache, SecondPassIsServedFromCache) {
 TEST(ResponseCache, DedupsRepeatedFramesWithinAStream) {
   Fixture& f = Fixture::instance();
   EngineConfig cfg = f.config();
-  cfg.offload_mode = OffloadMode::kRawImage;  // fully served -> cacheable
-  cfg.cloud = &f.cloud;
+  cfg.backend = std::make_shared<RawImageBackend>(&f.cloud);  // fully served -> cacheable
   cfg.response_cache_capacity = 8;
   InferenceSession session(cfg);
   const Tensor frame = f.ds.test.instance(3);

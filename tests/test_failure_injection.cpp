@@ -99,16 +99,17 @@ TEST(FailureInjection, GemmHandlesZeroSizedProblem) {
   EXPECT_EQ(c, 0.0f);
 }
 
-TEST(FailureInjection, DistributedSystemRejectsEmptyDataset) {
+TEST(FailureInjection, RunSystemRejectsEmptyDataset) {
   util::Rng rng(6);
   core::MEANet net = meanet::testing::tiny_meanet_b(rng, 2);
   const data::ClassDict dict(4, {0, 1});
-  sim::EdgeNode edge(net, dict, core::PolicyConfig{}, sim::EdgeNodeCosts{});
-  sim::DistributedSystem system(std::move(edge), nullptr);
+  runtime::EngineConfig config;
+  config.net = &net;
+  config.dict = &dict;
   data::Dataset empty;
   empty.num_classes = 4;
   empty.images = Tensor(Shape{0, 2, 8, 8});
-  EXPECT_THROW(system.run(empty), std::invalid_argument);
+  EXPECT_THROW(sim::run_system(config, empty), std::invalid_argument);
 }
 
 TEST(FailureInjection, SyntheticSpecValidation) {

@@ -6,6 +6,8 @@
 #include "core/builders.h"
 #include "core/trainer.h"
 #include "metrics/classification_metrics.h"
+#include "runtime/offload_backend.h"
+#include "sim/cloud_node.h"
 #include "sim/system.h"
 #include "tiny_models.h"
 
@@ -43,9 +45,11 @@ TEST_P(PipelineTest, Algorithm1ThenAlgorithm2EndToEnd) {
   costs.upload_bytes_per_instance = 2 * 8 * 8;
   costs.main_macs = 1'000'000;
   costs.extension_macs = 400'000;
-  sim::EdgeNode edge(net, dict, core::PolicyConfig{}, costs);
-  sim::DistributedSystem edge_system(std::move(edge), nullptr);
-  const sim::SystemReport edge_report = edge_system.run(ds.test);
+  runtime::EngineConfig config;
+  config.net = &net;
+  config.dict = &dict;
+  config.costs = costs;
+  const sim::SystemReport edge_report = sim::run_system(config, ds.test);
   EXPECT_GT(edge_report.accuracy, 0.4);
 
   // ---- Full distributed inference ----
@@ -56,12 +60,10 @@ TEST_P(PipelineTest, Algorithm1ThenAlgorithm2EndToEnd) {
   core::train_classifier(cloud_model, ds.train, cloud_options, train_rng);
   sim::CloudNode cloud(std::move(cloud_model));
 
-  core::PolicyConfig policy;
-  policy.cloud_available = true;
-  policy.entropy_threshold = 0.4;
-  sim::EdgeNode edge2(net, dict, policy, costs);
-  sim::DistributedSystem system(std::move(edge2), &cloud);
-  const sim::SystemReport report = system.run(ds.test);
+  config.policy_config.cloud_available = true;
+  config.policy_config.entropy_threshold = 0.4;
+  config.backend = std::make_shared<runtime::RawImageBackend>(&cloud);
+  const sim::SystemReport report = sim::run_system(config, ds.test);
 
   // Paper claims: distributed inference >= edge-only accuracy while
   // sending only part of the data. The test set has 40 samples, so one

@@ -126,6 +126,33 @@ TEST(MEANet, BackwardExtensionBeforeForwardThrows) {
   EXPECT_THROW(net.backward_extension(Tensor(Shape{1, 2})), std::logic_error);
 }
 
+TEST(MEANet, EdgeMacsSumAllFourBlocksUnderEitherFusion) {
+  const Shape instance{1, 2, 8, 8};
+  for (const FusionMode fusion : {FusionMode::kSum, FusionMode::kConcat}) {
+    util::Rng rng(7);
+    const MEANet net = tiny_meanet_b(rng, 2, fusion);
+    const Shape features = net.main_trunk().output_shape(instance);
+    Shape fused = features;
+    if (fusion == FusionMode::kConcat) {
+      const Shape adaptive = net.adaptive().output_shape(instance);
+      fused = Shape{1, features.channels() + adaptive.channels(), features.height(),
+                    features.width()};
+    }
+    const std::int64_t trunk = net.main_trunk().stats(instance).macs;
+    const std::int64_t exit1 = net.main_exit().stats(features).macs;
+    const std::int64_t adaptive = net.adaptive().stats(instance).macs;
+    const std::int64_t extension = net.extension().stats(fused).macs;
+    ASSERT_GT(trunk, 0);
+    ASSERT_GT(exit1, 0);
+    ASSERT_GT(adaptive, 0);
+    ASSERT_GT(extension, 0);
+
+    const EdgeMacs macs = net.edge_macs(instance);
+    EXPECT_EQ(macs.main, trunk + exit1);
+    EXPECT_EQ(macs.extension, adaptive + extension);
+  }
+}
+
 TEST(Builders, RejectBadHardClassCounts) {
   util::Rng rng(11);
   const ResNetConfig config = tiny_resnet_config();

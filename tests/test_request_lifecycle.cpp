@@ -164,7 +164,7 @@ class ThreadRecordingPolicy : public core::RoutingPolicy {
 TEST(Deadlines, ExpiryFallsBackToEdgeExactlyLikeNullBackend) {
   Fixture& f = Fixture::instance();
 
-  EngineConfig null_cfg = f.config();  // offload_mode defaults to kNone
+  EngineConfig null_cfg = f.config();  // no backend: NullBackend
   InferenceSession null_session(null_cfg);
   const auto baseline = null_session.run(f.ds.test);
 
@@ -311,8 +311,7 @@ TEST(Cancellation, RacesCleanlyWithFourWorkersOverSeededIterations) {
   constexpr int kRequests = 24;
   for (int iter = 0; iter < kIterations; ++iter) {
     EngineConfig cfg = f.config();
-    cfg.offload_mode = OffloadMode::kRawImage;
-    cfg.cloud = &f.cloud;
+    cfg.backend = std::make_shared<RawImageBackend>(&f.cloud);
     cfg.worker_threads = 4;  // all sharing the one net
     cfg.batch_size = 2;
     std::vector<std::shared_ptr<std::atomic<int>>> fired;
@@ -378,8 +377,7 @@ TEST(CompletionCallbacks, FireExactlyOnceWithAReadyHandleOffTheWorkerThreads) {
   {
     EngineConfig cfg = f.config();
     cfg.policy = recording;
-    cfg.offload_mode = OffloadMode::kRawImage;
-    cfg.cloud = &f.cloud;
+    cfg.backend = std::make_shared<RawImageBackend>(&f.cloud);
     cfg.worker_threads = 2;  // both sharing the one net
     cfg.batch_size = 2;
     InferenceSession session(cfg);
@@ -428,8 +426,7 @@ TEST(WifiTransport, UploadTimeScalesWithPayloadAndGatesTheAnswer) {
   auto clock = std::make_shared<sim::VirtualClock>();
   EngineConfig cfg = f.config();
   cfg.policy_config.entropy_threshold = 0.0;  // the frame -> cloud
-  cfg.offload_mode = OffloadMode::kRawImage;
-  cfg.cloud = &f.cloud;
+  cfg.backend = std::make_shared<RawImageBackend>(&f.cloud);
   cfg.transport = transport;
   cfg.clock = clock;
   InferenceSession session(cfg);
@@ -456,16 +453,18 @@ TEST(WifiTransport, JitterIsSeededAndReproducible) {
   config.jitter_s = 0.050;
   config.seed = 99;
   SimulatedLink a(config), b(config);
-  for (int i = 0; i < 32; ++i) {
-    const double da = a.delay_s(1024);
-    EXPECT_DOUBLE_EQ(da, b.delay_s(1024));
+  for (std::uint64_t i = 0; i < 32; ++i) {
+    const double da = a.uplink_delay_s(i, 1024);
+    EXPECT_DOUBLE_EQ(da, b.uplink_delay_s(i, 1024));
     EXPECT_GE(da, config.base_latency_s + config.wifi.upload_time_s(1024));
     EXPECT_LE(da, config.base_latency_s + config.wifi.upload_time_s(1024) + config.jitter_s);
   }
   config.seed = 100;
   SimulatedLink c(config);
   bool diverged = false;
-  for (int i = 0; i < 32 && !diverged; ++i) diverged = a.delay_s(1024) != c.delay_s(1024);
+  for (std::uint64_t i = 0; i < 32 && !diverged; ++i) {
+    diverged = a.uplink_delay_s(i, 1024) != c.uplink_delay_s(i, 1024);
+  }
   EXPECT_TRUE(diverged);
 
   TransportConfig bad = config;

@@ -77,17 +77,15 @@ struct Fixture {
 
 TEST(InferenceSession, BackendSwapParityOnOneDataset) {
   Fixture& f = Fixture::instance();
-  auto run_with = [&](OffloadMode mode) {
+  auto run_with = [&](std::shared_ptr<OffloadBackend> backend) {
     EngineConfig cfg = f.config();
-    cfg.offload_mode = mode;
-    cfg.cloud = &f.cloud;
-    cfg.feature_cloud = &f.feature_cloud;
+    cfg.backend = std::move(backend);
     InferenceSession session(cfg);
     return session.run(f.ds.test);
   };
-  const auto raw = run_with(OffloadMode::kRawImage);
-  const auto feature = run_with(OffloadMode::kFeature);
-  const auto none = run_with(OffloadMode::kNone);
+  const auto raw = run_with(std::make_shared<RawImageBackend>(&f.cloud));
+  const auto feature = run_with(std::make_shared<FeatureBackend>(&f.feature_cloud));
+  const auto none = run_with(nullptr);
 
   ASSERT_EQ(static_cast<int>(raw.size()), f.ds.test.size());
   ASSERT_EQ(raw.size(), feature.size());
@@ -121,7 +119,7 @@ TEST(InferenceSession, BackendSwapParityOnOneDataset) {
 
 TEST(InferenceSession, CloudUnavailableFallsBackToEdgeBestGuess) {
   Fixture& f = Fixture::instance();
-  EngineConfig cfg = f.config();  // offload_mode defaults to kNone
+  EngineConfig cfg = f.config();  // no backend: NullBackend
   InferenceSession session(cfg);
   const auto results = session.run(f.ds.test);
   int cloud_routed = 0;
@@ -166,15 +164,13 @@ TEST(InferenceSession, ThreadedSubmitDrainMatchesSingleThreaded) {
   Fixture& f = Fixture::instance();
 
   EngineConfig single = f.config();
-  single.offload_mode = OffloadMode::kRawImage;
-  single.cloud = &f.cloud;
+  single.backend = std::make_shared<RawImageBackend>(&f.cloud);
   InferenceSession single_session(single);
   const auto baseline = single_session.run(f.ds.test);
 
   // Four workers sharing the one net (eval forwards are cache-free).
   EngineConfig threaded = f.config();
-  threaded.offload_mode = OffloadMode::kRawImage;
-  threaded.cloud = &f.cloud;
+  threaded.backend = std::make_shared<RawImageBackend>(&f.cloud);
   threaded.worker_threads = 4;
   threaded.batch_size = 8;      // different batching must not matter
   threaded.queue_capacity = 4;  // exercise submit() backpressure
@@ -235,8 +231,7 @@ TEST(InferenceSession, MarginPolicyOffloadsThroughSameApi) {
   margin.margin_threshold = 0.35;
   margin.cloud_available = true;
   cfg.policy = std::make_shared<core::ConfidenceMarginPolicy>(f.dict, margin);
-  cfg.offload_mode = OffloadMode::kRawImage;
-  cfg.cloud = &f.cloud;
+  cfg.backend = std::make_shared<RawImageBackend>(&f.cloud);
   InferenceSession session(cfg);
   const auto results = session.run(f.ds.test);
   const core::RouteCounts routes = count_routes(results);
@@ -252,8 +247,7 @@ TEST(InferenceSession, MarginPolicyOffloadsThroughSameApi) {
 TEST(InferenceSession, CostsAreChargedPerRoute) {
   Fixture& f = Fixture::instance();
   EngineConfig cfg = f.config();
-  cfg.offload_mode = OffloadMode::kRawImage;
-  cfg.cloud = &f.cloud;
+  cfg.backend = std::make_shared<RawImageBackend>(&f.cloud);
   cfg.costs.main_macs = 1000;
   cfg.costs.extension_macs = 500;
   cfg.costs.upload_bytes_per_instance = 2 * 8 * 8;
@@ -279,9 +273,9 @@ TEST(OffloadBackend, PayloadBytesMatchModeGeometry) {
   EXPECT_EQ(raw.payload_bytes(image, feature), image.numel());
   EXPECT_EQ(feat.payload_bytes(image, feature), sim::FeatureCloudNode::feature_bytes(feature));
   EXPECT_EQ(none.payload_bytes(image, feature), 0);
-  EXPECT_EQ(offload_mode_name(OffloadMode::kRawImage), std::string("raw-image"));
-  EXPECT_EQ(offload_mode_name(OffloadMode::kFeature), std::string("feature"));
-  EXPECT_EQ(offload_mode_name(OffloadMode::kNone), std::string("none"));
+  EXPECT_EQ(raw.describe(), "raw-image");
+  EXPECT_EQ(feat.describe(), "feature");
+  EXPECT_EQ(none.describe(), "null");
 }
 
 TEST(SyncWeights, ReplicaAnswersBitIdentically) {
@@ -312,9 +306,6 @@ TEST(EngineConfig, InvalidConfigsAreRejected) {
   EXPECT_THROW(InferenceSession{bad_batch}, std::invalid_argument);
   EXPECT_THROW(RawImageBackend{nullptr}, std::invalid_argument);
   EXPECT_THROW(FeatureBackend{nullptr}, std::invalid_argument);
-  EngineConfig raw_without_cloud = f.config();
-  raw_without_cloud.offload_mode = OffloadMode::kRawImage;  // cloud left null
-  EXPECT_THROW(InferenceSession{raw_without_cloud}, std::invalid_argument);
 }
 
 }  // namespace

@@ -173,8 +173,7 @@ struct Fixture {
     cfg.dict = &dict;
     cfg.policy_config.cloud_available = true;
     cfg.policy_config.entropy_threshold = 0.0;
-    cfg.offload_mode = OffloadMode::kRawImage;
-    cfg.cloud = &cloud;
+    cfg.backend = std::make_shared<RawImageBackend>(&cloud);
     cfg.batch_size = 1;
     cfg.worker_threads = worker_threads;
     return cfg;

@@ -288,8 +288,7 @@ TEST(Soak, DeadlineBoundsTailLatencyAtEdgeParityOnAWifiTimedLink) {
   auto closed_loop = [&](bool with_deadline) {
     auto clock = std::make_shared<sim::VirtualClock>();
     EngineConfig cfg = f.config();
-    cfg.offload_mode = OffloadMode::kRawImage;
-    cfg.cloud = &f.cloud;
+    cfg.backend = std::make_shared<RawImageBackend>(&f.cloud);
     cfg.transport = transport;
     cfg.clock = clock;
     if (with_deadline) {

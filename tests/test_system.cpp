@@ -2,6 +2,8 @@
 
 #include "core/builders.h"
 #include "core/trainer.h"
+#include "runtime/offload_backend.h"
+#include "sim/cloud_node.h"
 #include "sim/system.h"
 #include "tiny_models.h"
 
@@ -39,84 +41,73 @@ struct Fixture {
     return Fixture{std::move(ds), std::move(net), std::move(dict), std::move(cloud_model)};
   }
 
-  EdgeNodeCosts costs() const {
+  static EdgeNodeCosts costs() {
     EdgeNodeCosts c;
     c.upload_bytes_per_instance = 2 * 8 * 8;  // raw image bytes
     c.main_macs = 1000000;
     c.extension_macs = 500000;
     return c;
   }
+
+  /// Serving config over the fixture's net: edge-only when `cloud` is
+  /// null, else raw-image offload above `threshold`.
+  runtime::EngineConfig config(CloudNode* cloud = nullptr, double threshold = 0.0) {
+    runtime::EngineConfig c;
+    c.net = &net;
+    c.dict = &dict;
+    c.costs = costs();
+    if (cloud != nullptr) {
+      c.policy_config.cloud_available = true;
+      c.policy_config.entropy_threshold = threshold;
+      c.backend = std::make_shared<runtime::RawImageBackend>(cloud);
+    }
+    return c;
+  }
 };
 
-TEST(DistributedSystem, NoCloudMeansNoCommunication) {
+TEST(RunSystem, NoCloudMeansNoCommunication) {
   Fixture f = Fixture::make();
-  EdgeNode edge(f.net, f.dict, core::PolicyConfig{}, f.costs());
-  DistributedSystem system(std::move(edge), nullptr);
-  const SystemReport report = system.run(f.ds.test);
+  const SystemReport report = run_system(f.config(), f.ds.test);
   EXPECT_EQ(report.routes.cloud, 0);
   EXPECT_DOUBLE_EQ(report.communication_energy_j, 0.0);
   EXPECT_GT(report.edge_compute_energy_j, 0.0);
   EXPECT_GT(report.accuracy, 0.4);
 }
 
-TEST(DistributedSystem, ZeroThresholdSendsEverythingToCloud) {
+TEST(RunSystem, ZeroThresholdSendsEverythingToCloud) {
   Fixture f = Fixture::make();
   CloudNode cloud(std::move(f.cloud_model));
-  core::PolicyConfig policy;
-  policy.cloud_available = true;
-  policy.entropy_threshold = 0.0;
-  EdgeNode edge(f.net, f.dict, policy, f.costs());
-  DistributedSystem system(std::move(edge), &cloud);
-  const SystemReport report = system.run(f.ds.test);
+  const SystemReport report = run_system(f.config(&cloud, 0.0), f.ds.test);
   // All test instances have strictly positive entropy in practice.
   EXPECT_GT(report.cloud_fraction, 0.99);
   EXPECT_GT(report.communication_energy_j, 0.0);
   EXPECT_EQ(cloud.instances_served(), f.ds.test.size());
 }
 
-TEST(DistributedSystem, HigherThresholdSendsLess) {
+TEST(RunSystem, HigherThresholdSendsLess) {
   Fixture f = Fixture::make();
   CloudNode cloud(std::move(f.cloud_model));
-  auto run_with_threshold = [&](double threshold) {
-    core::PolicyConfig policy;
-    policy.cloud_available = true;
-    policy.entropy_threshold = threshold;
-    EdgeNode edge(f.net, f.dict, policy, f.costs());
-    DistributedSystem system(std::move(edge), &cloud);
-    return system.run(f.ds.test);
-  };
-  const SystemReport low = run_with_threshold(0.2);
-  const SystemReport high = run_with_threshold(1.0);
+  const SystemReport low = run_system(f.config(&cloud, 0.2), f.ds.test);
+  const SystemReport high = run_system(f.config(&cloud, 1.0), f.ds.test);
   EXPECT_GE(low.cloud_fraction, high.cloud_fraction);
   EXPECT_GE(low.communication_energy_j, high.communication_energy_j);
 }
 
-TEST(DistributedSystem, CloudImprovesAccuracyOverEdgeOnly) {
+TEST(RunSystem, CloudImprovesAccuracyOverEdgeOnly) {
   Fixture f = Fixture::make();
-  // Edge-only baseline.
-  EdgeNode edge_only(f.net, f.dict, core::PolicyConfig{}, f.costs());
-  DistributedSystem baseline(std::move(edge_only), nullptr);
-  const SystemReport edge_report = baseline.run(f.ds.test);
+  const SystemReport edge_report = run_system(f.config(), f.ds.test);  // edge-only baseline
 
   CloudNode cloud(std::move(f.cloud_model));
-  core::PolicyConfig policy;
-  policy.cloud_available = true;
-  policy.entropy_threshold = 0.3;
-  EdgeNode edge(f.net, f.dict, policy, f.costs());
-  DistributedSystem system(std::move(edge), &cloud);
-  const SystemReport cloud_report = system.run(f.ds.test);
+  const SystemReport cloud_report = run_system(f.config(&cloud, 0.3), f.ds.test);
   EXPECT_GE(cloud_report.accuracy, edge_report.accuracy);
 }
 
-TEST(DistributedSystem, ReportInternallyConsistent) {
+TEST(RunSystem, ReportInternallyConsistent) {
   Fixture f = Fixture::make();
   CloudNode cloud(std::move(f.cloud_model));
-  core::PolicyConfig policy;
-  policy.cloud_available = true;
-  policy.entropy_threshold = 0.5;
-  EdgeNode edge(f.net, f.dict, policy, f.costs());
-  DistributedSystem system(std::move(edge), &cloud);
-  const SystemReport report = system.run(f.ds.test, 13);  // odd batch size
+  runtime::EngineConfig config = f.config(&cloud, 0.5);
+  config.batch_size = 13;  // odd batch size
+  const SystemReport report = run_system(config, f.ds.test);
   EXPECT_EQ(report.routes.total(), f.ds.test.size());
   EXPECT_EQ(static_cast<int>(report.predictions.size()), f.ds.test.size());
   EXPECT_EQ(static_cast<int>(report.instance_routes.size()), f.ds.test.size());
@@ -125,7 +116,7 @@ TEST(DistributedSystem, ReportInternallyConsistent) {
   EXPECT_DOUBLE_EQ(report.edge_energy_j(),
                    report.edge_compute_energy_j + report.communication_energy_j);
   // Energy accounting: every instance pays main MACs; extension extra.
-  const EdgeNodeCosts costs = f.costs();
+  const EdgeNodeCosts costs = Fixture::costs();
   DeviceModel device;  // default throughput used in costs()
   const double expected_compute =
       device.compute_energy_j(costs.main_macs) * report.routes.total() +
@@ -133,19 +124,18 @@ TEST(DistributedSystem, ReportInternallyConsistent) {
   EXPECT_NEAR(report.edge_compute_energy_j, expected_compute, 1e-9);
 }
 
-TEST(DistributedSystem, ThreadedRunMatchesSingleThreadedAndReportsServing) {
+TEST(RunSystem, ThreadedRunMatchesSingleThreadedAndReportsServing) {
   Fixture f = Fixture::make();
   CloudNode cloud(std::move(f.cloud_model));
-  core::PolicyConfig policy;
-  policy.cloud_available = true;
-  policy.entropy_threshold = 0.3;
-  EdgeNode edge(f.net, f.dict, policy, f.costs());
-  DistributedSystem system(std::move(edge), &cloud);
-  const SystemReport single = system.run(f.ds.test, 16);
+  runtime::EngineConfig config = f.config(&cloud, 0.3);
+  config.batch_size = 16;
+  const SystemReport single = run_system(config, f.ds.test);
 
   // Two workers sharing the one net, small batches: the routed
   // predictions must be identical to the single-worker run.
-  const SystemReport threaded = system.run(f.ds.test, 8, 2);
+  config.batch_size = 8;
+  config.worker_threads = 2;
+  const SystemReport threaded = run_system(config, f.ds.test);
   ASSERT_EQ(threaded.predictions.size(), single.predictions.size());
   for (std::size_t i = 0; i < single.predictions.size(); ++i) {
     EXPECT_EQ(threaded.predictions[i], single.predictions[i]) << i;
@@ -157,21 +147,15 @@ TEST(DistributedSystem, ThreadedRunMatchesSingleThreadedAndReportsServing) {
   EXPECT_EQ(threaded.serving.route_count(core::Route::kCloud), threaded.routes.cloud);
 }
 
-TEST(EdgeNode, PerRouteCosts) {
-  Fixture f = Fixture::make();
-  EdgeNodeCosts costs = f.costs();
-  EdgeNode edge(f.net, f.dict, core::PolicyConfig{}, costs);
-  core::InstanceDecision main_exit;
-  main_exit.route = core::Route::kMainExit;
-  core::InstanceDecision ext_exit;
-  ext_exit.route = core::Route::kExtensionExit;
-  core::InstanceDecision cloud;
-  cloud.route = core::Route::kCloud;
-  EXPECT_GT(edge.compute_energy_j(ext_exit), edge.compute_energy_j(main_exit));
-  EXPECT_DOUBLE_EQ(edge.compute_energy_j(cloud), edge.compute_energy_j(main_exit));
-  EXPECT_DOUBLE_EQ(edge.comm_energy_j(main_exit), 0.0);
-  EXPECT_GT(edge.comm_energy_j(cloud), 0.0);
-  EXPECT_GT(edge.comm_time_s(cloud), 0.0);
+TEST(EdgeNodeCosts, PerRouteCosts) {
+  const EdgeNodeCosts costs = Fixture::costs();
+  EXPECT_GT(costs.compute_energy_j(core::Route::kExtensionExit),
+            costs.compute_energy_j(core::Route::kMainExit));
+  EXPECT_DOUBLE_EQ(costs.compute_energy_j(core::Route::kCloud),
+                   costs.compute_energy_j(core::Route::kMainExit));
+  EXPECT_DOUBLE_EQ(costs.comm_energy_j(core::Route::kMainExit), 0.0);
+  EXPECT_GT(costs.comm_energy_j(core::Route::kCloud), 0.0);
+  EXPECT_GT(costs.comm_time_s(core::Route::kCloud), 0.0);
 }
 
 }  // namespace

@@ -440,8 +440,7 @@ TEST(WireSession, SocketPredictionsMatchInProcessBackend) {
 
   // In-process reference: the cloud model answers directly.
   runtime::EngineConfig in_proc = f.config();
-  in_proc.offload_mode = runtime::OffloadMode::kRawImage;
-  in_proc.cloud = &f.cloud;
+  in_proc.backend = std::make_shared<runtime::RawImageBackend>(&f.cloud);
   const auto reference = runtime::InferenceSession(in_proc).run(f.ds.test);
 
   // Same cloud model behind a WireServer on a real Unix socket.
@@ -450,8 +449,9 @@ TEST(WireSession, SocketPredictionsMatchInProcessBackend) {
   const std::string path = test_socket_path("parity");
   server.listen_unix(path);
   runtime::EngineConfig wired = f.config();
-  wired.offload_mode = runtime::OffloadMode::kWire;
-  wired.wire_socket_path = path;
+  WireBackendConfig wire_cfg;
+  wire_cfg.socket_path = path;
+  wired.backend = std::make_shared<WireBackend>(std::move(wire_cfg));
   const auto over_wire = runtime::InferenceSession(wired).run(f.ds.test);
   server.stop();
 
@@ -479,7 +479,6 @@ TEST(WireSession, FrameFaultsFallBackToEdgePredictions) {
 
   auto run_with_fault = [&](const FaultPlan& plan) {
     runtime::EngineConfig cfg = f.config();
-    cfg.offload_mode = runtime::OffloadMode::kNone;  // overridden by backend below
     WireBackendConfig wire_cfg;
     wire_cfg.response_timeout_s = 0.25;  // a swallowed frame must not hang
     wire_cfg.transport_factory = [&server, plan] {
