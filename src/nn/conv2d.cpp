@@ -379,8 +379,7 @@ Tensor DepthwiseConv2d::forward_with(const Tensor& input, const float* weight,
     for (int item = 0; item < jobs; ++item) run_item(item);
   } else {
     ops::GemmPool::instance().run(threads, [&](int slot) {
-      const int begin = static_cast<int>(static_cast<std::int64_t>(jobs) * slot / threads);
-      const int end = static_cast<int>(static_cast<std::int64_t>(jobs) * (slot + 1) / threads);
+      const auto [begin, end] = ops::GemmPool::split(jobs, slot, threads);
       for (int item = begin; item < end; ++item) run_item(item);
     });
   }

@@ -73,15 +73,28 @@ void GemmPool::run(int threads, const std::function<void(int)>& fn) {
     job_ = &fn;
     job_threads_ = threads;
     pending_ = threads - 1;
+    errors_.assign(static_cast<std::size_t>(threads), nullptr);
     ++jobs_fanout_;
     stripes_ += static_cast<std::uint64_t>(threads);
     ++generation_;
     work_cv_.notify_all();
   }
-  fn(0);  // the caller serves slot 0 — no self-deadlock, no idle caller
+  // The caller serves slot 0 — no self-deadlock, no idle caller. Its
+  // throw must not unwind past the wait: workers still run fn.
+  std::exception_ptr caller_error;
+  try {
+    fn(0);
+  } catch (...) {
+    caller_error = std::current_exception();
+  }
   std::unique_lock<std::mutex> lock(mutex_);
   done_cv_.wait(lock, [&] { return pending_ == 0; });
   job_ = nullptr;
+  std::exception_ptr first = caller_error;
+  for (std::size_t slot = 1; !first && slot < errors_.size(); ++slot) first = errors_[slot];
+  errors_.clear();
+  lock.unlock();
+  if (first) std::rethrow_exception(first);
 }
 
 void GemmPool::worker_loop(int index) {
@@ -96,8 +109,14 @@ void GemmPool::worker_loop(int index) {
     if (index + 1 >= job_threads_) continue;  // this job is narrower than the pool
     const std::function<void(int)>* job = job_;
     lock.unlock();
-    (*job)(index + 1);
+    std::exception_ptr error;
+    try {
+      (*job)(index + 1);
+    } catch (...) {
+      error = std::current_exception();
+    }
     lock.lock();
+    errors_[static_cast<std::size_t>(index) + 1] = error;
     if (--pending_ == 0) done_cv_.notify_all();
   }
 }

@@ -11,7 +11,10 @@
 // then everyone consumes the shared panel.
 //
 // Concurrency contract: run() executes fn(0) on the calling thread and
-// fn(1..threads-1) on pool workers, returning after all complete.
+// fn(1..threads-1) on pool workers, returning after all complete. A
+// throw from any slot is caught there; run() still waits for every
+// slot, then rethrows the lowest slot's exception on the caller (a
+// throwing slot must not leave others parked on a shared barrier).
 // Concurrent run() calls from different threads serialize on an
 // internal mutex (serving workers each call gemm with threads == 1, so
 // this lock is uncontended in practice; it exists so explicit
@@ -22,9 +25,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "diag/provider.h"
@@ -73,8 +78,19 @@ class GemmPool : public diag::DiagnosticProvider {
 
   /// Runs fn(slot) for slot in [0, threads): slot 0 on the calling
   /// thread, the rest on pool workers. Blocks until every slot
-  /// returned. threads <= 1 runs fn(0) inline with no locking.
+  /// returned, then rethrows the first exception in slot order, if
+  /// any. threads <= 1 runs fn(0) inline with no locking. Not
+  /// reentrant: fn must not call run() with threads > 1.
   void run(int threads, const std::function<void(int)>& fn);
+
+  /// The even split of [0, count) into `parts` contiguous ranges:
+  /// slot's [begin, end). Sizes differ by at most one.
+  static std::pair<int, int> split(int count, int slot, int parts) {
+    const auto at = [&](int s) {
+      return static_cast<int>(static_cast<std::int64_t>(count) * s / parts);
+    };
+    return {at(slot), at(slot + 1)};
+  }
 
   /// Workers currently alive (high-water of past run() widths).
   int worker_count() const;
@@ -112,6 +128,7 @@ class GemmPool : public diag::DiagnosticProvider {
   const std::function<void(int)>* job_ = nullptr;
   int job_threads_ = 0;   // fn(1..job_threads_-1) run on workers
   int pending_ = 0;       // participating workers not yet finished
+  std::vector<std::exception_ptr> errors_;  // per slot of the current job
   std::uint64_t generation_ = 0;
   bool stop_ = false;
   // Dispatch counters (guarded by mutex_ for the worker-side stripe

@@ -20,13 +20,18 @@
 //    the documented tolerance at 1/2/4 pool threads, and its scalar
 //    and VNNI kernels produce bit-identical results;
 //  - a conv forward over a batch, float or int8, is bit-identical to
-//    one batch-1 forward per image at every pool width.
+//    one batch-1 forward per image at every pool width;
+//  - a throw in any GemmPool slot reaches the caller only after every
+//    slot has finished, and the pool keeps working.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -37,6 +42,7 @@
 #include "nn/quantize.h"
 #include "nn/sequential.h"
 #include "tensor/ops.h"
+#include "tensor/pool.h"
 #include "tensor/qgemm.h"
 #include "tensor/simd.h"
 #include "tiny_models.h"
@@ -148,6 +154,53 @@ TEST(GemmParity, PersistentPoolSurvivesRepeatedWidthChanges) {
     EXPECT_TRUE(allclose(expected, ops::matmul(a, b), 0.0f)) << "iter=" << i;
   }
   ops::set_gemm_threads(before);
+}
+
+/// Runs a width-4 pool job whose slots in `throwing` throw "slot N" at
+/// once while the others sleep first, and returns what run() rethrew
+/// plus how many non-throwing slots had finished by then.
+std::pair<std::string, int> run_throwing_job(const std::vector<int>& throwing) {
+  std::atomic<int> finished{0};
+  try {
+    ops::GemmPool::instance().run(4, [&](int slot) {
+      if (std::find(throwing.begin(), throwing.end(), slot) != throwing.end()) {
+        throw std::runtime_error("slot " + std::to_string(slot));
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      finished.fetch_add(1);
+    });
+  } catch (const std::runtime_error& e) {
+    return {e.what(), finished.load()};
+  }
+  return {"", finished.load()};
+}
+
+/// The pool serves a normal width-4 job: every slot runs exactly once.
+void expect_pool_serves_next_job() {
+  std::vector<int> hits(4, 0);
+  ops::GemmPool::instance().run(4, [&](int slot) { ++hits[static_cast<std::size_t>(slot)]; });
+  EXPECT_EQ(hits, (std::vector<int>{1, 1, 1, 1}));
+}
+
+TEST(GemmPoolErrors, CallerSlotThrowIsRethrownAfterEverySlotFinished) {
+  const auto [message, finished] = run_throwing_job({0});
+  EXPECT_EQ(message, "slot 0");
+  EXPECT_EQ(finished, 3);
+  expect_pool_serves_next_job();
+}
+
+TEST(GemmPoolErrors, WorkerSlotThrowIsRethrownAfterEverySlotFinished) {
+  const auto [message, finished] = run_throwing_job({2});
+  EXPECT_EQ(message, "slot 2");
+  EXPECT_EQ(finished, 3);
+  expect_pool_serves_next_job();
+}
+
+TEST(GemmPoolErrors, FirstThrowInSlotOrderWins) {
+  const auto [message, finished] = run_throwing_job({3, 1});
+  EXPECT_EQ(message, "slot 1");
+  EXPECT_EQ(finished, 2);
+  expect_pool_serves_next_job();
 }
 
 /// RAII set/restore of the float microkernel selection.

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <stdexcept>
+#include <thread>
+#include <vector>
+
 #include "core/builders.h"
 #include "core/trainer.h"
 #include "runtime/offload_backend.h"
 #include "sim/cloud_node.h"
 #include "sim/system.h"
+#include "tensor/ops.h"
+#include "tensor/pool.h"
 #include "tiny_models.h"
 
 namespace meanet::sim {
@@ -156,6 +163,114 @@ TEST(EdgeNodeCosts, PerRouteCosts) {
   EXPECT_DOUBLE_EQ(costs.comm_energy_j(core::Route::kMainExit), 0.0);
   EXPECT_GT(costs.comm_energy_j(core::Route::kCloud), 0.0);
   EXPECT_GT(costs.comm_time_s(core::Route::kCloud), 0.0);
+}
+
+// ---- Row-sharded CloudNode::classify ----
+
+/// Untrained cloud classifier over tiny_data_spec's 2×8×8 images; the
+/// same seed gives the same weights to every node built from it.
+CloudNode sharded_cloud(int forward_threads) {
+  util::Rng rng(31);
+  return CloudNode(core::build_cloud_classifier(2, 4, rng), forward_threads);
+}
+
+Tensor cloud_images(int rows, int channels = 2) {
+  util::Rng rng(static_cast<std::uint64_t>(100 + rows));
+  return Tensor::normal(Shape{rows, channels, 8, 8}, rng);
+}
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * static_cast<std::size_t>(a.numel())) == 0;
+}
+
+/// RAII set/restore of the process-wide GEMM width.
+class GemmThreadsScope {
+ public:
+  explicit GemmThreadsScope(int threads) : previous_(ops::gemm_threads()) {
+    ops::set_gemm_threads(threads);
+  }
+  ~GemmThreadsScope() { ops::set_gemm_threads(previous_); }
+
+ private:
+  int previous_;
+};
+
+TEST(CloudNodeSharding, EveryWidthMatchesTheUnshardedForward) {
+  const GemmThreadsScope one_thread(1);
+  for (const int rows : {1, 3, 64, 130}) {
+    const Tensor images = cloud_images(rows);
+    for (const int width : {1, 2, 3, 4, 7}) {
+      CloudNode node = sharded_cloud(width);
+      const Tensor logits = node.model().forward(images, nn::Mode::kEval);
+      EXPECT_EQ(node.classify(images), ops::row_argmax(logits))
+          << "rows=" << rows << " width=" << width;
+      // The property the sharding rests on: each shard's logits are the
+      // unsharded logits' rows, byte for byte.
+      const int shards = std::min(width, rows);
+      for (int slot = 0; slot < shards; ++slot) {
+        const auto [begin, end] = ops::GemmPool::split(rows, slot, shards);
+        const Tensor shard =
+            node.model().forward(images.slice_batch(begin, end - begin), nn::Mode::kEval);
+        const Tensor expected = logits.slice_batch(begin, end - begin);
+        EXPECT_TRUE(same_bytes(shard, expected))
+            << "rows=" << rows << " width=" << width << " slot=" << slot;
+      }
+    }
+  }
+}
+
+TEST(CloudNodeSharding, ThreadedGemmRunsOneUnshardedForward) {
+  const Tensor images = cloud_images(64);
+  CloudNode node = sharded_cloud(4);
+  const std::vector<int> expected =
+      ops::row_argmax(node.model().forward(images, nn::Mode::kEval));
+  const GemmThreadsScope two_threads(2);
+  const ops::GemmPool::Stats before = ops::GemmPool::instance().stats();
+  EXPECT_EQ(node.classify(images), expected);
+  const ops::GemmPool::Stats after = ops::GemmPool::instance().stats();
+  // Only the GEMM's own width-2 stripes may fan out: a width-4 shard
+  // job would add 4 stripes in one job.
+  EXPECT_EQ(after.stripes - before.stripes, 2 * (after.fanout_jobs - before.fanout_jobs));
+}
+
+TEST(CloudNodeSharding, ConcurrentCallersBothGetTheirAnswers) {
+  const GemmThreadsScope one_thread(1);
+  CloudNode node = sharded_cloud(4);
+  const Tensor first = cloud_images(64);
+  const Tensor second = cloud_images(130);
+  const std::vector<int> want_first = ops::row_argmax(node.model().forward(first, nn::Mode::kEval));
+  const std::vector<int> want_second =
+      ops::row_argmax(node.model().forward(second, nn::Mode::kEval));
+  std::vector<int> got_first, got_second;
+  std::thread a([&] { got_first = node.classify(first); });
+  std::thread b([&] { got_second = node.classify(second); });
+  a.join();
+  b.join();
+  EXPECT_EQ(got_first, want_first);
+  EXPECT_EQ(got_second, want_second);
+  EXPECT_EQ(node.instances_served(), 64 + 130);
+}
+
+TEST(CloudNodeSharding, WrongChannelBatchThrowsAndTheNodeKeepsServing) {
+  const GemmThreadsScope one_thread(1);
+  CloudNode node = sharded_cloud(4);
+  EXPECT_THROW(node.classify(cloud_images(64, 3)), std::invalid_argument);
+  EXPECT_EQ(node.instances_served(), 0);
+  const Tensor images = cloud_images(64);
+  EXPECT_EQ(node.classify(images), ops::row_argmax(node.model().forward(images, nn::Mode::kEval)));
+  EXPECT_EQ(node.instances_served(), 64);
+}
+
+TEST(CloudNodeSharding, ServedCountsEveryRowOnce) {
+  const GemmThreadsScope one_thread(1);
+  CloudNode node = sharded_cloud(4);
+  EXPECT_EQ(node.forward_threads(), 4);
+  EXPECT_EQ(sharded_cloud(0).forward_threads(), 1);  // clamped to >= 1
+  node.classify(cloud_images(1));
+  node.classify(cloud_images(64));
+  node.classify(cloud_images(130));
+  EXPECT_EQ(node.instances_served(), 1 + 64 + 130);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Wire server + WireBackend integration: parity of a full
 // InferenceSession over a real Unix socket vs the in-process backend,
 // cross-session batch coalescing, frame-fault fallbacks, reconnect
-// after a daemon restart, and connection-churn hygiene.
+// after a daemon restart, connection-churn hygiene, and a row-sharded
+// cloud that fails one malformed batch without taking the server down.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "core/builders.h"
@@ -24,6 +26,7 @@
 #include "runtime/transport.h"
 #include "sim/cloud_node.h"
 #include "sim/shared_cell.h"
+#include "tensor/ops.h"
 #include "tensor/pool.h"
 #include "tiny_models.h"
 #include "util/rng.h"
@@ -180,6 +183,33 @@ TEST(WireServer, RemoteBackendFailureSurfacesAsWireError) {
   payload.images = instance_with_pixel(1.0f);
   EXPECT_THROW(client.classify(payload), WireError);
   EXPECT_TRUE(eventually([&] { return server.stats().backend_failures >= 1u; }));
+  server.stop();
+}
+
+// A 2-channel upload to a 3-channel cloud throws inside a pool shard of
+// the width-4 CloudNode; the request must fail over the wire (not kill
+// the server) and the next valid request must be answered.
+TEST(WireServer, WrongGeometryBatchFailsAndServerSurvives) {
+  util::Rng rng(41);
+  sim::CloudNode cloud(core::build_cloud_classifier(3, 4, rng), 4);
+  WireServer server(std::make_shared<runtime::RawImageBackend>(&cloud), WireServerConfig{});
+  const std::string path = test_socket_path("geometry");
+  server.listen_unix(path);
+
+  WireBackendConfig cfg;
+  cfg.socket_path = path;
+  WireBackend client(cfg);
+  util::Rng data_rng(42);
+  runtime::OffloadPayload wrong;
+  wrong.images = Tensor::normal(Shape{64, 2, 4, 4}, data_rng);
+  EXPECT_THROW(client.classify(wrong), WireError);
+  EXPECT_TRUE(eventually([&] { return server.stats().backend_failures == 1u; }));
+
+  runtime::OffloadPayload valid;
+  valid.images = Tensor::normal(Shape{64, 3, 4, 4}, data_rng);
+  EXPECT_EQ(client.classify(valid),
+            ops::row_argmax(cloud.model().forward(valid.images, nn::Mode::kEval)));
+  EXPECT_EQ(server.stats().backend_failures, 1u);
   server.stop();
 }
 
@@ -626,9 +656,11 @@ TEST(ClouddEndToEnd, SpawnedDaemonMatchesInProcessModel) {
   cfg.connect_timeout_s = 10.0;  // covers the daemon's startup window
   WireBackend client(cfg);
   util::Rng data_rng(5);
-  for (int round = 0; round < 4; ++round) {
+  // Rounds 0-3 send 3 rows; round 4 sends 64, which the daemon splits
+  // by rows over its cores.
+  for (int round = 0; round < 5; ++round) {
     runtime::OffloadPayload payload;
-    payload.images = Tensor::normal(Shape{3, 2, 4, 4}, data_rng);
+    payload.images = Tensor::normal(Shape{round < 4 ? 3 : 64, 2, 4, 4}, data_rng);
     EXPECT_EQ(client.classify(payload), reference.classify(payload)) << "round " << round;
   }
   const StatsEntries stats = client.fetch_stats();
@@ -636,7 +668,7 @@ TEST(ClouddEndToEnd, SpawnedDaemonMatchesInProcessModel) {
   for (const auto& [name, value] : stats) {
     if (name == "requests_served") {
       saw_requests = true;
-      EXPECT_GE(value, 4u);
+      EXPECT_GE(value, 5u);
     }
   }
   EXPECT_TRUE(saw_requests);
@@ -663,7 +695,7 @@ TEST(ClouddEndToEnd, DiagSnapshotOverWireIsWellFormed) {
   WireBackend client(cfg);
   util::Rng data_rng(6);
   runtime::OffloadPayload payload;
-  payload.images = Tensor::normal(Shape{2, 2, 4, 4}, data_rng);
+  payload.images = Tensor::normal(Shape{64, 2, 4, 4}, data_rng);
   (void)client.classify(payload);  // traffic so counters are non-trivial
 
   const std::string snapshot = client.fetch_diagnostics();
@@ -672,12 +704,37 @@ TEST(ClouddEndToEnd, DiagSnapshotOverWireIsWellFormed) {
   EXPECT_NE(snapshot.find("wire_server/"), std::string::npos);
   EXPECT_NE(snapshot.find("requests_served"), std::string::npos);
 
+  // On a multi-core host the 64-row batch was split over the pool.
+  const std::size_t pool = snapshot.find("\"gemm_pool\"");
+  ASSERT_NE(pool, std::string::npos) << snapshot;
+  const std::size_t field = snapshot.find("\"fanout_jobs\"", pool);
+  ASSERT_NE(field, std::string::npos) << snapshot;
+  const std::size_t digits = snapshot.find_first_of("0123456789", field);
+  ASSERT_NE(digits, std::string::npos) << snapshot;
+  const unsigned long long fanout_jobs = std::strtoull(snapshot.c_str() + digits, nullptr, 10);
+  if (std::thread::hardware_concurrency() > 1) EXPECT_GE(fanout_jobs, 1u) << snapshot;
+
   // The legacy flagless stats request must still work on the same
   // connection (wire version is unchanged).
   const StatsEntries stats = client.fetch_stats();
   EXPECT_FALSE(stats.empty());
   daemon.terminate();
   EXPECT_FALSE(daemon.running());
+}
+
+// A malformed numeric flag is rejected at startup: the daemon exits
+// with usage instead of serving with --max-batch 0.
+TEST(ClouddEndToEnd, MalformedNumericFlagExitsWithoutListening) {
+  const char* binary = std::getenv("MEANET_CLOUDD");
+  if (binary == nullptr || binary[0] == '\0') {
+    GTEST_SKIP() << "set MEANET_CLOUDD to the meanet_cloudd binary to run";
+  }
+  const std::string path = test_socket_path("cloudd_badflag");
+  ChildProcess daemon(
+      std::vector<std::string>{binary, "--socket", path, "--max-batch", "abc"});
+  EXPECT_TRUE(eventually([&] { return !daemon.running(); }));
+  struct stat info {};
+  EXPECT_NE(::stat(path.c_str(), &info), 0) << "daemon created " << path;
 }
 
 }  // namespace

@@ -5,22 +5,31 @@
 // requests through ONE shared WireServer batch queue, so concurrent
 // sessions' uploads coalesce into cross-session cloud batches.
 //
-//   meanet_cloudd --socket /tmp/meanet.sock --seed 7 \
-//       --image-channels 3 --classes 10 [--model weights.bin] \
+//   meanet_cloudd --socket /tmp/meanet.sock --seed 7
+//       --image-channels 3 --classes 10 [--model weights.bin]
 //       [--max-batch 32] [--batch-window-ms 2] [--stats-every-s 10]
 //
 // The cloud classifier is built deterministically from --seed (same
 // architecture + seed on the edge side reproduces the exact weights,
 // which is how the parity tests share a model across processes); pass
 // --model to overwrite the random init with trained weights saved by
-// nn::save_model.
+// nn::save_model. Each coalesced batch is split by rows over every
+// core (sim::CloudNode's forward_threads); answers are byte-identical
+// to a one-thread forward. Every numeric flag is parsed strictly: a
+// malformed or out-of-range value prints usage and exits 2.
+#include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include <signal.h>
 
@@ -60,6 +69,36 @@ struct Options {
   std::exit(2);
 }
 
+/// Whole-string strict parses: false on trailing junk, overflow or a
+/// value outside the flag's range.
+bool parse_u64(const char* text, std::uint64_t& out) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;  // no sign, no space
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  out = value;
+  return true;
+}
+
+bool parse_int(const char* text, int min, int& out) {
+  constexpr auto kMax = static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+  std::uint64_t value = 0;
+  if (!parse_u64(text, value) || value > kMax || static_cast<int>(value) < min) return false;
+  out = static_cast<int>(value);
+  return true;
+}
+
+bool parse_nonnegative(const char* text, double& out) {
+  if (text[0] == '\0' || std::isspace(static_cast<unsigned char>(text[0]))) return false;
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text, &end);
+  if (*end != '\0' || errno == ERANGE || !std::isfinite(value) || value < 0.0) return false;
+  out = value;
+  return true;
+}
+
 Options parse_args(int argc, char** argv) {
   Options opts;
   auto value = [&](int& i) -> const char* {
@@ -68,29 +107,33 @@ Options parse_args(int argc, char** argv) {
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    bool ok = true;
     if (arg == "--socket") {
       opts.socket_path = value(i);
     } else if (arg == "--model") {
       opts.model_path = value(i);
     } else if (arg == "--seed") {
-      opts.seed = std::strtoull(value(i), nullptr, 10);
+      ok = parse_u64(value(i), opts.seed);
     } else if (arg == "--image-channels") {
-      opts.image_channels = std::atoi(value(i));
+      ok = parse_int(value(i), 1, opts.image_channels);
     } else if (arg == "--classes") {
-      opts.classes = std::atoi(value(i));
+      ok = parse_int(value(i), 2, opts.classes);
     } else if (arg == "--max-batch") {
-      opts.max_batch = std::atoi(value(i));
+      ok = parse_int(value(i), 1, opts.max_batch);
     } else if (arg == "--batch-window-ms") {
-      opts.batch_window_ms = std::atof(value(i));
+      ok = parse_nonnegative(value(i), opts.batch_window_ms);
     } else if (arg == "--stats-every-s") {
-      opts.stats_every_s = std::atof(value(i));
+      ok = parse_nonnegative(value(i), opts.stats_every_s);
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       usage(argv[0]);
     }
+    if (!ok) {
+      std::fprintf(stderr, "invalid value for %s: %s\n", arg.c_str(), argv[i]);
+      usage(argv[0]);
+    }
   }
   if (opts.socket_path.empty()) usage(argv[0]);
-  if (opts.image_channels < 1 || opts.classes < 2) usage(argv[0]);
   return opts;
 }
 
@@ -115,7 +158,9 @@ int main(int argc, char** argv) {
   sigaction(SIGTERM, &action, nullptr);
 
   util::Rng rng(opts.seed);
-  sim::CloudNode cloud(core::build_cloud_classifier(opts.image_channels, opts.classes, rng));
+  const int threads = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  sim::CloudNode cloud(core::build_cloud_classifier(opts.image_channels, opts.classes, rng),
+                       threads);
   if (!opts.model_path.empty()) {
     nn::load_model(cloud.model(), opts.model_path);
     std::printf("[meanet_cloudd] loaded weights from %s\n", opts.model_path.c_str());
@@ -127,9 +172,10 @@ int main(int argc, char** argv) {
   wire::WireServer server(std::make_shared<runtime::RawImageBackend>(&cloud), config);
   server.listen_unix(opts.socket_path);
   std::printf("[meanet_cloudd] serving on %s (seed=%llu channels=%d classes=%d "
-              "max_batch=%d window=%.3fms)\n",
+              "max_batch=%d window=%.3fms threads=%d)\n",
               opts.socket_path.c_str(), static_cast<unsigned long long>(opts.seed),
-              opts.image_channels, opts.classes, opts.max_batch, opts.batch_window_ms);
+              opts.image_channels, opts.classes, opts.max_batch, opts.batch_window_ms,
+              cloud.forward_threads());
   std::fflush(stdout);
 
   // The periodic stats dump ticks on the sim::Clock seam: under the
