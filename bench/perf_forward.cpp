@@ -12,8 +12,11 @@
 // against a measured trajectory, not vibes.
 //
 // The model-forward rows additionally time the portable 4x16
-// microkernel (SIMD dispatch forced off) and the int8 quantized path
-// (ops::QuantizedScope), so the JSON tracks all three serving tiers.
+// microkernel (SIMD dispatch forced off), the int8 quantized path
+// (ops::QuantizedScope) and, when the AVX-512 tier is active, the AVX2
+// kernel it displaced, so the JSON tracks every serving tier. Each rep
+// times every variant of a row back to back (interleaved_median_ms), so
+// host drift lands on all of them alike.
 //
 // The batch sweep times each model at batch 1 / 8 / 32, float and
 // int8, at the default GEMM width (where float convs take the
@@ -25,17 +28,18 @@
 // Usage: perf_forward [--quick] [--out PATH]
 // Exit status is nonzero when, on any single-image forward, the GEMM
 // path is *slower* than the naive path, the dispatched SIMD kernel is
-// slower than the portable one, or (with a vectorized int8 tier) the
-// int8 path is slower than float; or when (with >= 2 hardware threads)
+// slower than the portable one, the AVX-512 kernel (when active) is
+// slower than the AVX2 one, or (with a vectorized int8 tier) the int8
+// path is slower than float; or when (with >= 2 hardware threads)
 // the threaded depthwise loses to single-thread at batch 32 — the CI
 // perf smoke gates.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -73,29 +77,31 @@ double median_ms(int reps, Fn fn) {
   return samples[samples.size() / 2];
 }
 
-/// Interleaved medians of two alternatives: each rep times `a` then `b`
-/// back to back, so a thermal throttle or noisy-neighbor window lands on
-/// both paths instead of skewing whichever happened to own that slice of
-/// wall clock. The exit gates judge the a/b *ratio*, which interleaving
+/// Interleaved medians of several alternatives: each rep times every
+/// alternative once, back to back, so a thermal throttle or
+/// noisy-neighbor window lands on all of them instead of skewing
+/// whichever happened to own that slice of wall clock. Odd reps run the
+/// alternatives in reverse, so none always follows the same neighbour.
+/// The exit gates judge ratios between alternatives, which interleaving
 /// stabilizes far better than extra serialized reps would.
-template <typename FnA, typename FnB>
-std::pair<double, double> paired_median_ms(int reps, FnA a, FnB b) {
-  a();  // warm caches, scratch buffers, branch predictors
-  b();
-  std::vector<double> sa, sb;
-  sa.reserve(static_cast<std::size_t>(reps));
-  sb.reserve(static_cast<std::size_t>(reps));
+std::vector<double> interleaved_median_ms(int reps,
+                                          const std::vector<std::function<void()>>& fns) {
+  for (const auto& fn : fns) fn();  // warm caches, scratch buffers, branch predictors
+  std::vector<std::vector<double>> samples(fns.size());
   for (int i = 0; i < reps; ++i) {
-    const double t0 = now_s();
-    a();
-    const double t1 = now_s();
-    b();
-    sa.push_back((t1 - t0) * 1e3);
-    sb.push_back((now_s() - t1) * 1e3);
+    for (std::size_t j = 0; j < fns.size(); ++j) {
+      const std::size_t f = i % 2 == 0 ? j : fns.size() - 1 - j;
+      const double start = now_s();
+      fns[f]();
+      samples[f].push_back((now_s() - start) * 1e3);
+    }
   }
-  std::sort(sa.begin(), sa.end());
-  std::sort(sb.begin(), sb.end());
-  return {sa[sa.size() / 2], sb[sb.size() / 2]};
+  std::vector<double> medians;
+  for (std::vector<double>& s : samples) {
+    std::sort(s.begin(), s.end());
+    medians.push_back(s[s.size() / 2]);
+  }
+  return medians;
 }
 
 struct Row {
@@ -104,6 +110,7 @@ struct Row {
   double naive_ms = 0.0;
   double portable_ms = 0.0;  // SIMD dispatch forced to the portable kernel
   double int8_ms = 0.0;      // quantized serving path; 0 = not measured
+  double avx2_ms = 0.0;      // AVX2 kernel while AVX-512 is active; 0 = not measured
   double speedup() const { return gemm_ms > 0.0 ? naive_ms / gemm_ms : 0.0; }
   double simd_speedup() const { return gemm_ms > 0.0 ? portable_ms / gemm_ms : 0.0; }
   double int8_speedup() const { return int8_ms > 0.0 ? gemm_ms / int8_ms : 0.0; }
@@ -124,22 +131,46 @@ Row measure(const std::string& name, int reps, Fn fn) {
   return row;
 }
 
-/// measure() plus the portable-microkernel and int8 tiers — for the
-/// model-forward rows where those paths actually engage.
+/// Like measure(), plus the portable-microkernel, int8 and (under AVX-512)
+/// AVX2 tiers — for the model-forward rows where those paths actually
+/// engage. The dispatched tier and its rivals are timed interleaved;
+/// the ~30x slower naive path keeps its own block, so its cache and
+/// branch churn lands on no rival.
 template <typename Fn>
 Row measure_tiers(const std::string& name, int reps, Fn fn) {
-  Row row = measure(name, reps, fn);
+  Row row;
+  row.name = name;
+  ops::set_naive_kernels(true);
+  row.naive_ms = median_ms(reps, fn);
+  ops::set_naive_kernels(false);
   const ops::SimdLevel level = ops::simd_level();
-  ops::set_simd_level(ops::SimdLevel::kPortable);
-  row.portable_ms = median_ms(reps, fn);
-  ops::set_simd_level(level);
-  {
-    ops::QuantizedScope quantized(true);
-    row.int8_ms = median_ms(reps, fn);
-  }
-  std::printf("  %-38s portable %5.3f ms  int8 %9.3f ms (%s)    int8 %5.2fx\n", "",
-              row.portable_ms, row.int8_ms, ops::int8_kernel_name(ops::int8_kernel()),
-              row.int8_speedup());
+  const auto at_level = [&](ops::SimdLevel tier) {
+    return [&fn, level, tier] {
+      ops::set_simd_level(tier);
+      fn();
+      ops::set_simd_level(level);
+    };
+  };
+  std::vector<std::function<void()>> variants = {
+      fn,
+      at_level(ops::SimdLevel::kPortable),
+      [&] {
+        ops::QuantizedScope quantized(true);
+        fn();
+      },
+  };
+  const bool avx2_baseline = level == ops::SimdLevel::kAvx512;
+  if (avx2_baseline) variants.push_back(at_level(ops::SimdLevel::kAvx2));
+  const std::vector<double> ms = interleaved_median_ms(reps, variants);
+  row.gemm_ms = ms[0];
+  row.portable_ms = ms[1];
+  row.int8_ms = ms[2];
+  if (avx2_baseline) row.avx2_ms = ms[3];
+  std::printf("  %-38s gemm %9.3f ms   naive %9.3f ms   speedup %5.2fx\n", name.c_str(),
+              row.gemm_ms, row.naive_ms, row.speedup());
+  std::printf("  %-38s portable %5.3f ms  avx2 %5.3f ms  int8 %5.3f ms (%s)  int8 %5.2fx\n", "",
+              row.portable_ms, row.avx2_ms, row.int8_ms,
+              ops::int8_kernel_name(ops::int8_kernel()), row.int8_speedup());
   return row;
 }
 
@@ -174,6 +205,10 @@ int main(int argc, char** argv) {
     }
   }
   const int reps = quick ? 5 : 21;
+  // The gated single-image rows keep the full rep count under --quick:
+  // a forward takes ~0.15 ms, so with 5 reps one noisy millisecond on a
+  // shared host can flip a tier gate either way.
+  const int gated_reps = 21;
   const int e2e_frames = quick ? 48 : 200;
 
   std::printf("=== perf_forward: GEMM hot path vs naive kernels (%s) ===\n",
@@ -197,7 +232,7 @@ int main(int argc, char** argv) {
                                          data_rng);
     const Tensor batch = Tensor::normal(Shape{32, spec.channels, spec.height, spec.width},
                                         data_rng);
-    Row one = measure_tiers(m.name + "_single_image", reps,
+    Row one = measure_tiers(m.name + "_single_image", gated_reps,
                             [&] { (void)net.forward_main(single, nn::Mode::kEval); });
     rows.push_back(one);
     gated.push_back(one);
@@ -241,16 +276,17 @@ int main(int argc, char** argv) {
     const int before = ops::gemm_threads();
     ops::set_gemm_threads(0);  // 0 = auto (hardware concurrency, clamped)
     dw_threads = ops::gemm_threads();
-    std::tie(dw_single_ms, dw_threaded_ms) = paired_median_ms(
-        dw_reps,
-        [&] {
-          ops::set_gemm_threads(1);
-          (void)dw.forward(x, nn::Mode::kEval);
-        },
-        [&] {
-          ops::set_gemm_threads(0);
-          (void)dw.forward(x, nn::Mode::kEval);
-        });
+    const std::vector<double> ms = interleaved_median_ms(
+        dw_reps, {[&] {
+                    ops::set_gemm_threads(1);
+                    (void)dw.forward(x, nn::Mode::kEval);
+                  },
+                  [&] {
+                    ops::set_gemm_threads(0);
+                    (void)dw.forward(x, nn::Mode::kEval);
+                  }});
+    dw_single_ms = ms[0];
+    dw_threaded_ms = ms[1];
     ops::set_gemm_threads(before);
     std::printf("  %-28s batch 32   1 thread %7.3f ms   %d threads %7.3f ms   %5.2fx\n",
                 "depthwise_64x56x56", dw_single_ms, dw_threads, dw_threaded_ms,
@@ -333,6 +369,7 @@ int main(int argc, char** argv) {
     v.set("portable_ms", row.portable_ms);
     v.set("int8_ms", row.int8_ms);
     v.set("int8_speedup", row.int8_speedup());
+    v.set("avx2_ms", row.avx2_ms);
     results.push(std::move(v));
   }
   doc.set("results", std::move(results));
@@ -381,6 +418,13 @@ int main(int argc, char** argv) {
                    "PERF REGRESSION: %s %s kernel (%.3f ms) slower than portable (%.3f ms)\n",
                    row.name.c_str(), ops::simd_level_name(ops::simd_level()), row.gemm_ms,
                    row.portable_ms);
+      regressed = true;
+    }
+    // Nor may the AVX-512 kernel lose to the AVX2 kernel it displaced.
+    if (row.avx2_ms > 0.0 && row.gemm_ms > row.avx2_ms) {
+      std::fprintf(stderr,
+                   "PERF REGRESSION: %s avx512 kernel (%.3f ms) slower than avx2 (%.3f ms)\n",
+                   row.name.c_str(), row.gemm_ms, row.avx2_ms);
       regressed = true;
     }
     // With a VNNI tier the int8 path must beat float; the scalar

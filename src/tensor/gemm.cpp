@@ -5,10 +5,11 @@
 // MR x NR microkernel. Both operands are packed into contiguous panels
 // from the per-thread Workspace — packing folds the optional transpose
 // and the alpha scale, so one kernel serves all four transpose cases.
-// The microkernel is picked at runtime (tensor/simd.h): a 6x16
-// AVX2+FMA tile on x86 with AVX2, a 6x16 NEON tile on aarch64, and the
-// portable 4x16 C++ tile everywhere else (or when forced via
-// MEANET_SIMD=portable / set_simd_level).
+// The microkernel is picked at runtime (tensor/simd.h): an 8x16
+// AVX-512F tile on x86 with AVX-512F, a 6x16 AVX2+FMA tile on x86 with
+// AVX2 (bit-identical to the AVX-512 one), a 6x16 NEON tile on
+// aarch64, and the portable 4x16 C++ tile everywhere else (or when
+// forced via MEANET_SIMD / set_simd_level).
 //
 // Threading partitions the *output rows* into contiguous MR-aligned
 // stripes, one per slot of the persistent ops::GemmPool (the caller
@@ -184,7 +185,7 @@ void naive_gemm(bool transpose_a, bool transpose_b, int m, int n, int k, float a
 /// zero-padded to a full MR in the last panel. Folding alpha here keeps
 /// the microkernel a pure multiply-accumulate. Templated on the active
 /// kernel's row-tile so the interleave stride is a compile-time
-/// constant in both instantiations.
+/// constant in every instantiation.
 template <int MR>
 void pack_a_t(bool transpose, const float* a, int lda, int i0, int mc, int p0, int kc,
               float alpha, float* dst) {
@@ -205,7 +206,9 @@ void pack_a_t(bool transpose, const float* a, int lda, int i0, int mc, int p0, i
 
 void pack_a(int mr_tile, bool transpose, const float* a, int lda, int i0, int mc, int p0, int kc,
             float alpha, float* dst) {
-  if (mr_tile == 6) {
+  if (mr_tile == 8) {
+    pack_a_t<8>(transpose, a, lda, i0, mc, p0, kc, alpha, dst);
+  } else if (mr_tile == 6) {
     pack_a_t<6>(transpose, a, lda, i0, mc, p0, kc, alpha, dst);
   } else {
     pack_a_t<4>(transpose, a, lda, i0, mc, p0, kc, alpha, dst);
@@ -266,6 +269,8 @@ detail::FloatKernel active_kernel() {
 #if defined(__x86_64__) || defined(_M_X64)
     case SimdLevel::kAvx2:
       return {6, kNR, detail::micro_kernel_avx2_6x16, "avx2"};
+    case SimdLevel::kAvx512:
+      return {8, kNR, detail::micro_kernel_avx512_8x16, "avx512"};
 #endif
 #if defined(__aarch64__)
     case SimdLevel::kNeon:

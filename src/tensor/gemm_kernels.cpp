@@ -1,7 +1,7 @@
-// Vector float microkernels. Compiled into every build; the x86 kernel
+// Vector float microkernels. Compiled into every build; each x86 kernel
 // carries a per-function target attribute so the rest of the binary
 // keeps the baseline ISA, and gemm.cpp only calls it after runtime
-// dispatch (tensor/simd.h) confirmed AVX2+FMA.
+// dispatch (tensor/simd.h) confirmed AVX2+FMA (or AVX-512F).
 #include "tensor/gemm_kernels.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -50,6 +50,26 @@ __attribute__((target("avx2,fma"))) void micro_kernel_avx2_6x16(int kc, const fl
   for (int i = 0; i < mr; ++i) {
     float* c_row = c + static_cast<std::ptrdiff_t>(i) * ldc;
     for (int j = 0; j < nr; ++j) c_row[j] += tile[i][j];
+  }
+}
+
+__attribute__((target("avx512f"))) void micro_kernel_avx512_8x16(int kc, const float* apanel,
+                                                                const float* bpanel, float* c,
+                                                                int ldc, int mr, int nr) {
+  __m512 acc[8];
+  for (int i = 0; i < 8; ++i) acc[i] = _mm512_setzero_ps();
+  for (int p = 0; p < kc; ++p, apanel += 8, bpanel += 16) {
+    const __m512 b = _mm512_loadu_ps(bpanel);
+    for (int i = 0; i < 8; ++i) {
+      acc[i] = _mm512_fmadd_ps(_mm512_set1_ps(apanel[i]), b, acc[i]);
+    }
+  }
+  // The same single c += acc per element as the AVX2 tile; masked-off
+  // lanes are neither read nor written.
+  const __mmask16 cols = static_cast<__mmask16>((1u << nr) - 1u);
+  for (int i = 0; i < mr; ++i) {
+    float* c_row = c + static_cast<std::ptrdiff_t>(i) * ldc;
+    _mm512_mask_storeu_ps(c_row, cols, _mm512_add_ps(_mm512_maskz_loadu_ps(cols, c_row), acc[i]));
   }
 }
 

@@ -5,10 +5,11 @@
 // the packer) and a packed B panel (NR-interleaved). The accumulation
 // is strictly p-sequential per C element, exactly like the portable
 // kernel in gemm.cpp — so for a FIXED kernel the result is
-// bit-identical at any thread count / stripe layout. Different kernels
-// round differently (FMA contracts the multiply-add), which is why the
-// parity tests compare kernels with a tolerance but thread counts
-// exactly.
+// bit-identical at any thread count / stripe layout. The portable
+// kernel rounds differently (FMA contracts the multiply-add), which is
+// why the parity tests compare it with a tolerance but thread counts
+// exactly. The AVX2 and AVX-512 kernels run the same FMA chain and the
+// same single c += acc per element, so they agree to the bit.
 //
 // The vector kernels are compiled with per-function target attributes
 // (the binary stays runnable on baseline hardware); gemm.cpp calls
@@ -17,9 +18,10 @@
 
 namespace meanet::ops::detail {
 
-/// Largest register-tile row count any kernel tier uses (the AVX2 /
-/// NEON 6x16 tiles); sizes the bounce tile of the batched-NCHW driver.
-constexpr int kMaxMR = 6;
+/// Largest register-tile row count any kernel tier uses (the AVX-512
+/// 8x16 tile; AVX2 and NEON use 6x16); sizes the bounce tile of the
+/// batched-NCHW driver.
+constexpr int kMaxMR = 8;
 
 /// apanel: kc groups of `mr_stride` floats; bpanel: kc groups of NR=16
 /// floats. Writes the valid mr x nr region of the tile into C.
@@ -39,6 +41,10 @@ struct FloatKernel {
 /// 6x16 AVX2+FMA tile: 12 YMM accumulators, one broadcast per A lane.
 void micro_kernel_avx2_6x16(int kc, const float* apanel, const float* bpanel, float* c, int ldc,
                             int mr, int nr);
+/// 8x16 AVX-512F tile: 8 ZMM accumulators, one 16-wide B load and 8
+/// broadcasts per k step; ragged nr through masked loads/stores.
+void micro_kernel_avx512_8x16(int kc, const float* apanel, const float* bpanel, float* c,
+                              int ldc, int mr, int nr);
 #endif
 
 #if defined(__aarch64__)

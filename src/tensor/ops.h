@@ -3,11 +3,12 @@
 // All convolution in the library is im2col + GEMM. The GEMM is a
 // blocked, register-tiled kernel with packed operands (scratch from the
 // per-thread ops::Workspace, reused across calls), a runtime-dispatched
-// microkernel (tensor/simd.h: AVX2/NEON 6x16 or the portable 4x16),
-// and can fan the row range out over ops::gemm_threads() slots of the
-// persistent ops::GemmPool; the partition is by output rows and the
-// accumulation order is fixed, so results are bit-identical for every
-// thread count under a fixed kernel. Backward passes use the
+// microkernel (tensor/simd.h: AVX-512 8x16, AVX2/NEON 6x16 or the
+// portable 4x16), and can fan the row range out over
+// ops::gemm_threads() slots of the persistent ops::GemmPool; the
+// partition is by output rows and the accumulation order is fixed, so
+// results are bit-identical for every thread count under a fixed
+// kernel (and across the AVX2 and AVX-512 tiers). Backward passes use the
 // transposed variants. The int8 quantized serving path lives in
 // tensor/qgemm.h.
 //

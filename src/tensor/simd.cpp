@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <cpuid.h>
@@ -26,6 +28,7 @@ std::uint64_t xcr0() {
 
 struct X86Features {
   bool avx2_fma = false;
+  bool avx512f = false;
   bool avx_vnni = false;
   bool avx512_vnni = false;
 };
@@ -47,7 +50,8 @@ X86Features detect_x86() {
   const bool avx512vl = (ebx & (1u << 31)) != 0;
   const bool avx512vnni = (ecx & (1u << 11)) != 0;
   f.avx2_fma = avx2 && fma;
-  f.avx512_vnni = zmm_enabled && avx512f && avx512vl && avx512vnni && f.avx2_fma;
+  f.avx512f = zmm_enabled && avx512f && f.avx2_fma;
+  f.avx512_vnni = f.avx512f && avx512vl && avx512vnni;
   unsigned eax1 = 0, ebx1 = 0, ecx1 = 0, edx1 = 0;
   if (eax >= 1 && __get_cpuid_count(7, 1, &eax1, &ebx1, &ecx1, &edx1) != 0) {
     f.avx_vnni = (eax1 & (1u << 4)) != 0 && f.avx2_fma;
@@ -61,7 +65,9 @@ SimdLevel detect_max_simd() {
 #if defined(__aarch64__)
   return SimdLevel::kNeon;  // NEON is architecturally baseline on A64
 #elif defined(__x86_64__) || defined(_M_X64)
-  return detect_x86().avx2_fma ? SimdLevel::kAvx2 : SimdLevel::kPortable;
+  const X86Features f = detect_x86();
+  if (f.avx512f) return SimdLevel::kAvx512;
+  return f.avx2_fma ? SimdLevel::kAvx2 : SimdLevel::kPortable;
 #else
   return SimdLevel::kPortable;
 #endif
@@ -77,9 +83,13 @@ Int8Kernel detect_max_int8() {
 }
 
 /// Clamp to the hardware ceiling; unknown/unsupported tiers degrade to
-/// portable rather than faulting.
+/// portable rather than faulting. The x86 tiers nest (an AVX-512 host
+/// also runs the AVX2 kernel), so AVX2 survives an AVX-512 ceiling.
 SimdLevel clamp_simd(SimdLevel level) {
-  return level == max_simd_level() ? level : SimdLevel::kPortable;
+  const SimdLevel max = max_simd_level();
+  if (level == max) return level;
+  if (level == SimdLevel::kAvx2 && max == SimdLevel::kAvx512) return level;
+  return SimdLevel::kPortable;
 }
 
 Int8Kernel clamp_int8(Int8Kernel kernel) {
@@ -96,22 +106,31 @@ Int8Kernel clamp_int8(Int8Kernel kernel) {
   return kernel;
 }
 
-SimdLevel initial_simd() {
-  if (const char* value = std::getenv("MEANET_SIMD")) {
-    if (std::strcmp(value, "portable") == 0) return SimdLevel::kPortable;
-    if (std::strcmp(value, "avx2") == 0) return clamp_simd(SimdLevel::kAvx2);
-    if (std::strcmp(value, "neon") == 0) return clamp_simd(SimdLevel::kNeon);
-  }
-  return max_simd_level();
+/// MEANET_SIMD, parsed once: the requested tier before clamping, or
+/// the ceiling when the variable is unset, empty or not a tier name.
+SimdLevel env_simd_request() {
+  static const SimdLevel requested = [] {
+    const char* value = std::getenv("MEANET_SIMD");
+    if (value == nullptr || value[0] == '\0') return max_simd_level();
+    for (const SimdLevel level : {SimdLevel::kPortable, SimdLevel::kAvx2, SimdLevel::kAvx512,
+                                  SimdLevel::kNeon}) {
+      if (std::strcmp(value, simd_level_name(level)) == 0) return level;
+    }
+    std::fprintf(stderr,
+                 "meanet: MEANET_SIMD=\"%s\" is not one of portable|avx2|avx512|neon; "
+                 "using %s\n",
+                 value, simd_level_name(max_simd_level()));
+    return max_simd_level();
+  }();
+  return requested;
 }
+
+SimdLevel initial_simd() { return clamp_simd(env_simd_request()); }
 
 Int8Kernel initial_int8() {
   // MEANET_SIMD=portable means "no explicit SIMD anywhere": the int8
   // path starts scalar too (still overridable via set_int8_kernel).
-  if (const char* value = std::getenv("MEANET_SIMD")) {
-    if (std::strcmp(value, "portable") == 0) return Int8Kernel::kScalar;
-  }
-  return max_int8_kernel();
+  return env_simd_request() == SimdLevel::kPortable ? Int8Kernel::kScalar : max_int8_kernel();
 }
 
 std::atomic<SimdLevel>& simd_state() {
@@ -140,6 +159,7 @@ void set_simd_level(SimdLevel level) {
 const char* simd_level_name(SimdLevel level) {
   switch (level) {
     case SimdLevel::kAvx2: return "avx2";
+    case SimdLevel::kAvx512: return "avx512";
     case SimdLevel::kNeon: return "neon";
     case SimdLevel::kPortable: break;
   }

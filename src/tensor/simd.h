@@ -8,18 +8,23 @@
 // a kernel is needed. The selection is a process-global that the parity
 // tests and benches override at runtime — set_simd_level(kPortable)
 // forces the reference 4x16 C++ microkernel, which is also what
-// MEANET_SIMD=portable does from the environment. Levels above the
-// detected ceiling are clamped, so requesting AVX2 on a machine without
-// it is safe and silently degrades.
+// MEANET_SIMD=portable does from the environment. Any x86 tier at or
+// below the detected ceiling is honoured (MEANET_SIMD=avx2 pins the
+// AVX2 kernel on an AVX-512 host); a tier the host lacks degrades to
+// portable instead of faulting.
 #pragma once
 
 namespace meanet::ops {
 
-/// Float-GEMM microkernel tiers, ordered weakest to strongest.
+/// Float-GEMM microkernel tiers. Within one architecture they are
+/// ordered weakest to strongest (portable < AVX2 < AVX-512 on x86-64,
+/// portable < NEON on aarch64). AVX2 and AVX-512 are bit-identical:
+/// both run one FMA chain per C element over k in the same order.
 enum class SimdLevel {
   kPortable = 0,  // 4x16 plain C++ (auto-vectorized), every target
   kAvx2 = 1,      // 6x16 AVX2+FMA, x86-64 with AVX2 and FMA
-  kNeon = 2,      // 6x16 NEON, aarch64 (baseline there)
+  kAvx512 = 2,    // 8x16 AVX-512F, x86-64 with AVX-512F (+ AVX2/FMA)
+  kNeon = 3,      // 6x16 NEON, aarch64 (baseline there)
 };
 
 /// int8 GEMM (u8·s8 -> s32) kernel tiers. There is deliberately no
@@ -36,10 +41,12 @@ enum class Int8Kernel {
 /// Strongest float tier the running CPU supports (detected once).
 SimdLevel max_simd_level();
 /// The active float tier. Starts at max_simd_level(), overridable by
-/// MEANET_SIMD=portable|avx2|neon (clamped to the ceiling).
+/// MEANET_SIMD=portable|avx2|avx512|neon (clamped like set_simd_level;
+/// any other value warns on stderr and keeps the ceiling).
 SimdLevel simd_level();
-/// Sets the active float tier, clamped to max_simd_level(). Levels the
-/// binary has no kernel for degrade to kPortable.
+/// Sets the active float tier. x86 tiers at or below max_simd_level()
+/// are honoured; anything else (a tier above the ceiling, or another
+/// architecture's) degrades to kPortable.
 void set_simd_level(SimdLevel level);
 const char* simd_level_name(SimdLevel level);
 

@@ -14,7 +14,9 @@
 //    single-thread at every pool width;
 //  - the runtime-dispatched SIMD microkernel matches the portable
 //    4x16 within float-rounding tolerance, and each fixed kernel is
-//    bit-identical across thread counts;
+//    bit-identical across thread counts; the AVX-512 tier is
+//    bit-identical to AVX2 on GEMMs, batched convs, a ResNet-B forward
+//    and a train step's gradients;
 //  - the int8 quantized path (tensor/qgemm.h) round-trips weights
 //    within half a quantization step, tracks the float forward within
 //    the documented tolerance at 1/2/4 pool threads, and its scalar
@@ -30,6 +32,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -39,6 +42,7 @@
 #include "nn/batchnorm2d.h"
 #include "nn/conv2d.h"
 #include "nn/fuse.h"
+#include "nn/loss.h"
 #include "nn/quantize.h"
 #include "nn/sequential.h"
 #include "tensor/ops.h"
@@ -265,17 +269,145 @@ TEST(SimdParity, PortableKernelIsBitIdenticalAcrossThreadCounts) {
 
 TEST(SimdParity, SetLevelClampsToTheHardwareCeiling) {
   const ops::SimdLevel before = ops::simd_level();
+  const ops::SimdLevel max = ops::max_simd_level();
   ops::set_simd_level(ops::SimdLevel::kPortable);
   EXPECT_EQ(ops::simd_level(), ops::SimdLevel::kPortable);
-  // A level the host lacks degrades to portable instead of faulting
-  // later; the host's own ceiling is honored.
-  for (const ops::SimdLevel requested : {ops::SimdLevel::kAvx2, ops::SimdLevel::kNeon}) {
+  // The host's ceiling is honoured, and so is every x86 tier below it
+  // (an AVX-512 host also runs the AVX2 kernel). A level the host lacks
+  // degrades to portable instead of faulting later.
+  for (const ops::SimdLevel requested :
+       {ops::SimdLevel::kAvx2, ops::SimdLevel::kAvx512, ops::SimdLevel::kNeon}) {
     ops::set_simd_level(requested);
-    EXPECT_TRUE(ops::simd_level() == requested
-                    ? requested == ops::max_simd_level()
-                    : ops::simd_level() == ops::SimdLevel::kPortable);
+    const bool honoured = requested == max || (requested == ops::SimdLevel::kAvx2 &&
+                                               max == ops::SimdLevel::kAvx512);
+    EXPECT_EQ(ops::simd_level(), honoured ? requested : ops::SimdLevel::kPortable)
+        << ops::simd_level_name(requested) << " on a " << ops::simd_level_name(max) << " host";
+  }
+  if (max == ops::SimdLevel::kAvx512) {
+    ops::set_simd_level(ops::SimdLevel::kAvx2);
+    EXPECT_EQ(ops::simd_level(), ops::SimdLevel::kAvx2);
   }
   ops::set_simd_level(before);
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+std::vector<float> as_vector(const Tensor& t) {
+  return std::vector<float>(t.data(), t.data() + t.numel());
+}
+
+/// Runs `fn` under AVX2 at one pool thread for the reference, then
+/// under AVX2 and AVX-512 at pool widths 1, 2 and 4, and expects every
+/// result to equal the reference bit for bit.
+template <typename Fn>
+void expect_avx512_matches_avx2(const std::string& what, Fn fn) {
+  const int before = ops::gemm_threads();
+  ops::set_gemm_threads(1);
+  std::vector<float> reference;
+  {
+    SimdLevelScope scope(ops::SimdLevel::kAvx2);
+    reference = fn();
+  }
+  for (const int threads : {1, 2, 4}) {
+    ops::set_gemm_threads(threads);
+    for (const ops::SimdLevel level : {ops::SimdLevel::kAvx2, ops::SimdLevel::kAvx512}) {
+      SimdLevelScope scope(level);
+      EXPECT_TRUE(same_bits(reference, fn()))
+          << what << " " << ops::simd_level_name(level) << " threads=" << threads;
+    }
+  }
+  ops::set_gemm_threads(before);
+}
+
+TEST(SimdParity, Avx512IsBitIdenticalToAvx2) {
+  if (ops::max_simd_level() != ops::SimdLevel::kAvx512) {
+    GTEST_SKIP() << "no AVX-512F tier on this host";
+  }
+  util::Rng rng(113);
+  // Full tiles, tiles ragged in m/n/k for both MR=6 and MR=8, and
+  // shapes whose KC (k > 256) and NC (n > 1024) blocks repeat and whose
+  // row stripes fan out over the pool.
+  const int sizes[][3] = {{8, 16, 32}, {17, 33, 9}, {33, 1037, 300}, {70, 70, 520}};
+  for (const auto& s : sizes) {
+    const int m = s[0], n = s[1], k = s[2];
+    const Tensor a = Tensor::normal(Shape{m, k}, rng);
+    const Tensor b = Tensor::normal(Shape{k, n}, rng);
+    const Tensor at = Tensor::normal(Shape{k, m}, rng);
+    const Tensor bt = Tensor::normal(Shape{n, k}, rng);
+    const Tensor c0 = Tensor::normal(Shape{m, n}, rng);
+    for (int ta = 0; ta < 2; ++ta) {
+      for (int tb = 0; tb < 2; ++tb) {
+        for (const float alpha : {1.0f, 0.7f}) {
+          for (const float beta : {0.0f, 1.0f, 0.5f}) {
+            expect_avx512_matches_avx2(
+                "gemm m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                    " k=" + std::to_string(k) + " ta=" + std::to_string(ta) +
+                    " tb=" + std::to_string(tb) + " alpha=" + std::to_string(alpha) +
+                    " beta=" + std::to_string(beta),
+                [&] {
+                  std::vector<float> c = as_vector(c0);
+                  ops::gemm(ta != 0, tb != 0, m, n, k, alpha, ta ? at.data() : a.data(),
+                            ta ? m : k, tb ? bt.data() : b.data(), tb ? k : n, beta, c.data(),
+                            n);
+                  return c;
+                });
+          }
+        }
+      }
+    }
+  }
+
+  // Batched NCHW: 29 columns per image, so 16-wide tiles straddle image
+  // boundaries and take the bounce path; k spans two KC blocks.
+  {
+    const int m = 37, k = 400, batch = 5, cols = 29;
+    const Tensor a = Tensor::normal(Shape{m, k}, rng);
+    const Tensor b = Tensor::normal(Shape{k, batch * cols}, rng);
+    const std::int64_t image_stride = static_cast<std::int64_t>(m) * cols + 11;
+    expect_avx512_matches_avx2("gemm_batched_nchw", [&] {
+      std::vector<float> c(static_cast<std::size_t>(batch) * image_stride, -7.0f);
+      ops::gemm_batched_nchw(m, k, batch, cols, a.data(), k, b.data(), c.data(), image_stride,
+                             cols);
+      return c;
+    });
+  }
+
+  // A ResNet-B (8/16/32 channels, 16x16 RGB) eval forward, and one
+  // train step's parameter gradients, which run Conv2d::backward's
+  // transposed GEMMs and Linear. Each run builds the same fresh net, so
+  // train-mode BatchNorm statistics never leak between runs.
+  const core::ResNetConfig config;
+  util::Rng data_rng(127);
+  const Tensor images = Tensor::normal(Shape{4, config.image_channels, 16, 16}, data_rng);
+  const std::vector<int> labels = {0, 7, 3, 19};      // main exit: 20 classes
+  const std::vector<int> hard_labels = {0, 4, 2, 1};  // extension exit: 5 hard classes
+  const auto build_net = [&] {
+    util::Rng net_rng(131);
+    return core::build_resnet_meanet_b(config, 5, core::FusionMode::kSum, net_rng);
+  };
+  expect_avx512_matches_avx2("resnet_b forward_main eval", [&] {
+    core::MEANet net = build_net();
+    const core::MainForward fwd = net.forward_main(images, nn::Mode::kEval);
+    std::vector<float> out = as_vector(fwd.features);
+    const std::vector<float> logits = as_vector(fwd.logits);
+    out.insert(out.end(), logits.begin(), logits.end());
+    return out;
+  });
+  expect_avx512_matches_avx2("resnet_b train step gradients", [&] {
+    core::MEANet net = build_net();
+    const core::MainForward fwd = net.forward_main(images, nn::Mode::kTrain);
+    const Tensor ext_logits = net.forward_extension(images, fwd.features, nn::Mode::kTrain);
+    net.backward_main(nn::softmax_cross_entropy(fwd.logits, labels).grad);
+    net.backward_extension(nn::softmax_cross_entropy(ext_logits, hard_labels).grad);
+    std::vector<float> grads;
+    for (const nn::Parameter* param : net.all_parameters()) {
+      grads.insert(grads.end(), param->grad.data(), param->grad.data() + param->grad.numel());
+    }
+    return grads;
+  });
 }
 
 TEST(QuantizedParity, DequantizedWeightsRoundTripWithinHalfStep) {
