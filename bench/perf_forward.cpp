@@ -19,20 +19,16 @@
 // host drift lands on all of them alike.
 //
 // The batch sweep times each model at batch 1 / 8 / 32, float and
-// int8, at the default GEMM width (where float convs take the
-// whole-batch path of ops::batched_conv_pays), reporting imgs/s; a
-// depthwise row compares the GemmPool fan-out against single-thread at
-// batch 32. The JSON header records the host shape (nproc, SIMD and
-// int8 tiers, GemmPool::stats()) and every row group its GEMM width.
+// int8 (float convs take the whole-batch path of
+// ops::batched_conv_pays), reporting imgs/s. The JSON header records
+// the host shape (nproc, SIMD and int8 tiers, GemmPool::stats()).
 //
 // Usage: perf_forward [--quick] [--out PATH]
 // Exit status is nonzero when, on any single-image forward, the GEMM
 // path is *slower* than the naive path, the dispatched SIMD kernel is
 // slower than the portable one, the AVX-512 kernel (when active) is
 // slower than the AVX2 one, or (with a vectorized int8 tier) the int8
-// path is slower than float; or when (with >= 2 hardware threads)
-// the threaded depthwise loses to single-thread at batch 32 — the CI
-// perf smoke gates.
+// path is slower than float — the CI perf smoke gates.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -45,7 +41,6 @@
 
 #include "common.h"
 #include "diag/value.h"
-#include "nn/conv2d.h"
 #include "runtime/session.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
@@ -239,9 +234,8 @@ int main(int argc, char** argv) {
     rows.push_back(measure_tiers(m.name + "_batch32", std::max(3, reps / 3),
                                  [&] { (void)net.forward_main(batch, nn::Mode::kEval); }));
 
-    // Batch sweep at the default GEMM width — the serving config, in
-    // which float convs batch per ops::batched_conv_pays and int8 runs
-    // per image.
+    // Batch sweep in the serving config: float convs batch per
+    // ops::batched_conv_pays and int8 runs per image.
     for (const int bs : {1, 8, 32}) {
       const Tensor input = Tensor::normal(
           Shape{bs, spec.channels, spec.height, spec.width}, data_rng);
@@ -261,36 +255,6 @@ int main(int argc, char** argv) {
           row.imgs_per_s(row.int8_ms));
       sweep.push_back(row);
     }
-  }
-
-  // Depthwise fan-out: one MobileNet-sized depthwise layer at batch 32,
-  // GemmPool width 1 vs auto. Isolated from the pointwise GEMMs so the
-  // gate judges the depthwise threading alone.
-  double dw_single_ms = 0.0, dw_threaded_ms = 0.0;
-  int dw_threads = 1;
-  {
-    util::Rng rng(29);
-    nn::DepthwiseConv2d dw(64, 3, 1, 1, rng);
-    const Tensor x = Tensor::normal(Shape{32, 64, 56, 56}, rng);
-    const int dw_reps = std::max(5, reps / 3);
-    const int before = ops::gemm_threads();
-    ops::set_gemm_threads(0);  // 0 = auto (hardware concurrency, clamped)
-    dw_threads = ops::gemm_threads();
-    const std::vector<double> ms = interleaved_median_ms(
-        dw_reps, {[&] {
-                    ops::set_gemm_threads(1);
-                    (void)dw.forward(x, nn::Mode::kEval);
-                  },
-                  [&] {
-                    ops::set_gemm_threads(0);
-                    (void)dw.forward(x, nn::Mode::kEval);
-                  }});
-    dw_single_ms = ms[0];
-    dw_threaded_ms = ms[1];
-    ops::set_gemm_threads(before);
-    std::printf("  %-28s batch 32   1 thread %7.3f ms   %d threads %7.3f ms   %5.2fx\n",
-                "depthwise_64x56x56", dw_single_ms, dw_threads, dw_threaded_ms,
-                dw_threaded_ms > 0.0 ? dw_single_ms / dw_threaded_ms : 0.0);
   }
 
   {
@@ -347,9 +311,6 @@ int main(int argc, char** argv) {
   doc.set("bench", "perf_forward");
   doc.set("quick", quick);
   doc.set("nproc", static_cast<int>(std::thread::hardware_concurrency()));
-  // The width the results and batch_sweep rows ran at; the depthwise
-  // row records its own.
-  doc.set("gemm_threads", ops::gemm_threads());
   doc.set("simd", ops::simd_level_name(ops::simd_level()));
   doc.set("int8_kernel", ops::int8_kernel_name(ops::int8_kernel()));
   const ops::GemmPool::Stats pool = ops::GemmPool::instance().stats();
@@ -385,11 +346,6 @@ int main(int argc, char** argv) {
     batch_sweep.push(std::move(v));
   }
   doc.set("batch_sweep", std::move(batch_sweep));
-  diag::Value depthwise = diag::Value::object();
-  depthwise.set("single_ms", dw_single_ms);
-  depthwise.set("threaded_ms", dw_threaded_ms);
-  depthwise.set("threads", dw_threads);
-  doc.set("depthwise_batch32", std::move(depthwise));
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -435,18 +391,6 @@ int main(int argc, char** argv) {
                    row.name.c_str(), row.int8_ms, row.gemm_ms);
       regressed = true;
     }
-  }
-  // Depthwise fan-out must not lose to single-thread — only judged on
-  // hardware that can actually run two threads. The 1.10 factor is a
-  // noise allowance for shared CI runners: the two widths run identical
-  // arithmetic, so a real regression shows up far beyond it.
-  if (std::thread::hardware_concurrency() >= 2 && dw_threads >= 2 &&
-      dw_threaded_ms > 1.10 * dw_single_ms) {
-    std::fprintf(stderr,
-                 "PERF REGRESSION: depthwise batch-32 at %d threads (%.3f ms) slower than "
-                 "single-thread (%.3f ms)\n",
-                 dw_threads, dw_threaded_ms, dw_single_ms);
-    regressed = true;
   }
   return regressed ? 1 : 0;
 }

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "tensor/pool.h"
 #include "tensor/qgemm.h"
 #include "tensor/workspace.h"
 
@@ -341,11 +340,7 @@ Tensor DepthwiseConv2d::forward_with(const Tensor& input, const float* weight,
   Tensor output(out_shape);
   const float* in_base = input.data();
   float* out_base = output.data();
-  // One work item per (image, channel) pair — the natural grain: every
-  // item reads and writes disjoint channel planes, so any partition of
-  // the flat domain is race-free and bit-identical to the serial loop.
-  const int jobs = batch * channels_;
-  auto run_item = [&](int item) {
+  for (int item = 0; item < batch * channels_; ++item) {
     const int c = item % channels_;
     const float* channel = in_base + static_cast<std::int64_t>(item) * in_hw;
     const float* filt = weight + static_cast<std::int64_t>(c) * kk;
@@ -368,20 +363,6 @@ Tensor DepthwiseConv2d::forward_with(const Tensor& input, const float* weight,
       const float b = bias[c];
       for (std::int64_t i = 0; i < out_hw; ++i) out[i] += b;
     }
-  };
-  // Row-striped fan-out on the GemmPool: contiguous fixed-order stripes
-  // of the (channels × batch) domain, same min-work gate philosophy as
-  // the striped GEMM (threading a sub-millisecond layer just buys
-  // wake-up latency).
-  int threads = std::min(ops::gemm_threads(), jobs);
-  if (static_cast<std::int64_t>(jobs) * out_hw * kk < (1 << 20)) threads = 1;
-  if (threads <= 1) {
-    for (int item = 0; item < jobs; ++item) run_item(item);
-  } else {
-    ops::GemmPool::instance().run(threads, [&](int slot) {
-      const auto [begin, end] = ops::GemmPool::split(jobs, slot, threads);
-      for (int item = begin; item < end; ++item) run_item(item);
-    });
   }
   return output;
 }

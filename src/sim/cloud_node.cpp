@@ -8,7 +8,7 @@ namespace meanet::sim {
 std::vector<int> CloudNode::classify(const Tensor& images) {
   const Shape& shape = images.shape();
   const int rows = shape.rank() >= 2 ? shape.dim(0) : 0;
-  const int shards = ops::gemm_threads() == 1 ? std::min(forward_threads_, rows) : 1;
+  const int shards = std::min(forward_threads_, rows);
   std::vector<int> labels;
   if (shards <= 1) {
     labels = ops::row_argmax(model_.forward(images, nn::Mode::kEval));

@@ -29,9 +29,9 @@ class CloudNode {
   /// atomic.
   ///
   /// With forward_threads > 1 the batch is split into
-  /// min(forward_threads, rows) shards, run on the GemmPool, only while
-  /// ops::gemm_threads() == 1 (a striped GEMM inside a shard would nest
-  /// GemmPool::run). Answers are byte-identical at any width: every
+  /// min(forward_threads, rows) shards, run on the GemmPool — the
+  /// process's one fan-out; every GEMM and conv inside a shard runs on
+  /// the shard's thread. Answers are byte-identical at any width: every
   /// eval layer computes each row independently of its batch
   /// neighbours. A throw in any shard reaches the caller.
   std::vector<int> classify(const Tensor& images);

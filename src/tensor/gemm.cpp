@@ -11,30 +11,21 @@
 // aarch64, and the portable 4x16 C++ tile everywhere else (or when
 // forced via MEANET_SIMD / set_simd_level).
 //
-// Threading partitions the *output rows* into contiguous MR-aligned
-// stripes, one per slot of the persistent ops::GemmPool (the caller
-// serves slot 0). Per (KC, NC) block, slot 0 packs B once into its
-// workspace and every slot consumes the shared panel between two
-// barriers — no per-call thread spawn, no per-thread B repack, and
-// worker TLS workspaces survive across calls. Every C element is
-// accumulated by exactly one slot in the same k-order as the
-// single-threaded run, so results are bit-identical for every thread
-// count under a fixed kernel (the serving determinism tests rely on
-// this).
+// Every call runs on its calling thread. Cores are spent above the
+// GEMM — InferenceSession workers per request, sim::CloudNode row
+// shards on the ops::GemmPool per cloud batch. Each C element is
+// accumulated in a fixed k-order that does not depend on its position
+// in C, so a forward over any split of a batch is bit-identical to the
+// whole (the serving determinism tests rely on this).
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
-#include <utility>
-#include <vector>
 
 #include "tensor/gemm_kernels.h"
 #include "tensor/ops.h"
-#include "tensor/pool.h"
 #include "tensor/simd.h"
 #include "tensor/workspace.h"
 
@@ -52,44 +43,16 @@ constexpr int kNR = 16;  // every kernel tier uses NR = 16
 constexpr int kKC = 256;
 constexpr int kMC = 128;
 constexpr int kNC = 1024;
-// Sanity cap on thread counts from the environment / API.
-constexpr long kMaxGemmThreads = 256;
 
-bool env_flag(const char* name) {
-  const char* value = std::getenv(name);
-  return value != nullptr && value[0] != '\0' && value[0] != '0';
-}
-
-int auto_threads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(std::min<unsigned>(hw, kMaxGemmThreads));
-}
-
-int default_threads() {
-  const char* value = std::getenv("MEANET_GEMM_THREADS");
-  // Default single-threaded: InferenceSession already parallelizes over
-  // worker threads, and nested per-call GEMM threads would multiply
-  // into oversubscription on the serving path. Threading is an explicit
-  // opt-in for single-stream callers (env var or set_gemm_threads).
-  if (value == nullptr || value[0] == '\0') return 1;
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0') {
-    std::fprintf(stderr,
-                 "meanet: MEANET_GEMM_THREADS=\"%s\" is not an integer; using 1 thread\n",
-                 value);
-    return 1;
-  }
-  if (errno == ERANGE || parsed < 0 || parsed > kMaxGemmThreads) {
-    const long clamped = parsed < 0 ? 1 : kMaxGemmThreads;
-    std::fprintf(stderr,
-                 "meanet: MEANET_GEMM_THREADS=%s out of range [0, %ld]; clamping to %ld\n",
-                 value, kMaxGemmThreads, clamped);
-    return static_cast<int>(clamped);
-  }
-  if (parsed == 0) return auto_threads();  // 0 = auto (hardware concurrency)
-  return static_cast<int>(parsed);
+/// MEANET_NAIVE_KERNELS, parsed strictly: unset, empty or "0" is off,
+/// "1" is on, anything else warns on stderr and stays off.
+bool env_naive_kernels() {
+  const char* value = std::getenv("MEANET_NAIVE_KERNELS");
+  if (value == nullptr || value[0] == '\0' || std::strcmp(value, "0") == 0) return false;
+  if (std::strcmp(value, "1") == 0) return true;
+  std::fprintf(stderr, "meanet: MEANET_NAIVE_KERNELS=\"%s\" is not 0 or 1; leaving it off\n",
+               value);
+  return false;
 }
 
 // Whole-batch conv column tile: L2-sized, because the tile is written
@@ -97,8 +60,7 @@ int default_threads() {
 // round trip into DRAM traffic.
 constexpr std::size_t kBatchedColumnsTileBytes = std::size_t{512} << 10;
 
-std::atomic<bool> g_naive_kernels{env_flag("MEANET_NAIVE_KERNELS")};
-std::atomic<int> g_gemm_threads{default_threads()};
+std::atomic<bool> g_naive_kernels{env_naive_kernels()};
 
 // ----- Reference kernels (the MEANET_NAIVE_KERNELS comparison path) ----
 
@@ -282,10 +244,10 @@ detail::FloatKernel active_kernel() {
   return {kPortableMR, kNR, micro_kernel_portable_4x16, "portable"};
 }
 
-// ----- Striped blocked driver -----------------------------------------
+// ----- Blocked driver -------------------------------------------------
 
-/// Everything one gemm() call shares across pool slots.
-struct StripedJob {
+/// One gemm() or gemm_batched_nchw() call.
+struct GemmJob {
   bool transpose_a = false, transpose_b = false;
   int m = 0, n = 0, k = 0;
   float alpha = 1.0f;
@@ -302,20 +264,10 @@ struct StripedJob {
   int cols_per_image = 0;
   std::int64_t c_image_stride = 0;
   detail::FloatKernel kernel;
-  /// Row range per slot, MR-aligned except at m.
-  std::vector<std::pair<int, int>> stripes;
-  /// Shared packed-B panel (slot 0's workspace) + the pack/consume
-  /// fences; both null in the single-thread path, where the (only)
-  /// slot packs B into its own workspace.
-  float* shared_bpack = nullptr;
-  SpinlessBarrier* barrier = nullptr;
 };
 
-/// One slot's share of the blocked loops. All slots walk the same
-/// (KC, NC) block sequence so the barriers line up; within a block a
-/// slot only touches its own rows.
-void run_stripe(const StripedJob& job, int slot) {
-  const auto [row0, row1] = job.stripes[static_cast<std::size_t>(slot)];
+/// The blocked loops over all of C's rows, on the calling thread.
+void run_blocked(const GemmJob& job) {
   const int mr_tile = job.kernel.mr;
   Workspace& workspace = Workspace::tls();
   for (int p0 = 0; p0 < job.k; p0 += kKC) {
@@ -323,17 +275,11 @@ void run_stripe(const StripedJob& job, int slot) {
     for (int j0 = 0; j0 < job.n; j0 += kNC) {
       const int nc = std::min(kNC, job.n - j0);
       const int n_panels = (nc + kNR - 1) / kNR;
-      float* bpack = job.shared_bpack;
-      if (job.barrier != nullptr) {
-        if (slot == 0) pack_b(job.transpose_b, job.b, job.ldb, p0, kc, j0, nc, bpack);
-        job.barrier->arrive_and_wait();  // B panel packed and published
-      } else {
-        bpack = workspace.buffer(Workspace::kPackB,
-                                 static_cast<std::size_t>(n_panels) * kc * kNR);
-        pack_b(job.transpose_b, job.b, job.ldb, p0, kc, j0, nc, bpack);
-      }
-      for (int i0 = row0; i0 < row1; i0 += kMC) {
-        const int mc = std::min(kMC, row1 - i0);
+      float* bpack =
+          workspace.buffer(Workspace::kPackB, static_cast<std::size_t>(n_panels) * kc * kNR);
+      pack_b(job.transpose_b, job.b, job.ldb, p0, kc, j0, nc, bpack);
+      for (int i0 = 0; i0 < job.m; i0 += kMC) {
+        const int mc = std::min(kMC, job.m - i0);
         const int m_panels = (mc + mr_tile - 1) / mr_tile;
         float* apack = workspace.buffer(
             Workspace::kPackA, static_cast<std::size_t>(m_panels) * kc * mr_tile);
@@ -391,44 +337,8 @@ void run_stripe(const StripedJob& job, int slot) {
           }
         }
       }
-      // Everyone is done reading the shared panel before slot 0 repacks
-      // it for the next block.
-      if (job.barrier != nullptr) job.barrier->arrive_and_wait();
     }
   }
-}
-
-/// Stripe planning + pool dispatch shared by gemm() and
-/// gemm_batched_nchw(): fans contiguous MR-aligned row stripes out
-/// over the persistent pool when the problem amortizes the handoff;
-/// otherwise runs inline on the calling thread.
-void dispatch_striped(StripedJob& job) {
-  const std::int64_t flops = 2ll * job.m * job.n * job.k;
-  const int tiles = (job.m + job.kernel.mr - 1) / job.kernel.mr;
-  int threads = std::min(gemm_threads(), tiles);
-  if (flops < (1 << 22)) threads = 1;
-  if (threads <= 1) {
-    job.stripes.emplace_back(0, job.m);
-    run_stripe(job, 0);
-    return;
-  }
-
-  // Stripe boundaries land on MR multiples so no tile spans two slots.
-  job.stripes.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    const int row0 = std::min(job.m, (tiles * t / threads) * job.kernel.mr);
-    const int row1 = std::min(job.m, (tiles * (t + 1) / threads) * job.kernel.mr);
-    job.stripes.emplace_back(row0, row1);
-  }
-  // The shared B panel lives in the caller's (slot 0's) workspace,
-  // sized for the largest (KC, NC) block of this call.
-  const int max_kc = std::min(kKC, job.k);
-  const int max_panels = (std::min(kNC, job.n) + kNR - 1) / kNR;
-  job.shared_bpack = Workspace::tls().buffer(
-      Workspace::kPackB, static_cast<std::size_t>(max_panels) * max_kc * kNR);
-  SpinlessBarrier barrier(threads);
-  job.barrier = &barrier;
-  GemmPool::instance().run(threads, [&job](int slot) { run_stripe(job, slot); });
 }
 
 }  // namespace
@@ -437,14 +347,7 @@ bool naive_kernels() { return g_naive_kernels.load(std::memory_order_relaxed); }
 
 void set_naive_kernels(bool naive) { g_naive_kernels.store(naive, std::memory_order_relaxed); }
 
-int gemm_threads() { return g_gemm_threads.load(std::memory_order_relaxed); }
-
-void set_gemm_threads(int threads) {
-  if (threads == 0) threads = auto_threads();  // 0 = auto, like the env var
-  g_gemm_threads.store(
-      std::max(1, std::min(threads, static_cast<int>(kMaxGemmThreads))),
-      std::memory_order_relaxed);
-}
+int gemm_threads() { return 1; }
 
 void gemm(bool transpose_a, bool transpose_b, int m, int n, int k, float alpha, const float* a,
           int lda, const float* b, int ldb, float beta, float* c, int ldc) {
@@ -467,7 +370,7 @@ void gemm(bool transpose_a, bool transpose_b, int m, int n, int k, float alpha, 
     return;
   }
 
-  StripedJob job;
+  GemmJob job;
   job.transpose_a = transpose_a;
   job.transpose_b = transpose_b;
   job.m = m;
@@ -481,7 +384,7 @@ void gemm(bool transpose_a, bool transpose_b, int m, int n, int k, float alpha, 
   job.c = c;
   job.ldc = ldc;
   job.kernel = active_kernel();
-  dispatch_striped(job);
+  run_blocked(job);
 }
 
 void gemm_batched_nchw(int m, int k, int batch, int cols_per_image, const float* a, int lda,
@@ -500,7 +403,7 @@ void gemm_batched_nchw(int m, int k, int batch, int cols_per_image, const float*
   }
   if (m == 0 || k == 0 || batch == 0 || cols_per_image == 0) return;
 
-  StripedJob job;
+  GemmJob job;
   job.m = m;
   job.n = batch * cols_per_image;
   job.k = k;
@@ -513,11 +416,11 @@ void gemm_batched_nchw(int m, int k, int batch, int cols_per_image, const float*
   job.cols_per_image = cols_per_image;
   job.c_image_stride = c_image_stride;
   job.kernel = active_kernel();
-  dispatch_striped(job);
+  run_blocked(job);
 }
 
 int batched_conv_pays(int batch, int patch_rows, int cols_per_image) {
-  if (batch <= 1 || gemm_threads() != 1 || cols_per_image >= kNC) return 0;
+  if (batch <= 1 || cols_per_image >= kNC) return 0;
   const std::size_t per_image_bytes =
       static_cast<std::size_t>(std::max(1, patch_rows)) * std::max(1, cols_per_image) *
       sizeof(float);

@@ -4,10 +4,10 @@
 // bpanel[p][·] over a packed A panel (MR-interleaved, alpha folded by
 // the packer) and a packed B panel (NR-interleaved). The accumulation
 // is strictly p-sequential per C element, exactly like the portable
-// kernel in gemm.cpp — so for a FIXED kernel the result is
-// bit-identical at any thread count / stripe layout. The portable
+// kernel in gemm.cpp — so for a FIXED kernel the result does not depend
+// on where an element sits in its tile or its batch split. The portable
 // kernel rounds differently (FMA contracts the multiply-add), which is
-// why the parity tests compare it with a tolerance but thread counts
+// why the parity tests compare it with a tolerance but batch splits
 // exactly. The AVX2 and AVX-512 kernels run the same FMA chain and the
 // same single c += acc per element, so they agree to the bit.
 //

@@ -4,13 +4,11 @@
 // blocked, register-tiled kernel with packed operands (scratch from the
 // per-thread ops::Workspace, reused across calls), a runtime-dispatched
 // microkernel (tensor/simd.h: AVX-512 8x16, AVX2/NEON 6x16 or the
-// portable 4x16), and can fan the row range out over
-// ops::gemm_threads() slots of the persistent ops::GemmPool; the
-// partition is by output rows and the accumulation order is fixed, so
-// results are bit-identical for every thread count under a fixed
-// kernel (and across the AVX2 and AVX-512 tiers). Backward passes use the
-// transposed variants. The int8 quantized serving path lives in
-// tensor/qgemm.h.
+// portable 4x16), run on the calling thread. The accumulation order is
+// fixed per C element, so a forward over any split of a batch is
+// bit-identical to the whole under a fixed kernel (and across the AVX2
+// and AVX-512 tiers). Backward passes use the transposed variants. The
+// int8 quantized serving path lives in tensor/qgemm.h.
 //
 // The pre-GEMM reference kernels (simple triple loops, per-pixel direct
 // convolution) stay available behind the runtime naive-kernels flag —
@@ -30,34 +28,27 @@ namespace meanet::ops {
 // ----- Kernel selection ------------------------------------------------
 
 /// True while the reference (naive) kernels serve gemm() and the conv
-/// forwards. Initialized from the MEANET_NAIVE_KERNELS environment
-/// variable; toggled at runtime by the parity tests and benches.
+/// forwards. Initialized from MEANET_NAIVE_KERNELS: "1" turns it on;
+/// unset, empty or "0" leaves it off; any other value warns on stderr
+/// and leaves it off. Toggled at runtime by the parity tests and
+/// benches.
 bool naive_kernels();
 void set_naive_kernels(bool naive);
 
-/// GemmPool slots the blocked GEMM may fan out over (1 = run on the
-/// calling thread). Initialized from MEANET_GEMM_THREADS — parsed
-/// strictly; 0 means "auto" (hardware concurrency); invalid or
-/// out-of-range values warn on stderr and are clamped — defaulting to
-/// 1: serving already parallelizes over session workers, so per-call
-/// GEMM threading is an opt-in for single-stream callers.
-/// set_gemm_threads(0) is the same "auto". Small problems always stay
-/// on the calling thread regardless.
+/// Always 1: the GEMM runs on its calling thread.
 int gemm_threads();
-void set_gemm_threads(int threads);
 
 /// The one whole-batch rule of the float conv forward over `batch`
 /// images whose per-image im2col is [patch_rows, cols_per_image].
 /// Returns how many images share one im2col + GEMM (gemm_batched_nchw)
 /// column tile, or 0 when the per-image loop runs instead. Whole-batch
-/// pays only when all of these hold: batch > 1; gemm_threads() == 1
-/// (on a wider pool it measured slower than per-image GEMMs); one
-/// image underfills the GEMM's NC block (1024 columns), so the batched
-/// GEMM packs the weight panel once per NC block instead of once per
-/// image; and at least two images fit in one fixed 512 KiB column
-/// tile. Larger batches run tile by tile. Results are bit-identical
-/// either way — this is purely a speed choice. The int8 path always
-/// runs per image, with per-image activation scales.
+/// pays only when all of these hold: batch > 1; one image underfills
+/// the GEMM's NC block (1024 columns), so the batched GEMM packs the
+/// weight panel once per NC block instead of once per image; and at
+/// least two images fit in one fixed 512 KiB column tile. Larger
+/// batches run tile by tile. Results are bit-identical either way —
+/// this is purely a speed choice. The int8 path always runs per image,
+/// with per-image activation scales.
 int batched_conv_pays(int batch, int patch_rows, int cols_per_image);
 
 // ----- GEMM ------------------------------------------------------------
@@ -82,9 +73,9 @@ Tensor matmul(const Tensor& a, const Tensor& b, bool transpose_a = false,
 /// with no epilogue copy. Overwrites the output region (beta = 0
 /// semantics). Per C element the k-blocking and accumulation order are
 /// exactly those of a per-image gemm() call, so the result is
-/// bit-identical to looping gemm() over the batch at every GemmPool
-/// width (tiles that straddle an image boundary bounce through a
-/// register-sized tile with the same add-into-C arithmetic).
+/// bit-identical to looping gemm() over the batch (tiles that straddle
+/// an image boundary bounce through a register-sized tile with the same
+/// add-into-C arithmetic).
 void gemm_batched_nchw(int m, int k, int batch, int cols_per_image, const float* a, int lda,
                        const float* b, float* c, std::int64_t c_image_stride, int ldc);
 

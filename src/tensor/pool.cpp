@@ -101,7 +101,7 @@ void GemmPool::worker_loop(int index) {
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
     // A finished worker lands straight back in this condvar wait — the
-    // loop has no spin/backoff window, so between stripe sets the pool
+    // loop has no spin/backoff window, so between jobs the pool
     // costs nothing but parked threads.
     work_cv_.wait(lock, [&] { return stop_ || generation_ != seen_generation_[index]; });
     if (stop_) return;

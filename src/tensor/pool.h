@@ -1,25 +1,20 @@
-// Persistent worker pool for the striped GEMM (and a small reusable
-// barrier for its shared-packed-panel handoff).
+// Persistent worker pool that serves sim::CloudNode's batch-row
+// shards: one cloud batch split into contiguous row ranges, each an
+// eval forward on its own slot. Everything below the shard (GEMM, conv)
+// runs on the slot's thread, so run() never nests.
 //
-// The first GEMM rewrite spawned and joined std::threads per call —
-// which meant every call paid thread creation, every worker's
-// thread-local ops::Workspace died with it (so the packing scratch was
-// re-allocated each call), and every worker re-packed the same B
-// panel. GemmPool keeps the workers alive for the process: their TLS
-// workspaces survive across calls, and gemm.cpp has the caller pack
-// each B panel once into its own workspace while the workers barrier,
-// then everyone consumes the shared panel.
+// The workers live for the process: their thread-local ops::Workspace
+// scratch survives across batches, and a batch pays a condvar wake-up,
+// not a thread spawn.
 //
 // Concurrency contract: run() executes fn(0) on the calling thread and
 // fn(1..threads-1) on pool workers, returning after all complete. A
 // throw from any slot is caught there; run() still waits for every
-// slot, then rethrows the lowest slot's exception on the caller (a
-// throwing slot must not leave others parked on a shared barrier).
-// Concurrent run() calls from different threads serialize on an
-// internal mutex (serving workers each call gemm with threads == 1, so
-// this lock is uncontended in practice; it exists so explicit
-// multi-thread callers compose safely). Everything is mutex+condvar —
-// no atomics-as-synchronization — so the pool is clean under TSAN.
+// slot, then rethrows the lowest slot's exception on the caller.
+// Concurrent run() calls from different threads (two sessions'
+// dispatchers offloading to one CloudNode) serialize on an internal
+// mutex. Everything is mutex+condvar — no atomics-as-synchronization —
+// so the pool is clean under TSAN.
 #pragma once
 
 #include <atomic>
@@ -37,37 +32,9 @@
 
 namespace meanet::ops {
 
-/// Reusable rendezvous for a fixed party count: every generation, all
-/// `parties` threads block in arrive_and_wait() until the last one
-/// arrives. Used by the striped GEMM to fence "B panel packed" before
-/// use and "B panel consumed" before repack.
-class SpinlessBarrier {
- public:
-  explicit SpinlessBarrier(int parties) : parties_(parties) {}
-
-  void arrive_and_wait() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    const std::uint64_t generation = generation_;
-    if (++arrived_ == parties_) {
-      arrived_ = 0;
-      ++generation_;
-      cv_.notify_all();
-      return;
-    }
-    cv_.wait(lock, [&] { return generation_ != generation; });
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  int parties_;
-  int arrived_ = 0;
-  std::uint64_t generation_ = 0;
-};
-
 /// Lazily-started, process-lifetime worker pool. Workers are created on
 /// first demand and grow monotonically to the largest `threads` ever
-/// requested. A worker that finishes its stripe re-enters the condvar
+/// requested. A worker that finishes its slot re-enters the condvar
 /// wait immediately — there is no spin/backoff window between jobs, so
 /// an idle pool costs nothing but parked threads (the benches print
 /// stats() in their headers to prove the pool actually engaged).
@@ -105,8 +72,9 @@ class GemmPool : public diag::DiagnosticProvider {
   Stats stats() const;
 
   // DiagnosticProvider: the singleton registers itself as "gemm_pool"
-  // on first use (any pooled gemm call constructs it), so a registry
-  // snapshot taken after a forward pass always includes the pool.
+  // on first use (the first CloudNode::classify constructs it), so a
+  // registry snapshot taken after a cloud batch always includes the
+  // pool.
   std::string diag_name() const override { return "gemm_pool"; }
   diag::Value diag_snapshot() const override;
 
@@ -131,7 +99,7 @@ class GemmPool : public diag::DiagnosticProvider {
   std::vector<std::exception_ptr> errors_;  // per slot of the current job
   std::uint64_t generation_ = 0;
   bool stop_ = false;
-  // Dispatch counters (guarded by mutex_ for the worker-side stripe
+  // Dispatch counters (guarded by mutex_ for the worker-side slot
   // count; the width-1 fast path uses jobs_inline_ so it stays
   // lock-free).
   std::uint64_t jobs_fanout_ = 0;

@@ -10,21 +10,21 @@
 //    and thread-safe: four workers share ONE net and reproduce the
 //    single-threaded logits bit-identically (run this binary under
 //    TSAN to verify the absence of data races mechanically);
-//  - the row-striped GemmPool threading is bit-identical to
-//    single-thread at every pool width;
 //  - the runtime-dispatched SIMD microkernel matches the portable
 //    4x16 within float-rounding tolerance, and each fixed kernel is
-//    bit-identical across thread counts; the AVX-512 tier is
-//    bit-identical to AVX2 on GEMMs, batched convs, a ResNet-B forward
-//    and a train step's gradients;
+//    bit-identical across row splits of its A operand; the AVX-512
+//    tier is bit-identical to AVX2 on GEMMs, batched convs, a ResNet-B
+//    forward and a train step's gradients;
 //  - the int8 quantized path (tensor/qgemm.h) round-trips weights
 //    within half a quantization step, tracks the float forward within
-//    the documented tolerance at 1/2/4 pool threads, and its scalar
-//    and VNNI kernels produce bit-identical results;
+//    the documented tolerance, and its scalar and VNNI kernels produce
+//    bit-identical results;
 //  - a conv forward over a batch, float or int8, is bit-identical to
-//    one batch-1 forward per image at every pool width;
-//  - a throw in any GemmPool slot reaches the caller only after every
-//    slot has finished, and the pool keeps working.
+//    one batch-1 forward per image;
+//  - the persistent GemmPool serves jobs of changing width, and a throw
+//    in any of its slots reaches the caller only after every slot has
+//    finished, and the pool keeps working;
+//  - MEANET_NAIVE_KERNELS is parsed strictly (only "1" turns it on).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,6 +32,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -113,51 +114,28 @@ TEST(GemmParity, AlphaBetaAccumulationMatches) {
   }
 }
 
-TEST(GemmParity, RowStripedThreadingIsBitIdentical) {
-  util::Rng rng(13);
-  const int m = 160, n = 160, k = 160;  // big enough to cross the spawn threshold
-  const Tensor a = Tensor::normal(Shape{m, k}, rng);
-  const Tensor b = Tensor::normal(Shape{k, n}, rng);
-  const int before = ops::gemm_threads();
-  ops::set_gemm_threads(1);
-  const Tensor single = ops::matmul(a, b);
-  ops::set_gemm_threads(3);
-  const Tensor threaded = ops::matmul(a, b);
-  ops::set_gemm_threads(before);
-  EXPECT_TRUE(allclose(single, threaded, 0.0f));  // same row, same k-order
-}
-
-TEST(GemmParity, PoolThreadingIsBitIdenticalAtOneTwoAndFourThreads) {
-  util::Rng rng(17);
-  const int m = 192, n = 176, k = 144;  // crosses the small-problem threshold
-  const Tensor a = Tensor::normal(Shape{m, k}, rng);
-  const Tensor b = Tensor::normal(Shape{k, n}, rng);
-  const int before = ops::gemm_threads();
-  ops::set_gemm_threads(1);
-  const Tensor single = ops::matmul(a, b);
-  for (const int threads : {2, 4}) {
-    ops::set_gemm_threads(threads);
-    const Tensor pooled = ops::matmul(a, b);
-    EXPECT_TRUE(allclose(single, pooled, 0.0f)) << "threads=" << threads;
-  }
-  ops::set_gemm_threads(before);
+TEST(KernelEnv, NaiveKernelsFollowTheVariableStrictly) {
+  // tests/CMakeLists.txt also runs this with MEANET_NAIVE_KERNELS=false:
+  // only "1" may switch the ~13x slower reference kernels on.
+  const char* value = std::getenv("MEANET_NAIVE_KERNELS");
+  EXPECT_EQ(ops::naive_kernels(), value != nullptr && std::strcmp(value, "1") == 0)
+      << "MEANET_NAIVE_KERNELS=" << (value != nullptr ? value : "(unset)");
 }
 
 TEST(GemmParity, PersistentPoolSurvivesRepeatedWidthChanges) {
   // The pool's workers live for the process and the pool grows
-  // monotonically; alternate widths across calls to exercise the
-  // generation handshake rather than a fresh spawn/join per call.
-  util::Rng rng(19);
-  const Tensor a = Tensor::normal(Shape{160, 160}, rng);
-  const Tensor b = Tensor::normal(Shape{160, 160}, rng);
-  const int before = ops::gemm_threads();
-  ops::set_gemm_threads(1);
-  const Tensor expected = ops::matmul(a, b);
+  // monotonically; alternate widths across jobs to exercise the
+  // generation handshake rather than a fresh spawn/join per job. A
+  // worker beyond a job's width must sit that job out.
   for (int i = 0; i < 12; ++i) {
-    ops::set_gemm_threads(1 + i % 4);
-    EXPECT_TRUE(allclose(expected, ops::matmul(a, b), 0.0f)) << "iter=" << i;
+    const int width = 1 + i % 4;
+    std::vector<int> hits(4, 0);
+    ops::GemmPool::instance().run(width,
+                                  [&](int slot) { ++hits[static_cast<std::size_t>(slot)]; });
+    std::vector<int> expected(4, 0);
+    std::fill_n(expected.begin(), width, 1);
+    EXPECT_EQ(hits, expected) << "iter=" << i << " width=" << width;
   }
-  ops::set_gemm_threads(before);
 }
 
 /// Runs a width-4 pool job whose slots in `throwing` throw "slot N" at
@@ -251,20 +229,25 @@ TEST(SimdParity, VectorMicrokernelMatchesPortableWithinTolerance) {
   }
 }
 
-TEST(SimdParity, PortableKernelIsBitIdenticalAcrossThreadCounts) {
-  // The thread-count bit-identity contract holds per fixed kernel; the
-  // default-kernel case is covered above, so pin the portable tier.
+TEST(SimdParity, PortableKernelIsBitIdenticalAcrossRowSplits) {
+  // A CloudNode shard runs each Linear GEMM on a slice of the batch's
+  // rows, so per fixed kernel a row's result must not depend on which
+  // slice it sits in. The default kernel is covered through
+  // CloudNodeSharding; pin the portable tier here. The splits leave
+  // ragged MR tiles on both sides.
   util::Rng rng(47);
-  const Tensor a = Tensor::normal(Shape{160, 160}, rng);
+  const int m = 160;
+  const Tensor a = Tensor::normal(Shape{m, 160}, rng);
   const Tensor b = Tensor::normal(Shape{160, 160}, rng);
   SimdLevelScope scope(ops::SimdLevel::kPortable);
-  const int before = ops::gemm_threads();
-  ops::set_gemm_threads(1);
-  const Tensor single = ops::matmul(a, b);
-  ops::set_gemm_threads(4);
-  const Tensor pooled = ops::matmul(a, b);
-  ops::set_gemm_threads(before);
-  EXPECT_TRUE(allclose(single, pooled, 0.0f));
+  const Tensor whole = ops::matmul(a, b);
+  for (const int rows : {1, 3, 57, 130}) {
+    EXPECT_TRUE(allclose(whole.slice_batch(0, rows), ops::matmul(a.slice_batch(0, rows), b), 0.0f))
+        << "rows=" << rows;
+    EXPECT_TRUE(allclose(whole.slice_batch(rows, m - rows),
+                         ops::matmul(a.slice_batch(rows, m - rows), b), 0.0f))
+        << "rows=" << rows;
+  }
 }
 
 TEST(SimdParity, SetLevelClampsToTheHardwareCeiling) {
@@ -299,27 +282,20 @@ std::vector<float> as_vector(const Tensor& t) {
   return std::vector<float>(t.data(), t.data() + t.numel());
 }
 
-/// Runs `fn` under AVX2 at one pool thread for the reference, then
-/// under AVX2 and AVX-512 at pool widths 1, 2 and 4, and expects every
-/// result to equal the reference bit for bit.
+/// Runs `fn` under AVX2 for the reference, then under AVX2 again (the
+/// run is deterministic) and AVX-512, and expects every result to equal
+/// the reference bit for bit.
 template <typename Fn>
 void expect_avx512_matches_avx2(const std::string& what, Fn fn) {
-  const int before = ops::gemm_threads();
-  ops::set_gemm_threads(1);
   std::vector<float> reference;
   {
     SimdLevelScope scope(ops::SimdLevel::kAvx2);
     reference = fn();
   }
-  for (const int threads : {1, 2, 4}) {
-    ops::set_gemm_threads(threads);
-    for (const ops::SimdLevel level : {ops::SimdLevel::kAvx2, ops::SimdLevel::kAvx512}) {
-      SimdLevelScope scope(level);
-      EXPECT_TRUE(same_bits(reference, fn()))
-          << what << " " << ops::simd_level_name(level) << " threads=" << threads;
-    }
+  for (const ops::SimdLevel level : {ops::SimdLevel::kAvx2, ops::SimdLevel::kAvx512}) {
+    SimdLevelScope scope(level);
+    EXPECT_TRUE(same_bits(reference, fn())) << what << " " << ops::simd_level_name(level);
   }
-  ops::set_gemm_threads(before);
 }
 
 TEST(SimdParity, Avx512IsBitIdenticalToAvx2) {
@@ -328,8 +304,7 @@ TEST(SimdParity, Avx512IsBitIdenticalToAvx2) {
   }
   util::Rng rng(113);
   // Full tiles, tiles ragged in m/n/k for both MR=6 and MR=8, and
-  // shapes whose KC (k > 256) and NC (n > 1024) blocks repeat and whose
-  // row stripes fan out over the pool.
+  // shapes whose KC (k > 256) and NC (n > 1024) blocks repeat.
   const int sizes[][3] = {{8, 16, 32}, {17, 33, 9}, {33, 1037, 300}, {70, 70, 520}};
   for (const auto& s : sizes) {
     const int m = s[0], n = s[1], k = s[2];
@@ -514,7 +489,7 @@ TEST(QuantizedParity, AllZeroActivationsDegenerateToBias) {
   }
 }
 
-TEST(QuantizedParity, ConvForwardTracksFloatAcrossPoolThreads) {
+TEST(QuantizedParity, ConvForwardTracksFloat) {
   util::Rng rng(71);
   nn::Conv2d conv(8, 16, 3, 1, 1, /*bias=*/true, rng);
   const Tensor x = Tensor::normal(Shape{2, 8, 12, 12}, rng);
@@ -522,24 +497,12 @@ TEST(QuantizedParity, ConvForwardTracksFloatAcrossPoolThreads) {
   float max_abs = 0.0f;
   for (std::int64_t i = 0; i < fp.numel(); ++i) max_abs = std::max(max_abs, std::fabs(fp[i]));
   const float tolerance = 0.05f * std::max(1.0f, max_abs);
-  const int before = ops::gemm_threads();
-  Tensor at_one_thread;
-  for (const int threads : {1, 2, 4}) {
-    ops::set_gemm_threads(threads);
-    ops::QuantizedScope quantized(true);
-    const Tensor q8 = conv.forward(x, nn::Mode::kEval);
-    ASSERT_EQ(q8.shape(), fp.shape());
-    for (std::int64_t i = 0; i < fp.numel(); ++i) {
-      ASSERT_NEAR(fp[i], q8[i], tolerance) << "threads=" << threads << " i=" << i;
-    }
-    // The int8 path itself is deterministic regardless of pool width.
-    if (threads == 1) {
-      at_one_thread = q8;
-    } else {
-      EXPECT_TRUE(allclose(at_one_thread, q8, 0.0f)) << "threads=" << threads;
-    }
+  ops::QuantizedScope quantized(true);
+  const Tensor q8 = conv.forward(x, nn::Mode::kEval);
+  ASSERT_EQ(q8.shape(), fp.shape());
+  for (std::int64_t i = 0; i < fp.numel(); ++i) {
+    ASSERT_NEAR(fp[i], q8[i], tolerance) << "i=" << i;
   }
-  ops::set_gemm_threads(before);
 }
 
 TEST(QuantizedParity, FoldedConvBnEvalComposesWithInt8) {
@@ -678,23 +641,16 @@ INSTANTIATE_TEST_SUITE_P(SeededShapes, BatchedParity,
                                             ::testing::Values(1, 2),
                                             ::testing::Values(0, 1, 2)));
 
-TEST(BatchedParity, RuleBatchesOnlySingleThreadNarrowLayersThatFitTheTile) {
-  const int before = ops::gemm_threads();
-  ops::set_gemm_threads(1);
+TEST(BatchedParity, RuleBatchesOnlyNarrowLayersThatFitTheTile) {
   // patch 144 x 256 columns = 144 KiB per image: three fit in 512 KiB.
   EXPECT_EQ(ops::batched_conv_pays(8, 144, 256), 3);
   EXPECT_EQ(ops::batched_conv_pays(2, 144, 256), 2);
   EXPECT_EQ(ops::batched_conv_pays(1, 144, 256), 0);   // one image
   EXPECT_EQ(ops::batched_conv_pays(8, 3, 1024), 0);    // fills an NC block
   EXPECT_EQ(ops::batched_conv_pays(8, 288, 256), 0);   // one image per tile
-  for (const int threads : {2, 4}) {
-    ops::set_gemm_threads(threads);
-    EXPECT_EQ(ops::batched_conv_pays(8, 144, 256), 0) << "threads=" << threads;
-  }
-  ops::set_gemm_threads(before);
 }
 
-TEST(BatchedParity, WholeBatchFloatIsBitIdenticalAtOneTwoAndFourThreads) {
+TEST(BatchedParity, WholeBatchFloatIsBitIdenticalAcrossTileLayouts) {
   util::Rng rng(83);
   struct Case {
     int in_channels, size;
@@ -705,16 +661,10 @@ TEST(BatchedParity, WholeBatchFloatIsBitIdenticalAtOneTwoAndFourThreads) {
   for (const Case c : {Case{16, 16}, Case{32, 16}, Case{3, 32}}) {
     nn::Conv2d conv(c.in_channels, 32, 3, 1, 1, /*bias=*/true, rng);
     const Tensor x = Tensor::normal(Shape{8, c.in_channels, c.size, c.size}, rng);
-    const int before = ops::gemm_threads();
-    ops::set_gemm_threads(1);
     const Tensor per_image = per_image_forwards(conv, x);
-    for (const int threads : {1, 2, 4}) {
-      ops::set_gemm_threads(threads);
-      const Tensor batched = conv.forward(x, nn::Mode::kEval);
-      EXPECT_TRUE(allclose(per_image, batched, 0.0f))
-          << "cin=" << c.in_channels << " size=" << c.size << " threads=" << threads;
-    }
-    ops::set_gemm_threads(before);
+    const Tensor batched = conv.forward(x, nn::Mode::kEval);
+    EXPECT_TRUE(allclose(per_image, batched, 0.0f))
+        << "cin=" << c.in_channels << " size=" << c.size;
   }
 }
 
@@ -729,35 +679,9 @@ TEST(BatchedParity, Int8IsBitIdenticalToPerImageForwards) {
     x[i] *= 0.25f * static_cast<float>(1 + i / per_image);
   }
   ops::QuantizedScope quantized(true);
-  const int before = ops::gemm_threads();
-  for (const int threads : {1, 2, 4}) {
-    ops::set_gemm_threads(threads);
-    const Tensor per_image_out = per_image_forwards(conv, x);
-    const Tensor batched = conv.forward(x, nn::Mode::kEval);
-    EXPECT_TRUE(allclose(per_image_out, batched, 0.0f)) << "threads=" << threads;
-  }
-  ops::set_gemm_threads(before);
-}
-
-TEST(BatchedParity, DepthwiseThreadingIsBitIdenticalAtOneTwoAndFourThreads) {
-  util::Rng rng(103);
-  // 4*32 channel planes of 32x32 — over the depthwise min-work gate, so
-  // widths 2 and 4 actually fan out on the pool.
-  nn::DepthwiseConv2d dw(32, 3, 1, 1, rng);
-  const Tensor x = Tensor::normal(Shape{4, 32, 32, 32}, rng);
-  auto [naive, fast] = both_kernel_paths([&] { return dw.forward(x, nn::Mode::kEval); });
-  EXPECT_TRUE(allclose(naive, fast, 1e-5f));
-  const int before = ops::gemm_threads();
-  ops::set_gemm_threads(1);
-  const Tensor single = dw.forward(x, nn::Mode::kEval);
-  EXPECT_TRUE(allclose(single, fast, 0.0f));  // gemm_threads was restored by the helper
-  for (const int threads : {2, 4}) {
-    ops::set_gemm_threads(threads);
-    const Tensor threaded = dw.forward(x, nn::Mode::kEval);
-    // Channel planes are disjoint, so any stripe partition is exact.
-    EXPECT_TRUE(allclose(single, threaded, 0.0f)) << "threads=" << threads;
-  }
-  ops::set_gemm_threads(before);
+  const Tensor per_image_out = per_image_forwards(conv, x);
+  const Tensor batched = conv.forward(x, nn::Mode::kEval);
+  EXPECT_TRUE(allclose(per_image_out, batched, 0.0f));
 }
 
 TEST(BatchedParity, Im2colBatchedMatchesPerImageBlocks) {

@@ -3,7 +3,6 @@
 // submit/drain determinism.
 #include <gtest/gtest.h>
 
-#include "runtime/replica.h"
 #include "runtime/session.h"
 
 #include "core/builders.h"
@@ -276,24 +275,6 @@ TEST(OffloadBackend, PayloadBytesMatchModeGeometry) {
   EXPECT_EQ(raw.describe(), "raw-image");
   EXPECT_EQ(feat.describe(), "feature");
   EXPECT_EQ(none.describe(), "null");
-}
-
-TEST(SyncWeights, ReplicaAnswersBitIdentically) {
-  Fixture& f = Fixture::instance();
-  util::Rng rng(42);
-  core::MEANet replica = tiny_meanet_b(rng, 2);
-  sync_weights(f.net, replica);
-  const Tensor images = f.ds.test.images.slice_batch(0, 8);
-  core::EdgeInferenceEngine primary(f.net, f.dict, core::PolicyConfig{});
-  core::EdgeInferenceEngine copy(replica, f.dict, core::PolicyConfig{});
-  const auto a = primary.infer(images);
-  const auto b = copy.infer(images);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].prediction, b[i].prediction);
-    EXPECT_FLOAT_EQ(a[i].entropy, b[i].entropy);
-    EXPECT_FLOAT_EQ(a[i].main_confidence, b[i].main_confidence);
-  }
 }
 
 TEST(EngineConfig, InvalidConfigsAreRejected) {

@@ -184,20 +184,7 @@ bool same_bytes(const Tensor& a, const Tensor& b) {
          std::memcmp(a.data(), b.data(), sizeof(float) * static_cast<std::size_t>(a.numel())) == 0;
 }
 
-/// RAII set/restore of the process-wide GEMM width.
-class GemmThreadsScope {
- public:
-  explicit GemmThreadsScope(int threads) : previous_(ops::gemm_threads()) {
-    ops::set_gemm_threads(threads);
-  }
-  ~GemmThreadsScope() { ops::set_gemm_threads(previous_); }
-
- private:
-  int previous_;
-};
-
 TEST(CloudNodeSharding, EveryWidthMatchesTheUnshardedForward) {
-  const GemmThreadsScope one_thread(1);
   for (const int rows : {1, 3, 64, 130}) {
     const Tensor images = cloud_images(rows);
     for (const int width : {1, 2, 3, 4, 7}) {
@@ -220,22 +207,7 @@ TEST(CloudNodeSharding, EveryWidthMatchesTheUnshardedForward) {
   }
 }
 
-TEST(CloudNodeSharding, ThreadedGemmRunsOneUnshardedForward) {
-  const Tensor images = cloud_images(64);
-  CloudNode node = sharded_cloud(4);
-  const std::vector<int> expected =
-      ops::row_argmax(node.model().forward(images, nn::Mode::kEval));
-  const GemmThreadsScope two_threads(2);
-  const ops::GemmPool::Stats before = ops::GemmPool::instance().stats();
-  EXPECT_EQ(node.classify(images), expected);
-  const ops::GemmPool::Stats after = ops::GemmPool::instance().stats();
-  // Only the GEMM's own width-2 stripes may fan out: a width-4 shard
-  // job would add 4 stripes in one job.
-  EXPECT_EQ(after.stripes - before.stripes, 2 * (after.fanout_jobs - before.fanout_jobs));
-}
-
 TEST(CloudNodeSharding, ConcurrentCallersBothGetTheirAnswers) {
-  const GemmThreadsScope one_thread(1);
   CloudNode node = sharded_cloud(4);
   const Tensor first = cloud_images(64);
   const Tensor second = cloud_images(130);
@@ -253,7 +225,6 @@ TEST(CloudNodeSharding, ConcurrentCallersBothGetTheirAnswers) {
 }
 
 TEST(CloudNodeSharding, WrongChannelBatchThrowsAndTheNodeKeepsServing) {
-  const GemmThreadsScope one_thread(1);
   CloudNode node = sharded_cloud(4);
   EXPECT_THROW(node.classify(cloud_images(64, 3)), std::invalid_argument);
   EXPECT_EQ(node.instances_served(), 0);
@@ -263,12 +234,16 @@ TEST(CloudNodeSharding, WrongChannelBatchThrowsAndTheNodeKeepsServing) {
 }
 
 TEST(CloudNodeSharding, ServedCountsEveryRowOnce) {
-  const GemmThreadsScope one_thread(1);
   CloudNode node = sharded_cloud(4);
   EXPECT_EQ(node.forward_threads(), 4);
   EXPECT_EQ(sharded_cloud(0).forward_threads(), 1);  // clamped to >= 1
   node.classify(cloud_images(1));
+  // A width-4 batch of 64 rows is one fan-out job of 4 shards.
+  const ops::GemmPool::Stats before = ops::GemmPool::instance().stats();
   node.classify(cloud_images(64));
+  const ops::GemmPool::Stats after = ops::GemmPool::instance().stats();
+  EXPECT_EQ(after.fanout_jobs - before.fanout_jobs, 1u);
+  EXPECT_EQ(after.stripes - before.stripes, 4u);
   node.classify(cloud_images(130));
   EXPECT_EQ(node.instances_served(), 1 + 64 + 130);
 }

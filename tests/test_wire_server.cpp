@@ -604,8 +604,8 @@ TEST(Diagnostics, TwoSessionsCellServerAndPoolInOneSnapshot) {
   }
   (void)first.drain();
   (void)second.drain();
-  // Tiny forwards may stay under the pool's fan-out threshold; the
-  // singleton registers on first touch either way.
+  // Edge forwards never enter the pool; the singleton registers on
+  // first touch.
   (void)ops::GemmPool::instance().stats();
 
   WireServer server(std::make_shared<PixelLabelBackend>(), WireServerConfig{});
