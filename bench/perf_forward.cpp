@@ -3,7 +3,8 @@
 // Times the GEMM-backed kernels against the naive per-pixel loop nests
 // (the MEANET_NAIVE_KERNELS path) on:
 //   - single-image eval forwards of the edge models,
-//   - batched eval forwards,
+//   - batched eval forwards (one implicit GEMM per conv over the whole
+//     batch),
 //   - the routing-signal reductions (softmax / argmax / entropy /
 //     margin),
 //   - end-to-end submit -> settle through a 2-worker InferenceSession
@@ -19,9 +20,9 @@
 // host drift lands on all of them alike.
 //
 // The batch sweep times each model at batch 1 / 8 / 32, float and
-// int8 (float convs take the whole-batch path of
-// ops::batched_conv_pays), reporting imgs/s. The JSON header records
-// the host shape (nproc, SIMD and int8 tiers, GemmPool::stats()).
+// int8 (a float conv is one implicit GEMM over the batch,
+// ops::conv_gemm_nchw; int8 runs per image), reporting imgs/s. The
+// JSON header records the host shape (nproc, SIMD and int8 tiers).
 //
 // Usage: perf_forward [--quick] [--out PATH]
 // Exit status is nonzero when, on any single-image forward, the GEMM
@@ -43,7 +44,6 @@
 #include "diag/value.h"
 #include "runtime/session.h"
 #include "tensor/ops.h"
-#include "tensor/pool.h"
 #include "tensor/qgemm.h"
 #include "tensor/simd.h"
 
@@ -234,8 +234,8 @@ int main(int argc, char** argv) {
     rows.push_back(measure_tiers(m.name + "_batch32", std::max(3, reps / 3),
                                  [&] { (void)net.forward_main(batch, nn::Mode::kEval); }));
 
-    // Batch sweep in the serving config: float convs batch per
-    // ops::batched_conv_pays and int8 runs per image.
+    // Batch sweep in the serving config: a float conv is one implicit
+    // GEMM over the batch and int8 runs per image.
     for (const int bs : {1, 8, 32}) {
       const Tensor input = Tensor::normal(
           Shape{bs, spec.channels, spec.height, spec.width}, data_rng);
@@ -313,13 +313,6 @@ int main(int argc, char** argv) {
   doc.set("nproc", static_cast<int>(std::thread::hardware_concurrency()));
   doc.set("simd", ops::simd_level_name(ops::simd_level()));
   doc.set("int8_kernel", ops::int8_kernel_name(ops::int8_kernel()));
-  const ops::GemmPool::Stats pool = ops::GemmPool::instance().stats();
-  diag::Value pool_v = diag::Value::object();
-  pool_v.set("workers", pool.workers);
-  pool_v.set("jobs", static_cast<std::uint64_t>(pool.jobs));
-  pool_v.set("fanout_jobs", static_cast<std::uint64_t>(pool.fanout_jobs));
-  pool_v.set("stripes", static_cast<std::uint64_t>(pool.stripes));
-  doc.set("pool", std::move(pool_v));
   diag::Value results = diag::Value::array();
   for (const Row& row : rows) {
     diag::Value v = diag::Value::object();

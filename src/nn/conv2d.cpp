@@ -162,7 +162,6 @@ Tensor Conv2d::forward_with(const Tensor& input, const float* weight, const floa
     naive_conv_forward(input, g, out_channels_, weight, bias, output);
     return output;
   }
-  ops::Workspace& workspace = ops::Workspace::tls();
   const std::int64_t in_stride = static_cast<std::int64_t>(in_channels_) * g.in_height * g.in_width;
   const std::int64_t out_stride = static_cast<std::int64_t>(out_channels_) * out_hw;
   if (ops::quantized_inference()) {
@@ -175,6 +174,7 @@ Tensor Conv2d::forward_with(const Tensor& input, const float* weight, const floa
     // work and a quarter of the copy traffic). The bias lands in the
     // requantization epilogue. All scratch is per-thread workspace —
     // this path stays const-safe and cache-free like the float path.
+    ops::Workspace& workspace = ops::Workspace::tls();
     const int k_padded = ops::quantized_k_padded(patch);
     auto* wq = reinterpret_cast<std::int8_t*>(workspace.byte_buffer(
         ops::Workspace::kQuantWeights, static_cast<std::size_t>(out_channels_) * k_padded));
@@ -198,38 +198,12 @@ Tensor Conv2d::forward_with(const Tensor& input, const float* weight, const floa
     }
     return output;
   }
-  // Whole-batch float path (the one rule lives in ops::batched_conv_pays):
-  // pack `chunk` images' patch columns into one [patch, bc*out_hw]
-  // matrix and run ONE GEMM per tile — the A (weight) panel is packed
-  // once per NC block of the tile instead of once per image. The
-  // per-element accumulation order inside an image's column block is
-  // exactly the per-image GEMM's (k-blocking doesn't depend on the j
-  // extent), so this is bit-identical to the loop below at every tile
-  // size.
-  const int chunk = ops::batched_conv_pays(batch, patch, out_hw);
-  if (chunk > 0) {
-    float* columns = workspace.buffer(
-        ops::Workspace::kIm2col, static_cast<std::size_t>(patch) * chunk * out_hw);
-    for (int n0 = 0; n0 < batch; n0 += chunk) {
-      const int bc = std::min(chunk, batch - n0);
-      ops::im2col_batched(input.data() + n0 * in_stride, in_stride, bc, g, columns);
-      ops::gemm_batched_nchw(out_channels_, patch, bc, out_hw, weight, patch, columns,
-                             output.data() + n0 * out_stride, out_stride, out_hw);
-    }
-  } else {
-    float* columns = workspace.buffer(
-        ops::Workspace::kIm2col, static_cast<std::size_t>(patch) * out_hw);
-    for (int n = 0; n < batch; ++n) {
-      ops::im2col(input.data() + n * in_stride, g, columns);
-      // output[n] = W [out_c, patch] * columns [patch, out_hw]
-      ops::gemm(false, false, out_channels_, out_hw, patch, 1.0f, weight, patch, columns, out_hw,
-                0.0f, output.data() + n * out_stride, out_hw);
-    }
-  }
+  // output is zero-filled; the one implicit GEMM accumulates into it.
+  ops::conv_gemm_nchw(out_channels_, weight, input.data(), batch, g, output.data());
   if (bias != nullptr) {
-    // Bias is a post-GEMM epilogue in both branches (prefilling C would
-    // change the float addition order and break batched/per-image
-    // bit-identity).
+    // Bias is a post-GEMM epilogue: prefilling C with it would change
+    // the float addition order, so the result would no longer match
+    // im2col + gemm() per image.
     for (int n = 0; n < batch; ++n) {
       for (int oc = 0; oc < out_channels_; ++oc) {
         float* dst = output.data() + n * out_stride + static_cast<std::int64_t>(oc) * out_hw;

@@ -1,4 +1,5 @@
-// 2-D convolutions: standard (im2col + GEMM) and depthwise.
+// 2-D convolutions: standard (one implicit GEMM over the whole batch,
+// ops::conv_gemm_nchw) and depthwise.
 //
 // Both layers expose forward_with(): a const, cache-free forward that
 // takes the weights (and optional bias) as raw pointers. The eval-mode

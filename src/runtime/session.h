@@ -31,8 +31,8 @@
 // eval-mode forwards are cache-free and const-safe (see nn/layer.h), so
 // a shared net is data-race free and needs no weight-synced replicas.
 // Each worker owns an EdgeInferenceEngine for its routing-signal
-// scratch, and the per-thread ops workspace keeps its im2col / GEMM
-// packing buffers alive across submits. Offloading is off the worker
+// scratch, and the per-thread ops workspace keeps its GEMM packing
+// buffers alive across submits. Offloading is off the worker
 // hot path: workers hand cloud
 // payloads to a dedicated dispatcher thread (the single shared cloud
 // link) and wait at most offload_timeout_s — or the tightest remaining

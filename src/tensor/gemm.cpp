@@ -5,6 +5,8 @@
 // MR x NR microkernel. Both operands are packed into contiguous panels
 // from the per-thread Workspace — packing folds the optional transpose
 // and the alpha scale, so one kernel serves all four transpose cases.
+// A conv (conv_gemm_nchw) packs B from its NCHW images and writes C
+// into its NCHW output.
 // The microkernel is picked at runtime (tensor/simd.h): an 8x16
 // AVX-512F tile on x86 with AVX-512F, a 6x16 AVX2+FMA tile on x86 with
 // AVX2 (bit-identical to the AVX-512 one), a 6x16 NEON tile on
@@ -37,7 +39,7 @@ namespace {
 // 4 x 16 keeps the accumulator within the vector register budget of
 // any SSE2+ target while giving -O3 full unroll + vectorize freedom.
 constexpr int kPortableMR = 4;
-constexpr int kNR = 16;  // every kernel tier uses NR = 16
+using detail::kNR;
 // Cache blocks: KC sizes the packed panels' k-depth (A panel MC*KC and
 // B panel KC*NC stay L2-resident), MC/NC bound the packed panel sizes.
 constexpr int kKC = 256;
@@ -54,11 +56,6 @@ bool env_naive_kernels() {
                value);
   return false;
 }
-
-// Whole-batch conv column tile: L2-sized, because the tile is written
-// (im2col) and immediately re-read (pack_b) — a larger one turns that
-// round trip into DRAM traffic.
-constexpr std::size_t kBatchedColumnsTileBytes = std::size_t{512} << 10;
 
 std::atomic<bool> g_naive_kernels{env_naive_kernels()};
 
@@ -246,7 +243,7 @@ detail::FloatKernel active_kernel() {
 
 // ----- Blocked driver -------------------------------------------------
 
-/// One gemm() or gemm_batched_nchw() call.
+/// One gemm() or conv_gemm_nchw() call.
 struct GemmJob {
   bool transpose_a = false, transpose_b = false;
   int m = 0, n = 0, k = 0;
@@ -257,18 +254,25 @@ struct GemmJob {
   int ldb = 0;
   float* c = nullptr;
   int ldc = 0;
-  /// Batched-NCHW C layout (gemm_batched_nchw): when cols_per_image
-  /// > 0, C column j belongs to image j / cols_per_image and lands at
-  /// c + image * c_image_stride + i * ldc + (j % cols_per_image).
-  /// 0 = plain dense C.
-  int cols_per_image = 0;
-  std::int64_t c_image_stride = 0;
+  /// Implicit-GEMM conv (conv_gemm_nchw): B is the im2col matrix of
+  /// the NCHW images at `b`, packed straight from them, and C is the
+  /// NCHW output [n / ldc, m, ldc]. Null = dense B and C.
+  const ConvGeometry* conv = nullptr;
   detail::FloatKernel kernel;
 };
 
 /// The blocked loops over all of C's rows, on the calling thread.
 void run_blocked(const GemmJob& job) {
   const int mr_tile = job.kernel.mr;
+  // C column j is pixel j % cols of image j / cols: a conv's C is its
+  // NCHW output [n / ldc, m, ldc], and dense C is one image.
+  const int cols = job.conv != nullptr ? job.ldc : job.n;
+  const std::ptrdiff_t image_stride = static_cast<std::ptrdiff_t>(job.m) * job.ldc;
+  const auto c_at = [&](int row, int col) {
+    const int image = col / cols;
+    return job.c + image * image_stride + static_cast<std::ptrdiff_t>(row) * job.ldc +
+           (col - image * cols);
+  };
   Workspace& workspace = Workspace::tls();
   for (int p0 = 0; p0 < job.k; p0 += kKC) {
     const int kc = std::min(kKC, job.k - p0);
@@ -277,28 +281,32 @@ void run_blocked(const GemmJob& job) {
       const int n_panels = (nc + kNR - 1) / kNR;
       float* bpack =
           workspace.buffer(Workspace::kPackB, static_cast<std::size_t>(n_panels) * kc * kNR);
-      pack_b(job.transpose_b, job.b, job.ldb, p0, kc, j0, nc, bpack);
+      if (job.conv != nullptr) {
+        detail::pack_b_conv(job.b, *job.conv, p0, kc, j0, nc, bpack);
+      } else {
+        pack_b(job.transpose_b, job.b, job.ldb, p0, kc, j0, nc, bpack);
+      }
       for (int i0 = 0; i0 < job.m; i0 += kMC) {
         const int mc = std::min(kMC, job.m - i0);
         const int m_panels = (mc + mr_tile - 1) / mr_tile;
         float* apack = workspace.buffer(
             Workspace::kPackA, static_cast<std::size_t>(m_panels) * kc * mr_tile);
         pack_a(mr_tile, job.transpose_a, job.a, job.lda, i0, mc, p0, kc, job.alpha, apack);
-        for (int jb = 0; jb < nc; jb += kNR) {
+        // Column jcol is `pixel` of `image`, stepped without a division.
+        int image = j0 / cols, pixel = j0 % cols;
+        for (int jb = 0; jb < nc; jb += kNR, pixel += kNR) {
+          while (pixel >= cols) {
+            pixel -= cols;
+            ++image;
+          }
           const float* bpanel = bpack + static_cast<std::ptrdiff_t>(jb / kNR) * kc * kNR;
           const int nr = std::min(kNR, nc - jb);
           const int jcol = j0 + jb;
-          // Dense C, or a batched-NCHW tile fully inside one image:
-          // the kernel writes straight through a base pointer + ldc.
-          float* cbase = job.c + static_cast<std::ptrdiff_t>(i0) * job.ldc + jcol;
-          bool direct = true;
-          if (job.cols_per_image > 0) {
-            const int image = jcol / job.cols_per_image;
-            const int jj = jcol - image * job.cols_per_image;
-            direct = jj + nr <= job.cols_per_image;
-            cbase = job.c + image * job.c_image_stride +
-                    static_cast<std::ptrdiff_t>(i0) * job.ldc + jj;
-          }
+          // A tile inside one image: the kernel writes straight through
+          // a base pointer + ldc.
+          float* cbase = job.c + image * image_stride +
+                         static_cast<std::ptrdiff_t>(i0) * job.ldc + pixel;
+          const bool direct = pixel + nr <= cols;
           for (int ib = 0; ib < mc; ib += mr_tile) {
             const float* apanel =
                 apack + static_cast<std::ptrdiff_t>(ib / mr_tile) * kc * mr_tile;
@@ -315,24 +323,11 @@ void run_blocked(const GemmJob& job) {
             // write (loads and stores move bits, not values).
             float tile[detail::kMaxMR * kNR];
             for (int i = 0; i < mr; ++i) {
-              for (int j = 0; j < nr; ++j) {
-                const int col = jcol + j;
-                const int image = col / job.cols_per_image;
-                tile[i * kNR + j] =
-                    job.c[image * job.c_image_stride +
-                          static_cast<std::ptrdiff_t>(i0 + ib + i) * job.ldc +
-                          (col - image * job.cols_per_image)];
-              }
+              for (int j = 0; j < nr; ++j) tile[i * kNR + j] = *c_at(i0 + ib + i, jcol + j);
             }
             job.kernel.fn(kc, apanel, bpanel, tile, kNR, mr, nr);
             for (int i = 0; i < mr; ++i) {
-              for (int j = 0; j < nr; ++j) {
-                const int col = jcol + j;
-                const int image = col / job.cols_per_image;
-                job.c[image * job.c_image_stride +
-                      static_cast<std::ptrdiff_t>(i0 + ib + i) * job.ldc +
-                      (col - image * job.cols_per_image)] = tile[i * kNR + j];
-              }
+              for (int j = 0; j < nr; ++j) *c_at(i0 + ib + i, jcol + j) = tile[i * kNR + j];
             }
           }
         }
@@ -387,45 +382,34 @@ void gemm(bool transpose_a, bool transpose_b, int m, int n, int k, float alpha, 
   run_blocked(job);
 }
 
-void gemm_batched_nchw(int m, int k, int batch, int cols_per_image, const float* a, int lda,
-                       const float* b, float* c, std::int64_t c_image_stride, int ldc) {
-  if (m < 0 || k < 0 || batch < 0 || cols_per_image < 0) {
-    throw std::invalid_argument("gemm_batched_nchw: negative dimension");
+void conv_gemm_nchw(int out_channels, const float* weight, const float* images, int batch,
+                    const ConvGeometry& g, float* output) {
+  const int out_hw = g.out_height() * g.out_width();
+  const int patch = g.patch_size();
+  if (out_channels < 0 || batch < 0 || out_hw < 0 || patch < 0) {
+    throw std::invalid_argument("conv_gemm_nchw: negative dimension");
   }
-  // beta = 0 semantics: overwrite every image's [m, cols_per_image]
-  // output block (accumulation across KC blocks goes through memory,
-  // exactly like gemm()).
-  for (int n = 0; n < batch; ++n) {
-    for (int i = 0; i < m; ++i) {
-      std::memset(c + n * c_image_stride + static_cast<std::ptrdiff_t>(i) * ldc, 0,
-                  sizeof(float) * static_cast<std::size_t>(cols_per_image));
-    }
+  if (out_channels == 0 || batch == 0 || out_hw == 0 || patch == 0) return;
+  // A 1x1, stride-1, unpadded conv over H x W is the same conv over one
+  // row of H*W pixels; its packed runs then span whole images, not rows.
+  ConvGeometry flat = g;
+  if (g.kernel == 1 && g.stride == 1 && g.padding == 0) {
+    flat.in_width *= flat.in_height;
+    flat.in_height = 1;
   }
-  if (m == 0 || k == 0 || batch == 0 || cols_per_image == 0) return;
 
   GemmJob job;
-  job.m = m;
-  job.n = batch * cols_per_image;
-  job.k = k;
-  job.a = a;
-  job.lda = lda;
-  job.b = b;
-  job.ldb = job.n;
-  job.c = c;
-  job.ldc = ldc;
-  job.cols_per_image = cols_per_image;
-  job.c_image_stride = c_image_stride;
+  job.m = out_channels;
+  job.n = batch * out_hw;
+  job.k = patch;
+  job.a = weight;
+  job.lda = patch;
+  job.b = images;
+  job.c = output;
+  job.ldc = out_hw;
+  job.conv = &flat;
   job.kernel = active_kernel();
   run_blocked(job);
-}
-
-int batched_conv_pays(int batch, int patch_rows, int cols_per_image) {
-  if (batch <= 1 || cols_per_image >= kNC) return 0;
-  const std::size_t per_image_bytes =
-      static_cast<std::size_t>(std::max(1, patch_rows)) * std::max(1, cols_per_image) *
-      sizeof(float);
-  const std::size_t images = kBatchedColumnsTileBytes / per_image_bytes;
-  return images < 2 ? 0 : static_cast<int>(std::min<std::size_t>(batch, images));
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b, bool transpose_a, bool transpose_b) {

@@ -16,12 +16,25 @@
 // them only when tensor/simd.h dispatch selected the matching tier.
 #pragma once
 
+namespace meanet::ops {
+struct ConvGeometry;
+}
+
 namespace meanet::ops::detail {
 
 /// Largest register-tile row count any kernel tier uses (the AVX-512
 /// 8x16 tile; AVX2 and NEON use 6x16); sizes the bounce tile of the
-/// batched-NCHW driver.
+/// conv driver's image-straddling tiles.
 constexpr int kMaxMR = 8;
+/// Every kernel tier's column count: the width of each packed B panel.
+constexpr int kNR = 16;
+
+/// The implicit-GEMM B packer (ops.cpp, next to im2col): packs rows
+/// [p0, p0+kc) x columns [j0, j0+nc) of the im2col matrix of NCHW
+/// `images` (image n at columns [n*out_hw, (n+1)*out_hw)) into NR-wide
+/// panels: the bytes im2col + the dense pack_b would produce.
+void pack_b_conv(const float* images, const ConvGeometry& g, int p0, int kc, int j0, int nc,
+                 float* dst);
 
 /// apanel: kc groups of `mr_stride` floats; bpanel: kc groups of NR=16
 /// floats. Writes the valid mr x nr region of the tile into C.

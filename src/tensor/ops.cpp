@@ -6,52 +6,66 @@
 #include <limits>
 #include <stdexcept>
 
+#include "tensor/gemm_kernels.h"
+
 namespace meanet::ops {
 
 namespace {
 
-/// Shared im2col writer over floats (fill 0) or u8 codes (fill the
-/// activation zero point). `columns` points at the image's own column
-/// block; `col_ld` is the row stride of the enclosing matrix — out_hw
-/// for the single-image entry points, batch*out_hw when a batch of
-/// blocks sits side by side (im2col_batched).
+/// One im2col row segment, shared by im2col_into and the implicit-GEMM
+/// B packer: dst[i] = channel[ih][(ow0 + i) * stride - padding + kw]
+/// for i in [0, count), or `fill` where that tap lies in the padding.
 template <typename T>
-void im2col_into(const T* image, const ConvGeometry& g, T* columns, std::ptrdiff_t col_ld,
-                 T fill) {
+void copy_tap_row(const T* channel, const ConvGeometry& g, int ih, int kw, int ow0, int count,
+                  T* dst, T fill) {
+  if (ih < 0 || ih >= g.in_height) {
+    std::fill(dst, dst + count, fill);
+    return;
+  }
+  const T* in_row = channel + static_cast<std::ptrdiff_t>(ih) * g.in_width;
+  const int shift = kw - g.padding;
+  if (g.stride != 1) {
+    for (int i = 0; i < count; ++i) {
+      const int iw = (ow0 + i) * g.stride + shift;
+      dst[i] = (iw >= 0 && iw < g.in_width) ? in_row[iw] : fill;
+    }
+    return;
+  }
+  // Contiguous tap: lanes [begin, end) copy the input row, the rest is
+  // padding. A whole panel row (count == NR) gets inlined fixed sizes.
+  const int begin = std::clamp(-shift - ow0, 0, count);
+  const int end = std::clamp(g.in_width - shift - ow0, begin, count);
+  if (count == detail::kNR) {
+    if (end - begin == detail::kNR) {
+      std::memcpy(dst, in_row + ow0 + shift, sizeof(T) * detail::kNR);
+      return;
+    }
+    std::fill_n(dst, detail::kNR, fill);
+  } else {
+    if (begin > 0) std::fill(dst, dst + begin, fill);
+    if (end < count) std::fill(dst + end, dst + count, fill);
+  }
+  if (end > begin) {
+    std::memcpy(dst + begin, in_row + ow0 + shift + begin,
+                sizeof(T) * static_cast<std::size_t>(end - begin));
+  }
+}
+
+/// Shared im2col writer over floats (fill 0) or u8 codes (fill the
+/// activation zero point).
+template <typename T>
+void im2col_into(const T* image, const ConvGeometry& g, T* columns, T fill) {
   const int out_h = g.out_height();
   const int out_w = g.out_width();
   for (int c = 0; c < g.in_channels; ++c) {
     const T* channel = image + static_cast<std::ptrdiff_t>(c) * g.in_height * g.in_width;
     for (int kh = 0; kh < g.kernel; ++kh) {
       for (int kw = 0; kw < g.kernel; ++kw) {
-        T* out_row =
-            columns + static_cast<std::ptrdiff_t>((c * g.kernel + kh) * g.kernel + kw) * col_ld;
+        T* out_row = columns + static_cast<std::ptrdiff_t>((c * g.kernel + kh) * g.kernel + kw) *
+                                   out_h * out_w;
         for (int oh = 0; oh < out_h; ++oh) {
-          const int ih = oh * g.stride - g.padding + kh;
-          T* dst = out_row + static_cast<std::ptrdiff_t>(oh) * out_w;
-          if (ih < 0 || ih >= g.in_height) {
-            std::fill(dst, dst + out_w, fill);
-            continue;
-          }
-          const T* in_row = channel + static_cast<std::ptrdiff_t>(ih) * g.in_width;
-          if (g.stride == 1) {
-            // Contiguous tap: dst[ow] = in_row[ow + kw - padding] where
-            // in bounds — one memcpy between two fill-padded fringes.
-            const int shift = kw - g.padding;
-            const int begin = std::max(0, -shift);
-            const int end = std::min(out_w, g.in_width - shift);
-            if (begin > 0) std::fill(dst, dst + begin, fill);
-            if (end > begin) {
-              std::memcpy(dst + begin, in_row + begin + shift,
-                          sizeof(T) * static_cast<std::size_t>(end - begin));
-            }
-            if (end < out_w) std::fill(dst + std::max(begin, end), dst + out_w, fill);
-            continue;
-          }
-          for (int ow = 0; ow < out_w; ++ow) {
-            const int iw = ow * g.stride - g.padding + kw;
-            dst[ow] = (iw >= 0 && iw < g.in_width) ? in_row[iw] : fill;
-          }
+          copy_tap_row(channel, g, oh * g.stride - g.padding + kh, kw, 0, out_w,
+                       out_row + static_cast<std::ptrdiff_t>(oh) * out_w, fill);
         }
       }
     }
@@ -67,20 +81,57 @@ constexpr std::uint8_t kU8ZeroPoint = 128;
 }  // namespace
 
 void im2col(const float* image, const ConvGeometry& g, float* columns) {
-  im2col_into<float>(image, g, columns, g.out_height() * g.out_width(), 0.0f);
+  im2col_into<float>(image, g, columns, 0.0f);
 }
 
 void im2col_u8(const std::uint8_t* image, const ConvGeometry& g, std::uint8_t* columns) {
-  im2col_into<std::uint8_t>(image, g, columns, g.out_height() * g.out_width(), kU8ZeroPoint);
+  im2col_into<std::uint8_t>(image, g, columns, kU8ZeroPoint);
 }
 
-void im2col_batched(const float* images, std::int64_t image_stride, int batch,
-                    const ConvGeometry& g, float* columns) {
-  const int out_hw = g.out_height() * g.out_width();
-  const std::ptrdiff_t col_ld = static_cast<std::ptrdiff_t>(batch) * out_hw;
-  for (int n = 0; n < batch; ++n) {
-    im2col_into<float>(images + n * image_stride, g,
-                       columns + static_cast<std::ptrdiff_t>(n) * out_hw, col_ld, 0.0f);
+void detail::pack_b_conv(const float* images, const ConvGeometry& g, int p0, int kc, int j0,
+                         int nc, float* dst) {
+  const int out_w = g.out_width();
+  const int out_hw = g.out_height() * out_w;
+  const int taps = g.kernel * g.kernel;
+  const std::ptrdiff_t plane = static_cast<std::ptrdiff_t>(g.in_height) * g.in_width;
+  const std::ptrdiff_t image_stride = g.in_channels * plane;
+  // A panel's columns split into runs that share one image and one
+  // output row; each run's taps are one copy_tap_row per k row.
+  struct Run {
+    const float* image;
+    int ih0, ow0, count, offset;
+  };
+  Run runs[kNR] = {};
+  for (int jb = 0; jb < nc; jb += kNR, dst += static_cast<std::ptrdiff_t>(kc) * kNR) {
+    const int nr = std::min(kNR, nc - jb);
+    int n_runs = 0;
+    for (int offset = 0; offset < nr;) {
+      const int col = j0 + jb + offset;
+      const int image = col / out_hw, pixel = col - image * out_hw;
+      const int oh = pixel / out_w, ow = pixel - oh * out_w;
+      const int count = std::min(out_w - ow, nr - offset);
+      runs[n_runs++] = {images + image * image_stride, oh * g.stride - g.padding, ow, count,
+                        offset};
+      offset += count;
+    }
+    // k row p is tap (kh, kw) of input channel c: p = (c*k + kh)*k + kw.
+    int c = p0 / taps, kh = (p0 % taps) / g.kernel, kw = p0 % g.kernel;
+    for (int p = 0; p < kc; ++p) {
+      float* row = dst + static_cast<std::ptrdiff_t>(p) * kNR;
+      for (int r = 0; r < n_runs; ++r) {
+        const Run& run = runs[r];
+        copy_tap_row(run.image + c * plane, g, run.ih0 + kh, kw, run.ow0, run.count,
+                     row + run.offset, 0.0f);
+      }
+      if (nr < kNR) std::fill(row + nr, row + kNR, 0.0f);
+      if (++kw == g.kernel) {
+        kw = 0;
+        if (++kh == g.kernel) {
+          kh = 0;
+          ++c;
+        }
+      }
+    }
   }
 }
 

@@ -1,7 +1,9 @@
 // Numeric kernels: GEMM, im2col/col2im, softmax-family ops.
 //
-// All convolution in the library is im2col + GEMM. The GEMM is a
-// blocked, register-tiled kernel with packed operands (scratch from the
+// Every float convolution forward is one implicit GEMM
+// (conv_gemm_nchw): the GEMM packs its B panels straight from the NCHW
+// batch, so no im2col matrix is written. The GEMM is a blocked,
+// register-tiled kernel with packed operands (scratch from the
 // per-thread ops::Workspace, reused across calls), a runtime-dispatched
 // microkernel (tensor/simd.h: AVX-512 8x16, AVX2/NEON 6x16 or the
 // portable 4x16), run on the calling thread. The accumulation order is
@@ -38,19 +40,6 @@ void set_naive_kernels(bool naive);
 /// Always 1: the GEMM runs on its calling thread.
 int gemm_threads();
 
-/// The one whole-batch rule of the float conv forward over `batch`
-/// images whose per-image im2col is [patch_rows, cols_per_image].
-/// Returns how many images share one im2col + GEMM (gemm_batched_nchw)
-/// column tile, or 0 when the per-image loop runs instead. Whole-batch
-/// pays only when all of these hold: batch > 1; one image underfills
-/// the GEMM's NC block (1024 columns), so the batched GEMM packs the
-/// weight panel once per NC block instead of once per image; and at
-/// least two images fit in one fixed 512 KiB column tile. Larger
-/// batches run tile by tile. Results are bit-identical either way —
-/// this is purely a speed choice. The int8 path always runs per image,
-/// with per-image activation scales.
-int batched_conv_pays(int batch, int patch_rows, int cols_per_image);
-
 // ----- GEMM ------------------------------------------------------------
 
 /// C = alpha * op(A) * op(B) + beta * C.
@@ -62,22 +51,6 @@ void gemm(bool transpose_a, bool transpose_b, int m, int n, int k, float alpha,
 /// Convenience wrapper on rank-2 tensors: returns op(A)*op(B).
 Tensor matmul(const Tensor& a, const Tensor& b, bool transpose_a = false,
               bool transpose_b = false);
-
-/// One GEMM over a whole batch of im2col column blocks, writing
-/// straight into NCHW output. A is [m, k] (lda = row stride), B is the
-/// batched column matrix [k, batch * cols_per_image] (row stride
-/// batch * cols_per_image); the C element (i, j) lands at
-///   c + (j / cols_per_image) * c_image_stride
-///     + i * ldc + (j % cols_per_image)
-/// so image b's [m, cols_per_image] block sits at its own NCHW offset
-/// with no epilogue copy. Overwrites the output region (beta = 0
-/// semantics). Per C element the k-blocking and accumulation order are
-/// exactly those of a per-image gemm() call, so the result is
-/// bit-identical to looping gemm() over the batch (tiles that straddle
-/// an image boundary bounce through a register-sized tile with the same
-/// add-into-C arithmetic).
-void gemm_batched_nchw(int m, int k, int batch, int cols_per_image, const float* a, int lda,
-                       const float* b, float* c, std::int64_t c_image_stride, int ldc);
 
 /// Geometry of a convolution; shared by conv layers and the stats counter.
 struct ConvGeometry {
@@ -94,6 +67,16 @@ struct ConvGeometry {
   int patch_size() const { return in_channels * kernel * kernel; }
 };
 
+/// The float conv forward over NCHW `images` [batch, C, H, W]: for
+/// each image n, output[n] += weight [out_channels, patch_size()] x
+/// im2col(image n), into the NCHW output [batch, out_channels, out_h,
+/// out_w]. It accumulates, so `output` must arrive zeroed (a fresh
+/// Tensor is). One GEMM over all batch * out_hw columns, with B packed
+/// straight from the images in im2col's values and k-order, so the
+/// result is bit-identical to im2col + gemm(beta = 0) per image.
+void conv_gemm_nchw(int out_channels, const float* weight, const float* images, int batch,
+                    const ConvGeometry& g, float* output);
+
 /// Expands one image [C, H, W] into a patch matrix
 /// [C*k*k, out_h*out_w] (column-major over output positions).
 /// `columns` must have patch_size() * out_h * out_w elements.
@@ -105,14 +88,6 @@ void im2col(const float* image, const ConvGeometry& g, float* columns);
 /// the byte matrix im2col-then-quantize would — at a quarter of the
 /// memory traffic and without the float scratch.
 void im2col_u8(const std::uint8_t* image, const ConvGeometry& g, std::uint8_t* columns);
-
-/// Whole-batch im2col: image n (NCHW images `image_stride` floats
-/// apart) lands in columns [n*out_hw, (n+1)*out_hw) of one
-/// [patch_size, batch*out_hw] matrix — the B operand of
-/// gemm_batched_nchw. Each image's block holds exactly what a
-/// per-image im2col would have produced.
-void im2col_batched(const float* images, std::int64_t image_stride, int batch,
-                    const ConvGeometry& g, float* columns);
 
 /// Inverse scatter-add of im2col: accumulates patch-matrix gradients back
 /// into an image gradient buffer of size C*H*W (which must be zeroed by

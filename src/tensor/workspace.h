@@ -1,13 +1,13 @@
 // Per-thread scratch arena for the numeric kernels.
 //
-// The inference hot path (im2col + packed GEMM + folded BatchNorm)
-// needs large temporary buffers on every forward call. Allocating them
-// per call dominates small-model latency, and sharing them across
-// threads would break the const-safe eval contract — so each thread
-// owns one Workspace, reached via Workspace::tls(), whose Tensor-backed
-// buffers only ever grow and are reused across calls. A serving worker
-// therefore pays the im2col allocation once per (shape, lifetime), not
-// once per submit.
+// The inference hot path (packed implicit-GEMM conv + folded
+// BatchNorm) needs large temporary buffers on every forward call.
+// Allocating them per call dominates small-model latency, and sharing
+// them across threads would break the const-safe eval contract — so
+// each thread owns one Workspace, reached via Workspace::tls(), whose
+// Tensor-backed buffers only ever grow and are reused across calls. A
+// serving worker therefore pays the packed-panel allocation once per
+// (shape, lifetime), not once per submit.
 #pragma once
 
 #include <array>
@@ -27,7 +27,6 @@ class Workspace {
   enum Slot {
     kPackA,
     kPackB,
-    kIm2col,
     kFoldedWeights,
     kFoldedBias,
     kQuantScales,  // int8 path: per-row weight scales + fused epilogue scales

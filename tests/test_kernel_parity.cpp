@@ -13,12 +13,14 @@
 //  - the runtime-dispatched SIMD microkernel matches the portable
 //    4x16 within float-rounding tolerance, and each fixed kernel is
 //    bit-identical across row splits of its A operand; the AVX-512
-//    tier is bit-identical to AVX2 on GEMMs, batched convs, a ResNet-B
-//    forward and a train step's gradients;
+//    tier is bit-identical to AVX2 on GEMMs, implicit-GEMM convs, a
+//    ResNet-B forward and a train step's gradients;
 //  - the int8 quantized path (tensor/qgemm.h) round-trips weights
 //    within half a quantization step, tracks the float forward within
 //    the documented tolerance, and its scalar and VNNI kernels produce
 //    bit-identical results;
+//  - the implicit-GEMM conv (ops::conv_gemm_nchw) is bit-identical to
+//    im2col + gemm() per image, on every kernel tier;
 //  - a conv forward over a batch, float or int8, is bit-identical to
 //    one batch-1 forward per image;
 //  - the persistent GemmPool serves jobs of changing width, and a throw
@@ -335,18 +337,18 @@ TEST(SimdParity, Avx512IsBitIdenticalToAvx2) {
     }
   }
 
-  // Batched NCHW: 29 columns per image, so 16-wide tiles straddle image
-  // boundaries and take the bounce path; k spans two KC blocks.
+  // Implicit-GEMM conv: 49 columns per 7x7 image, so 16-wide tiles
+  // straddle image boundaries and take the bounce path; the 32x3x3
+  // patch (288 rows) spans two KC blocks.
   {
-    const int m = 37, k = 400, batch = 5, cols = 29;
-    const Tensor a = Tensor::normal(Shape{m, k}, rng);
-    const Tensor b = Tensor::normal(Shape{k, batch * cols}, rng);
-    const std::int64_t image_stride = static_cast<std::int64_t>(m) * cols + 11;
-    expect_avx512_matches_avx2("gemm_batched_nchw", [&] {
-      std::vector<float> c(static_cast<std::size_t>(batch) * image_stride, -7.0f);
-      ops::gemm_batched_nchw(m, k, batch, cols, a.data(), k, b.data(), c.data(), image_stride,
-                             cols);
-      return c;
+    const ops::ConvGeometry g{32, 7, 7, 3, 1, 1};
+    const int out_channels = 37, batch = 5;
+    const Tensor weight = Tensor::normal(Shape{out_channels, g.patch_size()}, rng);
+    const Tensor images = Tensor::normal(Shape{batch, 32, 7, 7}, rng);
+    expect_avx512_matches_avx2("conv_gemm_nchw", [&] {
+      std::vector<float> out(static_cast<std::size_t>(batch) * out_channels * 49, 0.0f);
+      ops::conv_gemm_nchw(out_channels, weight.data(), images.data(), batch, g, out.data());
+      return out;
     });
   }
 
@@ -602,7 +604,99 @@ TEST(DepthwiseParity, NarrowerThanKernelInputsStayInBounds) {
   EXPECT_TRUE(allclose(naive, fast, 1e-6f));
 }
 
-// ----- Whole-batch conv (ops::batched_conv_pays) ----------------------
+// ----- Implicit-GEMM conv (ops::conv_gemm_nchw) -----------------------
+
+/// im2col written out as its definition, element by element: the
+/// oracle's own oracle, so a fault in the tap-row copy that im2col and
+/// the implicit-GEMM packer share cannot hide in both sides at once.
+std::vector<float> im2col_by_definition(const float* image, const ops::ConvGeometry& g) {
+  const int out_h = g.out_height(), out_w = g.out_width();
+  std::vector<float> columns;
+  for (int c = 0; c < g.in_channels; ++c) {
+    for (int kh = 0; kh < g.kernel; ++kh) {
+      for (int kw = 0; kw < g.kernel; ++kw) {
+        for (int oh = 0; oh < out_h; ++oh) {
+          for (int ow = 0; ow < out_w; ++ow) {
+            const int ih = oh * g.stride - g.padding + kh;
+            const int iw = ow * g.stride - g.padding + kw;
+            const bool inside = ih >= 0 && ih < g.in_height && iw >= 0 && iw < g.in_width;
+            columns.push_back(
+                inside ? image[(static_cast<std::ptrdiff_t>(c) * g.in_height + ih) * g.in_width +
+                               iw]
+                       : 0.0f);
+          }
+        }
+      }
+    }
+  }
+  return columns;
+}
+
+TEST(ConvGemmParity, MatchesIm2colPlusGemmPerImageBitForBit) {
+  // Geometries: a 7x7 input (out_hw 49 at stride 1, so 16-wide tiles
+  // straddle images), a 3x2 input narrower than the kernel (valid only
+  // through padding), and a 9x9 input whose 17-image batch spans
+  // several NC blocks (batch * out_hw > 1024). 32 input channels give
+  // patches of 288 and 800 rows: two and four KC blocks.
+  struct Input {
+    int channels, height, width;
+  };
+  const Input inputs[] = {{3, 7, 7}, {32, 7, 7}, {2, 3, 2}, {32, 9, 9}};
+  const int out_channels = 19;  // ragged in every tier's MR
+  const std::vector<ops::SimdLevel> levels =
+      ops::simd_level() == ops::SimdLevel::kPortable
+          ? std::vector<ops::SimdLevel>{ops::SimdLevel::kPortable}
+          : std::vector<ops::SimdLevel>{ops::SimdLevel::kPortable, ops::simd_level()};
+  util::Rng rng(137);
+  int checked = 0;
+  for (const Input in : inputs) {
+    for (const int kernel : {1, 3, 5}) {
+      for (const int stride : {1, 2}) {
+        for (const int padding : {0, 1, 2}) {
+          const ops::ConvGeometry g{in.channels, in.height, in.width, kernel, stride, padding};
+          const int out_h = g.out_height(), out_w = g.out_width();
+          if (in.height + 2 * padding < kernel || in.width + 2 * padding < kernel) continue;
+          const int out_hw = out_h * out_w, patch = g.patch_size();
+          const std::int64_t in_stride =
+              static_cast<std::int64_t>(in.channels) * in.height * in.width;
+          const std::int64_t out_stride = static_cast<std::int64_t>(out_channels) * out_hw;
+          const Tensor weight = Tensor::normal(Shape{out_channels, patch}, rng);
+          for (const int batch : {1, 3, 17}) {
+            const Tensor images =
+                Tensor::normal(Shape{batch, in.channels, in.height, in.width}, rng);
+            std::vector<float> columns(static_cast<std::size_t>(patch) * out_hw);
+            for (int n = 0; n < batch; ++n) {
+              ops::im2col(images.data() + n * in_stride, g, columns.data());
+              ASSERT_TRUE(same_bits(columns, im2col_by_definition(images.data() + n * in_stride, g)))
+                  << "im2col itself, cin=" << in.channels << " " << in.height << "x" << in.width
+                  << " k=" << kernel << " s=" << stride << " p=" << padding << " n=" << n;
+            }
+            for (const ops::SimdLevel level : levels) {
+              SimdLevelScope scope(level);
+              std::vector<float> expected(static_cast<std::size_t>(batch) * out_stride);
+              for (int n = 0; n < batch; ++n) {
+                ops::im2col(images.data() + n * in_stride, g, columns.data());
+                ops::gemm(false, false, out_channels, out_hw, patch, 1.0f, weight.data(), patch,
+                          columns.data(), out_hw, 0.0f, expected.data() + n * out_stride, out_hw);
+              }
+              std::vector<float> actual(expected.size(), 0.0f);
+              ops::conv_gemm_nchw(out_channels, weight.data(), images.data(), batch, g,
+                                  actual.data());
+              EXPECT_TRUE(same_bits(expected, actual))
+                  << ops::simd_level_name(level) << " cin=" << in.channels << " " << in.height
+                  << "x" << in.width << " k=" << kernel << " s=" << stride << " p=" << padding
+                  << " batch=" << batch;
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+// ----- Whole-batch conv forward ---------------------------------------
 
 /// The reference every batched conv forward must reproduce bit for bit:
 /// one batch-1 forward per image, stacked back into [N, ...].
@@ -630,8 +724,8 @@ TEST_P(BatchedParity, WholeBatchFloatIsBitIdenticalToPerImage) {
   const Tensor per_image = per_image_forwards(conv, x);
   const Tensor batched = conv.forward(x, nn::Mode::kEval);
   ASSERT_EQ(per_image.shape(), batched.shape());
-  // Exactly equal, not merely close: the batched GEMM runs each image's
-  // column block through the same k-blocking as the per-image call.
+  // Exactly equal, not merely close: each output element is
+  // accumulated in the same fixed k-order whatever its batch column.
   EXPECT_TRUE(allclose(per_image, batched, 0.0f))
       << "b=" << batch << " s=" << stride << " p=" << padding;
 }
@@ -641,23 +735,14 @@ INSTANTIATE_TEST_SUITE_P(SeededShapes, BatchedParity,
                                             ::testing::Values(1, 2),
                                             ::testing::Values(0, 1, 2)));
 
-TEST(BatchedParity, RuleBatchesOnlyNarrowLayersThatFitTheTile) {
-  // patch 144 x 256 columns = 144 KiB per image: three fit in 512 KiB.
-  EXPECT_EQ(ops::batched_conv_pays(8, 144, 256), 3);
-  EXPECT_EQ(ops::batched_conv_pays(2, 144, 256), 2);
-  EXPECT_EQ(ops::batched_conv_pays(1, 144, 256), 0);   // one image
-  EXPECT_EQ(ops::batched_conv_pays(8, 3, 1024), 0);    // fills an NC block
-  EXPECT_EQ(ops::batched_conv_pays(8, 288, 256), 0);   // one image per tile
-}
-
 TEST(BatchedParity, WholeBatchFloatIsBitIdenticalAcrossTileLayouts) {
   util::Rng rng(83);
   struct Case {
     int in_channels, size;
   };
-  // 16x3x3 patch over 16x16: tiles of 3 images, so a batch of 8 runs
-  // in 3/3/2 chunks. 32x3x3 over 16x16: one image per tile (per-image
-  // loop). 3x3x3 over 32x32: 1024 columns (per-image loop).
+  // 16x3x3 patch over 16x16: 256 columns per image, so NC blocks of
+  // 1024 hold 4 images. 32x3x3 over 16x16: a 288-row patch, two KC
+  // blocks. 3x3x3 over 32x32: 1024 columns, one image per NC block.
   for (const Case c : {Case{16, 16}, Case{32, 16}, Case{3, 32}}) {
     nn::Conv2d conv(c.in_channels, 32, 3, 1, 1, /*bias=*/true, rng);
     const Tensor x = Tensor::normal(Shape{8, c.in_channels, c.size, c.size}, rng);
@@ -682,61 +767,6 @@ TEST(BatchedParity, Int8IsBitIdenticalToPerImageForwards) {
   const Tensor per_image_out = per_image_forwards(conv, x);
   const Tensor batched = conv.forward(x, nn::Mode::kEval);
   EXPECT_TRUE(allclose(per_image_out, batched, 0.0f));
-}
-
-TEST(BatchedParity, Im2colBatchedMatchesPerImageBlocks) {
-  util::Rng rng(107);
-  ops::ConvGeometry g;
-  g.in_channels = 3;
-  g.in_height = 9;
-  g.in_width = 7;
-  g.kernel = 3;
-  g.stride = 2;
-  g.padding = 1;
-  const int batch = 3;
-  const int out_hw = g.out_height() * g.out_width();
-  const int patch = g.patch_size();
-  const std::int64_t image_stride = 3 * 9 * 7;
-  const Tensor images = Tensor::normal(Shape{batch, 3, 9, 7}, rng);
-  std::vector<float> batched(static_cast<std::size_t>(patch) * batch * out_hw);
-  ops::im2col_batched(images.data(), image_stride, batch, g, batched.data());
-  std::vector<float> single(static_cast<std::size_t>(patch) * out_hw);
-  for (int n = 0; n < batch; ++n) {
-    ops::im2col(images.data() + n * image_stride, g, single.data());
-    for (int r = 0; r < patch; ++r) {
-      for (int j = 0; j < out_hw; ++j) {
-        ASSERT_EQ(single[static_cast<std::size_t>(r) * out_hw + j],
-                  batched[static_cast<std::size_t>(r) * batch * out_hw + n * out_hw + j])
-            << "n=" << n << " r=" << r << " j=" << j;
-      }
-    }
-  }
-}
-
-TEST(BatchedParity, GemmBatchedNchwMatchesLoopedGemm) {
-  util::Rng rng(109);
-  const int m = 17, k = 23, batch = 3, cols = 29;
-  const Tensor a = Tensor::normal(Shape{m, k}, rng);
-  const Tensor b = Tensor::normal(Shape{k, batch * cols}, rng);
-  // Per-image C blocks sit one image_stride apart, like NCHW output
-  // planes with extra channels in between.
-  const std::int64_t image_stride = static_cast<std::int64_t>(m) * cols + 11;
-  std::vector<float> expected(static_cast<std::size_t>(batch) * image_stride, -7.0f);
-  std::vector<float> actual = expected;
-  std::vector<float> b_image(static_cast<std::size_t>(k) * cols);
-  for (int n = 0; n < batch; ++n) {
-    for (int r = 0; r < k; ++r) {
-      std::copy_n(b.data() + static_cast<std::size_t>(r) * batch * cols + n * cols, cols,
-                  b_image.data() + static_cast<std::size_t>(r) * cols);
-    }
-    ops::gemm(false, false, m, cols, k, 1.0f, a.data(), k, b_image.data(), cols, 0.0f,
-              expected.data() + n * image_stride, cols);
-  }
-  ops::gemm_batched_nchw(m, k, batch, cols, a.data(), k, b.data(), actual.data(), image_stride,
-                         cols);
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(expected[i], actual[i]) << "i=" << i;  // bit-identical, padding untouched
-  }
 }
 
 TEST(BatchNormFolding, FoldedSequentialMatchesUnfusedPair) {
