@@ -1,7 +1,6 @@
 // Tracked performance baseline of the inference hot path.
 //
-// Times the GEMM-backed kernels against the naive per-pixel loop nests
-// (the MEANET_NAIVE_KERNELS path) on:
+// Times the serving kernels on:
 //   - single-image eval forwards of the edge models,
 //   - batched eval forwards (one implicit GEMM per conv over the whole
 //     batch),
@@ -25,11 +24,11 @@
 // JSON header records the host shape (nproc, SIMD and int8 tiers).
 //
 // Usage: perf_forward [--quick] [--out PATH]
-// Exit status is nonzero when, on any single-image forward, the GEMM
-// path is *slower* than the naive path, the dispatched SIMD kernel is
-// slower than the portable one, the AVX-512 kernel (when active) is
-// slower than the AVX2 one, or (with a vectorized int8 tier) the int8
-// path is slower than float — the CI perf smoke gates.
+// Exit status is nonzero when, on any single-image forward, the
+// dispatched SIMD kernel is slower than the portable one, the AVX-512
+// kernel (when active) is slower than the AVX2 one, or (with a
+// vectorized int8 tier) the int8 path is slower than float — the CI
+// perf smoke gates.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -102,42 +101,29 @@ std::vector<double> interleaved_median_ms(int reps,
 struct Row {
   std::string name;
   double gemm_ms = 0.0;
-  double naive_ms = 0.0;
   double portable_ms = 0.0;  // SIMD dispatch forced to the portable kernel
   double int8_ms = 0.0;      // quantized serving path; 0 = not measured
   double avx2_ms = 0.0;      // AVX2 kernel while AVX-512 is active; 0 = not measured
-  double speedup() const { return gemm_ms > 0.0 ? naive_ms / gemm_ms : 0.0; }
-  double simd_speedup() const { return gemm_ms > 0.0 ? portable_ms / gemm_ms : 0.0; }
   double int8_speedup() const { return int8_ms > 0.0 ? gemm_ms / int8_ms : 0.0; }
 };
 
-/// Runs `fn` under both kernel selections.
+/// Times `fn` on the dispatched kernels.
 template <typename Fn>
 Row measure(const std::string& name, int reps, Fn fn) {
   Row row;
   row.name = name;
-  ops::set_naive_kernels(false);
   row.gemm_ms = median_ms(reps, fn);
-  ops::set_naive_kernels(true);
-  row.naive_ms = median_ms(reps, fn);
-  ops::set_naive_kernels(false);
-  std::printf("  %-38s gemm %9.3f ms   naive %9.3f ms   speedup %5.2fx\n", name.c_str(),
-              row.gemm_ms, row.naive_ms, row.speedup());
+  std::printf("  %-38s gemm %9.3f ms\n", name.c_str(), row.gemm_ms);
   return row;
 }
 
 /// Like measure(), plus the portable-microkernel, int8 and (under AVX-512)
 /// AVX2 tiers — for the model-forward rows where those paths actually
-/// engage. The dispatched tier and its rivals are timed interleaved;
-/// the ~30x slower naive path keeps its own block, so its cache and
-/// branch churn lands on no rival.
+/// engage. The dispatched tier and its rivals are timed interleaved.
 template <typename Fn>
 Row measure_tiers(const std::string& name, int reps, Fn fn) {
   Row row;
   row.name = name;
-  ops::set_naive_kernels(true);
-  row.naive_ms = median_ms(reps, fn);
-  ops::set_naive_kernels(false);
   const ops::SimdLevel level = ops::simd_level();
   const auto at_level = [&](ops::SimdLevel tier) {
     return [&fn, level, tier] {
@@ -161,8 +147,7 @@ Row measure_tiers(const std::string& name, int reps, Fn fn) {
   row.portable_ms = ms[1];
   row.int8_ms = ms[2];
   if (avx2_baseline) row.avx2_ms = ms[3];
-  std::printf("  %-38s gemm %9.3f ms   naive %9.3f ms   speedup %5.2fx\n", name.c_str(),
-              row.gemm_ms, row.naive_ms, row.speedup());
+  std::printf("  %-38s gemm %9.3f ms\n", name.c_str(), row.gemm_ms);
   std::printf("  %-38s portable %5.3f ms  avx2 %5.3f ms  int8 %5.3f ms (%s)  int8 %5.2fx\n", "",
               row.portable_ms, row.avx2_ms, row.int8_ms,
               ops::int8_kernel_name(ops::int8_kernel()), row.int8_speedup());
@@ -206,7 +191,7 @@ int main(int argc, char** argv) {
   const int gated_reps = 21;
   const int e2e_frames = quick ? 48 : 200;
 
-  std::printf("=== perf_forward: GEMM hot path vs naive kernels (%s) ===\n",
+  std::printf("=== perf_forward: serving kernels by tier (%s) ===\n",
               quick ? "quick" : "full");
   std::vector<Row> rows;
   std::vector<Row> gated;  // single-image rows the exit status checks
@@ -318,8 +303,6 @@ int main(int argc, char** argv) {
     diag::Value v = diag::Value::object();
     v.set("name", row.name);
     v.set("gemm_ms", row.gemm_ms);
-    v.set("naive_ms", row.naive_ms);
-    v.set("speedup", row.speedup());
     v.set("portable_ms", row.portable_ms);
     v.set("int8_ms", row.int8_ms);
     v.set("int8_speedup", row.int8_speedup());
@@ -351,14 +334,6 @@ int main(int argc, char** argv) {
 
   bool regressed = false;
   for (const Row& row : gated) {
-    if (row.speedup() < 1.0) {
-      std::fprintf(stderr, "PERF REGRESSION: %s GEMM path (%.3f ms) slower than naive (%.3f ms)\n",
-                   row.name.c_str(), row.gemm_ms, row.naive_ms);
-      regressed = true;
-    } else if (row.speedup() < 3.0) {
-      std::printf("note: %s speedup %.2fx is below the 3x target\n", row.name.c_str(),
-                  row.speedup());
-    }
     // The dispatched microkernel must never lose to the portable one
     // it replaced at startup.
     if (ops::simd_level() != ops::SimdLevel::kPortable && row.portable_ms > 0.0 &&

@@ -17,36 +17,6 @@ Tensor he_normal(Shape shape, int fan_in, util::Rng& rng) {
   return Tensor::normal(std::move(shape), rng, 0.0f, stddev);
 }
 
-/// Reference direct convolution (the MEANET_NAIVE_KERNELS path): one
-/// guarded dot product per output pixel, no im2col, no blocking.
-void naive_conv_forward(const Tensor& input, const ops::ConvGeometry& g, int out_channels,
-                        const float* weight, const float* bias, Tensor& output) {
-  const int batch = input.shape().batch();
-  const int out_h = g.out_height(), out_w = g.out_width();
-  for (int n = 0; n < batch; ++n) {
-    for (int oc = 0; oc < out_channels; ++oc) {
-      const float* w_oc = weight + static_cast<std::int64_t>(oc) * g.patch_size();
-      for (int oh = 0; oh < out_h; ++oh) {
-        for (int ow = 0; ow < out_w; ++ow) {
-          float acc = bias != nullptr ? bias[oc] : 0.0f;
-          for (int ic = 0; ic < g.in_channels; ++ic) {
-            for (int kh = 0; kh < g.kernel; ++kh) {
-              const int ih = oh * g.stride - g.padding + kh;
-              if (ih < 0 || ih >= g.in_height) continue;
-              for (int kw = 0; kw < g.kernel; ++kw) {
-                const int iw = ow * g.stride - g.padding + kw;
-                if (iw < 0 || iw >= g.in_width) continue;
-                acc += w_oc[(ic * g.kernel + kh) * g.kernel + kw] * input.at(n, ic, ih, iw);
-              }
-            }
-          }
-          output.at(n, oc, oh, ow) = acc;
-        }
-      }
-    }
-  }
-}
-
 /// Guarded single-tap accumulation for the depthwise fringe pixels.
 inline float dw_tap_guarded(const float* channel, const float* filt, int kernel, int stride,
                             int padding, int in_h, int in_w, int oh, int ow) {
@@ -67,8 +37,9 @@ inline float dw_tap_guarded(const float* channel, const float* filt, int kernel,
 /// Stride-specialized unrolled 3x3 depthwise channel: interior rows and
 /// columns (no bounds checks possible) run the fully unrolled 9-tap
 /// kernel on three streaming row pointers; the fringe falls back to the
-/// guarded tap. The accumulation order (kh, then kw) matches the naive
-/// loop exactly, so the two paths are bit-identical.
+/// guarded tap. The accumulation order (kh, then kw) matches the
+/// guarded tap's exactly, so the result is bit-identical to the guarded
+/// per-pixel loop the other kernel sizes run.
 template <int kStride>
 void dw_channel_3x3(const float* channel, const float* filt, int padding, int in_h, int in_w,
                     int out_h, int out_w, float* out) {
@@ -158,10 +129,6 @@ Tensor Conv2d::forward_with(const Tensor& input, const float* weight, const floa
   const int out_hw = out_h * out_w;
   const int patch = g.patch_size();
   Tensor output(Shape{batch, out_channels_, out_h, out_w});
-  if (ops::naive_kernels()) {
-    naive_conv_forward(input, g, out_channels_, weight, bias, output);
-    return output;
-  }
   const std::int64_t in_stride = static_cast<std::int64_t>(in_channels_) * g.in_height * g.in_width;
   const std::int64_t out_stride = static_cast<std::int64_t>(out_channels_) * out_hw;
   if (ops::quantized_inference()) {
@@ -309,7 +276,7 @@ Tensor DepthwiseConv2d::forward_with(const Tensor& input, const float* weight,
   // Per-call invariants, hoisted out of the (n, c) loop: the fast-path
   // predicate, the filter size, and the base pointers are identical for
   // every channel of every image.
-  const bool fast = !ops::naive_kernels() && kernel_ == 3 && (stride_ == 1 || stride_ == 2);
+  const bool fast = kernel_ == 3 && (stride_ == 1 || stride_ == 2);
   const int kk = kernel_ * kernel_;
   Tensor output(out_shape);
   const float* in_base = input.data();

@@ -6,9 +6,6 @@
 // forward() delegates to it with the layer's own parameters; the
 // Sequential / block containers delegate to it with BatchNorm-folded
 // weights, which is how a Conv+BN pair collapses to one kernel in eval.
-// Under ops::naive_kernels() both layers fall back to the reference
-// per-pixel loop nests (the parity oracle and the bench comparison
-// column).
 #pragma once
 
 #include "nn/layer.h"

@@ -42,25 +42,4 @@ QuantizationReport quantize_weights(Layer& layer, int bits) {
   return report;
 }
 
-ops::QuantizedWeights quantize_weights_int8(const Tensor& weight, int rows) {
-  if (rows <= 0 || weight.numel() % rows != 0) {
-    throw std::invalid_argument("quantize_weights_int8: rows must divide the element count");
-  }
-  const int cols = static_cast<int>(weight.numel() / rows);
-  return ops::quantize_weights_int8(weight.data(), rows, cols);
-}
-
-Tensor dequantize_int8(const ops::QuantizedWeights& q) {
-  Tensor out(Shape{q.rows, q.cols});
-  for (int r = 0; r < q.rows; ++r) {
-    const std::int8_t* row = q.data.data() + static_cast<std::ptrdiff_t>(r) * q.k_padded;
-    const float scale = q.scale[static_cast<std::size_t>(r)];
-    for (int p = 0; p < q.cols; ++p) {
-      out.data()[static_cast<std::ptrdiff_t>(r) * q.cols + p] =
-          static_cast<float>(row[p]) * scale;
-    }
-  }
-  return out;
-}
-
 }  // namespace meanet::nn

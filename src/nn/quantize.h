@@ -2,25 +2,20 @@
 // hybrid low-precision-edge / full-precision-cloud configuration the
 // paper cites as complementary ([7], [43]).
 //
-// Two flavors:
-//   - quantize_weights(): fake-quantization. Symmetric uniform
-//     quantization per parameter tensor, scale = max|w| /
-//     (2^(bits-1) - 1), w_q = round(w / scale) * scale; weights are
-//     modified in place and inference runs on the rounded values in
-//     float arithmetic. This is the accuracy-measurement tool
-//     (bench/ablation_quantization).
-//   - quantize_weights_int8(): real int8 storage. Per-output-row
-//     symmetric s8 codes + scales + zero-point row sums
-//     (ops::QuantizedWeights, tensor/qgemm.h) — the layout the int8
-//     serving path (EngineConfig::quantized_inference /
-//     ops::QuantizedScope) feeds to the integer GEMM. The layer's
-//     float weights are left untouched.
+// quantize_weights() fake-quantizes: symmetric uniform quantization per
+// parameter tensor, scale = max|w| / (2^(bits-1) - 1),
+// w_q = round(w / scale) * scale; weights are modified in place and
+// inference runs on the rounded values in float arithmetic. This is the
+// accuracy-measurement tool (bench/ablation_quantization). The real
+// int8 serving path (EngineConfig::quantized_inference /
+// ops::QuantizedScope) quantizes per output row inside the conv
+// forward (ops::quantize_weight_rows, tensor/qgemm.h) and leaves the
+// float weights untouched.
 #pragma once
 
 #include <cstdint>
 
 #include "nn/layer.h"
-#include "tensor/qgemm.h"
 
 namespace meanet::nn {
 
@@ -36,15 +31,5 @@ struct QuantizationReport {
 /// Quantizes every parameter of `layer` (recursing through composites)
 /// to `bits` bits. `bits` must be in [2, 16].
 QuantizationReport quantize_weights(Layer& layer, int bits);
-
-/// Real int8 storage of a weight matrix viewed as [rows,
-/// weight.numel() / rows] — per-row symmetric scales, s8 codes
-/// (k-padded for the integer kernel), and zero-point row sums. `rows`
-/// must divide the element count. The source tensor is not modified.
-ops::QuantizedWeights quantize_weights_int8(const Tensor& weight, int rows);
-
-/// The float matrix the int8 codes decode to ([rows, cols], padding
-/// stripped) — for error measurement and the parity tests.
-Tensor dequantize_int8(const ops::QuantizedWeights& q);
 
 }  // namespace meanet::nn

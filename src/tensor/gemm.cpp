@@ -20,9 +20,7 @@
 // in C, so a forward over any split of a batch is bit-identical to the
 // whole (the serving determinism tests rely on this).
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
+#include <cstddef>
 #include <cstring>
 #include <stdexcept>
 
@@ -45,97 +43,6 @@ using detail::kNR;
 constexpr int kKC = 256;
 constexpr int kMC = 128;
 constexpr int kNC = 1024;
-
-/// MEANET_NAIVE_KERNELS, parsed strictly: unset, empty or "0" is off,
-/// "1" is on, anything else warns on stderr and stays off.
-bool env_naive_kernels() {
-  const char* value = std::getenv("MEANET_NAIVE_KERNELS");
-  if (value == nullptr || value[0] == '\0' || std::strcmp(value, "0") == 0) return false;
-  if (std::strcmp(value, "1") == 0) return true;
-  std::fprintf(stderr, "meanet: MEANET_NAIVE_KERNELS=\"%s\" is not 0 or 1; leaving it off\n",
-               value);
-  return false;
-}
-
-std::atomic<bool> g_naive_kernels{env_naive_kernels()};
-
-// ----- Reference kernels (the MEANET_NAIVE_KERNELS comparison path) ----
-
-void naive_nn(int m, int n, int k, float alpha, const float* a, int lda, const float* b, int ldb,
-              float* c, int ldc) {
-  for (int i = 0; i < m; ++i) {
-    float* c_row = c + static_cast<std::ptrdiff_t>(i) * ldc;
-    const float* a_row = a + static_cast<std::ptrdiff_t>(i) * lda;
-    for (int p = 0; p < k; ++p) {
-      const float a_ip = alpha * a_row[p];
-      if (a_ip == 0.0f) continue;
-      const float* b_row = b + static_cast<std::ptrdiff_t>(p) * ldb;
-      for (int j = 0; j < n; ++j) {
-        c_row[j] += a_ip * b_row[j];
-      }
-    }
-  }
-}
-
-void naive_tn(int m, int n, int k, float alpha, const float* a, int lda, const float* b, int ldb,
-              float* c, int ldc) {
-  // A is stored [k, m]; op(A)[i,p] = A[p,i].
-  for (int p = 0; p < k; ++p) {
-    const float* a_row = a + static_cast<std::ptrdiff_t>(p) * lda;
-    const float* b_row = b + static_cast<std::ptrdiff_t>(p) * ldb;
-    for (int i = 0; i < m; ++i) {
-      const float a_ip = alpha * a_row[i];
-      if (a_ip == 0.0f) continue;
-      float* c_row = c + static_cast<std::ptrdiff_t>(i) * ldc;
-      for (int j = 0; j < n; ++j) {
-        c_row[j] += a_ip * b_row[j];
-      }
-    }
-  }
-}
-
-void naive_nt(int m, int n, int k, float alpha, const float* a, int lda, const float* b, int ldb,
-              float* c, int ldc) {
-  // B is stored [n, k]; op(B)[p,j] = B[j,p]. Dot-product formulation.
-  for (int i = 0; i < m; ++i) {
-    const float* a_row = a + static_cast<std::ptrdiff_t>(i) * lda;
-    float* c_row = c + static_cast<std::ptrdiff_t>(i) * ldc;
-    for (int j = 0; j < n; ++j) {
-      const float* b_row = b + static_cast<std::ptrdiff_t>(j) * ldb;
-      float acc = 0.0f;
-      for (int p = 0; p < k; ++p) acc += a_row[p] * b_row[p];
-      c_row[j] += alpha * acc;
-    }
-  }
-}
-
-void naive_tt(int m, int n, int k, float alpha, const float* a, int lda, const float* b, int ldb,
-              float* c, int ldc) {
-  for (int i = 0; i < m; ++i) {
-    float* c_row = c + static_cast<std::ptrdiff_t>(i) * ldc;
-    for (int j = 0; j < n; ++j) {
-      float acc = 0.0f;
-      for (int p = 0; p < k; ++p) {
-        acc += a[static_cast<std::ptrdiff_t>(p) * lda + i] *
-               b[static_cast<std::ptrdiff_t>(j) * ldb + p];
-      }
-      c_row[j] += alpha * acc;
-    }
-  }
-}
-
-void naive_gemm(bool transpose_a, bool transpose_b, int m, int n, int k, float alpha,
-                const float* a, int lda, const float* b, int ldb, float* c, int ldc) {
-  if (!transpose_a && !transpose_b) {
-    naive_nn(m, n, k, alpha, a, lda, b, ldb, c, ldc);
-  } else if (transpose_a && !transpose_b) {
-    naive_tn(m, n, k, alpha, a, lda, b, ldb, c, ldc);
-  } else if (!transpose_a && transpose_b) {
-    naive_nt(m, n, k, alpha, a, lda, b, ldb, c, ldc);
-  } else {
-    naive_tt(m, n, k, alpha, a, lda, b, ldb, c, ldc);
-  }
-}
 
 // ----- Packing --------------------------------------------------------
 
@@ -338,10 +245,6 @@ void run_blocked(const GemmJob& job) {
 
 }  // namespace
 
-bool naive_kernels() { return g_naive_kernels.load(std::memory_order_relaxed); }
-
-void set_naive_kernels(bool naive) { g_naive_kernels.store(naive, std::memory_order_relaxed); }
-
 int gemm_threads() { return 1; }
 
 void gemm(bool transpose_a, bool transpose_b, int m, int n, int k, float alpha, const float* a,
@@ -359,11 +262,6 @@ void gemm(bool transpose_a, bool transpose_b, int m, int n, int k, float alpha, 
     }
   }
   if (m == 0 || n == 0 || k == 0 || alpha == 0.0f) return;
-
-  if (naive_kernels()) {
-    naive_gemm(transpose_a, transpose_b, m, n, k, alpha, a, lda, b, ldb, c, ldc);
-    return;
-  }
 
   GemmJob job;
   job.transpose_a = transpose_a;

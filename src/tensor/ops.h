@@ -12,11 +12,9 @@
 // and AVX-512 tiers). Backward passes use the transposed variants. The
 // int8 quantized serving path lives in tensor/qgemm.h.
 //
-// The pre-GEMM reference kernels (simple triple loops, per-pixel direct
-// convolution) stay available behind the runtime naive-kernels flag —
-// set MEANET_NAIVE_KERNELS=1 in the environment or call
-// set_naive_kernels(true). They are the parity oracle for the tests and
-// the comparison column in bench/perf_forward.
+// There is one implementation of each kernel. The parity tests check
+// them against plain loop-nest references of their own
+// (tests/reference_kernels.h).
 #pragma once
 
 #include <cstddef>
@@ -26,16 +24,6 @@
 #include "tensor/tensor.h"
 
 namespace meanet::ops {
-
-// ----- Kernel selection ------------------------------------------------
-
-/// True while the reference (naive) kernels serve gemm() and the conv
-/// forwards. Initialized from MEANET_NAIVE_KERNELS: "1" turns it on;
-/// unset, empty or "0" leaves it off; any other value warns on stderr
-/// and leaves it off. Toggled at runtime by the parity tests and
-/// benches.
-bool naive_kernels();
-void set_naive_kernels(bool naive);
 
 /// Always 1: the GEMM runs on its calling thread.
 int gemm_threads();

@@ -212,21 +212,6 @@ void quantize_activations_u8(const float* x, std::size_t n, float scale, std::ui
   }
 }
 
-QuantizedWeights quantize_weights_int8(const float* w, int rows, int cols) {
-  if (rows < 0 || cols < 0) throw std::invalid_argument("quantize_weights_int8: negative shape");
-  QuantizedWeights q;
-  q.rows = rows;
-  q.cols = cols;
-  q.k_padded = quantized_k_padded(cols);
-  q.data.resize(static_cast<std::size_t>(rows) * q.k_padded);
-  q.scale.resize(static_cast<std::size_t>(rows));
-  q.row_sum.resize(static_cast<std::size_t>(rows));
-  if (rows > 0 && cols > 0) {
-    quantize_weight_rows(w, rows, cols, q.data.data(), q.scale.data(), q.row_sum.data());
-  }
-  return q;
-}
-
 void qgemm_u8s8(int rows, int n, int k, int k_padded, const std::int8_t* wq, const float* scales,
                 const std::int32_t* row_sums, const std::uint8_t* act, float a_scale,
                 const float* bias, float* c, int ldc) {

@@ -29,7 +29,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace meanet::ops {
 
@@ -78,20 +77,6 @@ float activation_scale(const float* x, std::size_t n);
 /// xq = clamp(round(x / scale) + 128, 0, 255); scale == 0 writes the
 /// zero point everywhere.
 void quantize_activations_u8(const float* x, std::size_t n, float scale, std::uint8_t* out);
-
-/// Owning int8 weight storage — the "real quantized weights" API
-/// nn/quantize builds on (the hot path uses the workspace-backed
-/// quantize_weight_rows instead).
-struct QuantizedWeights {
-  int rows = 0;
-  int cols = 0;
-  int k_padded = 0;
-  std::vector<std::int8_t> data;      // [rows, k_padded]
-  std::vector<float> scale;           // [rows]
-  std::vector<std::int32_t> row_sum;  // [rows]
-};
-
-QuantizedWeights quantize_weights_int8(const float* w, int rows, int cols);
 
 // ----- Kernel ----------------------------------------------------------
 

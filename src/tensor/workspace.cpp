@@ -16,10 +16,6 @@ unsigned char* Workspace::byte_buffer(ByteSlot slot, std::size_t bytes) {
   return b.data();
 }
 
-std::size_t Workspace::capacity(Slot slot) const {
-  return static_cast<std::size_t>(buffers_[static_cast<std::size_t>(slot)].numel());
-}
-
 Workspace& Workspace::tls() {
   thread_local Workspace workspace;
   return workspace;

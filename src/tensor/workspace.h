@@ -55,9 +55,6 @@ class Workspace {
   /// as buffer().
   unsigned char* byte_buffer(ByteSlot slot, std::size_t bytes);
 
-  /// Elements currently held by `slot` (capacity, not a fill level).
-  std::size_t capacity(Slot slot) const;
-
   /// The calling thread's workspace.
   static Workspace& tls();
 

@@ -1,10 +1,11 @@
 // Parity and concurrency guarantees of the GEMM-backed inference hot
 // path:
-//  - the blocked, packed GEMM matches the naive reference loops across
-//    seeded shapes and all four transpose cases;
-//  - Conv2d / DepthwiseConv2d forwards match the naive per-pixel loop
-//    nests (MEANET_NAIVE_KERNELS path) within 1e-5 across odd sizes,
-//    stride 2, padding, and batch > 1;
+//  - the blocked, packed GEMM matches the reference GEMM
+//    (reference_kernels.h) across seeded shapes and all four transpose
+//    cases;
+//  - Conv2d / DepthwiseConv2d forwards match the reference direct
+//    convolutions within 1e-5 across odd sizes, stride 2, padding, and
+//    batch > 1;
 //  - eval-mode Conv+BN folding matches the unfused pair;
 //  - eval-mode forwards are cache-free (activation_cache_elems == 0)
 //    and thread-safe: four workers share ONE net and reproduce the
@@ -25,8 +26,7 @@
 //    one batch-1 forward per image;
 //  - the persistent GemmPool serves jobs of changing width, and a throw
 //    in any of its slots reaches the caller only after every slot has
-//    finished, and the pool keeps working;
-//  - MEANET_NAIVE_KERNELS is parsed strictly (only "1" turns it on).
+//    finished, and the pool keeps working.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,7 +34,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -46,31 +45,22 @@
 #include "nn/conv2d.h"
 #include "nn/fuse.h"
 #include "nn/loss.h"
-#include "nn/quantize.h"
 #include "nn/sequential.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
 #include "tensor/qgemm.h"
 #include "tensor/simd.h"
+#include "reference_kernels.h"
 #include "tiny_models.h"
 
 namespace meanet {
 namespace {
 
+using meanet::testing::reference_conv;
+using meanet::testing::reference_depthwise;
+using meanet::testing::reference_gemm;
+using meanet::testing::reference_matmul;
 using meanet::testing::tiny_meanet_b;
-
-/// Runs `fn` once with the naive kernels and once with the optimized
-/// ones, restoring the previous selection afterwards.
-template <typename Fn>
-std::pair<Tensor, Tensor> both_kernel_paths(Fn fn) {
-  const bool before = ops::naive_kernels();
-  ops::set_naive_kernels(true);
-  Tensor naive = fn();
-  ops::set_naive_kernels(false);
-  Tensor fast = fn();
-  ops::set_naive_kernels(before);
-  return {std::move(naive), std::move(fast)};
-}
 
 TEST(GemmParity, BlockedMatchesNaiveAcrossShapesAndTransposes) {
   util::Rng rng(7);
@@ -85,12 +75,13 @@ TEST(GemmParity, BlockedMatchesNaiveAcrossShapesAndTransposes) {
     const Tensor bt = Tensor::normal(Shape{n, k}, rng);
     for (int ta = 0; ta < 2; ++ta) {
       for (int tb = 0; tb < 2; ++tb) {
-        auto [naive, fast] = both_kernel_paths([&] {
-          return ops::matmul(ta ? at : a, tb ? bt : b, ta != 0, tb != 0);
-        });
-        ASSERT_EQ(naive.shape(), fast.shape());
-        for (std::int64_t i = 0; i < naive.numel(); ++i) {
-          ASSERT_NEAR(naive[i], fast[i], 1e-4f * std::max(1.0f, std::fabs(naive[i])))
+        const Tensor& a_stored = ta ? at : a;
+        const Tensor& b_stored = tb ? bt : b;
+        const Tensor expected = reference_matmul(a_stored, b_stored, ta != 0, tb != 0);
+        const Tensor fast = ops::matmul(a_stored, b_stored, ta != 0, tb != 0);
+        ASSERT_EQ(expected.shape(), fast.shape());
+        for (std::int64_t i = 0; i < expected.numel(); ++i) {
+          ASSERT_NEAR(expected[i], fast[i], 1e-4f * std::max(1.0f, std::fabs(expected[i])))
               << "m=" << m << " n=" << n << " k=" << k << " ta=" << ta << " tb=" << tb
               << " i=" << i;
         }
@@ -105,23 +96,14 @@ TEST(GemmParity, AlphaBetaAccumulationMatches) {
   const Tensor a = Tensor::normal(Shape{m, k}, rng);
   const Tensor b = Tensor::normal(Shape{k, n}, rng);
   const Tensor c0 = Tensor::normal(Shape{m, n}, rng);
-  auto run = [&] {
-    Tensor c = c0;
-    ops::gemm(false, false, m, n, k, 0.5f, a.data(), k, b.data(), n, 2.0f, c.data(), n);
-    return c;
-  };
-  auto [naive, fast] = both_kernel_paths(run);
-  for (std::int64_t i = 0; i < naive.numel(); ++i) {
-    ASSERT_NEAR(naive[i], fast[i], 1e-4f * std::max(1.0f, std::fabs(naive[i])));
+  Tensor expected = c0;
+  reference_gemm(false, false, m, n, k, 0.5f, a.data(), k, b.data(), n, 2.0f, expected.data(),
+                 n);
+  Tensor fast = c0;
+  ops::gemm(false, false, m, n, k, 0.5f, a.data(), k, b.data(), n, 2.0f, fast.data(), n);
+  for (std::int64_t i = 0; i < expected.numel(); ++i) {
+    ASSERT_NEAR(expected[i], fast[i], 1e-4f * std::max(1.0f, std::fabs(expected[i])));
   }
-}
-
-TEST(KernelEnv, NaiveKernelsFollowTheVariableStrictly) {
-  // tests/CMakeLists.txt also runs this with MEANET_NAIVE_KERNELS=false:
-  // only "1" may switch the ~13x slower reference kernels on.
-  const char* value = std::getenv("MEANET_NAIVE_KERNELS");
-  EXPECT_EQ(ops::naive_kernels(), value != nullptr && std::strcmp(value, "1") == 0)
-      << "MEANET_NAIVE_KERNELS=" << (value != nullptr ? value : "(unset)");
 }
 
 TEST(GemmParity, PersistentPoolSurvivesRepeatedWidthChanges) {
@@ -387,23 +369,61 @@ TEST(SimdParity, Avx512IsBitIdenticalToAvx2) {
   });
 }
 
+/// Test-owned int8 weight storage in the layout quantize_weight_rows
+/// writes and qgemm_u8s8 reads: s8 codes [rows, k_padded] with
+/// zero-padded tails, per-row scales and per-row code sums.
+struct Int8Weights {
+  int k_padded = 0;
+  std::vector<std::int8_t> codes;
+  std::vector<float> scales;
+  std::vector<std::int32_t> row_sums;
+};
+
+/// Quantizes w [rows, cols] per row into buffers pre-filled with junk,
+/// so every code, tail, scale and sum must be written, not inherited.
+Int8Weights quantize_rows(const Tensor& w) {
+  const int rows = w.shape().dim(0);
+  const int cols = w.shape().dim(1);
+  Int8Weights q;
+  q.k_padded = ops::quantized_k_padded(cols);
+  q.codes.assign(static_cast<std::size_t>(rows) * q.k_padded, 7);
+  q.scales.assign(static_cast<std::size_t>(rows), -1.0f);
+  q.row_sums.assign(static_cast<std::size_t>(rows), -1);
+  ops::quantize_weight_rows(w.data(), rows, cols, q.codes.data(), q.scales.data(),
+                            q.row_sums.data());
+  return q;
+}
+
 TEST(QuantizedParity, DequantizedWeightsRoundTripWithinHalfStep) {
   util::Rng rng(53);
   const int rows = 5, cols = 19;
   const Tensor w = Tensor::normal(Shape{rows, cols}, rng);
-  const ops::QuantizedWeights q = nn::quantize_weights_int8(w, rows);
-  EXPECT_EQ(q.rows, rows);
-  EXPECT_EQ(q.cols, cols);
-  EXPECT_EQ(q.k_padded, ops::quantized_k_padded(cols));
-  const Tensor decoded = nn::dequantize_int8(q);
-  ASSERT_EQ(decoded.shape(), (Shape{rows, cols}));
+  const Int8Weights q = quantize_rows(w);
+  EXPECT_EQ(q.k_padded, 20);  // 19 rounded up to the 4-wide k group
+  ASSERT_EQ(q.codes.size(), static_cast<std::size_t>(rows) * q.k_padded);
+  ASSERT_EQ(q.scales.size(), static_cast<std::size_t>(rows));
+  Tensor decoded(Shape{rows, cols});
+  for (int r = 0; r < rows; ++r) {
+    const std::int8_t* codes = q.codes.data() + static_cast<std::ptrdiff_t>(r) * q.k_padded;
+    std::int32_t sum = 0;
+    for (int c = 0; c < q.k_padded; ++c) {
+      sum += codes[c];
+      if (c >= cols) {
+        EXPECT_EQ(codes[c], 0) << "padding r=" << r << " c=" << c;
+      } else {
+        decoded[static_cast<std::int64_t>(r) * cols + c] =
+            static_cast<float>(codes[c]) * q.scales[static_cast<std::size_t>(r)];
+      }
+    }
+    EXPECT_EQ(q.row_sums[static_cast<std::size_t>(r)], sum) << "r=" << r;
+  }
   for (int r = 0; r < rows; ++r) {
     // Symmetric rounding quantization: every element is within half a
     // step of its code, and the row max hits a code exactly.
+    const float step = q.scales[static_cast<std::size_t>(r)];
     for (int c = 0; c < cols; ++c) {
       const std::int64_t i = static_cast<std::int64_t>(r) * cols + c;
-      EXPECT_LE(std::fabs(decoded[i] - w[i]), 0.5f * q.scale[static_cast<std::size_t>(r)] + 1e-7f)
-          << "r=" << r << " c=" << c;
+      EXPECT_LE(std::fabs(decoded[i] - w[i]), 0.5f * step + 1e-7f) << "r=" << r << " c=" << c;
     }
   }
 }
@@ -413,12 +433,12 @@ Tensor run_qgemm(const Tensor& w, const Tensor& x, const Tensor& bias) {
   const int rows = w.shape().dim(0);
   const int k = w.shape().dim(1);
   const int n = x.shape().dim(1);
-  const ops::QuantizedWeights q = ops::quantize_weights_int8(w.data(), rows, k);
+  const Int8Weights q = quantize_rows(w);
   const float a_scale = ops::activation_scale(x.data(), static_cast<std::size_t>(x.numel()));
   std::vector<std::uint8_t> act(static_cast<std::size_t>(x.numel()));
   ops::quantize_activations_u8(x.data(), act.size(), a_scale, act.data());
   Tensor c(Shape{rows, n});
-  ops::qgemm_u8s8(rows, n, k, q.k_padded, q.data.data(), q.scale.data(), q.row_sum.data(),
+  ops::qgemm_u8s8(rows, n, k, q.k_padded, q.codes.data(), q.scales.data(), q.row_sums.data(),
                   act.data(), a_scale, bias.data(), c.data(), n);
   return c;
 }
@@ -555,9 +575,11 @@ TEST_P(ConvParity, GemmPathMatchesNaiveLoopNest) {
   const int size = 9;  // odd, so strides hit ragged edges
   if (conv.output_shape(Shape{1, in_c, size, size}).height() <= 0) GTEST_SKIP();
   const Tensor x = Tensor::normal(Shape{batch, in_c, size, size}, rng);
-  auto [naive, fast] = both_kernel_paths([&] { return conv.forward(x, nn::Mode::kEval); });
-  ASSERT_EQ(naive.shape(), fast.shape());
-  EXPECT_TRUE(allclose(naive, fast, 1e-5f))
+  const Tensor expected = reference_conv(x, conv.weight().value.data(),
+                                         conv.bias().value.data(), out_c, kernel, stride, padding);
+  const Tensor fast = conv.forward(x, nn::Mode::kEval);
+  ASSERT_EQ(expected.shape(), fast.shape());
+  EXPECT_TRUE(allclose(expected, fast, 1e-5f))
       << "b=" << batch << " in=" << in_c << " out=" << out_c << " k=" << kernel
       << " s=" << stride << " p=" << padding;
 }
@@ -577,9 +599,18 @@ TEST_P(DepthwiseParity, SpecializedPathMatchesNaiveLoopNest) {
   const int size = 11;
   if (dw.output_shape(Shape{1, channels, size, size}).height() <= 0) GTEST_SKIP();
   const Tensor x = Tensor::normal(Shape{2, channels, size, size}, rng);
-  auto [naive, fast] = both_kernel_paths([&] { return dw.forward(x, nn::Mode::kEval); });
-  EXPECT_TRUE(allclose(naive, fast, 1e-5f))
+  const Tensor expected =
+      reference_depthwise(x, dw.weight().value.data(), nullptr, kernel, stride, padding);
+  const Tensor fast = dw.forward(x, nn::Mode::kEval);
+  ASSERT_EQ(expected.shape(), fast.shape());
+  EXPECT_TRUE(allclose(expected, fast, 1e-5f))
       << "c=" << channels << " k=" << kernel << " s=" << stride << " p=" << padding;
+  // The bias a folded BatchNorm supplies lands after the taps.
+  const Tensor bias = Tensor::normal(Shape{channels}, rng);
+  EXPECT_TRUE(allclose(
+      reference_depthwise(x, dw.weight().value.data(), bias.data(), kernel, stride, padding),
+      dw.forward_with(x, dw.weight().value.data(), bias.data()), 1e-5f))
+      << "with bias: c=" << channels << " k=" << kernel << " s=" << stride << " p=" << padding;
 }
 
 INSTANTIATE_TEST_SUITE_P(SeededShapes, DepthwiseParity,
@@ -594,14 +625,16 @@ TEST(DepthwiseParity, NarrowerThanKernelInputsStayInBounds) {
   for (const int stride : {1, 2}) {
     nn::DepthwiseConv2d dw(1, 3, stride, /*padding=*/1, rng);
     const Tensor x = Tensor::normal(Shape{1, 1, 3, 2}, rng);  // 2-wide rows
-    auto [naive, fast] = both_kernel_paths([&] { return dw.forward(x, nn::Mode::kEval); });
-    EXPECT_TRUE(allclose(naive, fast, 1e-6f)) << "stride=" << stride;
+    const Tensor expected =
+        reference_depthwise(x, dw.weight().value.data(), nullptr, 3, stride, 1);
+    EXPECT_TRUE(allclose(expected, dw.forward(x, nn::Mode::kEval), 1e-6f))
+        << "stride=" << stride;
   }
   // The unpadded stride-2 case that originally read past the row.
   nn::DepthwiseConv2d dw(1, 3, 2, /*padding=*/0, rng);
   const Tensor x = Tensor::normal(Shape{1, 1, 3, 2}, rng);
-  auto [naive, fast] = both_kernel_paths([&] { return dw.forward(x, nn::Mode::kEval); });
-  EXPECT_TRUE(allclose(naive, fast, 1e-6f));
+  const Tensor expected = reference_depthwise(x, dw.weight().value.data(), nullptr, 3, 2, 0);
+  EXPECT_TRUE(allclose(expected, dw.forward(x, nn::Mode::kEval), 1e-6f));
 }
 
 // ----- Implicit-GEMM conv (ops::conv_gemm_nchw) -----------------------

@@ -4,23 +4,11 @@
 
 #include <cmath>
 
+#include "reference_kernels.h"
 #include "util/rng.h"
 
 namespace meanet::ops {
 namespace {
-
-Tensor naive_matmul(const Tensor& a, const Tensor& b) {
-  const int m = a.shape().dim(0), k = a.shape().dim(1), n = b.shape().dim(1);
-  Tensor c(Shape{m, n});
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      float acc = 0.0f;
-      for (int p = 0; p < k; ++p) acc += a.at(i, p) * b.at(p, j);
-      c.at(i, j) = acc;
-    }
-  }
-  return c;
-}
 
 Tensor transpose2d(const Tensor& t) {
   const int r = t.shape().dim(0), c = t.shape().dim(1);
@@ -41,7 +29,7 @@ TEST_P(GemmTransposeTest, MatchesNaiveReference) {
   const Tensor b_logical = Tensor::normal(Shape{k, n}, rng);
   const Tensor a_stored = ta ? transpose2d(a_logical) : a_logical;
   const Tensor b_stored = tb ? transpose2d(b_logical) : b_logical;
-  const Tensor expected = naive_matmul(a_logical, b_logical);
+  const Tensor expected = meanet::testing::reference_matmul(a_logical, b_logical);
   const Tensor got = matmul(a_stored, b_stored, ta, tb);
   EXPECT_TRUE(allclose(expected, got, 1e-4f));
 }

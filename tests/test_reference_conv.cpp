@@ -1,8 +1,8 @@
-// Cross-validation of the im2col+GEMM convolution against an
-// independent naive direct convolution, and full-model serialization
-// round trips for both MEANet families. These catch classes of bugs the
-// finite-difference checks cannot (e.g. a transposed-but-consistent
-// weight layout).
+// Cross-validation of the implicit-GEMM convolution against the
+// reference direct convolution (reference_kernels.h), and full-model
+// serialization round trips for both MEANet families. These catch
+// classes of bugs the finite-difference checks cannot (e.g. a
+// transposed-but-consistent weight layout).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,47 +10,11 @@
 #include "core/builders.h"
 #include "nn/conv2d.h"
 #include "nn/serialize.h"
+#include "reference_kernels.h"
 #include "tiny_models.h"
 
 namespace meanet::nn {
 namespace {
-
-/// Direct convolution: out(n,oc,oh,ow) = sum_ic,kh,kw W(oc,ic,kh,kw) *
-/// in(n,ic,oh*s-p+kh,ow*s-p+kw) + b(oc).
-Tensor naive_conv(const Tensor& input, const Tensor& weight, const Tensor& bias, bool has_bias,
-                  int out_channels, int kernel, int stride, int padding) {
-  const int batch = input.shape().batch();
-  const int in_c = input.shape().channels();
-  const int in_h = input.shape().height(), in_w = input.shape().width();
-  const int out_h = (in_h + 2 * padding - kernel) / stride + 1;
-  const int out_w = (in_w + 2 * padding - kernel) / stride + 1;
-  Tensor out(Shape{batch, out_channels, out_h, out_w});
-  for (int n = 0; n < batch; ++n) {
-    for (int oc = 0; oc < out_channels; ++oc) {
-      for (int oh = 0; oh < out_h; ++oh) {
-        for (int ow = 0; ow < out_w; ++ow) {
-          float acc = has_bias ? bias[oc] : 0.0f;
-          for (int ic = 0; ic < in_c; ++ic) {
-            for (int kh = 0; kh < kernel; ++kh) {
-              for (int kw = 0; kw < kernel; ++kw) {
-                const int ih = oh * stride - padding + kh;
-                const int iw = ow * stride - padding + kw;
-                if (ih < 0 || ih >= in_h || iw < 0 || iw >= in_w) continue;
-                // Weight layout: [out_c, in_c * k * k] row-major.
-                const float w =
-                    weight[(static_cast<std::int64_t>(oc) * in_c + ic) * kernel * kernel +
-                           kh * kernel + kw];
-                acc += w * input.at(n, ic, ih, iw);
-              }
-            }
-          }
-          out.at(n, oc, oh, ow) = acc;
-        }
-      }
-    }
-  }
-  return out;
-}
 
 class ConvCrossCheck
     : public ::testing::TestWithParam<std::tuple<int, int, int, int, int, bool>> {};
@@ -64,8 +28,10 @@ TEST_P(ConvCrossCheck, Im2colMatchesNaiveConvolution) {
   if (conv.output_shape(Shape{1, in_c, size, size}).height() <= 0) GTEST_SKIP();
   const Tensor x = Tensor::normal(Shape{2, in_c, size, size}, rng);
   const Tensor fast = conv.forward(x, Mode::kEval);
-  const Tensor reference = naive_conv(x, conv.weight().value, conv.bias().value, bias, out_c,
-                                      kernel, stride, padding);
+  const Tensor reference =
+      meanet::testing::reference_conv(x, conv.weight().value.data(),
+                                      bias ? conv.bias().value.data() : nullptr, out_c, kernel,
+                                      stride, padding);
   EXPECT_TRUE(allclose(fast, reference, 1e-4f))
       << "in_c=" << in_c << " out_c=" << out_c << " k=" << kernel << " s=" << stride
       << " p=" << padding;
