@@ -21,14 +21,20 @@
 // The batch sweep times each model at batch 1 / 8 / 32, float and
 // int8 (a float conv is one implicit GEMM over the batch,
 // ops::conv_gemm_nchw; int8 runs per image), reporting imgs/s. The
-// JSON header records the host shape (nproc, SIMD and int8 tiers).
+// training rows time one Alg. 1 main-block step per model at batch 32:
+// a train-mode forward_main, then backward_main of its cross-entropy
+// gradient. The JSON header records the host shape (nproc, SIMD and
+// int8 tiers).
 //
 // Usage: perf_forward [--quick] [--out PATH]
 // Exit status is nonzero when, on any single-image forward, the
 // dispatched SIMD kernel is slower than the portable one, the AVX-512
 // kernel (when active) is slower than the AVX2 one, or (with a
 // vectorized int8 tier) the int8 path is slower than float — the CI
-// perf smoke gates.
+// perf smoke gates. "Slower" means the fast side's median exceeds its
+// fallback's by more than the larger of the two sides' interquartile
+// ranges, both timed interleaved in one loop: a smaller gap is within
+// what the host's noise moves a median.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -41,6 +47,7 @@
 
 #include "common.h"
 #include "diag/value.h"
+#include "nn/loss.h"
 #include "runtime/session.h"
 #include "tensor/ops.h"
 #include "tensor/qgemm.h"
@@ -71,15 +78,21 @@ double median_ms(int reps, Fn fn) {
   return samples[samples.size() / 2];
 }
 
-/// Interleaved medians of several alternatives: each rep times every
+/// Median and interquartile range of one alternative's samples.
+struct Timing {
+  double median_ms = 0.0;
+  double iqr_ms = 0.0;
+};
+
+/// Interleaved timings of several alternatives: each rep times every
 /// alternative once, back to back, so a thermal throttle or
 /// noisy-neighbor window lands on all of them instead of skewing
 /// whichever happened to own that slice of wall clock. Odd reps run the
 /// alternatives in reverse, so none always follows the same neighbour.
-/// The exit gates judge ratios between alternatives, which interleaving
-/// stabilizes far better than extra serialized reps would.
-std::vector<double> interleaved_median_ms(int reps,
-                                          const std::vector<std::function<void()>>& fns) {
+/// The exit gates judge gaps between alternatives against their
+/// spread, which interleaving stabilizes far better than extra
+/// serialized reps would.
+std::vector<Timing> interleaved_timings(int reps, const std::vector<std::function<void()>>& fns) {
   for (const auto& fn : fns) fn();  // warm caches, scratch buffers, branch predictors
   std::vector<std::vector<double>> samples(fns.size());
   for (int i = 0; i < reps; ++i) {
@@ -90,21 +103,30 @@ std::vector<double> interleaved_median_ms(int reps,
       samples[f].push_back((now_s() - start) * 1e3);
     }
   }
-  std::vector<double> medians;
+  std::vector<Timing> timings;
   for (std::vector<double>& s : samples) {
     std::sort(s.begin(), s.end());
-    medians.push_back(s[s.size() / 2]);
+    const std::size_t n = s.size();
+    timings.push_back({s[n / 2], s[(3 * n) / 4] - s[n / 4]});
   }
-  return medians;
+  return timings;
+}
+
+/// True when `fast` is slower than `fallback` by more than the larger
+/// of their interquartile ranges.
+bool slower_beyond_noise(const Timing& fast, const Timing& fallback) {
+  return fast.median_ms - fallback.median_ms > std::max(fast.iqr_ms, fallback.iqr_ms);
 }
 
 struct Row {
   std::string name;
-  double gemm_ms = 0.0;
-  double portable_ms = 0.0;  // SIMD dispatch forced to the portable kernel
-  double int8_ms = 0.0;      // quantized serving path; 0 = not measured
-  double avx2_ms = 0.0;      // AVX2 kernel while AVX-512 is active; 0 = not measured
-  double int8_speedup() const { return int8_ms > 0.0 ? gemm_ms / int8_ms : 0.0; }
+  Timing gemm;
+  Timing portable;  // SIMD dispatch forced to the portable kernel
+  Timing int8;      // quantized serving path; 0 = not measured
+  Timing avx2;      // AVX2 kernel while AVX-512 is active; 0 = not measured
+  double int8_speedup() const {
+    return int8.median_ms > 0.0 ? gemm.median_ms / int8.median_ms : 0.0;
+  }
 };
 
 /// Times `fn` on the dispatched kernels.
@@ -112,8 +134,8 @@ template <typename Fn>
 Row measure(const std::string& name, int reps, Fn fn) {
   Row row;
   row.name = name;
-  row.gemm_ms = median_ms(reps, fn);
-  std::printf("  %-38s gemm %9.3f ms\n", name.c_str(), row.gemm_ms);
+  row.gemm.median_ms = median_ms(reps, fn);
+  std::printf("  %-38s gemm %9.3f ms\n", name.c_str(), row.gemm.median_ms);
   return row;
 }
 
@@ -142,14 +164,14 @@ Row measure_tiers(const std::string& name, int reps, Fn fn) {
   };
   const bool avx2_baseline = level == ops::SimdLevel::kAvx512;
   if (avx2_baseline) variants.push_back(at_level(ops::SimdLevel::kAvx2));
-  const std::vector<double> ms = interleaved_median_ms(reps, variants);
-  row.gemm_ms = ms[0];
-  row.portable_ms = ms[1];
-  row.int8_ms = ms[2];
-  if (avx2_baseline) row.avx2_ms = ms[3];
-  std::printf("  %-38s gemm %9.3f ms\n", name.c_str(), row.gemm_ms);
+  const std::vector<Timing> timings = interleaved_timings(reps, variants);
+  row.gemm = timings[0];
+  row.portable = timings[1];
+  row.int8 = timings[2];
+  if (avx2_baseline) row.avx2 = timings[3];
+  std::printf("  %-38s gemm %9.3f ms\n", name.c_str(), row.gemm.median_ms);
   std::printf("  %-38s portable %5.3f ms  avx2 %5.3f ms  int8 %5.3f ms (%s)  int8 %5.2fx\n", "",
-              row.portable_ms, row.avx2_ms, row.int8_ms,
+              row.portable.median_ms, row.avx2.median_ms, row.int8.median_ms,
               ops::int8_kernel_name(ops::int8_kernel()), row.int8_speedup());
   return row;
 }
@@ -168,6 +190,41 @@ struct BatchRow {
   double int8_ms = 0.0;
   double imgs_per_s(double ms) const { return ms > 0.0 ? batch * 1e3 / ms : 0.0; }
 };
+
+/// One Alg. 1 main-block training step at a fixed batch: the medians
+/// of its train-mode forward and of its backward.
+struct TrainRow {
+  std::string model;
+  int batch = 0;
+  double forward_ms = 0.0;
+  double backward_ms = 0.0;
+};
+
+TrainRow measure_training(const std::string& model, core::MEANet& net, const Tensor& images,
+                          int num_classes, int reps) {
+  std::vector<int> labels(static_cast<std::size_t>(images.shape().batch()));
+  for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = static_cast<int>(i) % num_classes;
+  std::vector<double> forward, backward;
+  for (int i = 0; i <= reps; ++i) {  // step 0 warms the caches and scratch
+    const double start = now_s();
+    const core::MainForward out = net.forward_main(images, nn::Mode::kTrain);
+    const double forwarded = now_s();
+    const nn::LossResult loss = nn::softmax_cross_entropy(out.logits, labels);
+    const double backward_start = now_s();
+    net.backward_main(loss.grad);
+    const double end = now_s();
+    if (i == 0) continue;
+    forward.push_back((forwarded - start) * 1e3);
+    backward.push_back((end - backward_start) * 1e3);
+  }
+  std::sort(forward.begin(), forward.end());
+  std::sort(backward.begin(), backward.end());
+  TrainRow row{model, images.shape().batch(), forward[forward.size() / 2],
+               backward[backward.size() / 2]};
+  std::printf("  %-28s train batch %2d   forward %8.3f ms   backward %8.3f ms\n",
+              model.c_str(), row.batch, row.forward_ms, row.backward_ms);
+  return row;
+}
 
 }  // namespace
 
@@ -196,6 +253,7 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   std::vector<Row> gated;  // single-image rows the exit status checks
   std::vector<BatchRow> sweep;
+  std::vector<TrainRow> training;
 
   const ModelUnderTest models[] = {
       {"resnet_b_cifar", bench::EdgeModel::kResNetB, bench::DatasetKind::kCifarLike},
@@ -240,6 +298,7 @@ int main(int argc, char** argv) {
           row.imgs_per_s(row.int8_ms));
       sweep.push_back(row);
     }
+    training.push_back(measure_training(m.name, net, batch, spec.num_classes, std::max(11, reps)));
   }
 
   {
@@ -302,11 +361,11 @@ int main(int argc, char** argv) {
   for (const Row& row : rows) {
     diag::Value v = diag::Value::object();
     v.set("name", row.name);
-    v.set("gemm_ms", row.gemm_ms);
-    v.set("portable_ms", row.portable_ms);
-    v.set("int8_ms", row.int8_ms);
+    v.set("gemm_ms", row.gemm.median_ms);
+    v.set("portable_ms", row.portable.median_ms);
+    v.set("int8_ms", row.int8.median_ms);
     v.set("int8_speedup", row.int8_speedup());
-    v.set("avx2_ms", row.avx2_ms);
+    v.set("avx2_ms", row.avx2.median_ms);
     results.push(std::move(v));
   }
   doc.set("results", std::move(results));
@@ -322,6 +381,16 @@ int main(int argc, char** argv) {
     batch_sweep.push(std::move(v));
   }
   doc.set("batch_sweep", std::move(batch_sweep));
+  diag::Value train_rows = diag::Value::array();
+  for (const TrainRow& row : training) {
+    diag::Value v = diag::Value::object();
+    v.set("model", row.model);
+    v.set("batch", row.batch);
+    v.set("forward_ms", row.forward_ms);
+    v.set("backward_ms", row.backward_ms);
+    train_rows.push(std::move(v));
+  }
+  doc.set("training", std::move(train_rows));
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -333,32 +402,27 @@ int main(int argc, char** argv) {
   std::printf("\nwrote %s\n", out_path.c_str());
 
   bool regressed = false;
+  const auto gate = [&](const Row& row, const char* fast_name, const Timing& fast,
+                        const char* fallback_name, const Timing& fallback) {
+    const bool measured = fast.median_ms > 0.0 && fallback.median_ms > 0.0;
+    if (!measured || !slower_beyond_noise(fast, fallback)) return;
+    std::fprintf(stderr,
+                 "PERF REGRESSION: %s %s (%.3f ms, IQR %.3f) slower than %s (%.3f ms, IQR %.3f)\n",
+                 row.name.c_str(), fast_name, fast.median_ms, fast.iqr_ms, fallback_name,
+                 fallback.median_ms, fallback.iqr_ms);
+    regressed = true;
+  };
   for (const Row& row : gated) {
     // The dispatched microkernel must never lose to the portable one
     // it replaced at startup.
-    if (ops::simd_level() != ops::SimdLevel::kPortable && row.portable_ms > 0.0 &&
-        row.gemm_ms > row.portable_ms) {
-      std::fprintf(stderr,
-                   "PERF REGRESSION: %s %s kernel (%.3f ms) slower than portable (%.3f ms)\n",
-                   row.name.c_str(), ops::simd_level_name(ops::simd_level()), row.gemm_ms,
-                   row.portable_ms);
-      regressed = true;
+    if (ops::simd_level() != ops::SimdLevel::kPortable) {
+      gate(row, ops::simd_level_name(ops::simd_level()), row.gemm, "portable", row.portable);
     }
     // Nor may the AVX-512 kernel lose to the AVX2 kernel it displaced.
-    if (row.avx2_ms > 0.0 && row.gemm_ms > row.avx2_ms) {
-      std::fprintf(stderr,
-                   "PERF REGRESSION: %s avx512 kernel (%.3f ms) slower than avx2 (%.3f ms)\n",
-                   row.name.c_str(), row.gemm_ms, row.avx2_ms);
-      regressed = true;
-    }
+    gate(row, "avx512", row.gemm, "avx2", row.avx2);
     // With a VNNI tier the int8 path must beat float; the scalar
     // fallback is a correctness tier, not a speed claim.
-    if (ops::int8_kernel_vectorized() && row.int8_ms > 0.0 && row.int8_ms > row.gemm_ms) {
-      std::fprintf(stderr,
-                   "PERF REGRESSION: %s int8 path (%.3f ms) slower than float (%.3f ms)\n",
-                   row.name.c_str(), row.int8_ms, row.gemm_ms);
-      regressed = true;
-    }
+    if (ops::int8_kernel_vectorized()) gate(row, "int8 path", row.int8, "float", row.gemm);
   }
   return regressed ? 1 : 0;
 }

@@ -62,7 +62,7 @@ Tensor MEANet::forward_extension(const Tensor& images, const Tensor& features, n
 void MEANet::backward_main(const Tensor& grad_logits) {
   if (!main_cached_) throw std::logic_error("MEANet::backward_main before forward_main");
   const Tensor grad_features = main_exit_.backward(grad_logits);
-  main_trunk_.backward(grad_features);
+  main_trunk_.backward_params(grad_features);
   main_cached_ = false;
 }
 
@@ -93,12 +93,12 @@ void MEANet::backward_extension(const Tensor& grad_logits, bool into_main) {
                 grad_f2.data() + static_cast<std::int64_t>(n) * a_channels * hw);
     }
   }
-  adaptive_.backward(grad_f2);
+  adaptive_.backward_params(grad_f2);
   if (into_main) {
     // Joint-optimization baseline: the extension loss also reaches the
     // main trunk. Add the exit-path gradient separately via
     // backward_main if a main loss is in play.
-    main_trunk_.backward(grad_features);
+    main_trunk_.backward_params(grad_features);
   }
   extension_cached_ = false;
 }

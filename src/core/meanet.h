@@ -54,6 +54,9 @@ class MEANet {
   Tensor forward_extension(const Tensor& images, const Tensor& features, nn::Mode mode);
 
   // ----- Backward (blockwise, Alg. 1) -----
+  //
+  // The trunk and the adaptive block read the images, so both run
+  // Sequential::backward_params(): no image gradient is computed.
 
   /// Backpropagates a main-exit loss gradient through exit 1 and the
   /// trunk (used when the main block itself is trained, e.g. at the

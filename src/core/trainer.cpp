@@ -58,7 +58,7 @@ TrainCurve train_classifier(nn::Sequential& net, const data::Dataset& train,
                     [&](const Tensor& images, const std::vector<int>& labels) {
                       const Tensor logits = net.forward(images, nn::Mode::kTrain);
                       const nn::LossResult loss = nn::softmax_cross_entropy(logits, labels);
-                      net.backward(loss.grad);
+                      net.backward_params(loss.grad);
                       return std::pair<float, std::int64_t>{
                           loss.loss, count_correct(loss.predictions, labels)};
                     });

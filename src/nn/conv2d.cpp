@@ -12,6 +12,12 @@ namespace meanet::nn {
 
 namespace {
 
+/// Scratch budget of Conv2d::backward's input-gradient columns, in
+/// floats (256 KiB). Images go through in groups that fit it, so the
+/// scratch does not grow with the batch or the model; on ResNet-B a
+/// whole-batch buffer ran no faster.
+constexpr std::int64_t kGradColumnsFloats = 64 * 1024;
+
 Tensor he_normal(Shape shape, int fan_in, util::Rng& rng) {
   const float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));
   return Tensor::normal(std::move(shape), rng, 0.0f, stddev);
@@ -189,39 +195,56 @@ Tensor Conv2d::forward(const Tensor& input, Mode mode) {
   return output;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
+void Conv2d::backward_params(const Tensor& grad_output) {
   if (cached_input_.empty()) throw std::logic_error(name_ + ": backward before forward");
+  if (frozen_) return;
   const ops::ConvGeometry g = geometry(cached_input_.shape());
   const int batch = cached_input_.shape().batch();
   const int out_hw = g.out_height() * g.out_width();
   const int patch = g.patch_size();
   const std::int64_t in_stride = static_cast<std::int64_t>(in_channels_) * g.in_height * g.in_width;
   const std::int64_t out_stride = static_cast<std::int64_t>(out_channels_) * out_hw;
-
-  Tensor grad_input(cached_input_.shape());
-  std::vector<float> columns(static_cast<std::size_t>(patch) * out_hw);
-  std::vector<float> grad_columns(static_cast<std::size_t>(patch) * out_hw);
-
+  float* columns = ops::Workspace::tls().buffer(ops::Workspace::kColumns,
+                                                static_cast<std::size_t>(patch) * out_hw);
   for (int n = 0; n < batch; ++n) {
     const float* gout = grad_output.data() + n * out_stride;
-    if (!frozen_) {
-      // dW += gout [out_c, out_hw] * columns^T [out_hw, patch]
-      ops::im2col(cached_input_.data() + n * in_stride, g, columns.data());
-      ops::gemm(false, true, out_channels_, patch, out_hw, 1.0f, gout, out_hw, columns.data(),
-                out_hw, 1.0f, weight_.grad.data(), patch);
-      if (has_bias_) {
-        for (int oc = 0; oc < out_channels_; ++oc) {
-          const float* go = gout + static_cast<std::int64_t>(oc) * out_hw;
-          float acc = 0.0f;
-          for (int i = 0; i < out_hw; ++i) acc += go[i];
-          bias_.grad[oc] += acc;
-        }
+    // dW += gout [out_c, out_hw] * columns^T [out_hw, patch]
+    ops::im2col(cached_input_.data() + n * in_stride, g, columns);
+    ops::gemm(false, true, out_channels_, patch, out_hw, 1.0f, gout, out_hw, columns, out_hw,
+              1.0f, weight_.grad.data(), patch);
+    if (has_bias_) {
+      for (int oc = 0; oc < out_channels_; ++oc) {
+        const float* go = gout + static_cast<std::int64_t>(oc) * out_hw;
+        float acc = 0.0f;
+        for (int i = 0; i < out_hw; ++i) acc += go[i];
+        bias_.grad[oc] += acc;
       }
     }
-    // grad_columns = W^T [patch, out_c] * gout [out_c, out_hw]
-    ops::gemm(true, false, patch, out_hw, out_channels_, 1.0f, weight_.value.data(), patch, gout,
-              out_hw, 0.0f, grad_columns.data(), out_hw);
-    ops::col2im(grad_columns.data(), g, grad_input.data() + n * in_stride);
+  }
+}
+
+Tensor Conv2d::backward(const Tensor& grad_output) {
+  backward_params(grad_output);
+  const ops::ConvGeometry g = geometry(cached_input_.shape());
+  const int batch = cached_input_.shape().batch();
+  const int out_hw = g.out_height() * g.out_width();
+  const std::int64_t per_image = static_cast<std::int64_t>(g.patch_size()) * out_hw;
+  const std::int64_t in_stride = static_cast<std::int64_t>(in_channels_) * g.in_height * g.in_width;
+  const std::int64_t out_stride = static_cast<std::int64_t>(out_channels_) * out_hw;
+  const int group = static_cast<int>(
+      std::clamp<std::int64_t>(kGradColumnsFloats / std::max<std::int64_t>(per_image, 1), 1,
+                               std::max(batch, 1)));
+  float* grad_columns = ops::Workspace::tls().buffer(
+      ops::Workspace::kColumns, static_cast<std::size_t>(group * per_image));
+  Tensor grad_input(cached_input_.shape());
+  for (int n0 = 0; n0 < batch; n0 += group) {
+    const int images = std::min(group, batch - n0);
+    // grad_columns[n] = W^T [patch, out_c] * gout[n] [out_c, out_hw]
+    ops::conv_grad_columns(out_channels_, weight_.value.data(),
+                           grad_output.data() + n0 * out_stride, images, g, grad_columns);
+    for (int n = 0; n < images; ++n) {
+      ops::col2im(grad_columns + n * per_image, g, grad_input.data() + (n0 + n) * in_stride);
+    }
   }
   return grad_input;
 }
@@ -320,24 +343,35 @@ Tensor DepthwiseConv2d::backward(const Tensor& grad_output) {
   const int batch = in_shape.batch();
   const int in_h = in_shape.height(), in_w = in_shape.width();
   const int out_h = grad_output.shape().height(), out_w = grad_output.shape().width();
+  const std::int64_t in_hw = static_cast<std::int64_t>(in_h) * in_w;
+  const std::int64_t out_hw = static_cast<std::int64_t>(out_h) * out_w;
+  const int kk = kernel_ * kernel_;
+  const bool accumulate_weight = !frozen_;
   Tensor grad_input(in_shape);
-  for (int n = 0; n < batch; ++n) {
-    for (int c = 0; c < channels_; ++c) {
-      const float* filt = weight_.value.data() + static_cast<std::int64_t>(c) * kernel_ * kernel_;
-      float* gfilt = weight_.grad.data() + static_cast<std::int64_t>(c) * kernel_ * kernel_;
-      for (int oh = 0; oh < out_h; ++oh) {
-        for (int ow = 0; ow < out_w; ++ow) {
-          const float go = grad_output.at(n, c, oh, ow);
-          if (go == 0.0f) continue;
-          for (int kh = 0; kh < kernel_; ++kh) {
-            const int ih = oh * stride_ - padding_ + kh;
-            if (ih < 0 || ih >= in_h) continue;
-            for (int kw = 0; kw < kernel_; ++kw) {
-              const int iw = ow * stride_ - padding_ + kw;
-              if (iw < 0 || iw >= in_w) continue;
-              if (!frozen_) gfilt[kh * kernel_ + kw] += go * cached_input_.at(n, c, ih, iw);
-              grad_input.at(n, c, ih, iw) += go * filt[kh * kernel_ + kw];
-            }
+  // Base pointers per (image, channel) plane; the visiting order — and
+  // so every float sum — is the (n, c, oh, ow, kh, kw) loop of the
+  // element-wise definition.
+  for (int item = 0; item < batch * channels_; ++item) {
+    const int c = item % channels_;
+    const float* in = cached_input_.data() + item * in_hw;
+    const float* gout = grad_output.data() + item * out_hw;
+    float* gin = grad_input.data() + item * in_hw;
+    const float* filt = weight_.value.data() + static_cast<std::int64_t>(c) * kk;
+    float* gfilt = weight_.grad.data() + static_cast<std::int64_t>(c) * kk;
+    for (int oh = 0; oh < out_h; ++oh) {
+      for (int ow = 0; ow < out_w; ++ow) {
+        const float go = gout[static_cast<std::ptrdiff_t>(oh) * out_w + ow];
+        if (go == 0.0f) continue;
+        for (int kh = 0; kh < kernel_; ++kh) {
+          const int ih = oh * stride_ - padding_ + kh;
+          if (ih < 0 || ih >= in_h) continue;
+          const float* in_row = in + static_cast<std::ptrdiff_t>(ih) * in_w;
+          float* gin_row = gin + static_cast<std::ptrdiff_t>(ih) * in_w;
+          for (int kw = 0; kw < kernel_; ++kw) {
+            const int iw = ow * stride_ - padding_ + kw;
+            if (iw < 0 || iw >= in_w) continue;
+            if (accumulate_weight) gfilt[kh * kernel_ + kw] += go * in_row[iw];
+            gin_row[iw] += go * filt[kh * kernel_ + kw];
           }
         }
       }

@@ -1,6 +1,15 @@
 // 2-D convolutions: standard (one implicit GEMM over the whole batch,
 // ops::conv_gemm_nchw) and depthwise.
 //
+// Conv2d's backward keeps the per-image float summation order of
+// im2col + gemm() + col2im, so its gradients are bit-identical to that
+// loop: the weight gradient is one im2col and one gemm() against the
+// transposed columns per image; the input gradient is one GEMM per
+// group of images (ops::conv_grad_columns: W^T packed once, B read
+// straight from the NCHW output gradient) and one col2im per image.
+// backward_params() skips the input gradient, which a layer reading
+// the image never needs.
+//
 // Both layers expose forward_with(): a const, cache-free forward that
 // takes the weights (and optional bias) as raw pointers. The eval-mode
 // forward() delegates to it with the layer's own parameters; the
@@ -15,7 +24,8 @@
 
 namespace meanet::nn {
 
-/// Standard NCHW convolution with square kernels.
+/// Standard NCHW convolution with square kernels; see the file comment
+/// for how its forward and backward run.
 class Conv2d : public Layer {
  public:
   /// He-normal weight init; bias optional (ResNet-style convs followed by
@@ -25,6 +35,7 @@ class Conv2d : public Layer {
 
   Tensor forward(const Tensor& input, Mode mode) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
   std::string name() const override { return name_; }
   Shape output_shape(const Shape& input) const override;

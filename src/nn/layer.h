@@ -62,6 +62,13 @@ class Layer {
   /// and returns dL/d(input).
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// backward() for a layer whose input is data rather than an
+  /// activation: accumulates the parameter gradients (unless frozen)
+  /// and computes no dL/d(input). Layers whose input gradient costs
+  /// real work (Conv2d, Sequential) skip it; the default runs
+  /// backward() and drops the result.
+  virtual void backward_params(const Tensor& grad_output) { (void)backward(grad_output); }
+
   /// Owned parameters (empty for stateless layers).
   virtual std::vector<Parameter*> parameters() { return {}; }
 

@@ -25,6 +25,13 @@ Tensor Sequential::backward(const Tensor& grad_output) {
   return g;
 }
 
+void Sequential::backward_params(const Tensor& grad_output) {
+  if (layers_.empty()) return;
+  Tensor g = grad_output;
+  for (auto it = layers_.rbegin(); it + 1 != layers_.rend(); ++it) g = (*it)->backward(g);
+  layers_.front()->backward_params(g);
+}
+
 std::vector<Parameter*> Sequential::parameters() {
   std::vector<Parameter*> out;
   for (auto& layer : layers_) {

@@ -26,6 +26,10 @@ class Sequential : public Layer {
 
   Tensor forward(const Tensor& input, Mode mode) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// Chains the backward down to the first layer, which gets
+  /// backward_params(): the container's input is data (an image), so
+  /// nothing below it needs dL/d(input).
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
   std::vector<NamedTensor> state() override;
   std::string name() const override { return name_; }

@@ -5,8 +5,10 @@
 // MR x NR microkernel. Both operands are packed into contiguous panels
 // from the per-thread Workspace — packing folds the optional transpose
 // and the alpha scale, so one kernel serves all four transpose cases.
-// A conv (conv_gemm_nchw) packs B from its NCHW images and writes C
-// into its NCHW output.
+// A conv forward (conv_gemm_nchw) packs B from its NCHW images and
+// writes C into its NCHW output; a conv's input-gradient GEMM
+// (conv_grad_columns) reads B from the NCHW output gradient the same
+// way.
 // The microkernel is picked at runtime (tensor/simd.h): an 8x16
 // AVX-512F tile on x86 with AVX-512F, a 6x16 AVX2+FMA tile on x86 with
 // AVX2 (bit-identical to the AVX-512 one), a 6x16 NEON tile on
@@ -83,17 +85,31 @@ void pack_a(int mr_tile, bool transpose, const float* a, int lda, int i0, int mc
 
 /// Packs op(B)[p0:p0+kc, j0:j0+nc] into NR-wide panels:
 /// dst[(jb/NR) * kc * NR + p * NR + j] = op(B)[p0+p, j0+jb+j],
-/// zero-padded to a full NR in the last panel.
+/// zero-padded to a full NR in the last panel. A full panel copies
+/// rows straight, or — transposed, as a conv's dW GEMM reads its
+/// im2col columns — gathers one float from each of NR row pointers per
+/// k step.
 void pack_b(bool transpose, const float* b, int ldb, int p0, int kc, int j0, int nc, float* dst) {
   for (int jb = 0; jb < nc; jb += kNR) {
     const int nr = std::min(kNR, nc - jb);
-    for (int p = 0; p < kc; ++p) {
-      if (!transpose && nr == kNR) {
-        std::memcpy(dst, b + static_cast<std::ptrdiff_t>(p0 + p) * ldb + (j0 + jb),
-                    sizeof(float) * kNR);
-        dst += kNR;
-        continue;
+    if (nr == kNR && !transpose) {
+      const float* src = b + static_cast<std::ptrdiff_t>(p0) * ldb + (j0 + jb);
+      for (int p = 0; p < kc; ++p, src += ldb, dst += kNR) {
+        std::memcpy(dst, src, sizeof(float) * kNR);
       }
+      continue;
+    }
+    if (nr == kNR) {
+      const float* rows[kNR];
+      for (int j = 0; j < kNR; ++j) {
+        rows[j] = b + static_cast<std::ptrdiff_t>(j0 + jb + j) * ldb + p0;
+      }
+      for (int p = 0; p < kc; ++p, dst += kNR) {
+        for (int j = 0; j < kNR; ++j) dst[j] = rows[j][p];
+      }
+      continue;
+    }
+    for (int p = 0; p < kc; ++p) {
       for (int j = 0; j < kNR; ++j) {
         float value = 0.0f;
         if (j < nr) {
@@ -150,7 +166,7 @@ detail::FloatKernel active_kernel() {
 
 // ----- Blocked driver -------------------------------------------------
 
-/// One gemm() or conv_gemm_nchw() call.
+/// One gemm(), conv_gemm_nchw() or conv_grad_columns() call.
 struct GemmJob {
   bool transpose_a = false, transpose_b = false;
   int m = 0, n = 0, k = 0;
@@ -161,7 +177,7 @@ struct GemmJob {
   int ldb = 0;
   float* c = nullptr;
   int ldc = 0;
-  /// Implicit-GEMM conv (conv_gemm_nchw): B is the im2col matrix of
+  /// Implicit-GEMM conv (run_nchw): B is the im2col matrix of
   /// the NCHW images at `b`, packed straight from them, and C is the
   /// NCHW output [n / ldc, m, ldc]. Null = dense B and C.
   const ConvGeometry* conv = nullptr;
@@ -280,14 +296,19 @@ void gemm(bool transpose_a, bool transpose_b, int m, int n, int k, float alpha, 
   run_blocked(job);
 }
 
-void conv_gemm_nchw(int out_channels, const float* weight, const float* images, int batch,
-                    const ConvGeometry& g, float* output) {
+namespace {
+
+/// C[n] += op(A) [m, patch] x im2col(image n) for each of the `batch`
+/// NCHW images of geometry `g`: one GEMM with B packed straight from the
+/// images and C written as NCHW [batch, m, out_hw].
+void run_nchw(bool transpose_a, int m, const float* a, int lda, const float* images, int batch,
+              const ConvGeometry& g, float* c) {
   const int out_hw = g.out_height() * g.out_width();
   const int patch = g.patch_size();
-  if (out_channels < 0 || batch < 0 || out_hw < 0 || patch < 0) {
-    throw std::invalid_argument("conv_gemm_nchw: negative dimension");
+  if (m < 0 || batch < 0 || out_hw < 0 || patch < 0) {
+    throw std::invalid_argument("conv GEMM: negative dimension");
   }
-  if (out_channels == 0 || batch == 0 || out_hw == 0 || patch == 0) return;
+  if (m == 0 || batch == 0 || out_hw == 0 || patch == 0) return;
   // A 1x1, stride-1, unpadded conv over H x W is the same conv over one
   // row of H*W pixels; its packed runs then span whole images, not rows.
   ConvGeometry flat = g;
@@ -297,17 +318,39 @@ void conv_gemm_nchw(int out_channels, const float* weight, const float* images, 
   }
 
   GemmJob job;
-  job.m = out_channels;
+  job.transpose_a = transpose_a;
+  job.m = m;
   job.n = batch * out_hw;
   job.k = patch;
-  job.a = weight;
-  job.lda = patch;
+  job.a = a;
+  job.lda = lda;
   job.b = images;
-  job.c = output;
+  job.c = c;
   job.ldc = out_hw;
   job.conv = &flat;
   job.kernel = active_kernel();
   run_blocked(job);
+}
+
+}  // namespace
+
+void conv_gemm_nchw(int out_channels, const float* weight, const float* images, int batch,
+                    const ConvGeometry& g, float* output) {
+  run_nchw(false, out_channels, weight, g.patch_size(), images, batch, g, output);
+}
+
+void conv_grad_columns(int out_channels, const float* weight, const float* grad_output,
+                       int batch, const ConvGeometry& g, float* columns) {
+  const int out_hw = g.out_height() * g.out_width();
+  const int patch = g.patch_size();
+  if (batch > 0 && patch > 0 && out_hw > 0) {
+    std::memset(columns, 0, sizeof(float) * static_cast<std::size_t>(batch) * patch * out_hw);
+  }
+  // grad_output [batch, out_channels, out_hw] is the NCHW batch of a
+  // 1x1 conv over one row of out_hw pixels, whose im2col matrix is each
+  // image itself.
+  const ConvGeometry rows{out_channels, 1, out_hw, 1, 1, 0};
+  run_nchw(true, patch, weight, patch, grad_output, batch, rows, columns);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b, bool transpose_a, bool transpose_b) {

@@ -72,6 +72,57 @@ void im2col_into(const T* image, const ConvGeometry& g, T* columns, T fill) {
   }
 }
 
+/// The outputs o in [lo, hi) whose tap o * stride + shift lands in
+/// [0, extent).
+struct TapSpan {
+  int lo = 0, hi = 0;
+};
+
+TapSpan tap_span(int outputs, int stride, int shift, int extent) {
+  // o * stride + shift >= 0 from o = ceil(-shift / stride) on, and
+  // < extent up to o = floor((extent - 1 - shift) / stride).
+  const int lo = std::min(outputs, shift >= 0 ? 0 : (stride - 1 - shift) / stride);
+  const int last = extent - 1 - shift;
+  const int hi = last < 0 ? lo : std::clamp(last / stride + 1, lo, outputs);
+  return {lo, hi};
+}
+
+/// col2im with the stride as a compile-time constant (0: read it from
+/// `g`). Each tap's in-image rows and columns are found once per call,
+/// so the row loop is a plain strided add in ow order.
+template <int kStride>
+void col2im_t(const float* columns, const ConvGeometry& g, float* image) {
+  const int stride = kStride > 0 ? kStride : g.stride;
+  const int out_h = g.out_height();
+  const int out_w = g.out_width();
+  const std::ptrdiff_t out_hw = static_cast<std::ptrdiff_t>(out_h) * out_w;
+  // spans[k]: the oh range of tap row k; spans[kernel + k]: the ow
+  // range of tap column k.
+  std::vector<TapSpan> spans(2 * static_cast<std::size_t>(g.kernel));
+  for (int k = 0; k < g.kernel; ++k) {
+    spans[k] = tap_span(out_h, stride, k - g.padding, g.in_height);
+    spans[g.kernel + k] = tap_span(out_w, stride, k - g.padding, g.in_width);
+  }
+  const float* col_row = columns;
+  for (int c = 0; c < g.in_channels; ++c) {
+    float* channel = image + static_cast<std::ptrdiff_t>(c) * g.in_height * g.in_width;
+    for (int kh = 0; kh < g.kernel; ++kh) {
+      const TapSpan rows = spans[kh];
+      for (int kw = 0; kw < g.kernel; ++kw, col_row += out_hw) {
+        const TapSpan cols = spans[g.kernel + kw];
+        const int count = cols.hi - cols.lo;
+        for (int oh = rows.lo; oh < rows.hi; ++oh) {
+          const int ih = oh * stride - g.padding + kh;
+          float* dst = channel + static_cast<std::ptrdiff_t>(ih) * g.in_width +
+                       (cols.lo * stride - g.padding + kw);
+          const float* src = col_row + static_cast<std::ptrdiff_t>(oh) * out_w + cols.lo;
+          for (int i = 0; i < count; ++i) dst[i * stride] += src[i];
+        }
+      }
+    }
+  }
+}
+
 /// The zero-point fill of the byte-domain paths (qgemm.h
 /// kActivationZeroPoint): a float 0 quantizes to code
 /// round(0 * inv) + 128 = 128, so padding bytes match what quantizing
@@ -136,27 +187,12 @@ void detail::pack_b_conv(const float* images, const ConvGeometry& g, int p0, int
 }
 
 void col2im(const float* columns, const ConvGeometry& g, float* image) {
-  const int out_h = g.out_height();
-  const int out_w = g.out_width();
-  const int out_hw = out_h * out_w;
-  for (int c = 0; c < g.in_channels; ++c) {
-    float* channel = image + static_cast<std::ptrdiff_t>(c) * g.in_height * g.in_width;
-    for (int kh = 0; kh < g.kernel; ++kh) {
-      for (int kw = 0; kw < g.kernel; ++kw) {
-        const float* col_row =
-            columns + static_cast<std::ptrdiff_t>((c * g.kernel + kh) * g.kernel + kw) * out_hw;
-        for (int oh = 0; oh < out_h; ++oh) {
-          const int ih = oh * g.stride - g.padding + kh;
-          if (ih < 0 || ih >= g.in_height) continue;
-          float* in_row = channel + static_cast<std::ptrdiff_t>(ih) * g.in_width;
-          const float* src = col_row + static_cast<std::ptrdiff_t>(oh) * out_w;
-          for (int ow = 0; ow < out_w; ++ow) {
-            const int iw = ow * g.stride - g.padding + kw;
-            if (iw >= 0 && iw < g.in_width) in_row[iw] += src[ow];
-          }
-        }
-      }
-    }
+  if (g.stride == 1) {
+    col2im_t<1>(columns, g, image);
+  } else if (g.stride == 2) {
+    col2im_t<2>(columns, g, image);
+  } else {
+    col2im_t<0>(columns, g, image);
   }
 }
 

@@ -9,8 +9,11 @@
 // portable 4x16), run on the calling thread. The accumulation order is
 // fixed per C element, so a forward over any split of a batch is
 // bit-identical to the whole under a fixed kernel (and across the AVX2
-// and AVX-512 tiers). Backward passes use the transposed variants. The
-// int8 quantized serving path lives in tensor/qgemm.h.
+// and AVX-512 tiers). A conv's backward runs per image for its weight
+// gradient (im2col + gemm() against the transposed columns) and as one
+// GEMM over a group of images (conv_grad_columns) plus a per-image
+// col2im for its input gradient. The int8 quantized serving path lives
+// in tensor/qgemm.h.
 //
 // There is one implementation of each kernel. The parity tests check
 // them against plain loop-nest references of their own
@@ -65,6 +68,17 @@ struct ConvGeometry {
 void conv_gemm_nchw(int out_channels, const float* weight, const float* images, int batch,
                     const ConvGeometry& g, float* output);
 
+/// The float conv's input-gradient GEMM over NCHW `grad_output`
+/// [batch, out_channels, out_h, out_w]: for each image n, columns[n] =
+/// weight^T [patch_size(), out_channels] x grad_output[n]
+/// [out_channels, out_h*out_w], into `columns` [batch, patch_size(),
+/// out_h*out_w], which it overwrites. One GEMM over all batch * out_hw
+/// columns with W^T packed once and B read straight from grad_output,
+/// so the result is bit-identical to gemm(true, false, beta = 0) per
+/// image.
+void conv_grad_columns(int out_channels, const float* weight, const float* grad_output,
+                       int batch, const ConvGeometry& g, float* columns);
+
 /// Expands one image [C, H, W] into a patch matrix
 /// [C*k*k, out_h*out_w] (column-major over output positions).
 /// `columns` must have patch_size() * out_h * out_w elements.
@@ -79,7 +93,9 @@ void im2col_u8(const std::uint8_t* image, const ConvGeometry& g, std::uint8_t* c
 
 /// Inverse scatter-add of im2col: accumulates patch-matrix gradients back
 /// into an image gradient buffer of size C*H*W (which must be zeroed by
-/// the caller if accumulation from zero is desired).
+/// the caller if accumulation from zero is desired). Elements are added
+/// in (c, kh, kw, oh, ow) order; each (kh, kw) tap's in-image rows and
+/// columns are found once, so the inner loop is a branch-free add.
 void col2im(const float* columns, const ConvGeometry& g, float* image);
 
 // ----- Row-wise reductions --------------------------------------------

@@ -30,6 +30,7 @@ class Workspace {
     kFoldedWeights,
     kFoldedBias,
     kQuantScales,  // int8 path: per-row weight scales + fused epilogue scales
+    kColumns,      // conv backward: im2col columns (dW), then grad columns (dX)
     kNumSlots,
   };
 

@@ -1,9 +1,10 @@
-// Reference kernels: the GEMM, the direct NCHW convolution and the
-// depthwise convolution written out as their definitions, one loop nest
-// each, with no blocking, packing or vector code. They are the oracles
-// the parity tests compare the production kernels (ops::gemm,
-// ops::conv_gemm_nchw, DepthwiseConv2d's unrolled 3x3 path) against;
-// the library itself never calls them.
+// Reference kernels: the GEMM, the direct NCHW convolution, the
+// depthwise convolution and its backward, and col2im, written out as
+// their definitions, one loop nest each, with no blocking, packing or
+// vector code. They are the oracles the parity tests compare the
+// production kernels (ops::gemm, ops::conv_gemm_nchw, ops::col2im,
+// DepthwiseConv2d's unrolled 3x3 path and its backward) against; the
+// library itself never calls them.
 #pragma once
 
 #include <cstddef>
@@ -123,6 +124,74 @@ inline Tensor reference_depthwise(const Tensor& input, const float* weight, cons
     }
   }
   return out;
+}
+
+/// Inverse scatter-add of im2col for one image: adds the patch matrix
+/// `columns` [C*k*k, out_h*out_w] into `image` [C, H, W] in (c, kh, kw,
+/// oh, ow) order, skipping taps that fall in the padding. ops::col2im
+/// must add in this same order, so the two agree to the bit.
+inline void reference_col2im(const float* columns, int in_channels, int in_height, int in_width,
+                             int kernel, int stride, int padding, float* image) {
+  const int out_h = reference_conv_extent(in_height, kernel, stride, padding);
+  const int out_w = reference_conv_extent(in_width, kernel, stride, padding);
+  const int out_hw = out_h * out_w;
+  for (int c = 0; c < in_channels; ++c) {
+    float* channel = image + static_cast<std::ptrdiff_t>(c) * in_height * in_width;
+    for (int kh = 0; kh < kernel; ++kh) {
+      for (int kw = 0; kw < kernel; ++kw) {
+        const float* col_row =
+            columns + static_cast<std::ptrdiff_t>((c * kernel + kh) * kernel + kw) * out_hw;
+        for (int oh = 0; oh < out_h; ++oh) {
+          const int ih = oh * stride - padding + kh;
+          if (ih < 0 || ih >= in_height) continue;
+          float* in_row = channel + static_cast<std::ptrdiff_t>(ih) * in_width;
+          const float* src = col_row + static_cast<std::ptrdiff_t>(oh) * out_w;
+          for (int ow = 0; ow < out_w; ++ow) {
+            const int iw = ow * stride - padding + kw;
+            if (iw >= 0 && iw < in_width) in_row[iw] += src[ow];
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Depthwise convolution backward: returns dL/d(input) and, unless
+/// `frozen`, adds dL/d(weight) into `grad_weight` ([channels, kernel^2]),
+/// visiting (n, c, oh, ow, kh, kw) in order and skipping zero output
+/// gradients. DepthwiseConv2d::backward must accumulate in this same
+/// order, so the two agree to the bit.
+inline Tensor reference_depthwise_backward(const Tensor& input, const Tensor& grad_output,
+                                           const float* weight, int kernel, int stride,
+                                           int padding, bool frozen, float* grad_weight) {
+  const int batch = input.shape().batch();
+  const int channels = input.shape().channels();
+  const int in_h = input.shape().height(), in_w = input.shape().width();
+  const int out_h = grad_output.shape().height(), out_w = grad_output.shape().width();
+  Tensor grad_input(input.shape());
+  for (int n = 0; n < batch; ++n) {
+    for (int c = 0; c < channels; ++c) {
+      const float* filt = weight + static_cast<std::int64_t>(c) * kernel * kernel;
+      float* gfilt = grad_weight + static_cast<std::int64_t>(c) * kernel * kernel;
+      for (int oh = 0; oh < out_h; ++oh) {
+        for (int ow = 0; ow < out_w; ++ow) {
+          const float go = grad_output.at(n, c, oh, ow);
+          if (go == 0.0f) continue;
+          for (int kh = 0; kh < kernel; ++kh) {
+            const int ih = oh * stride - padding + kh;
+            if (ih < 0 || ih >= in_h) continue;
+            for (int kw = 0; kw < kernel; ++kw) {
+              const int iw = ow * stride - padding + kw;
+              if (iw < 0 || iw >= in_w) continue;
+              if (!frozen) gfilt[kh * kernel + kw] += go * input.at(n, c, ih, iw);
+              grad_input.at(n, c, ih, iw) += go * filt[kh * kernel + kw];
+            }
+          }
+        }
+      }
+    }
+  }
+  return grad_input;
 }
 
 }  // namespace meanet::testing

@@ -24,6 +24,11 @@
 //    im2col + gemm() per image, on every kernel tier;
 //  - a conv forward over a batch, float or int8, is bit-identical to
 //    one batch-1 forward per image;
+//  - Conv2d's backward (per-image dW, one whole-batch dX GEMM, the
+//    stride-specialized col2im) and its parameters-only variant are
+//    bit-identical to im2col + gemm() + col2im per image, on every
+//    kernel tier; ops::col2im and DepthwiseConv2d's backward are
+//    bit-identical to their loop-nest references;
 //  - the persistent GemmPool serves jobs of changing width, and a throw
 //    in any of its slots reaches the caller only after every slot has
 //    finished, and the pool keeps working.
@@ -45,6 +50,7 @@
 #include "nn/conv2d.h"
 #include "nn/fuse.h"
 #include "nn/loss.h"
+#include "nn/parameter.h"
 #include "nn/sequential.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
@@ -56,8 +62,10 @@
 namespace meanet {
 namespace {
 
+using meanet::testing::reference_col2im;
 using meanet::testing::reference_conv;
 using meanet::testing::reference_depthwise;
+using meanet::testing::reference_depthwise_backward;
 using meanet::testing::reference_gemm;
 using meanet::testing::reference_matmul;
 using meanet::testing::tiny_meanet_b;
@@ -617,6 +625,37 @@ INSTANTIATE_TEST_SUITE_P(SeededShapes, DepthwiseParity,
                          ::testing::Combine(::testing::Values(1, 3), ::testing::Values(3, 5),
                                             ::testing::Values(1, 2), ::testing::Values(0, 1, 2)));
 
+TEST_P(DepthwiseParity, BackwardMatchesReferenceBitForBit) {
+  const auto [channels, kernel, stride, padding] = GetParam();
+  util::Rng rng(static_cast<std::uint64_t>(channels * 103 + kernel * 11 + stride * 5 + padding));
+  nn::DepthwiseConv2d dw(channels, kernel, stride, padding, rng);
+  const int size = 11;
+  if (dw.output_shape(Shape{1, channels, size, size}).height() <= 0) GTEST_SKIP();
+  const Tensor x = Tensor::normal(Shape{2, channels, size, size}, rng);
+  Tensor gout = Tensor::normal(dw.output_shape(x.shape()), rng);
+  // Zeros, as a ReLU6 behind the layer leaves them: the backward skips
+  // those taps.
+  for (std::int64_t i = 0; i < gout.numel(); i += 3) gout[i] = 0.0f;
+  for (const bool frozen : {false, true}) {
+    dw.set_frozen(frozen);
+    // Start from a non-zero weight gradient, as a second batch would.
+    const Tensor grad0 = Tensor::normal(dw.weight().grad.shape(), rng);
+    std::vector<float> expected_weight = as_vector(grad0);
+    const Tensor expected_input =
+        reference_depthwise_backward(x, gout, dw.weight().value.data(), kernel, stride,
+                                              padding, frozen, expected_weight.data());
+    dw.weight().grad = grad0;
+    (void)dw.forward(x, nn::Mode::kTrain);
+    const Tensor grad_input = dw.backward(gout);
+    EXPECT_TRUE(same_bits(as_vector(expected_input), as_vector(grad_input)))
+        << "input grad: c=" << channels << " k=" << kernel << " s=" << stride
+        << " p=" << padding << (frozen ? " frozen" : "");
+    EXPECT_TRUE(same_bits(expected_weight, as_vector(dw.weight().grad)))
+        << "weight grad: c=" << channels << " k=" << kernel << " s=" << stride
+        << " p=" << padding << (frozen ? " frozen" : "");
+  }
+}
+
 TEST(DepthwiseParity, NarrowerThanKernelInputsStayInBounds) {
   // Regression: with in_w < kernel (valid thanks to padding) the
   // interior-column bound's truncating division used to round toward
@@ -727,6 +766,184 @@ TEST(ConvGemmParity, MatchesIm2colPlusGemmPerImageBitForBit) {
     }
   }
   EXPECT_GT(checked, 0);
+}
+
+// ----- Conv2d backward ------------------------------------------------
+
+/// ops::col2im against reference_col2im, accumulating into a non-zero
+/// image: the same (c, kh, kw, oh, ow) order gives the same bits.
+TEST(ConvBackwardParity, Col2imMatchesReferenceBitForBit) {
+  struct Input {
+    int channels, height, width;
+  };
+  const Input inputs[] = {{3, 7, 7}, {32, 9, 9}, {2, 3, 2}, {8, 16, 16}};
+  util::Rng rng(149);
+  int checked = 0;
+  for (const Input in : inputs) {
+    for (const int kernel : {1, 3, 5}) {
+      for (const int stride : {1, 2}) {
+        for (const int padding : {0, 1, 2}) {
+          if (in.height + 2 * padding < kernel || in.width + 2 * padding < kernel) continue;
+          const ops::ConvGeometry g{in.channels, in.height, in.width, kernel, stride, padding};
+          const Tensor columns =
+              Tensor::normal(Shape{g.patch_size(), g.out_height() * g.out_width()}, rng);
+          const Tensor image = Tensor::normal(Shape{in.channels, in.height, in.width}, rng);
+          std::vector<float> expected = as_vector(image);
+          reference_col2im(columns.data(), in.channels, in.height, in.width, kernel,
+                                    stride, padding, expected.data());
+          std::vector<float> actual = as_vector(image);
+          ops::col2im(columns.data(), g, actual.data());
+          EXPECT_TRUE(same_bits(expected, actual))
+              << "cin=" << in.channels << " " << in.height << "x" << in.width << " k=" << kernel
+              << " s=" << stride << " p=" << padding;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+/// The gradients of one Conv2d backward.
+struct ConvGrads {
+  std::vector<float> weight, bias, input;
+};
+
+/// The per-image backward Conv2d::backward must reproduce bit for bit:
+/// per image, dW += gout x im2col^T (gemm() reading the columns
+/// transposed), the bias sum, and grad columns = W^T x gout (gemm(),
+/// beta = 0) scattered by reference_col2im. The GEMMs are ops::gemm,
+/// not reference_gemm: a memcmp needs the blocked GEMM's KC split and
+/// its tier's FMA rounding, and GemmParity checks ops::gemm against
+/// reference_gemm.
+ConvGrads per_image_backward(const Tensor& input, const Tensor& grad_output,
+                             const float* weight, int out_channels, const ops::ConvGeometry& g,
+                             bool frozen) {
+  const int batch = input.shape().batch();
+  const int out_hw = g.out_height() * g.out_width(), patch = g.patch_size();
+  const std::int64_t in_stride = static_cast<std::int64_t>(g.in_channels) * g.in_height *
+                                 g.in_width;
+  const std::int64_t out_stride = static_cast<std::int64_t>(out_channels) * out_hw;
+  ConvGrads grads;
+  grads.weight.assign(static_cast<std::size_t>(out_channels) * patch, 0.0f);
+  grads.bias.assign(static_cast<std::size_t>(out_channels), 0.0f);
+  grads.input.assign(static_cast<std::size_t>(input.numel()), 0.0f);
+  std::vector<float> columns(static_cast<std::size_t>(patch) * out_hw);
+  std::vector<float> grad_columns(columns.size());
+  for (int n = 0; n < batch; ++n) {
+    const float* gout = grad_output.data() + n * out_stride;
+    if (!frozen) {
+      ops::im2col(input.data() + n * in_stride, g, columns.data());
+      ops::gemm(false, true, out_channels, patch, out_hw, 1.0f, gout, out_hw, columns.data(),
+                out_hw, 1.0f, grads.weight.data(), patch);
+      for (int oc = 0; oc < out_channels; ++oc) {
+        float acc = 0.0f;
+        for (int i = 0; i < out_hw; ++i) acc += gout[static_cast<std::ptrdiff_t>(oc) * out_hw + i];
+        grads.bias[static_cast<std::size_t>(oc)] += acc;
+      }
+    }
+    ops::gemm(true, false, patch, out_hw, out_channels, 1.0f, weight, patch, gout, out_hw, 0.0f,
+              grad_columns.data(), out_hw);
+    reference_col2im(grad_columns.data(), g.in_channels, g.in_height, g.in_width,
+                              g.kernel, g.stride, g.padding, grads.input.data() + n * in_stride);
+  }
+  return grads;
+}
+
+TEST(ConvBackwardParity, MatchesPerImageIm2colGemmCol2imBitForBit) {
+  // ConvGemmParity's geometries plus a 16x16 input with 256-column
+  // images (ResNet-B's first stage). 19 output channels are ragged in
+  // every tier's MR; the 17-image batches span several image groups of
+  // the input-gradient GEMM.
+  struct Input {
+    int channels, height, width;
+  };
+  const Input inputs[] = {{3, 7, 7}, {32, 9, 9}, {2, 3, 2}, {8, 16, 16}};
+  const int out_channels = 19;
+  const std::vector<ops::SimdLevel> levels =
+      ops::simd_level() == ops::SimdLevel::kPortable
+          ? std::vector<ops::SimdLevel>{ops::SimdLevel::kPortable}
+          : std::vector<ops::SimdLevel>{ops::SimdLevel::kPortable, ops::simd_level()};
+  util::Rng rng(151);
+  int checked = 0;
+  for (const Input in : inputs) {
+    for (const int kernel : {1, 3, 5}) {
+      for (const int stride : {1, 2}) {
+        for (const int padding : {0, 1, 2}) {
+          if (in.height + 2 * padding < kernel || in.width + 2 * padding < kernel) continue;
+          const ops::ConvGeometry g{in.channels, in.height, in.width, kernel, stride, padding};
+          nn::Conv2d conv(in.channels, out_channels, kernel, stride, padding, /*bias=*/true, rng);
+          for (const int batch : {1, 3, 17}) {
+            const Tensor x = Tensor::normal(Shape{batch, in.channels, in.height, in.width}, rng);
+            const Tensor gout = Tensor::normal(conv.output_shape(x.shape()), rng);
+            for (const bool frozen : {false, true}) {
+              conv.set_frozen(frozen);
+              for (const ops::SimdLevel level : levels) {
+                SimdLevelScope scope(level);
+                const std::string where =
+                    std::string(ops::simd_level_name(level)) + " cin=" +
+                    std::to_string(in.channels) + " " + std::to_string(in.height) + "x" +
+                    std::to_string(in.width) + " k=" + std::to_string(kernel) +
+                    " s=" + std::to_string(stride) + " p=" + std::to_string(padding) +
+                    " batch=" + std::to_string(batch) + (frozen ? " frozen" : "");
+                const ConvGrads expected = per_image_backward(
+                    x, gout, conv.weight().value.data(), out_channels, g, frozen);
+                conv.weight().zero_grad();
+                conv.bias().zero_grad();
+                (void)conv.forward(x, nn::Mode::kTrain);
+                const Tensor grad_input = conv.backward(gout);
+                EXPECT_TRUE(same_bits(expected.weight, as_vector(conv.weight().grad)))
+                    << "weight grad, " << where;
+                EXPECT_TRUE(same_bits(expected.bias, as_vector(conv.bias().grad)))
+                    << "bias grad, " << where;
+                EXPECT_TRUE(same_bits(expected.input, as_vector(grad_input)))
+                    << "input grad, " << where;
+                // The parameters-only backward accumulates the same bits.
+                conv.weight().zero_grad();
+                conv.bias().zero_grad();
+                (void)conv.forward(x, nn::Mode::kTrain);
+                conv.backward_params(gout);
+                EXPECT_TRUE(same_bits(expected.weight, as_vector(conv.weight().grad)))
+                    << "backward_params weight grad, " << where;
+                EXPECT_TRUE(same_bits(expected.bias, as_vector(conv.bias().grad)))
+                    << "backward_params bias grad, " << where;
+                ++checked;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+TEST(ConvBackwardParity, SequentialBackwardParamsMatchesBackward) {
+  // A container whose first layer reads the image skips that layer's
+  // input gradient and nothing else: every parameter gradient matches
+  // a full backward bit for bit.
+  util::Rng rng(157);
+  nn::Sequential net;
+  net.emplace<nn::Conv2d>(3, 8, 3, 1, 1, /*bias=*/false, rng);
+  net.emplace<nn::BatchNorm2d>(8, 0.1f, 1e-5f);
+  net.emplace<nn::Conv2d>(8, 6, 3, 2, 1, /*bias=*/true, rng);
+  const Tensor x = Tensor::normal(Shape{5, 3, 10, 10}, rng);
+  const Tensor gout = Tensor::normal(net.output_shape(x.shape()), rng);
+  const auto grads_after = [&](bool params_only) {
+    for (nn::Parameter* p : net.parameters()) p->zero_grad();
+    (void)net.forward(x, nn::Mode::kTrain);
+    if (params_only) {
+      net.backward_params(gout);
+    } else {
+      (void)net.backward(gout);
+    }
+    std::vector<float> all;
+    for (nn::Parameter* p : net.parameters()) {
+      all.insert(all.end(), p->grad.data(), p->grad.data() + p->grad.numel());
+    }
+    return all;
+  };
+  EXPECT_TRUE(same_bits(grads_after(false), grads_after(true)));
 }
 
 // ----- Whole-batch conv forward ---------------------------------------
