@@ -6,9 +6,9 @@ namespace meanet::nn {
 
 Tensor ReLU::forward(const Tensor& input, Mode mode) {
   Tensor output(input.shape());
-  for (std::int64_t i = 0; i < input.numel(); ++i) {
-    output[i] = input[i] > 0.0f ? input[i] : 0.0f;
-  }
+  const float* in = input.data();
+  float* out = output.data();
+  for (std::int64_t i = 0, n = input.numel(); i < n; ++i) out[i] = in[i] > 0.0f ? in[i] : 0.0f;
   if (mode == Mode::kTrain) cached_input_ = input;
   return output;
 }
@@ -16,8 +16,14 @@ Tensor ReLU::forward(const Tensor& input, Mode mode) {
 Tensor ReLU::backward(const Tensor& grad_output) {
   if (cached_input_.empty()) throw std::logic_error(name_ + ": backward before forward");
   Tensor grad_input(grad_output.shape());
-  for (std::int64_t i = 0; i < grad_output.numel(); ++i) {
-    grad_input[i] = cached_input_[i] > 0.0f ? grad_output[i] : 0.0f;
+  const float* x = cached_input_.data();
+  const float* g = grad_output.data();
+  float* out = grad_input.data();
+  // g[i] is loaded on both sides of the select so it compiles to a
+  // branch-free blend; a conditional load costs a mispredict per element.
+  for (std::int64_t i = 0, n = grad_output.numel(); i < n; ++i) {
+    const float gi = g[i];
+    out[i] = x[i] > 0.0f ? gi : 0.0f;
   }
   return grad_input;
 }
@@ -30,9 +36,11 @@ LayerStats ReLU::stats(const Shape& input) const {
 
 Tensor ReLU6::forward(const Tensor& input, Mode mode) {
   Tensor output(input.shape());
-  for (std::int64_t i = 0; i < input.numel(); ++i) {
-    const float v = input[i];
-    output[i] = v <= 0.0f ? 0.0f : (v >= 6.0f ? 6.0f : v);
+  const float* in = input.data();
+  float* out = output.data();
+  for (std::int64_t i = 0, n = input.numel(); i < n; ++i) {
+    const float v = in[i];
+    out[i] = v <= 0.0f ? 0.0f : (v >= 6.0f ? 6.0f : v);
   }
   if (mode == Mode::kTrain) cached_input_ = input;
   return output;
@@ -41,9 +49,12 @@ Tensor ReLU6::forward(const Tensor& input, Mode mode) {
 Tensor ReLU6::backward(const Tensor& grad_output) {
   if (cached_input_.empty()) throw std::logic_error(name_ + ": backward before forward");
   Tensor grad_input(grad_output.shape());
-  for (std::int64_t i = 0; i < grad_output.numel(); ++i) {
-    const float v = cached_input_[i];
-    grad_input[i] = (v > 0.0f && v < 6.0f) ? grad_output[i] : 0.0f;
+  const float* x = cached_input_.data();
+  const float* g = grad_output.data();
+  float* out = grad_input.data();
+  for (std::int64_t i = 0, n = grad_output.numel(); i < n; ++i) {
+    const float v = x[i], gi = g[i];  // unconditional load, as in ReLU
+    out[i] = (v > 0.0f && v < 6.0f) ? gi : 0.0f;
   }
   return grad_input;
 }

@@ -12,9 +12,9 @@
 //
 // Both layers expose forward_with(): a const, cache-free forward that
 // takes the weights (and optional bias) as raw pointers. The eval-mode
-// forward() delegates to it with the layer's own parameters; the
-// Sequential / block containers delegate to it with BatchNorm-folded
-// weights, which is how a Conv+BN pair collapses to one kernel in eval.
+// forward() delegates to it with the layer's own parameters;
+// Sequential::forward delegates to it with BatchNorm-folded weights,
+// which is how a Conv+BN pair collapses to one kernel in eval.
 #pragma once
 
 #include "nn/layer.h"

@@ -2,14 +2,14 @@
 //   1x1 expand Conv+BN+ReLU6 -> 3x3 depthwise Conv+BN+ReLU6
 //   -> 1x1 project Conv+BN (linear bottleneck), with a residual skip
 //   when stride == 1 and in_channels == out_channels.
+//
+// The block is one Sequential of those layers plus the skip add; the
+// expand stage is left out when expansion == 1. Eval-mode Conv+BN
+// folding comes from Sequential::forward.
 #pragma once
 
-#include <memory>
-
-#include "nn/activations.h"
-#include "nn/batchnorm2d.h"
-#include "nn/conv2d.h"
 #include "nn/layer.h"
+#include "nn/sequential.h"
 #include "util/rng.h"
 
 namespace meanet::nn {
@@ -21,30 +21,20 @@ class InvertedResidual : public Layer {
 
   Tensor forward(const Tensor& input, Mode mode) override;
   Tensor backward(const Tensor& grad_output) override;
-  std::vector<Parameter*> parameters() override;
-  std::vector<NamedTensor> state() override;
+  std::vector<Parameter*> parameters() override { return main_.parameters(); }
+  std::vector<NamedTensor> state() override { return main_.state(); }
   std::string name() const override { return name_; }
-  Shape output_shape(const Shape& input) const override;
-  LayerStats stats(const Shape& input) const override;
-  std::int64_t activation_cache_elems() const override;
+  Shape output_shape(const Shape& input) const override { return main_.output_shape(input); }
+  LayerStats stats(const Shape& input) const override { return main_.stats(input); }
+  std::int64_t activation_cache_elems() const override { return main_.activation_cache_elems(); }
   void set_frozen(bool frozen) override;
 
   bool has_skip() const { return use_skip_; }
 
  private:
-  std::vector<Layer*> main_layers();
-  std::vector<const Layer*> main_layers() const;
-
   std::string name_;
   bool use_skip_;
-  std::unique_ptr<Conv2d> expand_conv_;  // null when expansion == 1
-  std::unique_ptr<BatchNorm2d> expand_bn_;
-  std::unique_ptr<ReLU6> expand_relu_;
-  DepthwiseConv2d dw_conv_;
-  BatchNorm2d dw_bn_;
-  ReLU6 dw_relu_;
-  Conv2d project_conv_;
-  BatchNorm2d project_bn_;
+  Sequential main_;
 };
 
 }  // namespace meanet::nn

@@ -48,6 +48,13 @@ struct LayerStats {
   std::int64_t macs = 0;
   /// Elements of activation state cached for backward, per instance.
   std::int64_t activation_elems = 0;
+
+  LayerStats& operator+=(const LayerStats& other) {
+    params += other.params;
+    macs += other.macs;
+    activation_elems += other.activation_elems;
+    return *this;
+  }
 };
 
 class Layer {

@@ -1,83 +1,46 @@
 #include "nn/residual_block.h"
 
-#include <stdexcept>
-
-#include "nn/fuse.h"
+#include "nn/batchnorm2d.h"
+#include "nn/conv2d.h"
 
 namespace meanet::nn {
 
 ResidualBlock::ResidualBlock(int in_channels, int out_channels, int stride, util::Rng& rng,
                              std::string name)
     : name_(std::move(name)),
-      conv1_(in_channels, out_channels, 3, stride, 1, /*bias=*/false, rng, name_ + ".conv1"),
-      bn1_(out_channels, 0.1f, 1e-5f, name_ + ".bn1"),
-      conv2_(out_channels, out_channels, 3, 1, 1, /*bias=*/false, rng, name_ + ".conv2"),
-      bn2_(out_channels, 0.1f, 1e-5f, name_ + ".bn2") {
+      main_(name_ + ".main"),
+      shortcut_(name_ + ".shortcut"),
+      relu_(name_ + ".relu") {
+  // Weights are drawn conv1, conv2, conv_sc: the order saved models expect.
+  main_.emplace<Conv2d>(in_channels, out_channels, 3, stride, 1, /*bias=*/false, rng,
+                        name_ + ".conv1");
+  main_.emplace<BatchNorm2d>(out_channels, 0.1f, 1e-5f, name_ + ".bn1");
+  main_.emplace<ReLU>(name_ + ".relu1");
+  main_.emplace<Conv2d>(out_channels, out_channels, 3, 1, 1, /*bias=*/false, rng,
+                        name_ + ".conv2");
+  main_.emplace<BatchNorm2d>(out_channels, 0.1f, 1e-5f, name_ + ".bn2");
   if (stride != 1 || in_channels != out_channels) {
-    shortcut_conv_ = std::make_unique<Conv2d>(in_channels, out_channels, 1, stride, 0,
-                                              /*bias=*/false, rng, name_ + ".conv_sc");
-    shortcut_bn_ = std::make_unique<BatchNorm2d>(out_channels, 0.1f, 1e-5f, name_ + ".bn_sc");
+    shortcut_.emplace<Conv2d>(in_channels, out_channels, 1, stride, 0, /*bias=*/false, rng,
+                              name_ + ".conv_sc");
+    shortcut_.emplace<BatchNorm2d>(out_channels, 0.1f, 1e-5f, name_ + ".bn_sc");
   }
-}
-
-Shape ResidualBlock::output_shape(const Shape& input) const {
-  return bn2_.output_shape(conv2_.output_shape(bn1_.output_shape(conv1_.output_shape(input))));
 }
 
 Tensor ResidualBlock::forward(const Tensor& input, Mode mode) {
-  if (mode == Mode::kEval) {
-    // Cache-free inference path: both Conv+BN pairs (and the projection
-    // shortcut's) run as folded kernels, ReLUs apply in place, and no
-    // backward state is written — safe for concurrent shared-net use.
-    Tensor main = fused_conv_bn_eval(conv1_, bn1_, input);
-    for (std::int64_t i = 0; i < main.numel(); ++i) {
-      if (main[i] < 0.0f) main[i] = 0.0f;
-    }
-    main = fused_conv_bn_eval(conv2_, bn2_, main);
-    if (shortcut_conv_) {
-      main.add_(fused_conv_bn_eval(*shortcut_conv_, *shortcut_bn_, input));
-    } else {
-      main.add_(input);
-    }
-    for (std::int64_t i = 0; i < main.numel(); ++i) {
-      if (main[i] < 0.0f) main[i] = 0.0f;
-    }
-    return main;
+  Tensor sum = main_.forward(input, mode);
+  if (has_projection()) {
+    sum.add_(shortcut_.forward(input, mode));
+  } else {
+    sum.add_(input);
   }
-  Tensor main = bn1_.forward(conv1_.forward(input, mode), mode);
-  // Inline ReLU between the two convs; mask recoverable from bn1 output sign.
-  for (std::int64_t i = 0; i < main.numel(); ++i) {
-    if (main[i] < 0.0f) main[i] = 0.0f;
-  }
-  relu1_out_ = main;
-  main = bn2_.forward(conv2_.forward(main, mode), mode);
-
-  Tensor shortcut =
-      shortcut_conv_ ? shortcut_bn_->forward(shortcut_conv_->forward(input, mode), mode) : input;
-  main.add_(shortcut);
-  cached_pre_relu_ = main;
-
-  Tensor out(main.shape());
-  for (std::int64_t i = 0; i < main.numel(); ++i) out[i] = main[i] > 0.0f ? main[i] : 0.0f;
-  return out;
+  return relu_.forward(sum, mode);
 }
 
 Tensor ResidualBlock::backward(const Tensor& grad_output) {
-  if (cached_pre_relu_.empty()) throw std::logic_error(name_ + ": backward before forward");
-  // Final ReLU.
-  Tensor g(grad_output.shape());
-  for (std::int64_t i = 0; i < g.numel(); ++i) {
-    g[i] = cached_pre_relu_[i] > 0.0f ? grad_output[i] : 0.0f;
-  }
-  // Main path: bn2 <- conv2 <- relu1 <- bn1 <- conv1.
-  Tensor g_main = conv2_.backward(bn2_.backward(g));
-  for (std::int64_t i = 0; i < g_main.numel(); ++i) {
-    if (relu1_out_[i] <= 0.0f) g_main[i] = 0.0f;
-  }
-  Tensor grad_input = conv1_.backward(bn1_.backward(g_main));
-  // Shortcut path.
-  if (shortcut_conv_) {
-    grad_input.add_(shortcut_conv_->backward(shortcut_bn_->backward(g)));
+  const Tensor g = relu_.backward(grad_output);
+  Tensor grad_input = main_.backward(g);
+  if (has_projection()) {
+    grad_input.add_(shortcut_.backward(g));
   } else {
     grad_input.add_(g);
   }
@@ -85,72 +48,33 @@ Tensor ResidualBlock::backward(const Tensor& grad_output) {
 }
 
 std::vector<Parameter*> ResidualBlock::parameters() {
-  std::vector<Parameter*> out;
-  for (Layer* l : std::initializer_list<Layer*>{&conv1_, &bn1_, &conv2_, &bn2_}) {
-    for (Parameter* p : l->parameters()) out.push_back(p);
-  }
-  if (shortcut_conv_) {
-    for (Parameter* p : shortcut_conv_->parameters()) out.push_back(p);
-    for (Parameter* p : shortcut_bn_->parameters()) out.push_back(p);
-  }
+  std::vector<Parameter*> out = main_.parameters();
+  for (Parameter* p : shortcut_.parameters()) out.push_back(p);
   return out;
 }
 
 std::vector<NamedTensor> ResidualBlock::state() {
-  std::vector<NamedTensor> out = bn1_.state();
-  for (const NamedTensor& s : bn2_.state()) out.push_back(s);
-  if (shortcut_bn_) {
-    for (const NamedTensor& s : shortcut_bn_->state()) out.push_back(s);
-  }
+  std::vector<NamedTensor> out = main_.state();
+  for (const NamedTensor& s : shortcut_.state()) out.push_back(s);
   return out;
 }
 
 LayerStats ResidualBlock::stats(const Shape& input) const {
-  LayerStats total;
-  Shape s = input;
-  for (const Layer* l : std::initializer_list<const Layer*>{&conv1_, &bn1_, &conv2_, &bn2_}) {
-    const LayerStats ls = l->stats(s);
-    total.params += ls.params;
-    total.macs += ls.macs;
-    total.activation_elems += ls.activation_elems;
-    s = l->output_shape(s);
-  }
-  if (shortcut_conv_) {
-    Shape sc = input;
-    for (const Layer* l :
-         std::initializer_list<const Layer*>{shortcut_conv_.get(), shortcut_bn_.get()}) {
-      const LayerStats ls = l->stats(sc);
-      total.params += ls.params;
-      total.macs += ls.macs;
-      total.activation_elems += ls.activation_elems;
-      sc = l->output_shape(sc);
-    }
-  }
-  // Pre-ReLU sum cached for the final activation's backward.
-  total.activation_elems += output_shape(input).numel() / input.dim(0);
+  LayerStats total = main_.stats(input);
+  total += shortcut_.stats(input);
+  total += relu_.stats(output_shape(input));
   return total;
 }
 
 std::int64_t ResidualBlock::activation_cache_elems() const {
-  std::int64_t total = cached_pre_relu_.numel() + relu1_out_.numel();
-  total += conv1_.activation_cache_elems() + bn1_.activation_cache_elems();
-  total += conv2_.activation_cache_elems() + bn2_.activation_cache_elems();
-  if (shortcut_conv_) {
-    total += shortcut_conv_->activation_cache_elems() + shortcut_bn_->activation_cache_elems();
-  }
-  return total;
+  return main_.activation_cache_elems() + shortcut_.activation_cache_elems() +
+         relu_.activation_cache_elems();
 }
 
 void ResidualBlock::set_frozen(bool frozen) {
   frozen_ = frozen;
-  conv1_.set_frozen(frozen);
-  bn1_.set_frozen(frozen);
-  conv2_.set_frozen(frozen);
-  bn2_.set_frozen(frozen);
-  if (shortcut_conv_) {
-    shortcut_conv_->set_frozen(frozen);
-    shortcut_bn_->set_frozen(frozen);
-  }
+  main_.set_frozen(frozen);
+  shortcut_.set_frozen(frozen);
 }
 
 }  // namespace meanet::nn

@@ -1,13 +1,16 @@
 // Basic residual block (ResNet v1 style):
 //   out = ReLU( BN2(Conv2(ReLU(BN1(Conv1(x))))) + shortcut(x) )
 // with a 1x1 Conv+BN shortcut when the shape changes.
+//
+// The block is two Sequentials and a ReLU: main = {conv1, bn1, relu1,
+// conv2, bn2}, shortcut = {conv_sc, bn_sc} (empty for an identity
+// shortcut), and the ReLU after the add. Eval-mode Conv+BN folding comes
+// from Sequential::forward; the block only adds the two paths.
 #pragma once
 
-#include <memory>
-
-#include "nn/batchnorm2d.h"
-#include "nn/conv2d.h"
+#include "nn/activations.h"
 #include "nn/layer.h"
+#include "nn/sequential.h"
 #include "util/rng.h"
 
 namespace meanet::nn {
@@ -22,23 +25,18 @@ class ResidualBlock : public Layer {
   std::vector<Parameter*> parameters() override;
   std::vector<NamedTensor> state() override;
   std::string name() const override { return name_; }
-  Shape output_shape(const Shape& input) const override;
+  Shape output_shape(const Shape& input) const override { return main_.output_shape(input); }
   LayerStats stats(const Shape& input) const override;
   std::int64_t activation_cache_elems() const override;
   void set_frozen(bool frozen) override;
 
-  bool has_projection() const { return static_cast<bool>(shortcut_conv_); }
+  bool has_projection() const { return shortcut_.size() > 0; }
 
  private:
   std::string name_;
-  Conv2d conv1_;
-  BatchNorm2d bn1_;
-  Conv2d conv2_;
-  BatchNorm2d bn2_;
-  std::unique_ptr<Conv2d> shortcut_conv_;  // null => identity shortcut
-  std::unique_ptr<BatchNorm2d> shortcut_bn_;
-  Tensor cached_pre_relu_;  // main + shortcut, before the final ReLU
-  Tensor relu1_out_;        // output of the inner ReLU (backward mask)
+  Sequential main_;
+  Sequential shortcut_;  // empty => identity shortcut
+  ReLU relu_;            // after the add
 };
 
 }  // namespace meanet::nn

@@ -1,11 +1,72 @@
 #include "nn/sequential.h"
 
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
-#include "nn/fuse.h"
+#include "nn/batchnorm2d.h"
+#include "nn/conv2d.h"
 #include "nn/parameter.h"
+#include "tensor/workspace.h"
 
 namespace meanet::nn {
+
+namespace {
+
+// Eval-mode Conv+BatchNorm folding: BN(W * x + b) = (scale ⊙ W) * x +
+// (scale ⊙ b + shift). The fold is recomputed from the BN's running
+// statistics into per-thread workspace scratch on every call, so no layer
+// caches anything (nothing to invalidate when training resumes; shared-net
+// serving stays const-safe). It is O(params), noise next to the conv.
+
+/// Folds `bn` into `weight` ([channels, ...]) and the optional
+/// `conv_bias`; returns {folded weight, folded bias} in scratch.
+std::pair<const float*, const float*> fold(const BatchNorm2d& bn, const Tensor& weight,
+                                           const float* conv_bias) {
+  const int channels = bn.channels();
+  ops::Workspace& ws = ops::Workspace::tls();
+  float* scale = ws.buffer(ops::Workspace::kFoldedBias, 2 * static_cast<std::size_t>(channels));
+  float* bias = scale + channels;
+  bn.fold_scale_shift(scale, bias);
+  if (conv_bias != nullptr) {
+    for (int c = 0; c < channels; ++c) bias[c] += scale[c] * conv_bias[c];
+  }
+  const std::int64_t per_channel = weight.numel() / channels;
+  const float* w = weight.data();
+  float* folded =
+      ws.buffer(ops::Workspace::kFoldedWeights, static_cast<std::size_t>(weight.numel()));
+  for (int c = 0; c < channels; ++c) {
+    for (std::int64_t i = c * per_channel; i < (c + 1) * per_channel; ++i) {
+      folded[i] = scale[c] * w[i];
+    }
+  }
+  return {folded, bias};
+}
+
+/// Runs `layer` then `next` as one cache-free folded kernel when they
+/// are a (Conv2d | DepthwiseConv2d, BatchNorm2d) pair with matching
+/// channel counts; returns false (and leaves `out` alone) otherwise.
+/// The depthwise layer has no bias; the folded BN supplies one.
+bool fused_conv_bn_eval(const Layer& layer, const Layer& next, const Tensor& input, Tensor& out) {
+  const auto* bn = dynamic_cast<const BatchNorm2d*>(&next);
+  if (bn == nullptr) return false;
+  if (const auto* conv = dynamic_cast<const Conv2d*>(&layer);
+      conv != nullptr && conv->out_channels() == bn->channels()) {
+    const auto [weight, bias] = fold(*bn, conv->weight().value,
+                                     conv->has_bias() ? conv->bias().value.data() : nullptr);
+    out = conv->forward_with(input, weight, bias);
+    return true;
+  }
+  if (const auto* dw = dynamic_cast<const DepthwiseConv2d*>(&layer);
+      dw != nullptr && dw->channels() == bn->channels()) {
+    const auto [weight, bias] = fold(*bn, dw->weight().value, nullptr);
+    out = dw->forward_with(input, weight, bias);
+    return true;
+  }
+  return false;
+}
+
+}  // namespace
 
 Sequential& Sequential::add(LayerPtr layer) {
   if (!layer) throw std::invalid_argument(name_ + ": null layer");
@@ -14,21 +75,36 @@ Sequential& Sequential::add(LayerPtr layer) {
 }
 
 Tensor Sequential::forward(const Tensor& input, Mode mode) {
-  // forward_chain folds adjacent Conv+BN pairs into one kernel in eval
-  // mode; in train mode it is a plain layer-by-layer chain.
-  return forward_chain(layers_, input, mode);
+  if (layers_.empty()) return input;
+  // Each layer reads its predecessor's output in place: `x` points at
+  // the caller's input until the first layer has run.
+  Tensor out;
+  const Tensor* x = &input;
+  for (std::size_t i = 0; i < layers_.size(); ++i, x = &out) {
+    if (mode == Mode::kEval && i + 1 < layers_.size() &&
+        fused_conv_bn_eval(*layers_[i], *layers_[i + 1], *x, out)) {
+      ++i;
+      continue;
+    }
+    out = layers_[i]->forward(*x, mode);
+  }
+  return out;
 }
 
 Tensor Sequential::backward(const Tensor& grad_output) {
-  Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) g = (*it)->backward(g);
+  if (layers_.empty()) return grad_output;
+  Tensor g = layers_.back()->backward(grad_output);
+  for (auto it = std::next(layers_.rbegin()); it != layers_.rend(); ++it) g = (*it)->backward(g);
   return g;
 }
 
 void Sequential::backward_params(const Tensor& grad_output) {
   if (layers_.empty()) return;
-  Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it + 1 != layers_.rend(); ++it) g = (*it)->backward(g);
+  if (layers_.size() == 1) return layers_.front()->backward_params(grad_output);
+  Tensor g = layers_.back()->backward(grad_output);
+  for (auto it = std::next(layers_.rbegin()); std::next(it) != layers_.rend(); ++it) {
+    g = (*it)->backward(g);
+  }
   layers_.front()->backward_params(g);
 }
 
@@ -56,14 +132,7 @@ Shape Sequential::output_shape(const Shape& input) const {
 
 LayerStats Sequential::stats(const Shape& input) const {
   LayerStats total;
-  Shape s = input;
-  for (const auto& layer : layers_) {
-    const LayerStats ls = layer->stats(s);
-    total.params += ls.params;
-    total.macs += ls.macs;
-    total.activation_elems += ls.activation_elems;
-    s = layer->output_shape(s);
-  }
+  for (const LayerStats& ls : layer_stats(input)) total += ls;
   return total;
 }
 

@@ -2,6 +2,13 @@
 //
 // MEANet's main, adaptive and extension blocks are each a Sequential;
 // the MEANet class wires them together (sum/concat fusion, two exits).
+// ResidualBlock and InvertedResidual are built from Sequentials too.
+//
+// forward() is the one place that folds Conv+BatchNorm: in eval mode
+// each adjacent (Conv2d | DepthwiseConv2d, BatchNorm2d) pair with
+// matching channel counts runs as a single kernel whose weights and bias
+// are folded from the BN's running statistics into per-thread scratch.
+// Train mode is a plain layer-by-layer chain.
 #pragma once
 
 #include <memory>

@@ -15,11 +15,18 @@ constexpr std::uint32_t kMaxStatsName = 1u << 8;
 constexpr std::uint32_t kFlagImages = 1u << 0;
 constexpr std::uint32_t kFlagFeatures = 1u << 1;
 
+/// resize + memcpy rather than vector::insert: GCC 12's
+/// -Wstringop-overflow misreads the inlined insert of a few bytes.
+void append_bytes(std::vector<std::uint8_t>& out, const void* bytes, std::size_t size) {
+  const std::size_t at = out.size();
+  out.resize(at + size);
+  std::memcpy(out.data() + at, bytes, size);
+}
+
 template <typename T>
 void append_pod(std::vector<std::uint8_t>& out, const T& value) {
   static_assert(std::is_trivially_copyable_v<T>, "pod appends only");
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(&value);
-  out.insert(out.end(), bytes, bytes + sizeof(T));
+  append_bytes(out, &value, sizeof(T));
 }
 
 /// Payload decoding shares the serialize layer's bounds-checked cursor;
@@ -61,7 +68,7 @@ const char* command_name(Command command) {
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {
   std::vector<std::uint8_t> out;
   out.reserve(kFrameHeaderBytes + frame.payload.size());
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
+  append_bytes(out, kMagic, sizeof(kMagic));
   append_pod(out, kWireVersion);
   append_pod(out, static_cast<std::uint16_t>(frame.command));
   append_pod(out, frame.request_id);

@@ -48,9 +48,10 @@
 
 #include "nn/batchnorm2d.h"
 #include "nn/conv2d.h"
-#include "nn/fuse.h"
+#include "nn/inverted_residual.h"
 #include "nn/loss.h"
 #include "nn/parameter.h"
+#include "nn/residual_block.h"
 #include "nn/sequential.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
@@ -1051,6 +1052,37 @@ TEST(BatchNormFolding, FoldedDepthwiseMatchesUnfusedPair) {
   const Tensor folded = fused.forward(x, nn::Mode::kEval);
   const Tensor unfused = bn.forward(dw.forward(x, nn::Mode::kEval), nn::Mode::kEval);
   EXPECT_TRUE(allclose(folded, unfused, 1e-5f));
+}
+
+// A frozen block's train forward is the unfused chain with every BN
+// pinned to its running statistics: exactly what the eval forward folds.
+void expect_folded_block_matches_unfused(nn::Layer& block, const Shape& batch,
+                                         util::Rng& rng) {
+  // Give the BNs non-trivial statistics: a few train-mode batches.
+  for (int i = 0; i < 3; ++i) block.forward(Tensor::normal(batch, rng), nn::Mode::kTrain);
+  block.set_frozen(true);
+  const Tensor x = Tensor::normal(batch, rng);
+  const Tensor folded = block.forward(x, nn::Mode::kEval);
+  const Tensor unfused = block.forward(x, nn::Mode::kTrain);
+  EXPECT_TRUE(allclose(folded, unfused, 1e-5f)) << block.name();
+}
+
+TEST(BatchNormFolding, FoldedResidualBlocksMatchUnfused) {
+  util::Rng rng(37);
+  nn::ResidualBlock identity(4, 4, 1, rng, "identity");
+  nn::ResidualBlock projection(4, 8, 2, rng, "projection");
+  ASSERT_TRUE(projection.has_projection());
+  expect_folded_block_matches_unfused(identity, Shape{4, 4, 8, 8}, rng);
+  expect_folded_block_matches_unfused(projection, Shape{4, 4, 8, 8}, rng);
+}
+
+TEST(BatchNormFolding, FoldedInvertedResidualsMatchUnfused) {
+  util::Rng rng(41);
+  nn::InvertedResidual skip(4, 4, 1, 1, rng, "skip");
+  nn::InvertedResidual expand(4, 8, 2, 4, rng, "expand");
+  ASSERT_TRUE(skip.has_skip());
+  expect_folded_block_matches_unfused(skip, Shape{4, 4, 8, 8}, rng);
+  expect_folded_block_matches_unfused(expand, Shape{4, 4, 8, 8}, rng);
 }
 
 TEST(CacheFreeEval, EvalForwardAllocatesNoActivationCaches) {
