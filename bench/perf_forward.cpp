@@ -4,6 +4,8 @@
 //   - single-image eval forwards of the edge models,
 //   - batched eval forwards (one implicit GEMM per conv over the whole
 //     batch),
+//   - the cloud classifier's eval forward at the batch sizes the wire
+//     daemon serves, with its achieved GFLOP/s,
 //   - the routing-signal reductions (softmax / argmax / entropy /
 //     margin),
 //   - end-to-end submit -> settle through a 2-worker InferenceSession
@@ -23,8 +25,11 @@
 // ops::conv_gemm_nchw; int8 runs per image), reporting imgs/s. The
 // training rows time one Alg. 1 main-block step per model at batch 32:
 // a train-mode forward_main, then backward_main of its cross-entropy
-// gradient. The JSON header records the host shape (nproc, SIMD and
-// int8 tiers).
+// gradient. The cloud rows time build_cloud_classifier's eval forward
+// at batch 16 (one of meanet_cloudd's row shards on a 4-core host) and
+// batch 62 (the mean server batch of e2ebench's wire_offload) and
+// report GFLOP/s = 2 x nn::collect_stats MACs x batch / time. The JSON
+// header records the host shape (nproc, SIMD and int8 tiers).
 //
 // Usage: perf_forward [--quick] [--out PATH]
 // Exit status is nonzero when, on any single-image forward, the
@@ -34,9 +39,11 @@
 // perf smoke gates. "Slower" means the fast side's median exceeds its
 // fallback's by more than the larger of the two sides' interquartile
 // ranges, both timed interleaved in one loop: a smaller gap is within
-// what the host's noise moves a median.
+// what the host's noise moves a median. The batch-sweep, training and
+// cloud rows are recorded, not gated.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -46,8 +53,10 @@
 #include <vector>
 
 #include "common.h"
+#include "core/builders.h"
 #include "diag/value.h"
 #include "nn/loss.h"
+#include "nn/model_stats.h"
 #include "runtime/session.h"
 #include "tensor/ops.h"
 #include "tensor/qgemm.h"
@@ -200,6 +209,14 @@ struct TrainRow {
   double backward_ms = 0.0;
 };
 
+/// One cloud-classifier eval forward at a fixed batch: its median and
+/// interquartile range, and the GFLOP/s its MACs give at that median.
+struct CloudRow {
+  int batch = 0;
+  Timing forward;
+  double gflops = 0.0;
+};
+
 TrainRow measure_training(const std::string& model, core::MEANet& net, const Tensor& images,
                           int num_classes, int reps) {
   std::vector<int> labels(static_cast<std::size_t>(images.shape().batch()));
@@ -301,6 +318,31 @@ int main(int argc, char** argv) {
     training.push_back(measure_training(m.name, net, batch, spec.num_classes, std::max(11, reps)));
   }
 
+  std::vector<CloudRow> cloud_rows;
+  {
+    // The cloud classifier on the CIFAR-like images e2ebench's wire
+    // daemon classifies.
+    util::Rng rng(5);
+    const data::SyntheticSpec spec = bench::spec_for(bench::DatasetKind::kCifarLike);
+    nn::Sequential cloud = core::build_cloud_classifier(spec.channels, spec.num_classes, rng);
+    const std::int64_t macs =
+        nn::collect_stats(cloud, Shape{1, spec.channels, spec.height, spec.width}).total_macs();
+    util::Rng data_rng(13);
+    for (const int bs : {16, 62}) {
+      const Tensor input =
+          Tensor::normal(Shape{bs, spec.channels, spec.height, spec.width}, data_rng);
+      const auto forward = [&] { (void)cloud.forward(input, nn::Mode::kEval); };
+      CloudRow row;
+      row.batch = bs;
+      row.forward = interleaved_timings(quick ? 11 : 31, {forward})[0];
+      row.gflops = 2.0 * static_cast<double>(macs) * bs / (row.forward.median_ms * 1e6);
+      std::printf("  %-28s batch %2d   forward %8.3f ms (IQR %.3f)   %6.1f GFLOP/s\n",
+                  "cloud_classifier", bs, row.forward.median_ms, row.forward.iqr_ms,
+                  row.gflops);
+      cloud_rows.push_back(row);
+    }
+  }
+
   {
     // Routing-signal reductions on a serving-sized logits block.
     util::Rng rng(17);
@@ -391,6 +433,17 @@ int main(int argc, char** argv) {
     train_rows.push(std::move(v));
   }
   doc.set("training", std::move(train_rows));
+  diag::Value cloud_forward = diag::Value::array();
+  for (const CloudRow& row : cloud_rows) {
+    diag::Value v = diag::Value::object();
+    v.set("model", "cloud_classifier");
+    v.set("batch", row.batch);
+    v.set("forward_ms", row.forward.median_ms);
+    v.set("iqr_ms", row.forward.iqr_ms);
+    v.set("gflops", row.gflops);
+    cloud_forward.push(std::move(v));
+  }
+  doc.set("cloud_forward", std::move(cloud_forward));
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());

@@ -8,7 +8,11 @@
 // A conv forward (conv_gemm_nchw) packs B from its NCHW images and
 // writes C into its NCHW output; a conv's input-gradient GEMM
 // (conv_grad_columns) reads B from the NCHW output gradient the same
-// way.
+// way. That packer (detail::pack_b_conv, ops.cpp) checks no bounds: a
+// padded conv's block is first copied into a zero-padded slab of the
+// images x channels the block reads (bounded by KC x NC, not by the
+// batch), and each panel is then one 16-float copy or one 16-lane
+// offset gather per k row.
 // The microkernel is picked at runtime (tensor/simd.h): an 8x16
 // AVX-512F tile on x86 with AVX-512F, a 6x16 AVX2+FMA tile on x86 with
 // AVX2 (bit-identical to the AVX-512 one), a 6x16 NEON tile on
@@ -39,12 +43,11 @@ namespace {
 // 4 x 16 keeps the accumulator within the vector register budget of
 // any SSE2+ target while giving -O3 full unroll + vectorize freedom.
 constexpr int kPortableMR = 4;
+using detail::kKC;
+using detail::kNC;
 using detail::kNR;
-// Cache blocks: KC sizes the packed panels' k-depth (A panel MC*KC and
-// B panel KC*NC stay L2-resident), MC/NC bound the packed panel sizes.
-constexpr int kKC = 256;
+// MC bounds the packed A panel's rows (KC and NC: gemm_kernels.h).
 constexpr int kMC = 128;
-constexpr int kNC = 1024;
 
 // ----- Packing --------------------------------------------------------
 
@@ -309,13 +312,6 @@ void run_nchw(bool transpose_a, int m, const float* a, int lda, const float* ima
     throw std::invalid_argument("conv GEMM: negative dimension");
   }
   if (m == 0 || batch == 0 || out_hw == 0 || patch == 0) return;
-  // A 1x1, stride-1, unpadded conv over H x W is the same conv over one
-  // row of H*W pixels; its packed runs then span whole images, not rows.
-  ConvGeometry flat = g;
-  if (g.kernel == 1 && g.stride == 1 && g.padding == 0) {
-    flat.in_width *= flat.in_height;
-    flat.in_height = 1;
-  }
 
   GemmJob job;
   job.transpose_a = transpose_a;
@@ -327,7 +323,7 @@ void run_nchw(bool transpose_a, int m, const float* a, int lda, const float* ima
   job.b = images;
   job.c = c;
   job.ldc = out_hw;
-  job.conv = &flat;
+  job.conv = &g;
   job.kernel = active_kernel();
   run_blocked(job);
 }

@@ -28,11 +28,19 @@ namespace meanet::ops::detail {
 constexpr int kMaxMR = 8;
 /// Every kernel tier's column count: the width of each packed B panel.
 constexpr int kNR = 16;
+/// Cache blocks of the blocked driver: a packed B block is KC k rows x
+/// NC columns (it and the A panel MC x KC stay L2-resident), so
+/// pack_b_conv is called with kc <= KC and nc <= NC.
+constexpr int kKC = 256;
+constexpr int kNC = 1024;
 
 /// The implicit-GEMM B packer (ops.cpp, next to im2col): packs rows
 /// [p0, p0+kc) x columns [j0, j0+nc) of the im2col matrix of NCHW
 /// `images` (image n at columns [n*out_hw, (n+1)*out_hw)) into NR-wide
-/// panels: the bytes im2col + the dense pack_b would produce.
+/// panels: the bytes im2col + the dense pack_b would produce, zeros in
+/// the lanes past a ragged last panel included. With padding, it first
+/// copies the images x channels the block reads into the zero-padded
+/// Workspace::kPaddedSlab.
 void pack_b_conv(const float* images, const ConvGeometry& g, int p0, int kc, int j0, int nc,
                  float* dst);
 

@@ -7,14 +7,15 @@
 #include <stdexcept>
 
 #include "tensor/gemm_kernels.h"
+#include "tensor/workspace.h"
 
 namespace meanet::ops {
 
 namespace {
 
-/// One im2col row segment, shared by im2col_into and the implicit-GEMM
-/// B packer: dst[i] = channel[ih][(ow0 + i) * stride - padding + kw]
-/// for i in [0, count), or `fill` where that tap lies in the padding.
+/// One im2col row segment: dst[i] = channel[ih][(ow0 + i) * stride -
+/// padding + kw] for i in [0, count), or `fill` where that tap lies in
+/// the padding.
 template <typename T>
 void copy_tap_row(const T* channel, const ConvGeometry& g, int ih, int kw, int ow0, int count,
                   T* dst, T fill) {
@@ -32,7 +33,7 @@ void copy_tap_row(const T* channel, const ConvGeometry& g, int ih, int kw, int o
     return;
   }
   // Contiguous tap: lanes [begin, end) copy the input row, the rest is
-  // padding. A whole panel row (count == NR) gets inlined fixed sizes.
+  // padding. A 16-wide row (count == NR) gets inlined fixed sizes.
   const int begin = std::clamp(-shift - ow0, 0, count);
   const int end = std::clamp(g.in_width - shift - ow0, begin, count);
   if (count == detail::kNR) {
@@ -139,51 +140,122 @@ void im2col_u8(const std::uint8_t* image, const ConvGeometry& g, std::uint8_t* c
   im2col_into<std::uint8_t>(image, g, columns, kU8ZeroPoint);
 }
 
-void detail::pack_b_conv(const float* images, const ConvGeometry& g, int p0, int kc, int j0,
-                         int nc, float* dst) {
-  const int out_w = g.out_width();
-  const int out_hw = g.out_height() * out_w;
-  const int taps = g.kernel * g.kernel;
+namespace {
+
+/// pack_b_conv over unpadded NCHW `images` (g.padding == 0), where
+/// every tap of every column lies inside its image. Column j is image
+/// j / out_hw at output pixel (oh, ow), whose tap (c, kh, kw) is
+/// images[offset(j) + c*plane + kh*W + kw] with offset(j) = image *
+/// image_stride + oh*stride*W + ow*stride. A panel's offsets rise
+/// strictly with j, so 16 of them spanning 15 floats are consecutive:
+/// each k row is then one 16-float copy, and otherwise one 16-lane
+/// gather.
+void pack_b_unpadded(const float* images, const ConvGeometry& g, int p0, int kc, int j0, int nc,
+                     float* dst) {
+  using detail::kNR;
+  const int out_h = g.out_height(), out_w = g.out_width();
+  const int out_hw = out_h * out_w;
+  const int k = g.kernel;
+  const std::ptrdiff_t row_step = static_cast<std::ptrdiff_t>(g.stride) * g.in_width;
   const std::ptrdiff_t plane = static_cast<std::ptrdiff_t>(g.in_height) * g.in_width;
   const std::ptrdiff_t image_stride = g.in_channels * plane;
-  // A panel's columns split into runs that share one image and one
-  // output row; each run's taps are one copy_tap_row per k row.
-  struct Run {
-    const float* image;
-    int ih0, ow0, count, offset;
-  };
-  Run runs[kNR] = {};
+  // k row p is tap (kh, kw) of input channel c: p = (c*k + kh)*k + kw.
+  const int taps = k * k;
+  const int c0 = p0 / taps, kh0 = (p0 % taps) / k, kw0 = p0 % k;
+  const std::ptrdiff_t first_tap = c0 * plane + kh0 * g.in_width + kw0;
+  // Column j0 + jb + i is output pixel (oh, ow) of `image`, stepped
+  // without a division.
+  int image = j0 / out_hw, pixel = j0 - image * out_hw;
+  int oh = pixel / out_w, ow = pixel - oh * out_w;
+  std::ptrdiff_t offsets[kNR];
   for (int jb = 0; jb < nc; jb += kNR, dst += static_cast<std::ptrdiff_t>(kc) * kNR) {
     const int nr = std::min(kNR, nc - jb);
-    int n_runs = 0;
-    for (int offset = 0; offset < nr;) {
-      const int col = j0 + jb + offset;
-      const int image = col / out_hw, pixel = col - image * out_hw;
-      const int oh = pixel / out_w, ow = pixel - oh * out_w;
-      const int count = std::min(out_w - ow, nr - offset);
-      runs[n_runs++] = {images + image * image_stride, oh * g.stride - g.padding, ow, count,
-                        offset};
-      offset += count;
-    }
-    // k row p is tap (kh, kw) of input channel c: p = (c*k + kh)*k + kw.
-    int c = p0 / taps, kh = (p0 % taps) / g.kernel, kw = p0 % g.kernel;
-    for (int p = 0; p < kc; ++p) {
-      float* row = dst + static_cast<std::ptrdiff_t>(p) * kNR;
-      for (int r = 0; r < n_runs; ++r) {
-        const Run& run = runs[r];
-        copy_tap_row(run.image + c * plane, g, run.ih0 + kh, kw, run.ow0, run.count,
-                     row + run.offset, 0.0f);
-      }
-      if (nr < kNR) std::fill(row + nr, row + kNR, 0.0f);
-      if (++kw == g.kernel) {
-        kw = 0;
-        if (++kh == g.kernel) {
-          kh = 0;
-          ++c;
+    for (int i = 0; i < nr; ++i) {
+      offsets[i] = image * image_stride + oh * row_step + ow * g.stride;
+      if (++ow == out_w) {
+        ow = 0;
+        if (++oh == out_h) {
+          oh = 0;
+          ++image;
         }
       }
     }
+    // Lanes past nr gather a valid float and are zeroed after.
+    std::fill(offsets + nr, offsets + kNR, offsets[0]);
+    const bool contiguous = nr == kNR && offsets[kNR - 1] - offsets[0] == kNR - 1;
+    std::ptrdiff_t tap = first_tap;
+    int kh = kh0, kw = kw0;
+    for (int p = 0; p < kc; ++p) {
+      float* row = dst + static_cast<std::ptrdiff_t>(p) * kNR;
+      const float* base = images + tap;
+      if (contiguous) {
+        std::memcpy(row, base + offsets[0], sizeof(float) * kNR);
+      } else {
+        for (int i = 0; i < kNR; ++i) row[i] = base[offsets[i]];
+        if (nr < kNR) std::fill(row + nr, row + kNR, 0.0f);
+      }
+      // Step to the next tap: along the kernel row, down to the next
+      // kernel row, or on to the next channel's first tap.
+      if (++kw < k) {
+        ++tap;
+        continue;
+      }
+      kw = 0;
+      tap -= k - 1;
+      if (++kh < k) {
+        tap += g.in_width;
+      } else {
+        kh = 0;
+        tap += plane - static_cast<std::ptrdiff_t>(k - 1) * g.in_width;
+      }
+    }
   }
+}
+
+}  // namespace
+
+void detail::pack_b_conv(const float* images, const ConvGeometry& g, int p0, int kc, int j0,
+                         int nc, float* dst) {
+  if (g.padding == 0) {
+    pack_b_unpadded(images, g, p0, kc, j0, nc, dst);
+    return;
+  }
+  // Copy what the block reads — images [n0, n1] x channels [c0, c1] —
+  // into a zero-padded slab once, then pack it as an unpadded geometry.
+  // nc columns touch at most nc / out_hw + 2 images and kc rows at most
+  // kc / k^2 + 2 channels, so the slab is bounded by the block, not by
+  // the batch.
+  const int out_hw = g.out_height() * g.out_width();
+  const int taps = g.kernel * g.kernel;
+  const int n0 = j0 / out_hw, n1 = (j0 + nc - 1) / out_hw;
+  const int c0 = p0 / taps, c1 = (p0 + kc - 1) / taps;
+  const int pad = g.padding;
+  ConvGeometry padded = g;
+  padded.in_channels = c1 - c0 + 1;
+  padded.in_height = g.in_height + 2 * pad;
+  padded.in_width = g.in_width + 2 * pad;
+  padded.padding = 0;
+  const int width = g.in_width, padded_width = padded.in_width;
+  const std::ptrdiff_t plane = static_cast<std::ptrdiff_t>(g.in_height) * width;
+  const std::ptrdiff_t padded_plane = static_cast<std::ptrdiff_t>(padded.in_height) * padded_width;
+  float* slab = Workspace::tls().buffer(
+      Workspace::kPaddedSlab,
+      static_cast<std::size_t>(n1 - n0 + 1) * padded.in_channels * padded_plane);
+  float* out = slab;
+  for (int n = n0; n <= n1; ++n) {
+    for (int c = c0; c <= c1; ++c, out += padded_plane) {
+      const float* in = images + (static_cast<std::ptrdiff_t>(n) * g.in_channels + c) * plane;
+      // The top pad rows and the first row's left pad, then each input
+      // row followed by its right pad and the next row's left pad.
+      float* o = std::fill_n(out, pad * padded_width + pad, 0.0f);
+      for (int ih = 0; ih < g.in_height; ++ih, in += width) {
+        o = std::copy_n(in, width, o);
+        o = std::fill_n(o, 2 * pad, 0.0f);
+      }
+      std::fill(o, out + padded_plane, 0.0f);
+    }
+  }
+  pack_b_unpadded(slab, padded, p0 - c0 * taps, kc, j0 - n0 * out_hw, nc, dst);
 }
 
 void col2im(const float* columns, const ConvGeometry& g, float* image) {

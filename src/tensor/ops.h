@@ -2,7 +2,13 @@
 //
 // Every float convolution forward is one implicit GEMM
 // (conv_gemm_nchw): the GEMM packs its B panels straight from the NCHW
-// batch, so no im2col matrix is written. The GEMM is a blocked,
+// batch, so no im2col matrix is written. A padded conv first copies
+// what one (KC, NC) packing block reads — the images its columns touch
+// x the channels its k rows touch — into a zero-padded slab in the
+// per-thread ops::Workspace, so the slab is bounded by the block, not
+// by the batch. Every panel is then packed with no bounds check: one
+// 16-float copy per k row where its 16 columns are consecutive in the
+// source, one 16-lane offset gather otherwise. The GEMM is a blocked,
 // register-tiled kernel with packed operands (scratch from the
 // per-thread ops::Workspace, reused across calls), a runtime-dispatched
 // microkernel (tensor/simd.h: AVX-512 8x16, AVX2/NEON 6x16 or the

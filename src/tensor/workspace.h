@@ -31,6 +31,11 @@ class Workspace {
     kFoldedBias,
     kQuantScales,  // int8 path: per-row weight scales + fused epilogue scales
     kColumns,      // conv backward: im2col columns (dW), then grad columns (dX)
+    // Implicit-GEMM B packer of a padded conv: the zero-padded copy of
+    // what one (KC, NC) block reads — the images its nc columns touch x
+    // the channels its kc rows touch, each (H+2p) x (W+2p) — so its size
+    // is bounded by the block, not by the batch.
+    kPaddedSlab,
     kNumSlots,
   };
 
@@ -48,7 +53,8 @@ class Workspace {
 
   /// A buffer of at least `elems` floats for `slot`; contents are
   /// undefined. The buffer stays valid until the next request for the
-  /// same slot on the same thread.
+  /// same slot on the same thread. Throws std::length_error, before
+  /// allocating, when `elems` exceeds INT_MAX (a Tensor's extent).
   float* buffer(Slot slot, std::size_t elems);
 
   /// A buffer of at least `bytes` bytes for `slot`, aligned for any

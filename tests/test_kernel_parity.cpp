@@ -21,7 +21,8 @@
 //    the documented tolerance, and its scalar and VNNI kernels produce
 //    bit-identical results;
 //  - the implicit-GEMM conv (ops::conv_gemm_nchw) is bit-identical to
-//    im2col + gemm() per image, on every kernel tier;
+//    im2col + gemm() per image, on every kernel tier, and its B packer
+//    writes im2col's values lane for lane, zero past a ragged panel;
 //  - a conv forward over a batch, float or int8, is bit-identical to
 //    one batch-1 forward per image;
 //  - Conv2d's backward (per-image dW, one whole-batch dX GEMM, the
@@ -53,6 +54,7 @@
 #include "nn/parameter.h"
 #include "nn/residual_block.h"
 #include "nn/sequential.h"
+#include "tensor/gemm_kernels.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
 #include "tensor/qgemm.h"
@@ -767,6 +769,103 @@ TEST(ConvGemmParity, MatchesIm2colPlusGemmPerImageBitForBit) {
     }
   }
   EXPECT_GT(checked, 0);
+}
+
+TEST(ConvGemmParity, PackerPathsMatchIm2colBitForBit) {
+  // The geometries each path of the B packer serves, checked twice: the
+  // packed panels of every (KC, NC) block against im2col's matrix, lane
+  // for lane (a lane past a ragged panel's nr must read 0), and the
+  // conv against im2col + gemm() per image. Every case is padded (the
+  // packer copies a zero-padded slab per block) or ends on a ragged
+  // gathered panel.
+  struct Case {
+    const char* what;
+    ops::ConvGeometry g;
+    int batch;
+  };
+  const Case cases[] = {
+      {"16x16 3x3 pad 1: contiguous panels", {16, 16, 16, 3, 1, 1}, 3},
+      {"8x8 3x3 pad 1: 8-wide gathers", {32, 8, 8, 3, 1, 1}, 3},
+      {"4x4 3x3 pad 1: 4-wide gathers", {64, 4, 4, 3, 1, 1}, 5},
+      {"24x24 3x3 pad 1: mixed runs", {8, 24, 24, 3, 1, 1}, 2},
+      {"24x24 3x3 stride 2 pad 1", {8, 24, 24, 3, 2, 1}, 3},
+      {"12x12 3x3 pad 1: mixed runs", {12, 12, 12, 3, 1, 1}, 3},
+      {"1x1 over 5x5: panels straddle images", {12, 5, 5, 1, 1, 0}, 3},
+      {"1-wide 3x3 pad 1", {4, 5, 1, 3, 1, 1}, 3},
+      {"1-wide 1x1", {4, 5, 1, 1, 1, 0}, 3},
+      {"stride 3", {6, 10, 10, 3, 3, 1}, 3},
+      {"kernel 2", {5, 7, 7, 2, 1, 0}, 3},
+      {"kernel 4 stride 2 pad 1", {5, 9, 9, 4, 2, 1}, 3},
+      {"padded, a KC block starts mid-channel", {40, 6, 6, 3, 1, 1}, 2},
+      {"padded, an NC block starts mid-image", {3, 7, 7, 3, 1, 1}, 23},
+  };
+  const int out_channels = 19;  // ragged in every tier's MR
+  const std::vector<ops::SimdLevel> levels =
+      ops::simd_level() == ops::SimdLevel::kPortable
+          ? std::vector<ops::SimdLevel>{ops::SimdLevel::kPortable}
+          : std::vector<ops::SimdLevel>{ops::SimdLevel::kPortable, ops::simd_level()};
+  util::Rng rng(139);
+  bool mid_channel = false, mid_image = false;
+  for (const Case& tc : cases) {
+    const ops::ConvGeometry& g = tc.g;
+    const int out_hw = g.out_height() * g.out_width(), patch = g.patch_size();
+    const int n = tc.batch * out_hw;
+    const std::int64_t in_stride = static_cast<std::int64_t>(g.in_channels) * g.in_height *
+                                   g.in_width;
+    const std::int64_t out_stride = static_cast<std::int64_t>(out_channels) * out_hw;
+    const Tensor images =
+        Tensor::normal(Shape{tc.batch, g.in_channels, g.in_height, g.in_width}, rng);
+    std::vector<std::vector<float>> columns;  // im2col of each image
+    for (int b = 0; b < tc.batch; ++b) {
+      columns.push_back(im2col_by_definition(images.data() + b * in_stride, g));
+    }
+    for (int p0 = 0; p0 < patch; p0 += ops::detail::kKC) {
+      const int kc = std::min(ops::detail::kKC, patch - p0);
+      mid_channel |= g.padding > 0 && p0 % (g.kernel * g.kernel) != 0;
+      for (int j0 = 0; j0 < n; j0 += ops::detail::kNC) {
+        const int nc = std::min(ops::detail::kNC, n - j0);
+        mid_image |= g.padding > 0 && j0 % out_hw != 0;
+        const int panels = (nc + ops::detail::kNR - 1) / ops::detail::kNR;
+        std::vector<float> expected(static_cast<std::size_t>(panels) * kc * ops::detail::kNR);
+        for (int jb = 0; jb < nc; jb += ops::detail::kNR) {
+          for (int p = 0; p < kc; ++p) {
+            for (int i = 0; i < ops::detail::kNR; ++i) {
+              const int col = j0 + jb + i;
+              expected[(static_cast<std::size_t>(jb / ops::detail::kNR) * kc + p) *
+                           ops::detail::kNR + i] =
+                  jb + i < nc ? columns[col / out_hw][static_cast<std::size_t>(p0 + p) * out_hw +
+                                                      col % out_hw]
+                              : 0.0f;
+            }
+          }
+        }
+        // Start from NaN so a lane the packer never writes shows up.
+        std::vector<float> packed(expected.size(), std::nanf(""));
+        ops::detail::pack_b_conv(images.data(), g, p0, kc, j0, nc, packed.data());
+        EXPECT_TRUE(same_bits(expected, packed))
+            << tc.what << ": block p0=" << p0 << " j0=" << j0;
+      }
+    }
+    const Tensor weight = Tensor::normal(Shape{out_channels, patch}, rng);
+    std::vector<float> image_columns(static_cast<std::size_t>(patch) * out_hw);
+    for (const ops::SimdLevel level : levels) {
+      SimdLevelScope scope(level);
+      std::vector<float> expected(static_cast<std::size_t>(tc.batch) * out_stride);
+      for (int b = 0; b < tc.batch; ++b) {
+        ops::im2col(images.data() + b * in_stride, g, image_columns.data());
+        ops::gemm(false, false, out_channels, out_hw, patch, 1.0f, weight.data(), patch,
+                  image_columns.data(), out_hw, 0.0f, expected.data() + b * out_stride, out_hw);
+      }
+      std::vector<float> actual(expected.size(), 0.0f);
+      ops::conv_gemm_nchw(out_channels, weight.data(), images.data(), tc.batch, g,
+                          actual.data());
+      EXPECT_TRUE(same_bits(expected, actual)) << ops::simd_level_name(level) << " " << tc.what;
+    }
+  }
+  // The two block-boundary cases still cross a boundary at these block
+  // sizes.
+  EXPECT_TRUE(mid_channel);
+  EXPECT_TRUE(mid_image);
 }
 
 // ----- Conv2d backward ------------------------------------------------

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
+#include <cstddef>
+#include <stdexcept>
 
 #include "reference_kernels.h"
+#include "tensor/workspace.h"
 #include "util/rng.h"
 
 namespace meanet::ops {
@@ -185,6 +189,23 @@ TEST(RowArgmaxAndMax, FindCorrectEntries) {
 TEST(RowArgmax, TieBreaksToFirst) {
   Tensor v(Shape{1, 3}, std::vector<float>{0.5f, 0.5f, 0.1f});
   EXPECT_EQ(row_argmax(v)[0], 0);
+}
+
+TEST(Workspace, RejectsRequestsBeyondATensorsExtentBeforeAllocating) {
+  Workspace workspace;
+  if constexpr (sizeof(std::size_t) > sizeof(int)) {
+    // 2^32 + 5 floats once truncated to a 5-float buffer; a request just
+    // above INT_MAX once failed with a misleading "non-negative" error.
+    const std::size_t wraps = (std::size_t{1} << 32) + 5;
+    EXPECT_THROW(workspace.buffer(Workspace::kPackB, wraps), std::length_error);
+    const std::size_t above = static_cast<std::size_t>(INT_MAX) + 1;
+    EXPECT_THROW(workspace.buffer(Workspace::kPackB, above), std::length_error);
+  }
+  // A refused request leaves the slot usable.
+  float* small = workspace.buffer(Workspace::kPackB, 5);
+  ASSERT_NE(small, nullptr);
+  small[4] = 1.0f;
+  EXPECT_EQ(small[4], 1.0f);
 }
 
 }  // namespace
