@@ -5,7 +5,9 @@
 //   - batched eval forwards (one implicit GEMM per conv over the whole
 //     batch),
 //   - the cloud classifier's eval forward at the batch sizes the wire
-//     daemon serves, with its achieved GFLOP/s,
+//     daemon serves, and ResNet-B's edge passes at the batch sizes
+//     e2ebench's wire_offload runs them, each with its achieved
+//     GFLOP/s,
 //   - the routing-signal reductions (softmax / argmax / entropy /
 //     margin),
 //   - end-to-end submit -> settle through a 2-worker InferenceSession
@@ -27,9 +29,12 @@
 // a train-mode forward_main, then backward_main of its cross-entropy
 // gradient. The cloud rows time build_cloud_classifier's eval forward
 // at batch 16 (one of meanet_cloudd's row shards on a 4-core host) and
-// batch 62 (the mean server batch of e2ebench's wire_offload) and
-// report GFLOP/s = 2 x nn::collect_stats MACs x batch / time. The JSON
-// header records the host shape (nproc, SIMD and int8 tiers).
+// batch 62 (the mean server batch of e2ebench's wire_offload); the edge
+// rows time ResNet-B's eval forward_main at batch 128 (one
+// wire_offload request) and forward_extension at batch 64 (about the
+// hard half of one). Both report GFLOP/s = 2 x MACs (nn::collect_stats,
+// MEANet::edge_macs) x batch / time. The JSON header records the host
+// shape (nproc, SIMD and int8 tiers).
 //
 // Usage: perf_forward [--quick] [--out PATH]
 // Exit status is nonzero when, on any single-image forward, the
@@ -39,8 +44,8 @@
 // perf smoke gates. "Slower" means the fast side's median exceeds its
 // fallback's by more than the larger of the two sides' interquartile
 // ranges, both timed interleaved in one loop: a smaller gap is within
-// what the host's noise moves a median. The batch-sweep, training and
-// cloud rows are recorded, not gated.
+// what the host's noise moves a median. The batch-sweep, training,
+// cloud and edge rows are recorded, not gated.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -209,13 +214,28 @@ struct TrainRow {
   double backward_ms = 0.0;
 };
 
-/// One cloud-classifier eval forward at a fixed batch: its median and
-/// interquartile range, and the GFLOP/s its MACs give at that median.
-struct CloudRow {
+/// One eval forward pass at a fixed batch: its median and interquartile
+/// range, and the GFLOP/s its MACs give at that median.
+struct PassRow {
+  std::string model;
+  std::string pass;
   int batch = 0;
   Timing forward;
   double gflops = 0.0;
 };
+
+/// Times `forward` (interleaved_timings' rep loop) and prints the row.
+template <typename Fn>
+PassRow measure_pass(const std::string& model, const std::string& pass, int batch,
+                     std::int64_t macs_per_instance, int reps, Fn forward) {
+  PassRow row{model, pass, batch, interleaved_timings(reps, {forward})[0], 0.0};
+  row.gflops =
+      2.0 * static_cast<double>(macs_per_instance) * batch / (row.forward.median_ms * 1e6);
+  std::printf("  %-28s %-17s batch %3d   %8.3f ms (IQR %.3f)   %6.1f GFLOP/s\n",
+              model.c_str(), pass.c_str(), batch, row.forward.median_ms, row.forward.iqr_ms,
+              row.gflops);
+  return row;
+}
 
 TrainRow measure_training(const std::string& model, core::MEANet& net, const Tensor& images,
                           int num_classes, int reps) {
@@ -318,7 +338,7 @@ int main(int argc, char** argv) {
     training.push_back(measure_training(m.name, net, batch, spec.num_classes, std::max(11, reps)));
   }
 
-  std::vector<CloudRow> cloud_rows;
+  std::vector<PassRow> cloud_rows;
   {
     // The cloud classifier on the CIFAR-like images e2ebench's wire
     // daemon classifies.
@@ -331,16 +351,32 @@ int main(int argc, char** argv) {
     for (const int bs : {16, 62}) {
       const Tensor input =
           Tensor::normal(Shape{bs, spec.channels, spec.height, spec.width}, data_rng);
-      const auto forward = [&] { (void)cloud.forward(input, nn::Mode::kEval); };
-      CloudRow row;
-      row.batch = bs;
-      row.forward = interleaved_timings(quick ? 11 : 31, {forward})[0];
-      row.gflops = 2.0 * static_cast<double>(macs) * bs / (row.forward.median_ms * 1e6);
-      std::printf("  %-28s batch %2d   forward %8.3f ms (IQR %.3f)   %6.1f GFLOP/s\n",
-                  "cloud_classifier", bs, row.forward.median_ms, row.forward.iqr_ms,
-                  row.gflops);
-      cloud_rows.push_back(row);
+      cloud_rows.push_back(measure_pass("cloud_classifier", "forward", bs, macs,
+                                        quick ? 11 : 31,
+                                        [&] { (void)cloud.forward(input, nn::Mode::kEval); }));
     }
+  }
+  std::vector<PassRow> edge_rows;
+  {
+    // ResNet-B's two edge passes in wire_offload's shapes.
+    util::Rng rng(3);
+    const bench::DatasetKind kind = bench::DatasetKind::kCifarLike;
+    core::MEANet net = bench::build_edge_model(bench::EdgeModel::kResNetB, kind,
+                                               bench::default_num_hard(kind),
+                                               core::FusionMode::kSum, rng);
+    const data::SyntheticSpec spec = bench::spec_for(kind);
+    const core::EdgeMacs macs = net.edge_macs(Shape{1, spec.channels, spec.height, spec.width});
+    util::Rng data_rng(19);
+    const Tensor request = Tensor::normal(Shape{128, spec.channels, spec.height, spec.width},
+                                          data_rng);
+    const Tensor hard = request.slice_batch(0, 64);
+    const Tensor features = net.forward_main(hard, nn::Mode::kEval).features;
+    const int pass_reps = quick ? 11 : 31;
+    edge_rows.push_back(measure_pass("resnet_b_cifar", "forward_main", 128, macs.main, pass_reps,
+                                     [&] { (void)net.forward_main(request, nn::Mode::kEval); }));
+    edge_rows.push_back(measure_pass(
+        "resnet_b_cifar", "forward_extension", 64, macs.extension, pass_reps,
+        [&] { (void)net.forward_extension(hard, features, nn::Mode::kEval); }));
   }
 
   {
@@ -433,17 +469,22 @@ int main(int argc, char** argv) {
     train_rows.push(std::move(v));
   }
   doc.set("training", std::move(train_rows));
-  diag::Value cloud_forward = diag::Value::array();
-  for (const CloudRow& row : cloud_rows) {
-    diag::Value v = diag::Value::object();
-    v.set("model", "cloud_classifier");
-    v.set("batch", row.batch);
-    v.set("forward_ms", row.forward.median_ms);
-    v.set("iqr_ms", row.forward.iqr_ms);
-    v.set("gflops", row.gflops);
-    cloud_forward.push(std::move(v));
-  }
-  doc.set("cloud_forward", std::move(cloud_forward));
+  const auto pass_rows = [](const std::vector<PassRow>& rows) {
+    diag::Value array = diag::Value::array();
+    for (const PassRow& row : rows) {
+      diag::Value v = diag::Value::object();
+      v.set("model", row.model);
+      v.set("pass", row.pass);
+      v.set("batch", row.batch);
+      v.set("forward_ms", row.forward.median_ms);
+      v.set("iqr_ms", row.forward.iqr_ms);
+      v.set("gflops", row.gflops);
+      array.push(std::move(v));
+    }
+    return array;
+  };
+  doc.set("cloud_forward", pass_rows(cloud_rows));
+  doc.set("edge_forward", pass_rows(edge_rows));
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());

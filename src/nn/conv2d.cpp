@@ -128,13 +128,18 @@ Shape Conv2d::output_shape(const Shape& input) const {
   return Shape{input.batch(), out_channels_, g.out_height(), g.out_width()};
 }
 
-Tensor Conv2d::forward_with(const Tensor& input, const float* weight, const float* bias) const {
+Tensor Conv2d::forward_with(const Tensor& input, const float* weight, const float* bias,
+                            const Tensor* residual, bool relu) const {
   const ops::ConvGeometry g = geometry(input.shape());
   const int batch = input.shape().batch();
   const int out_h = g.out_height(), out_w = g.out_width();
   const int out_hw = out_h * out_w;
   const int patch = g.patch_size();
   Tensor output(Shape{batch, out_channels_, out_h, out_w});
+  if (residual != nullptr && residual->shape() != output.shape()) {
+    throw std::invalid_argument(name_ + ": residual " + residual->shape().to_string() +
+                                " does not match the output " + output.shape().to_string());
+  }
   const std::int64_t in_stride = static_cast<std::int64_t>(in_channels_) * g.in_height * g.in_width;
   const std::int64_t out_stride = static_cast<std::int64_t>(out_channels_) * out_hw;
   if (ops::quantized_inference()) {
@@ -169,22 +174,24 @@ Tensor Conv2d::forward_with(const Tensor& input, const float* weight, const floa
       ops::qgemm_u8s8(out_channels_, out_hw, patch, k_padded, wq, scales, row_sums, act, a_scale,
                       bias, output.data() + n * out_stride, out_hw);
     }
-    return output;
-  }
-  // output is zero-filled; the one implicit GEMM accumulates into it.
-  ops::conv_gemm_nchw(out_channels_, weight, input.data(), batch, g, output.data());
-  if (bias != nullptr) {
-    // Bias is a post-GEMM epilogue: prefilling C with it would change
-    // the float addition order, so the result would no longer match
-    // im2col + gemm() per image.
-    for (int n = 0; n < batch; ++n) {
-      for (int oc = 0; oc < out_channels_; ++oc) {
-        float* dst = output.data() + n * out_stride + static_cast<std::int64_t>(oc) * out_hw;
-        const float b = bias[oc];
-        for (int i = 0; i < out_hw; ++i) dst[i] += b;
+    if (residual != nullptr || relu) {
+      // The residual and ReLU follow the requantization, in the float
+      // path's order.
+      float* out = output.data();
+      const float* res = residual != nullptr ? residual->data() : nullptr;
+      for (std::int64_t i = 0, count = output.numel(); i < count; ++i) {
+        float v = out[i];
+        if (res != nullptr) v = v + res[i];
+        if (relu) v = v > 0.0f ? v : 0.0f;
+        out[i] = v;
       }
     }
+    return output;
   }
+  // output is zero-filled; the one implicit GEMM accumulates into it
+  // and finishes each tile with the bias, residual and ReLU.
+  ops::conv_gemm_nchw(out_channels_, weight, input.data(), batch, g, output.data(),
+                      {bias, residual != nullptr ? residual->data() : nullptr, relu});
   return output;
 }
 

@@ -15,6 +15,9 @@
 // forward() delegates to it with the layer's own parameters;
 // Sequential::forward delegates to it with BatchNorm-folded weights,
 // which is how a Conv+BN pair collapses to one kernel in eval.
+// Conv2d's also takes a residual and a ReLU: the bias, the residual add
+// and the ReLU all run in the GEMM's tile epilogue (ops::ConvEpilogue),
+// after the requantization on the int8 path.
 #pragma once
 
 #include "nn/layer.h"
@@ -44,8 +47,13 @@ class Conv2d : public Layer {
 
   /// Cache-free forward with externally supplied weights: `weight` has
   /// the layer's [out_c, in_c*k*k] layout, `bias` is [out_c] or null.
-  /// Thread-safe (scratch comes from the per-thread workspace).
-  Tensor forward_with(const Tensor& input, const float* weight, const float* bias) const;
+  /// Then `residual` (null, or a tensor of the output's shape) is added
+  /// and, with `relu`, the sum is clamped at 0: per element, exactly
+  /// the separate passes (bias, Tensor::add_, ReLU::forward), fused
+  /// into the GEMM's tile epilogue. Thread-safe (scratch comes from the
+  /// per-thread workspace).
+  Tensor forward_with(const Tensor& input, const float* weight, const float* bias,
+                      const Tensor* residual = nullptr, bool relu = false) const;
 
   int in_channels() const { return in_channels_; }
   int out_channels() const { return out_channels_; }

@@ -33,6 +33,8 @@ InvertedResidual::InvertedResidual(int in_channels, int out_channels, int stride
 }
 
 Tensor InvertedResidual::forward(const Tensor& input, Mode mode) {
+  // In eval the skip add runs in the project conv's GEMM epilogue.
+  if (mode == Mode::kEval) return main_.forward_eval(input, use_skip_ ? &input : nullptr, false);
   Tensor x = main_.forward(input, mode);
   if (use_skip_) x.add_(input);
   return x;

@@ -5,7 +5,8 @@
 //
 // The block is one Sequential of those layers plus the skip add; the
 // expand stage is left out when expansion == 1. Eval-mode Conv+BN
-// folding comes from Sequential::forward.
+// folding comes from Sequential::forward; in eval the skip add runs in
+// the project conv's GEMM epilogue (Sequential::forward_eval).
 #pragma once
 
 #include "nn/layer.h"
@@ -30,6 +31,8 @@ class InvertedResidual : public Layer {
   void set_frozen(bool frozen) override;
 
   bool has_skip() const { return use_skip_; }
+  /// Every layer but the skip add, in order.
+  Sequential& main_path() { return main_; }
 
  private:
   std::string name_;

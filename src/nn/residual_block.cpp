@@ -27,6 +27,12 @@ ResidualBlock::ResidualBlock(int in_channels, int out_channels, int stride, util
 }
 
 Tensor ResidualBlock::forward(const Tensor& input, Mode mode) {
+  if (mode == Mode::kEval) {
+    // The add and the ReLU finish conv2's GEMM tiles.
+    if (!has_projection()) return main_.forward_eval(input, &input, true);
+    const Tensor shortcut = shortcut_.forward(input, mode);
+    return main_.forward_eval(input, &shortcut, true);
+  }
   Tensor sum = main_.forward(input, mode);
   if (has_projection()) {
     sum.add_(shortcut_.forward(input, mode));

@@ -5,7 +5,10 @@
 // The block is two Sequentials and a ReLU: main = {conv1, bn1, relu1,
 // conv2, bn2}, shortcut = {conv_sc, bn_sc} (empty for an identity
 // shortcut), and the ReLU after the add. Eval-mode Conv+BN folding comes
-// from Sequential::forward; the block only adds the two paths.
+// from Sequential::forward. In train mode the block adds the two paths
+// and runs the ReLU; in eval it computes the shortcut first and hands it
+// to Sequential::forward_eval, so the add and the ReLU run in conv2's
+// GEMM epilogue (no Tensor::add_ or ReLU pass).
 #pragma once
 
 #include "nn/activations.h"
@@ -31,6 +34,10 @@ class ResidualBlock : public Layer {
   void set_frozen(bool frozen) override;
 
   bool has_projection() const { return shortcut_.size() > 0; }
+  /// {conv1, bn1, relu1, conv2, bn2}.
+  Sequential& main_path() { return main_; }
+  /// {conv_sc, bn_sc}, or empty for an identity shortcut.
+  Sequential& shortcut() { return shortcut_; }
 
  private:
   std::string name_;

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "nn/activations.h"
 #include "nn/batchnorm2d.h"
 #include "nn/conv2d.h"
 #include "nn/parameter.h"
@@ -43,27 +44,20 @@ std::pair<const float*, const float*> fold(const BatchNorm2d& bn, const Tensor& 
   return {folded, bias};
 }
 
-/// Runs `layer` then `next` as one cache-free folded kernel when they
-/// are a (Conv2d | DepthwiseConv2d, BatchNorm2d) pair with matching
-/// channel counts; returns false (and leaves `out` alone) otherwise.
-/// The depthwise layer has no bias; the folded BN supplies one.
-bool fused_conv_bn_eval(const Layer& layer, const Layer& next, const Tensor& input, Tensor& out) {
-  const auto* bn = dynamic_cast<const BatchNorm2d*>(&next);
-  if (bn == nullptr) return false;
-  if (const auto* conv = dynamic_cast<const Conv2d*>(&layer);
-      conv != nullptr && conv->out_channels() == bn->channels()) {
-    const auto [weight, bias] = fold(*bn, conv->weight().value,
-                                     conv->has_bias() ? conv->bias().value.data() : nullptr);
-    out = conv->forward_with(input, weight, bias);
-    return true;
-  }
-  if (const auto* dw = dynamic_cast<const DepthwiseConv2d*>(&layer);
-      dw != nullptr && dw->channels() == bn->channels()) {
-    const auto [weight, bias] = fold(*bn, dw->weight().value, nullptr);
-    out = dw->forward_with(input, weight, bias);
-    return true;
-  }
-  return false;
+/// `layer` as a Conv2d that `next`, a BatchNorm2d of its channel count,
+/// folds into; null otherwise.
+const Conv2d* conv_bn_pair(const Layer& layer, const Layer* next) {
+  const auto* conv = dynamic_cast<const Conv2d*>(&layer);
+  const auto* bn = dynamic_cast<const BatchNorm2d*>(next);
+  return conv != nullptr && bn != nullptr && conv->out_channels() == bn->channels() ? conv
+                                                                                    : nullptr;
+}
+
+/// The DepthwiseConv2d counterpart of conv_bn_pair.
+const DepthwiseConv2d* depthwise_bn_pair(const Layer& layer, const Layer* next) {
+  const auto* dw = dynamic_cast<const DepthwiseConv2d*>(&layer);
+  const auto* bn = dynamic_cast<const BatchNorm2d*>(next);
+  return dw != nullptr && bn != nullptr && dw->channels() == bn->channels() ? dw : nullptr;
 }
 
 }  // namespace
@@ -75,18 +69,52 @@ Sequential& Sequential::add(LayerPtr layer) {
 }
 
 Tensor Sequential::forward(const Tensor& input, Mode mode) {
-  if (layers_.empty()) return input;
+  if (mode == Mode::kEval) return forward_eval(input, nullptr, false);
   // Each layer reads its predecessor's output in place: `x` points at
   // the caller's input until the first layer has run.
   Tensor out;
   const Tensor* x = &input;
-  for (std::size_t i = 0; i < layers_.size(); ++i, x = &out) {
-    if (mode == Mode::kEval && i + 1 < layers_.size() &&
-        fused_conv_bn_eval(*layers_[i], *layers_[i + 1], *x, out)) {
-      ++i;
-      continue;
+  for (auto& layer : layers_) {
+    out = layer->forward(*x, mode);
+    x = &out;
+  }
+  return layers_.empty() ? input : out;
+}
+
+Tensor Sequential::forward_eval(const Tensor& input, const Tensor* residual, bool relu) {
+  const std::size_t count = layers_.size();
+  if ((residual != nullptr || relu) &&
+      (count < 2 || conv_bn_pair(*layers_[count - 2], layers_[count - 1].get()) == nullptr)) {
+    throw std::logic_error(name_ + ": a fused residual or ReLU needs a final Conv2d + "
+                                   "BatchNorm2d pair");
+  }
+  if (count == 0) return input;
+  Tensor out;
+  const Tensor* x = &input;
+  for (std::size_t i = 0; i < count; x = &out) {
+    const Layer* next = i + 1 < count ? layers_[i + 1].get() : nullptr;
+    if (const Conv2d* conv = conv_bn_pair(*layers_[i], next)) {
+      const auto& bn = static_cast<const BatchNorm2d&>(*next);
+      const auto [weight, bias] =
+          fold(bn, conv->weight().value, conv->has_bias() ? conv->bias().value.data() : nullptr);
+      i += 2;
+      // The pair takes a following ReLU into its GEMM epilogue, or —
+      // ending the container — the caller's residual and ReLU.
+      if (i == count) {
+        out = conv->forward_with(*x, weight, bias, residual, relu);
+      } else {
+        const bool then_relu = dynamic_cast<const ReLU*>(layers_[i].get()) != nullptr;
+        i += then_relu ? 1 : 0;
+        out = conv->forward_with(*x, weight, bias, nullptr, then_relu);
+      }
+    } else if (const DepthwiseConv2d* dw = depthwise_bn_pair(*layers_[i], next)) {
+      const auto& bn = static_cast<const BatchNorm2d&>(*next);
+      const auto [weight, bias] = fold(bn, dw->weight().value, nullptr);
+      out = dw->forward_with(*x, weight, bias);
+      i += 2;
+    } else {
+      out = layers_[i++]->forward(*x, Mode::kEval);
     }
-    out = layers_[i]->forward(*x, mode);
   }
   return out;
 }

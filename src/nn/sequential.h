@@ -8,7 +8,11 @@
 // each adjacent (Conv2d | DepthwiseConv2d, BatchNorm2d) pair with
 // matching channel counts runs as a single kernel whose weights and bias
 // are folded from the BN's running statistics into per-thread scratch.
-// Train mode is a plain layer-by-layer chain.
+// A Conv2d pair also takes a ReLU that follows it, and — through
+// forward_eval() — a residual block's add and ReLU, into its GEMM's
+// tile epilogue (ops::ConvEpilogue), with the passes' own order, so
+// the output is bit-identical to the unfused chain. Train mode is a
+// plain layer-by-layer chain.
 #pragma once
 
 #include <memory>
@@ -32,6 +36,12 @@ class Sequential : public Layer {
   }
 
   Tensor forward(const Tensor& input, Mode mode) override;
+  /// The eval forward, whose output then gets `residual` (null, or a
+  /// tensor of the output's shape) added and, with `relu`, a ReLU — both
+  /// in the final Conv2d + BatchNorm2d pair's GEMM epilogue. Throws
+  /// std::logic_error when either is asked for and the container does
+  /// not end in such a pair.
+  Tensor forward_eval(const Tensor& input, const Tensor* residual, bool relu);
   Tensor backward(const Tensor& grad_output) override;
   /// Chains the backward down to the first layer, which gets
   /// backward_params(): the container's input is data (an image), so

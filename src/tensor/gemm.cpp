@@ -2,17 +2,34 @@
 // dispatch.
 //
 // Layout: the classic three-level blocking (KC x MC x NC) around an
-// MR x NR microkernel. Both operands are packed into contiguous panels
-// from the per-thread Workspace — packing folds the optional transpose
-// and the alpha scale, so one kernel serves all four transpose cases.
-// A conv forward (conv_gemm_nchw) packs B from its NCHW images and
-// writes C into its NCHW output; a conv's input-gradient GEMM
-// (conv_grad_columns) reads B from the NCHW output gradient the same
-// way. That packer (detail::pack_b_conv, ops.cpp) checks no bounds: a
-// padded conv's block is first copied into a zero-padded slab of the
-// images x channels the block reads (bounded by KC x NC, not by the
-// batch), and each panel is then one 16-float copy or one 16-lane
-// offset gather per k row.
+// MR x NR microkernel (Goto and van de Geijn, ACM TOMS 2008). The one
+// driver, run_blocked, serves gemm(), conv_gemm_nchw() and
+// conv_grad_columns(); its loops, outermost first:
+//   k block (KC rows)
+//     MC block: A packed once, MR-interleaved, L2-resident
+//       NC block: a padded conv copies its zero-padded slab once
+//         one NR = 16-column panel: B packed into a kc x 16 buffer
+//         that stays in L1, then every MR-row tile of the MC block
+//         runs on it before the next panel is packed.
+// Packing folds the optional transpose and the alpha scale, so one
+// kernel serves all four transpose cases. A conv forward
+// (conv_gemm_nchw) packs B from its NCHW images and writes C into its
+// NCHW output; a conv's input-gradient GEMM (conv_grad_columns) reads
+// B from the NCHW output gradient the same way. That packer
+// (detail::conv_block_source and pack_b_conv, ops.cpp) checks no
+// bounds: a padded conv's block is first copied into a zero-padded slab
+// of the images x channels the block reads (bounded by KC x NC, not by
+// the batch), each k row's tap offset is worked out once per block, and
+// each panel is then one 16-float copy or one 16-lane offset gather
+// per k row.
+//
+// Epilogue contract: a conv forward may pass an ops::ConvEpilogue
+// {per-channel bias, residual, ReLU}. It runs on each tile once, after
+// the tile's LAST k block, while the tile is still in L1, as
+// v = c + bias; v = v + residual; v = v > 0 ? v : 0 — the order of the
+// separate passes it replaced. The microkernels and their k order are
+// untouched and a finished element is never accumulated into again,
+// so the output is bit-identical to the GEMM followed by those passes.
 // The microkernel is picked at runtime (tensor/simd.h): an 8x16
 // AVX-512F tile on x86 with AVX-512F, a 6x16 AVX2+FMA tile on x86 with
 // AVX2 (bit-identical to the AVX-512 one), a 6x16 NEON tile on
@@ -86,41 +103,35 @@ void pack_a(int mr_tile, bool transpose, const float* a, int lda, int i0, int mc
   }
 }
 
-/// Packs op(B)[p0:p0+kc, j0:j0+nc] into NR-wide panels:
-/// dst[(jb/NR) * kc * NR + p * NR + j] = op(B)[p0+p, j0+jb+j],
-/// zero-padded to a full NR in the last panel. A full panel copies
-/// rows straight, or — transposed, as a conv's dW GEMM reads its
-/// im2col columns — gathers one float from each of NR row pointers per
-/// k step.
-void pack_b(bool transpose, const float* b, int ldb, int p0, int kc, int j0, int nc, float* dst) {
-  for (int jb = 0; jb < nc; jb += kNR) {
-    const int nr = std::min(kNR, nc - jb);
-    if (nr == kNR && !transpose) {
-      const float* src = b + static_cast<std::ptrdiff_t>(p0) * ldb + (j0 + jb);
-      for (int p = 0; p < kc; ++p, src += ldb, dst += kNR) {
-        std::memcpy(dst, src, sizeof(float) * kNR);
-      }
-      continue;
+/// Packs op(B)[p0:p0+kc, j:j+nr] (nr <= NR) into one NR-wide panel:
+/// dst[p * NR + i] = op(B)[p0+p, j+i], zero-padded past nr. A full
+/// panel copies rows straight, or — transposed, as a conv's dW GEMM
+/// reads its im2col columns — gathers one float from each of NR row
+/// pointers per k step.
+void pack_b(bool transpose, const float* b, int ldb, int p0, int kc, int j, int nr, float* dst) {
+  if (nr == kNR && !transpose) {
+    const float* src = b + static_cast<std::ptrdiff_t>(p0) * ldb + j;
+    for (int p = 0; p < kc; ++p, src += ldb, dst += kNR) {
+      std::memcpy(dst, src, sizeof(float) * kNR);
     }
-    if (nr == kNR) {
-      const float* rows[kNR];
-      for (int j = 0; j < kNR; ++j) {
-        rows[j] = b + static_cast<std::ptrdiff_t>(j0 + jb + j) * ldb + p0;
-      }
-      for (int p = 0; p < kc; ++p, dst += kNR) {
-        for (int j = 0; j < kNR; ++j) dst[j] = rows[j][p];
-      }
-      continue;
+    return;
+  }
+  if (nr == kNR) {
+    const float* rows[kNR];
+    for (int i = 0; i < kNR; ++i) rows[i] = b + static_cast<std::ptrdiff_t>(j + i) * ldb + p0;
+    for (int p = 0; p < kc; ++p, dst += kNR) {
+      for (int i = 0; i < kNR; ++i) dst[i] = rows[i][p];
     }
-    for (int p = 0; p < kc; ++p) {
-      for (int j = 0; j < kNR; ++j) {
-        float value = 0.0f;
-        if (j < nr) {
-          const std::ptrdiff_t row = p0 + p, col = j0 + jb + j;
-          value = transpose ? b[col * ldb + row] : b[row * ldb + col];
-        }
-        *dst++ = value;
+    return;
+  }
+  for (int p = 0; p < kc; ++p) {
+    for (int i = 0; i < kNR; ++i) {
+      float value = 0.0f;
+      if (i < nr) {
+        const std::ptrdiff_t row = p0 + p, col = j + i;
+        value = transpose ? b[col * ldb + row] : b[row * ldb + col];
       }
+      *dst++ = value;
     }
   }
 }
@@ -184,40 +195,77 @@ struct GemmJob {
   /// the NCHW images at `b`, packed straight from them, and C is the
   /// NCHW output [n / ldc, m, ldc]. Null = dense B and C.
   const ConvGeometry* conv = nullptr;
+  /// A conv forward's epilogue; null = none.
+  const ConvEpilogue* epilogue = nullptr;
   detail::FloatKernel kernel;
 };
 
-/// The blocked loops over all of C's rows, on the calling thread.
+/// Finishes the mr x nr tile at `c` (row stride ldc, first row =
+/// output channel `row0`) with the epilogue's steps that are on; its
+/// residual has the same layout at `residual`.
+template <bool kBias, bool kResidual, bool kRelu>
+void finish_tile(const float* bias, int row0, int mr, int nr, float* c, std::ptrdiff_t ldc,
+                 const float* residual) {
+  for (int i = 0; i < mr; ++i, c += ldc, residual += kResidual ? ldc : 0) {
+    const float b = kBias ? bias[row0 + i] : 0.0f;
+    for (int j = 0; j < nr; ++j) {
+      float v = c[j];
+      if (kBias) v = v + b;
+      if (kResidual) v = v + residual[j];
+      if (kRelu) v = v > 0.0f ? v : 0.0f;
+      c[j] = v;
+    }
+  }
+}
+
+using FinishTileFn = void (*)(const float*, int, int, int, float*, std::ptrdiff_t, const float*);
+
+/// The finish_tile instance for the steps `e` asks for.
+FinishTileFn finish_tile_for(const ConvEpilogue& e) {
+  static constexpr FinishTileFn kTable[8] = {
+      finish_tile<false, false, false>, finish_tile<false, false, true>,
+      finish_tile<false, true, false>,  finish_tile<false, true, true>,
+      finish_tile<true, false, false>,  finish_tile<true, false, true>,
+      finish_tile<true, true, false>,   finish_tile<true, true, true>};
+  return kTable[(e.bias != nullptr ? 4 : 0) + (e.residual != nullptr ? 2 : 0) + (e.relu ? 1 : 0)];
+}
+
+/// The blocked loops over all of C's rows, on the calling thread: k
+/// block, MC block (A packed once), NC block (a padded conv's slab),
+/// then one NR-column B panel at a time, which every row tile of the
+/// MC block reads from L1 before the next panel is packed.
 void run_blocked(const GemmJob& job) {
   const int mr_tile = job.kernel.mr;
   // C column j is pixel j % cols of image j / cols: a conv's C is its
   // NCHW output [n / ldc, m, ldc], and dense C is one image.
   const int cols = job.conv != nullptr ? job.ldc : job.n;
   const std::ptrdiff_t image_stride = static_cast<std::ptrdiff_t>(job.m) * job.ldc;
-  const auto c_at = [&](int row, int col) {
+  const auto c_offset = [&](int row, int col) {
     const int image = col / cols;
-    return job.c + image * image_stride + static_cast<std::ptrdiff_t>(row) * job.ldc +
+    return image * image_stride + static_cast<std::ptrdiff_t>(row) * job.ldc +
            (col - image * cols);
   };
+  const ConvEpilogue* epilogue = job.epilogue;
+  const FinishTileFn finish_fn = epilogue != nullptr ? finish_tile_for(*epilogue) : nullptr;
   Workspace& workspace = Workspace::tls();
+  float* bpanel = workspace.buffer(Workspace::kPackB,
+                                   static_cast<std::size_t>(std::min(kKC, job.k)) * kNR);
+  detail::ConvBlockSource source;  // a conv's, per (k block, NC block)
   for (int p0 = 0; p0 < job.k; p0 += kKC) {
     const int kc = std::min(kKC, job.k - p0);
-    for (int j0 = 0; j0 < job.n; j0 += kNC) {
-      const int nc = std::min(kNC, job.n - j0);
-      const int n_panels = (nc + kNR - 1) / kNR;
-      float* bpack =
-          workspace.buffer(Workspace::kPackB, static_cast<std::size_t>(n_panels) * kc * kNR);
-      if (job.conv != nullptr) {
-        detail::pack_b_conv(job.b, *job.conv, p0, kc, j0, nc, bpack);
-      } else {
-        pack_b(job.transpose_b, job.b, job.ldb, p0, kc, j0, nc, bpack);
-      }
-      for (int i0 = 0; i0 < job.m; i0 += kMC) {
-        const int mc = std::min(kMC, job.m - i0);
-        const int m_panels = (mc + mr_tile - 1) / mr_tile;
-        float* apack = workspace.buffer(
-            Workspace::kPackA, static_cast<std::size_t>(m_panels) * kc * mr_tile);
-        pack_a(mr_tile, job.transpose_a, job.a, job.lda, i0, mc, p0, kc, job.alpha, apack);
+    // A tile is finished (the epilogue runs) after its last k block.
+    const bool finish = p0 + kc == job.k && epilogue != nullptr;
+    for (int i0 = 0; i0 < job.m; i0 += kMC) {
+      const int mc = std::min(kMC, job.m - i0);
+      const int m_panels = (mc + mr_tile - 1) / mr_tile;
+      float* apack = workspace.buffer(Workspace::kPackA,
+                                      static_cast<std::size_t>(m_panels) * kc * mr_tile);
+      pack_a(mr_tile, job.transpose_a, job.a, job.lda, i0, mc, p0, kc, job.alpha, apack);
+      for (int j0 = 0; j0 < job.n; j0 += kNC) {
+        const int nc = std::min(kNC, job.n - j0);
+        if (job.conv != nullptr) {
+          source = detail::conv_block_source(job.b, *job.conv, p0, kc, j0, nc);
+        }
         // Column jcol is `pixel` of `image`, stepped without a division.
         int image = j0 / cols, pixel = j0 % cols;
         for (int jb = 0; jb < nc; jb += kNR, pixel += kNR) {
@@ -225,35 +273,52 @@ void run_blocked(const GemmJob& job) {
             pixel -= cols;
             ++image;
           }
-          const float* bpanel = bpack + static_cast<std::ptrdiff_t>(jb / kNR) * kc * kNR;
           const int nr = std::min(kNR, nc - jb);
           const int jcol = j0 + jb;
+          if (job.conv != nullptr) {
+            detail::pack_b_conv(source, jcol, nr, bpanel);
+          } else {
+            pack_b(job.transpose_b, job.b, job.ldb, p0, kc, jcol, nr, bpanel);
+          }
           // A tile inside one image: the kernel writes straight through
           // a base pointer + ldc.
-          float* cbase = job.c + image * image_stride +
-                         static_cast<std::ptrdiff_t>(i0) * job.ldc + pixel;
+          const std::ptrdiff_t base = image * image_stride +
+                                      static_cast<std::ptrdiff_t>(i0) * job.ldc + pixel;
           const bool direct = pixel + nr <= cols;
           for (int ib = 0; ib < mc; ib += mr_tile) {
             const float* apanel =
                 apack + static_cast<std::ptrdiff_t>(ib / mr_tile) * kc * mr_tile;
             const int mr = std::min(mr_tile, mc - ib);
+            const int row0 = i0 + ib;
             if (direct) {
-              job.kernel.fn(kc, apanel, bpanel,
-                            cbase + static_cast<std::ptrdiff_t>(ib) * job.ldc, job.ldc, mr, nr);
+              const std::ptrdiff_t at = base + static_cast<std::ptrdiff_t>(ib) * job.ldc;
+              job.kernel.fn(kc, apanel, bpanel, job.c + at, job.ldc, mr, nr);
+              if (finish) {
+                finish_fn(epilogue->bias, row0, mr, nr, job.c + at, job.ldc,
+                          epilogue->residual != nullptr ? epilogue->residual + at : nullptr);
+              }
               continue;
             }
             // The tile straddles an image boundary: bounce through a
-            // register-sized tile holding the mapped C values. The
-            // kernel still performs the one c += acc addition per
-            // element, so this path stays bit-identical to the dense
-            // write (loads and stores move bits, not values).
+            // register-sized tile holding the mapped C values (and, to
+            // finish it, the mapped residual). The kernel still
+            // performs the one c += acc addition per element, so this
+            // path stays bit-identical to the dense write (loads and
+            // stores move bits, not values).
             float tile[detail::kMaxMR * kNR];
+            float residual[detail::kMaxMR * kNR];
+            const bool with_residual = finish && epilogue->residual != nullptr;
             for (int i = 0; i < mr; ++i) {
-              for (int j = 0; j < nr; ++j) tile[i * kNR + j] = *c_at(i0 + ib + i, jcol + j);
+              for (int j = 0; j < nr; ++j) {
+                const std::ptrdiff_t at = c_offset(row0 + i, jcol + j);
+                tile[i * kNR + j] = job.c[at];
+                if (with_residual) residual[i * kNR + j] = epilogue->residual[at];
+              }
             }
             job.kernel.fn(kc, apanel, bpanel, tile, kNR, mr, nr);
+            if (finish) finish_fn(epilogue->bias, row0, mr, nr, tile, kNR, residual);
             for (int i = 0; i < mr; ++i) {
-              for (int j = 0; j < nr; ++j) *c_at(i0 + ib + i, jcol + j) = tile[i * kNR + j];
+              for (int j = 0; j < nr; ++j) job.c[c_offset(row0 + i, jcol + j)] = tile[i * kNR + j];
             }
           }
         }
@@ -303,9 +368,10 @@ namespace {
 
 /// C[n] += op(A) [m, patch] x im2col(image n) for each of the `batch`
 /// NCHW images of geometry `g`: one GEMM with B packed straight from the
-/// images and C written as NCHW [batch, m, out_hw].
+/// images and C written as NCHW [batch, m, out_hw], then `epilogue`
+/// (null = none).
 void run_nchw(bool transpose_a, int m, const float* a, int lda, const float* images, int batch,
-              const ConvGeometry& g, float* c) {
+              const ConvGeometry& g, float* c, const ConvEpilogue* epilogue) {
   const int out_hw = g.out_height() * g.out_width();
   const int patch = g.patch_size();
   if (m < 0 || batch < 0 || out_hw < 0 || patch < 0) {
@@ -324,6 +390,7 @@ void run_nchw(bool transpose_a, int m, const float* a, int lda, const float* ima
   job.c = c;
   job.ldc = out_hw;
   job.conv = &g;
+  job.epilogue = epilogue;
   job.kernel = active_kernel();
   run_blocked(job);
 }
@@ -331,8 +398,10 @@ void run_nchw(bool transpose_a, int m, const float* a, int lda, const float* ima
 }  // namespace
 
 void conv_gemm_nchw(int out_channels, const float* weight, const float* images, int batch,
-                    const ConvGeometry& g, float* output) {
-  run_nchw(false, out_channels, weight, g.patch_size(), images, batch, g, output);
+                    const ConvGeometry& g, float* output, const ConvEpilogue& epilogue) {
+  const bool any = epilogue.bias != nullptr || epilogue.residual != nullptr || epilogue.relu;
+  run_nchw(false, out_channels, weight, g.patch_size(), images, batch, g, output,
+           any ? &epilogue : nullptr);
 }
 
 void conv_grad_columns(int out_channels, const float* weight, const float* grad_output,
@@ -346,7 +415,7 @@ void conv_grad_columns(int out_channels, const float* weight, const float* grad_
   // 1x1 conv over one row of out_hw pixels, whose im2col matrix is each
   // image itself.
   const ConvGeometry rows{out_channels, 1, out_hw, 1, 1, 0};
-  run_nchw(true, patch, weight, patch, grad_output, batch, rows, columns);
+  run_nchw(true, patch, weight, patch, grad_output, batch, rows, columns, nullptr);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b, bool transpose_a, bool transpose_b) {

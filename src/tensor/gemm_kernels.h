@@ -16,9 +16,9 @@
 // them only when tensor/simd.h dispatch selected the matching tier.
 #pragma once
 
-namespace meanet::ops {
-struct ConvGeometry;
-}
+#include <cstddef>
+
+#include "tensor/ops.h"
 
 namespace meanet::ops::detail {
 
@@ -28,21 +28,41 @@ namespace meanet::ops::detail {
 constexpr int kMaxMR = 8;
 /// Every kernel tier's column count: the width of each packed B panel.
 constexpr int kNR = 16;
-/// Cache blocks of the blocked driver: a packed B block is KC k rows x
-/// NC columns (it and the A panel MC x KC stay L2-resident), so
-/// pack_b_conv is called with kc <= KC and nc <= NC.
+/// Cache blocks of the blocked driver: a k block is KC rows (the A
+/// block MC x KC stays L2-resident, one KC x NR B panel L1-resident),
+/// and the padded slab of a conv is copied once per NC columns.
 constexpr int kKC = 256;
 constexpr int kNC = 1024;
 
-/// The implicit-GEMM B packer (ops.cpp, next to im2col): packs rows
-/// [p0, p0+kc) x columns [j0, j0+nc) of the im2col matrix of NCHW
-/// `images` (image n at columns [n*out_hw, (n+1)*out_hw)) into NR-wide
-/// panels: the bytes im2col + the dense pack_b would produce, zeros in
-/// the lanes past a ragged last panel included. With padding, it first
-/// copies the images x channels the block reads into the zero-padded
-/// Workspace::kPaddedSlab.
-void pack_b_conv(const float* images, const ConvGeometry& g, int p0, int kc, int j0, int nc,
-                 float* dst);
+/// What the B panels of one (KC, NC) block of a conv GEMM are packed
+/// from. Unpadded, it is the NCHW images themselves. Padded, it is a
+/// copy of the images x channels the block reads, each zero-padded to
+/// (H+2p) x (W+2p), in Workspace::kPaddedSlab: an unpadded geometry
+/// whose column 0 is the original's `j0`.
+struct ConvBlockSource {
+  const float* images = nullptr;
+  ConvGeometry g;
+  int j0 = 0;
+  /// The block's k rows: row p reads tap taps[p] = c*H*W + kh*W + kw of
+  /// each column (channel c counted from the source's first), worked
+  /// out once for all the block's panels.
+  int kc = 0;
+  std::ptrdiff_t taps[kKC];
+};
+
+/// The source of rows [p0, p0+kc) x columns [j0, j0+nc) of the im2col
+/// matrix of NCHW `images` (image n at columns [n*out_hw,
+/// (n+1)*out_hw)). With padding it fills the calling thread's slab,
+/// which stays valid until the next call.
+ConvBlockSource conv_block_source(const float* images, const ConvGeometry& g, int p0, int kc,
+                                  int j0, int nc);
+
+/// The implicit-GEMM B packer (ops.cpp, next to im2col): packs the
+/// block's k rows x columns [j, j+nr) (nr <= NR, inside the block
+/// `source` was made for) into one kc x NR panel: the bytes im2col +
+/// the dense packer would produce, zeros in the lanes past nr
+/// included.
+void pack_b_conv(const ConvBlockSource& source, int j, int nr, float* dst);
 
 /// apanel: kc groups of `mr_stride` floats; bpanel: kc groups of NR=16
 /// floats. Writes the valid mr x nr region of the tile into C.

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "tensor/gemm_kernels.h"
 #include "tensor/workspace.h"
@@ -140,122 +142,118 @@ void im2col_u8(const std::uint8_t* image, const ConvGeometry& g, std::uint8_t* c
   im2col_into<std::uint8_t>(image, g, columns, kU8ZeroPoint);
 }
 
-namespace {
-
-/// pack_b_conv over unpadded NCHW `images` (g.padding == 0), where
-/// every tap of every column lies inside its image. Column j is image
-/// j / out_hw at output pixel (oh, ow), whose tap (c, kh, kw) is
-/// images[offset(j) + c*plane + kh*W + kw] with offset(j) = image *
-/// image_stride + oh*stride*W + ow*stride. A panel's offsets rise
-/// strictly with j, so 16 of them spanning 15 floats are consecutive:
-/// each k row is then one 16-float copy, and otherwise one 16-lane
-/// gather.
-void pack_b_unpadded(const float* images, const ConvGeometry& g, int p0, int kc, int j0, int nc,
-                     float* dst) {
-  using detail::kNR;
-  const int out_h = g.out_height(), out_w = g.out_width();
-  const int out_hw = out_h * out_w;
-  const int k = g.kernel;
-  const std::ptrdiff_t row_step = static_cast<std::ptrdiff_t>(g.stride) * g.in_width;
-  const std::ptrdiff_t plane = static_cast<std::ptrdiff_t>(g.in_height) * g.in_width;
-  const std::ptrdiff_t image_stride = g.in_channels * plane;
-  // k row p is tap (kh, kw) of input channel c: p = (c*k + kh)*k + kw.
-  const int taps = k * k;
-  const int c0 = p0 / taps, kh0 = (p0 % taps) / k, kw0 = p0 % k;
-  const std::ptrdiff_t first_tap = c0 * plane + kh0 * g.in_width + kw0;
-  // Column j0 + jb + i is output pixel (oh, ow) of `image`, stepped
-  // without a division.
-  int image = j0 / out_hw, pixel = j0 - image * out_hw;
-  int oh = pixel / out_w, ow = pixel - oh * out_w;
-  std::ptrdiff_t offsets[kNR];
-  for (int jb = 0; jb < nc; jb += kNR, dst += static_cast<std::ptrdiff_t>(kc) * kNR) {
-    const int nr = std::min(kNR, nc - jb);
-    for (int i = 0; i < nr; ++i) {
-      offsets[i] = image * image_stride + oh * row_step + ow * g.stride;
-      if (++ow == out_w) {
-        ow = 0;
-        if (++oh == out_h) {
-          oh = 0;
-          ++image;
+detail::ConvBlockSource detail::conv_block_source(const float* images, const ConvGeometry& g,
+                                                   int p0, int kc, int j0, int nc) {
+  ConvBlockSource source;
+  source.images = images;
+  source.g = g;
+  source.kc = kc;
+  const int taps = g.kernel * g.kernel;
+  if (g.padding > 0) {
+    // Copy what the block reads — images [n0, n1] x channels [c0, c1] —
+    // into a zero-padded slab once; its panels then pack it as an
+    // unpadded geometry. nc columns touch at most nc / out_hw + 2
+    // images and kc rows at most kc / k^2 + 2 channels, so the slab is
+    // bounded by the block, not by the batch.
+    const int out_hw = g.out_height() * g.out_width();
+    const int n0 = j0 / out_hw, n1 = (j0 + nc - 1) / out_hw;
+    const int c0 = p0 / taps, c1 = (p0 + kc - 1) / taps;
+    const int pad = g.padding;
+    ConvGeometry& padded = source.g;
+    padded.in_channels = c1 - c0 + 1;
+    padded.in_height = g.in_height + 2 * pad;
+    padded.in_width = g.in_width + 2 * pad;
+    padded.padding = 0;
+    const int width = g.in_width, padded_width = padded.in_width;
+    const std::ptrdiff_t plane = static_cast<std::ptrdiff_t>(g.in_height) * width;
+    const std::ptrdiff_t padded_plane =
+        static_cast<std::ptrdiff_t>(padded.in_height) * padded_width;
+    float* slab = Workspace::tls().buffer(
+        Workspace::kPaddedSlab,
+        static_cast<std::size_t>(n1 - n0 + 1) * padded.in_channels * padded_plane);
+    float* out = slab;
+    for (int n = n0; n <= n1; ++n) {
+      for (int c = c0; c <= c1; ++c, out += padded_plane) {
+        const float* in = images + (static_cast<std::ptrdiff_t>(n) * g.in_channels + c) * plane;
+        // The top pad rows and the first row's left pad, then each input
+        // row followed by its right pad and the next row's left pad.
+        float* o = std::fill_n(out, pad * padded_width + pad, 0.0f);
+        for (int ih = 0; ih < g.in_height; ++ih, in += width) {
+          o = std::copy_n(in, width, o);
+          o = std::fill_n(o, 2 * pad, 0.0f);
         }
+        std::fill(o, out + padded_plane, 0.0f);
       }
     }
-    // Lanes past nr gather a valid float and are zeroed after.
-    std::fill(offsets + nr, offsets + kNR, offsets[0]);
-    const bool contiguous = nr == kNR && offsets[kNR - 1] - offsets[0] == kNR - 1;
-    std::ptrdiff_t tap = first_tap;
-    int kh = kh0, kw = kw0;
-    for (int p = 0; p < kc; ++p) {
-      float* row = dst + static_cast<std::ptrdiff_t>(p) * kNR;
-      const float* base = images + tap;
-      if (contiguous) {
-        std::memcpy(row, base + offsets[0], sizeof(float) * kNR);
-      } else {
-        for (int i = 0; i < kNR; ++i) row[i] = base[offsets[i]];
-        if (nr < kNR) std::fill(row + nr, row + kNR, 0.0f);
-      }
-      // Step to the next tap: along the kernel row, down to the next
-      // kernel row, or on to the next channel's first tap.
-      if (++kw < k) {
-        ++tap;
-        continue;
-      }
+    source.images = slab;
+    source.j0 = n0 * out_hw;
+    p0 -= c0 * taps;
+  }
+  // k row p is tap (kh, kw) of input channel c: p = (c*k + kh)*k + kw,
+  // stepped without a division.
+  const ConvGeometry& sg = source.g;
+  const int k = sg.kernel;
+  const std::ptrdiff_t plane = static_cast<std::ptrdiff_t>(sg.in_height) * sg.in_width;
+  int c = p0 / taps, kh = p0 % taps / k, kw = p0 % k;
+  for (int p = 0; p < kc; ++p) {
+    source.taps[p] = c * plane + kh * sg.in_width + kw;
+    if (++kw == k) {
       kw = 0;
-      tap -= k - 1;
-      if (++kh < k) {
-        tap += g.in_width;
-      } else {
+      if (++kh == k) {
         kh = 0;
-        tap += plane - static_cast<std::ptrdiff_t>(k - 1) * g.in_width;
+        ++c;
       }
     }
   }
+  return source;
 }
 
-}  // namespace
-
-void detail::pack_b_conv(const float* images, const ConvGeometry& g, int p0, int kc, int j0,
-                         int nc, float* dst) {
-  if (g.padding == 0) {
-    pack_b_unpadded(images, g, p0, kc, j0, nc, dst);
-    return;
-  }
-  // Copy what the block reads — images [n0, n1] x channels [c0, c1] —
-  // into a zero-padded slab once, then pack it as an unpadded geometry.
-  // nc columns touch at most nc / out_hw + 2 images and kc rows at most
-  // kc / k^2 + 2 channels, so the slab is bounded by the block, not by
-  // the batch.
-  const int out_hw = g.out_height() * g.out_width();
-  const int taps = g.kernel * g.kernel;
-  const int n0 = j0 / out_hw, n1 = (j0 + nc - 1) / out_hw;
-  const int c0 = p0 / taps, c1 = (p0 + kc - 1) / taps;
-  const int pad = g.padding;
-  ConvGeometry padded = g;
-  padded.in_channels = c1 - c0 + 1;
-  padded.in_height = g.in_height + 2 * pad;
-  padded.in_width = g.in_width + 2 * pad;
-  padded.padding = 0;
-  const int width = g.in_width, padded_width = padded.in_width;
-  const std::ptrdiff_t plane = static_cast<std::ptrdiff_t>(g.in_height) * width;
-  const std::ptrdiff_t padded_plane = static_cast<std::ptrdiff_t>(padded.in_height) * padded_width;
-  float* slab = Workspace::tls().buffer(
-      Workspace::kPaddedSlab,
-      static_cast<std::size_t>(n1 - n0 + 1) * padded.in_channels * padded_plane);
-  float* out = slab;
-  for (int n = n0; n <= n1; ++n) {
-    for (int c = c0; c <= c1; ++c, out += padded_plane) {
-      const float* in = images + (static_cast<std::ptrdiff_t>(n) * g.in_channels + c) * plane;
-      // The top pad rows and the first row's left pad, then each input
-      // row followed by its right pad and the next row's left pad.
-      float* o = std::fill_n(out, pad * padded_width + pad, 0.0f);
-      for (int ih = 0; ih < g.in_height; ++ih, in += width) {
-        o = std::copy_n(in, width, o);
-        o = std::fill_n(o, 2 * pad, 0.0f);
+void detail::pack_b_conv(const ConvBlockSource& source, int j, int nr, float* dst) {
+  // The source is unpadded, so every tap of every column lies inside
+  // its image. Column j is image j / out_hw at output pixel (oh, ow),
+  // whose k row p reads images[offset(j) + taps[p]] with offset(j) =
+  // image * image_stride + oh*stride*W + ow*stride. The panel's offsets
+  // rise strictly with j, so 16 of them spanning 15 floats are
+  // consecutive: each k row is then one 16-float copy, and otherwise
+  // one 16-lane gather.
+  const ConvGeometry& g = source.g;
+  const int out_h = g.out_height(), out_w = g.out_width();
+  const int out_hw = out_h * out_w;
+  const std::ptrdiff_t row_step = static_cast<std::ptrdiff_t>(g.stride) * g.in_width;
+  const std::ptrdiff_t image_stride =
+      static_cast<std::ptrdiff_t>(g.in_channels) * g.in_height * g.in_width;
+  // Column j + i is output pixel (oh, ow) of `image`, stepped without a
+  // division.
+  j -= source.j0;
+  int image = j / out_hw, pixel = j - image * out_hw;
+  int oh = pixel / out_w, ow = pixel - oh * out_w;
+  const auto offset = [&] { return image * image_stride + oh * row_step + ow * g.stride; };
+  const std::ptrdiff_t first_offset = offset();
+  const float* first = source.images + first_offset;
+  // Lane i reads `first` + lanes[i]; lanes past nr read lane 0 and are
+  // zeroed after.
+  std::ptrdiff_t lanes[kNR] = {};
+  for (int i = 0; i < nr; ++i) {
+    lanes[i] = offset() - first_offset;
+    if (++ow == out_w) {
+      ow = 0;
+      if (++oh == out_h) {
+        oh = 0;
+        ++image;
       }
-      std::fill(o, out + padded_plane, 0.0f);
     }
   }
-  pack_b_unpadded(slab, padded, p0 - c0 * taps, kc, j0 - n0 * out_hw, nc, dst);
+  if (nr == kNR && lanes[kNR - 1] == kNR - 1) {
+    for (int p = 0; p < source.kc; ++p, dst += kNR) {
+      std::memcpy(dst, first + source.taps[p], sizeof(float) * kNR);
+    }
+    return;
+  }
+  for (int p = 0; p < source.kc; ++p, dst += kNR) {
+    const float* row = first + source.taps[p];
+    for (int i = 0; i < kNR; ++i) dst[i] = row[lanes[i]];
+    if (nr < kNR) std::fill(dst + nr, dst + kNR, 0.0f);
+  }
 }
 
 void col2im(const float* columns, const ConvGeometry& g, float* image) {
@@ -268,9 +266,22 @@ void col2im(const float* columns, const ConvGeometry& g, float* image) {
   }
 }
 
+namespace {
+
+/// The [rows, cols] of a row reduction's input: rank 2 with at least
+/// one column (a row with none has no max, argmax or distribution).
+std::pair<int, int> reduction_extent(const Tensor& t, const char* op) {
+  if (t.shape().rank() != 2 || t.shape().dim(1) == 0) {
+    throw std::invalid_argument(std::string(op) + " expects [rows, cols > 0], got " +
+                                t.shape().to_string());
+  }
+  return {t.shape().dim(0), t.shape().dim(1)};
+}
+
+}  // namespace
+
 void softmax_into(const Tensor& logits, Tensor& out) {
-  if (logits.shape().rank() != 2) throw std::invalid_argument("softmax expects [rows, cols]");
-  const int rows = logits.shape().dim(0), cols = logits.shape().dim(1);
+  const auto [rows, cols] = reduction_extent(logits, "softmax");
   if (&out != &logits && out.shape() != logits.shape()) out = Tensor(logits.shape());
   for (int r = 0; r < rows; ++r) {
     const float* in = logits.data() + static_cast<std::ptrdiff_t>(r) * cols;
@@ -294,8 +305,7 @@ Tensor softmax(const Tensor& logits) {
 }
 
 Tensor log_softmax(const Tensor& logits) {
-  if (logits.shape().rank() != 2) throw std::invalid_argument("log_softmax expects [rows, cols]");
-  const int rows = logits.shape().dim(0), cols = logits.shape().dim(1);
+  const auto [rows, cols] = reduction_extent(logits, "log_softmax");
   Tensor out(logits.shape());
   for (int r = 0; r < rows; ++r) {
     const float* in = logits.data() + static_cast<std::ptrdiff_t>(r) * cols;
@@ -333,8 +343,7 @@ std::vector<float> row_entropy(const Tensor& probabilities) {
 }
 
 void row_argmax_into(const Tensor& values, std::vector<int>& out) {
-  if (values.shape().rank() != 2) throw std::invalid_argument("row_argmax expects [rows, cols]");
-  const int rows = values.shape().dim(0), cols = values.shape().dim(1);
+  const auto [rows, cols] = reduction_extent(values, "row_argmax");
   out.assign(static_cast<std::size_t>(rows), 0);
   for (int r = 0; r < rows; ++r) {
     const float* v = values.data() + static_cast<std::ptrdiff_t>(r) * cols;
@@ -353,8 +362,7 @@ std::vector<int> row_argmax(const Tensor& values) {
 }
 
 void row_max_into(const Tensor& values, std::vector<float>& out) {
-  if (values.shape().rank() != 2) throw std::invalid_argument("row_max expects [rows, cols]");
-  const int rows = values.shape().dim(0), cols = values.shape().dim(1);
+  const auto [rows, cols] = reduction_extent(values, "row_max");
   out.assign(static_cast<std::size_t>(rows), 0.0f);
   for (int r = 0; r < rows; ++r) {
     const float* v = values.data() + static_cast<std::ptrdiff_t>(r) * cols;
@@ -371,8 +379,7 @@ std::vector<float> row_max(const Tensor& values) {
 }
 
 void row_margin_into(const Tensor& values, std::vector<float>& out) {
-  if (values.shape().rank() != 2) throw std::invalid_argument("row_margin expects [rows, cols]");
-  const int rows = values.shape().dim(0), cols = values.shape().dim(1);
+  const auto [rows, cols] = reduction_extent(values, "row_margin");
   out.assign(static_cast<std::size_t>(rows), 0.0f);
   for (int r = 0; r < rows; ++r) {
     const float* v = values.data() + static_cast<std::ptrdiff_t>(r) * cols;

@@ -2,20 +2,25 @@
 //
 // Every float convolution forward is one implicit GEMM
 // (conv_gemm_nchw): the GEMM packs its B panels straight from the NCHW
-// batch, so no im2col matrix is written. A padded conv first copies
-// what one (KC, NC) packing block reads — the images its columns touch
-// x the channels its k rows touch — into a zero-padded slab in the
-// per-thread ops::Workspace, so the slab is bounded by the block, not
-// by the batch. Every panel is then packed with no bounds check: one
-// 16-float copy per k row where its 16 columns are consecutive in the
-// source, one 16-lane offset gather otherwise. The GEMM is a blocked,
+// batch, so no im2col matrix is written. The GEMM is a blocked,
 // register-tiled kernel with packed operands (scratch from the
-// per-thread ops::Workspace, reused across calls), a runtime-dispatched
-// microkernel (tensor/simd.h: AVX-512 8x16, AVX2/NEON 6x16 or the
-// portable 4x16), run on the calling thread. The accumulation order is
-// fixed per C element, so a forward over any split of a batch is
-// bit-identical to the whole under a fixed kernel (and across the AVX2
-// and AVX-512 tiers). A conv's backward runs per image for its weight
+// per-thread ops::Workspace, reused across calls) and a
+// runtime-dispatched microkernel (tensor/simd.h: AVX-512 8x16,
+// AVX2/NEON 6x16 or the portable 4x16), run on the calling thread. Its
+// loops, outermost first: a k block of KC rows; an MC block of rows,
+// whose A panel is packed once; an NC block of columns, for which a
+// padded conv copies the images x channels the block reads into a
+// zero-padded slab; and one 16-column B panel, packed into a kc x 16
+// buffer that stays in L1 while every row tile of the MC block runs
+// on it. A panel is packed with no bounds check: one 16-float copy per
+// k row where its 16 columns are consecutive in the source, one
+// 16-lane offset gather otherwise. After a tile's last k block, a conv
+// applies its ConvEpilogue (folded-BN bias, residual, ReLU) to it while
+// it is in L1. The accumulation order is fixed per C element, so a
+// forward over any split of a batch is bit-identical to the whole
+// under a fixed kernel (and across the AVX2 and AVX-512 tiers), and the
+// epilogue adds nothing but the element-wise passes it replaces, in
+// their order. A conv's backward runs per image for its weight
 // gradient (im2col + gemm() against the transposed columns) and as one
 // GEMM over a group of images (conv_grad_columns) plus a per-image
 // col2im for its input gradient. The int8 quantized serving path lives
@@ -64,15 +69,29 @@ struct ConvGeometry {
   int patch_size() const { return in_channels * kernel * kernel; }
 };
 
+/// What conv_gemm_nchw applies to each output element after its last
+/// k block, while the tile is still in L1:
+///   v = c + bias[channel];  v = v + residual[same index];  v = v > 0 ? v : 0
+/// each step only when given. That is the order of the separate passes
+/// it replaces (a per-channel bias loop, Tensor::add_, ReLU::forward),
+/// each element gets it exactly once, and the GEMM's k order does not
+/// change, so the output is bit-identical to those passes.
+struct ConvEpilogue {
+  const float* bias = nullptr;      ///< [out_channels], or null
+  const float* residual = nullptr;  ///< the output's NCHW shape, or null
+  bool relu = false;
+};
+
 /// The float conv forward over NCHW `images` [batch, C, H, W]: for
 /// each image n, output[n] += weight [out_channels, patch_size()] x
 /// im2col(image n), into the NCHW output [batch, out_channels, out_h,
-/// out_w]. It accumulates, so `output` must arrive zeroed (a fresh
-/// Tensor is). One GEMM over all batch * out_hw columns, with B packed
-/// straight from the images in im2col's values and k-order, so the
-/// result is bit-identical to im2col + gemm(beta = 0) per image.
+/// out_w], then the `epilogue`. It accumulates, so `output` must
+/// arrive zeroed (a fresh Tensor is). One GEMM over all batch * out_hw
+/// columns, with B packed straight from the images in im2col's values
+/// and k-order, so the result is bit-identical to im2col + gemm(beta =
+/// 0) per image followed by the epilogue's passes.
 void conv_gemm_nchw(int out_channels, const float* weight, const float* images, int batch,
-                    const ConvGeometry& g, float* output);
+                    const ConvGeometry& g, float* output, const ConvEpilogue& epilogue = {});
 
 /// The float conv's input-gradient GEMM over NCHW `grad_output`
 /// [batch, out_channels, out_h, out_w]: for each image n, columns[n] =
@@ -109,7 +128,9 @@ void col2im(const float* columns, const ConvGeometry& g, float* image);
 // Each reduction has an _into variant writing a caller-owned buffer —
 // the serving engines keep those buffers across calls so the per-batch
 // routing signals allocate nothing — plus the allocating convenience
-// wrapper.
+// wrapper. softmax, log_softmax, row_argmax, row_max and row_margin
+// throw std::invalid_argument unless their input is [rows, cols > 0]:
+// a row with no column has no max.
 
 /// Row-wise softmax of a [rows, cols] tensor (numerically stabilized).
 /// `out` is resized to match `logits`; in-place (&out == &logits) is

@@ -6,7 +6,11 @@
 //  - Conv2d / DepthwiseConv2d forwards match the reference direct
 //    convolutions within 1e-5 across odd sizes, stride 2, padding, and
 //    batch > 1;
-//  - eval-mode Conv+BN folding matches the unfused pair;
+//  - eval-mode Conv+BN folding matches the unfused pair, and the GEMM
+//    tile epilogue that finishes a folded conv with its bias, a
+//    residual and a ReLU is bit-identical to those separate passes
+//    (stem, identity and projection residual blocks, an inverted
+//    residual's skip; several k blocks, image-straddling tiles);
 //  - eval-mode forwards are cache-free (activation_cache_elems == 0)
 //    and thread-safe: four workers share ONE net and reproduce the
 //    single-threaded logits bit-identically (run this binary under
@@ -47,6 +51,7 @@
 #include <utility>
 #include <vector>
 
+#include "nn/activations.h"
 #include "nn/batchnorm2d.h"
 #include "nn/conv2d.h"
 #include "nn/inverted_residual.h"
@@ -840,8 +845,15 @@ TEST(ConvGemmParity, PackerPathsMatchIm2colBitForBit) {
           }
         }
         // Start from NaN so a lane the packer never writes shows up.
+        // Pack as the driver does: one source per block, one panel at
+        // a time.
         std::vector<float> packed(expected.size(), std::nanf(""));
-        ops::detail::pack_b_conv(images.data(), g, p0, kc, j0, nc, packed.data());
+        const ops::detail::ConvBlockSource source =
+            ops::detail::conv_block_source(images.data(), g, p0, kc, j0, nc);
+        for (int jb = 0; jb < nc; jb += ops::detail::kNR) {
+          ops::detail::pack_b_conv(source, j0 + jb, std::min(ops::detail::kNR, nc - jb),
+                                   packed.data() + static_cast<std::size_t>(jb) * kc);
+        }
         EXPECT_TRUE(same_bits(expected, packed))
             << tc.what << ": block p0=" << p0 << " j0=" << j0;
       }
@@ -1182,6 +1194,178 @@ TEST(BatchNormFolding, FoldedInvertedResidualsMatchUnfused) {
   ASSERT_TRUE(skip.has_skip());
   expect_folded_block_matches_unfused(skip, Shape{4, 4, 8, 8}, rng);
   expect_folded_block_matches_unfused(expand, Shape{4, 4, 8, 8}, rng);
+}
+
+// ----- Fused conv epilogue (ops::ConvEpilogue) ------------------------
+
+/// BN folded into `weight` and the optional conv bias, by hand, with
+/// the float operations Sequential::forward's fold uses: {weight,
+/// bias}.
+std::pair<std::vector<float>, std::vector<float>> fold_by_hand(const nn::BatchNorm2d& bn,
+                                                               const Tensor& weight,
+                                                               const float* conv_bias) {
+  const int channels = bn.channels();
+  std::vector<float> scale(static_cast<std::size_t>(channels));
+  std::vector<float> shift(static_cast<std::size_t>(channels));
+  bn.fold_scale_shift(scale.data(), shift.data());
+  if (conv_bias != nullptr) {
+    for (int c = 0; c < channels; ++c) shift[c] += scale[c] * conv_bias[c];
+  }
+  const std::int64_t per_channel = weight.numel() / channels;
+  std::vector<float> folded(static_cast<std::size_t>(weight.numel()));
+  for (std::int64_t i = 0; i < weight.numel(); ++i) {
+    folded[static_cast<std::size_t>(i)] = scale[i / per_channel] * weight[i];
+  }
+  return {folded, shift};
+}
+
+/// The eval forward of `seq` as separate passes built from public
+/// calls: a Conv2d + BN pair is Conv2d::forward_with on hand-folded
+/// weights and no bias, then a per-channel bias loop; a depthwise pair
+/// is DepthwiseConv2d::forward_with on hand-folded weights; any other
+/// layer (ReLU included) is its own eval forward. Then `residual` by
+/// Tensor::add_ and, with `relu`, ReLU::forward.
+Tensor unfused_eval(nn::Sequential& seq, const Tensor& x, const Tensor* residual, bool relu) {
+  Tensor y = x;
+  for (int i = 0; i < seq.size(); ++i) {
+    const auto* bn =
+        i + 1 < seq.size() ? dynamic_cast<const nn::BatchNorm2d*>(&seq.layer(i + 1)) : nullptr;
+    if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&seq.layer(i)); conv && bn) {
+      const auto [weight, bias] = fold_by_hand(
+          *bn, conv->weight().value, conv->has_bias() ? conv->bias().value.data() : nullptr);
+      y = conv->forward_with(y, weight.data(), nullptr);
+      const std::int64_t plane = y.numel() / (y.shape().batch() * bn->channels());
+      for (std::int64_t e = 0; e < y.numel(); ++e) y[e] += bias[(e / plane) % bn->channels()];
+      ++i;
+    } else if (const auto* dw = dynamic_cast<const nn::DepthwiseConv2d*>(&seq.layer(i));
+               dw && bn) {
+      const auto [weight, bias] = fold_by_hand(*bn, dw->weight().value, nullptr);
+      y = dw->forward_with(y, weight.data(), bias.data());
+      ++i;
+    } else {
+      y = seq.layer(i).forward(y, nn::Mode::kEval);
+    }
+  }
+  if (residual != nullptr) y.add_(*residual);
+  return relu ? nn::ReLU().forward(y, nn::Mode::kEval) : y;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() && same_bits(as_vector(a), as_vector(b));
+}
+
+/// Every kernel tier the host runs, the portable one first.
+std::vector<ops::SimdLevel> host_levels() {
+  if (ops::simd_level() == ops::SimdLevel::kPortable) return {ops::SimdLevel::kPortable};
+  return {ops::SimdLevel::kPortable, ops::simd_level()};
+}
+
+/// The input maps of the fused-epilogue cases: out_hw 36, 9 and 5 are
+/// no multiple of 16, so 16-column tiles straddle images and take the
+/// bounce path, and batches 1, 3 and 17 put those straddles at many
+/// image offsets.
+struct EpilogueMap {
+  int height, width;
+};
+constexpr EpilogueMap kEpilogueMaps[] = {{6, 6}, {3, 3}, {5, 1}};
+constexpr int kEpilogueBatches[] = {1, 3, 17};
+
+/// Gives every BatchNorm2d in `layer` non-trivial running statistics
+/// with a few train-mode batches of [4, channels, 6, 6].
+void train_bn_stats(nn::Layer& layer, int channels, util::Rng& rng) {
+  for (int i = 0; i < 3; ++i) {
+    layer.forward(Tensor::normal(Shape{4, channels, 6, 6}, rng), nn::Mode::kTrain);
+  }
+}
+
+/// Runs `check(x, what)` on every epilogue map x batch x kernel tier.
+template <typename Fn>
+void for_each_epilogue_input(int channels, util::Rng& rng, Fn check) {
+  for (const EpilogueMap map : kEpilogueMaps) {
+    for (const int batch : kEpilogueBatches) {
+      const Tensor x = Tensor::normal(Shape{batch, channels, map.height, map.width}, rng);
+      for (const ops::SimdLevel level : host_levels()) {
+        SimdLevelScope scope(level);
+        check(x, std::string(ops::simd_level_name(level)) + " " + x.shape().to_string());
+      }
+    }
+  }
+}
+
+TEST(FusedEpilogueParity, StemConvBnReluMatchesSeparatePasses) {
+  util::Rng rng(211);
+  nn::Sequential stem("stem");
+  stem.emplace<nn::Conv2d>(3, 16, 3, 1, 1, /*bias=*/true, rng, "stem.conv");
+  stem.emplace<nn::BatchNorm2d>(16);
+  stem.emplace<nn::ReLU>();
+  train_bn_stats(stem, 3, rng);
+  for_each_epilogue_input(3, rng, [&](const Tensor& x, const std::string& what) {
+    EXPECT_TRUE(same_bits(unfused_eval(stem, x, nullptr, false), stem.forward(x, nn::Mode::kEval)))
+        << what;
+  });
+}
+
+TEST(FusedEpilogueParity, IdentityResidualBlockMatchesSeparatePasses) {
+  // 64 channels: conv2's k = 64 x 3 x 3 = 576 spans three k blocks, so
+  // an epilogue applied before the last one shows.
+  ASSERT_GT(64 * 9, 2 * ops::detail::kKC);
+  util::Rng rng(223);
+  nn::ResidualBlock block(64, 64, 1, rng, "identity");
+  ASSERT_FALSE(block.has_projection());
+  train_bn_stats(block, 64, rng);
+  for_each_epilogue_input(64, rng, [&](const Tensor& x, const std::string& what) {
+    EXPECT_TRUE(same_bits(unfused_eval(block.main_path(), x, &x, true),
+                          block.forward(x, nn::Mode::kEval)))
+        << what;
+  });
+}
+
+TEST(FusedEpilogueParity, ProjectionResidualBlockMatchesSeparatePasses) {
+  util::Rng rng(227);
+  for (const int stride : {1, 2}) {
+    nn::ResidualBlock block(8, 24, stride, rng, "projection");
+    ASSERT_TRUE(block.has_projection());
+    train_bn_stats(block, 8, rng);
+    for_each_epilogue_input(8, rng, [&](const Tensor& x, const std::string& what) {
+      const Tensor shortcut = unfused_eval(block.shortcut(), x, nullptr, false);
+      EXPECT_TRUE(same_bits(unfused_eval(block.main_path(), x, &shortcut, true),
+                            block.forward(x, nn::Mode::kEval)))
+          << "stride " << stride << " " << what;
+    });
+  }
+}
+
+TEST(FusedEpilogueParity, InvertedResidualSkipMatchesSeparatePasses) {
+  // 72 channels, expansion 4: the project conv's k = 288 spans two k
+  // blocks.
+  ASSERT_GT(72 * 4, ops::detail::kKC);
+  util::Rng rng(229);
+  nn::InvertedResidual block(72, 72, 1, 4, rng, "skip");
+  ASSERT_TRUE(block.has_skip());
+  train_bn_stats(block, 72, rng);
+  for_each_epilogue_input(72, rng, [&](const Tensor& x, const std::string& what) {
+    EXPECT_TRUE(same_bits(unfused_eval(block.main_path(), x, &x, false),
+                          block.forward(x, nn::Mode::kEval)))
+        << what;
+  });
+}
+
+TEST(FusedEpilogueParity, RejectsAResidualItCannotFuse) {
+  util::Rng rng(233);
+  nn::Conv2d conv(2, 4, 3, 1, 1, /*bias=*/false, rng);
+  const Tensor x = Tensor::normal(Shape{2, 2, 5, 5}, rng);
+  const Tensor wrong = Tensor::normal(Shape{2, 4, 5, 4}, rng);
+  EXPECT_THROW(conv.forward_with(x, conv.weight().value.data(), nullptr, &wrong),
+               std::invalid_argument);
+  // A container that does not end in a Conv2d + BatchNorm2d pair has no
+  // epilogue to take the residual or the ReLU into.
+  nn::Sequential ends_in_relu("ends_in_relu");
+  ends_in_relu.emplace<nn::Conv2d>(2, 4, 3, 1, 1, /*bias=*/false, rng);
+  ends_in_relu.emplace<nn::BatchNorm2d>(4);
+  ends_in_relu.emplace<nn::ReLU>();
+  const Tensor residual = Tensor::normal(Shape{2, 4, 5, 5}, rng);
+  EXPECT_THROW(ends_in_relu.forward_eval(x, &residual, false), std::logic_error);
+  EXPECT_THROW(ends_in_relu.forward_eval(x, nullptr, true), std::logic_error);
 }
 
 TEST(CacheFreeEval, EvalForwardAllocatesNoActivationCaches) {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
+#include <vector>
 
 #include "reference_kernels.h"
 #include "tensor/workspace.h"
@@ -189,6 +190,27 @@ TEST(RowArgmaxAndMax, FindCorrectEntries) {
 TEST(RowArgmax, TieBreaksToFirst) {
   Tensor v(Shape{1, 3}, std::vector<float>{0.5f, 0.5f, 0.1f});
   EXPECT_EQ(row_argmax(v)[0], 0);
+}
+
+TEST(RowReductions, RejectZeroColumnInputs) {
+  // [3, 0] is a legal shape, but its rows have no element: each
+  // reduction that reads a row's first element must refuse it rather
+  // than dereference an empty buffer (or, for argmax, name a column
+  // that does not exist).
+  const Tensor empty_rows(Shape{3, 0});
+  Tensor out;
+  std::vector<int> indices;
+  std::vector<float> values;
+  EXPECT_THROW(softmax_into(empty_rows, out), std::invalid_argument);
+  EXPECT_THROW(softmax(empty_rows), std::invalid_argument);
+  EXPECT_THROW(log_softmax(empty_rows), std::invalid_argument);
+  EXPECT_THROW(row_argmax_into(empty_rows, indices), std::invalid_argument);
+  EXPECT_THROW(row_max_into(empty_rows, values), std::invalid_argument);
+  EXPECT_THROW(row_margin_into(empty_rows, values), std::invalid_argument);
+  // A zero-row input with columns stays legal: nothing to reduce.
+  const Tensor no_rows(Shape{0, 4});
+  row_max_into(no_rows, values);
+  EXPECT_TRUE(values.empty());
 }
 
 TEST(Workspace, RejectsRequestsBeyondATensorsExtentBeforeAllocating) {
