@@ -22,7 +22,7 @@ void BM_Gemm(benchmark::State& state) {
   const Tensor b = Tensor::normal(Shape{n, n}, rng);
   Tensor c(Shape{n, n});
   for (auto _ : state) {
-    ops::gemm(false, false, n, n, n, 1.0f, a.data(), n, b.data(), n, 0.0f, c.data(), n);
+    ops::gemm(false, false, n, n, n, a.data(), n, b.data(), n, c.data(), n);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n) * n * n);

@@ -4,11 +4,9 @@ namespace meanet::metrics {
 
 void EntropyStats::add(float entropy, bool correct) {
   if (correct) {
-    correct_.push_back(entropy);
     correct_sum_ += entropy;
     ++correct_count_;
   } else {
-    wrong_.push_back(entropy);
     wrong_sum_ += entropy;
     ++wrong_count_;
   }

@@ -5,7 +5,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <utility>
 
 namespace meanet::metrics {
 
@@ -27,13 +27,7 @@ class EntropyStats {
   /// Midpoint of the threshold range — a reasonable default.
   double default_threshold() const { return 0.5 * (mu_correct() + mu_wrong()); }
 
-  /// All recorded entropies (for histogram-style reporting).
-  const std::vector<float>& correct_entropies() const { return correct_; }
-  const std::vector<float>& wrong_entropies() const { return wrong_; }
-
  private:
-  std::vector<float> correct_;
-  std::vector<float> wrong_;
   double correct_sum_ = 0.0;
   double wrong_sum_ = 0.0;
   std::int64_t correct_count_ = 0;

@@ -15,6 +15,7 @@ Tensor ReLU::forward(const Tensor& input, Mode mode) {
 
 Tensor ReLU::backward(const Tensor& grad_output) {
   if (cached_input_.empty()) throw std::logic_error(name_ + ": backward before forward");
+  check_grad_shape(grad_output, cached_input_.shape());
   Tensor grad_input(grad_output.shape());
   const float* x = cached_input_.data();
   const float* g = grad_output.data();
@@ -48,6 +49,7 @@ Tensor ReLU6::forward(const Tensor& input, Mode mode) {
 
 Tensor ReLU6::backward(const Tensor& grad_output) {
   if (cached_input_.empty()) throw std::logic_error(name_ + ": backward before forward");
+  check_grad_shape(grad_output, cached_input_.shape());
   Tensor grad_input(grad_output.shape());
   const float* x = cached_input_.data();
   const float* g = grad_output.data();

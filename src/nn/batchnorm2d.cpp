@@ -123,6 +123,7 @@ Tensor BatchNorm2d::forward(const Tensor& input, Mode mode) {
 
 Tensor BatchNorm2d::backward(const Tensor& grad_output) {
   if (cached_xhat_.empty()) throw std::logic_error(name_ + ": backward before forward");
+  check_grad_shape(grad_output, cached_xhat_.shape());
   const Shape& shape = grad_output.shape();
   const int batch = shape.batch();
   const std::int64_t hw = static_cast<std::int64_t>(shape.height()) * shape.width();

@@ -204,6 +204,7 @@ Tensor Conv2d::forward(const Tensor& input, Mode mode) {
 
 void Conv2d::backward_params(const Tensor& grad_output) {
   if (cached_input_.empty()) throw std::logic_error(name_ + ": backward before forward");
+  check_grad_shape(grad_output, output_shape(cached_input_.shape()));
   if (frozen_) return;
   const ops::ConvGeometry g = geometry(cached_input_.shape());
   const int batch = cached_input_.shape().batch();
@@ -217,8 +218,8 @@ void Conv2d::backward_params(const Tensor& grad_output) {
     const float* gout = grad_output.data() + n * out_stride;
     // dW += gout [out_c, out_hw] * columns^T [out_hw, patch]
     ops::im2col(cached_input_.data() + n * in_stride, g, columns);
-    ops::gemm(false, true, out_channels_, patch, out_hw, 1.0f, gout, out_hw, columns, out_hw,
-              1.0f, weight_.grad.data(), patch);
+    ops::gemm(false, true, out_channels_, patch, out_hw, gout, out_hw, columns, out_hw,
+              weight_.grad.data(), patch);
     if (has_bias_) {
       for (int oc = 0; oc < out_channels_; ++oc) {
         const float* go = gout + static_cast<std::int64_t>(oc) * out_hw;
@@ -346,6 +347,7 @@ Tensor DepthwiseConv2d::forward(const Tensor& input, Mode mode) {
 
 Tensor DepthwiseConv2d::backward(const Tensor& grad_output) {
   if (cached_input_.empty()) throw std::logic_error(name_ + ": backward before forward");
+  check_grad_shape(grad_output, output_shape(cached_input_.shape()));
   const Shape& in_shape = cached_input_.shape();
   const int batch = in_shape.batch();
   const int in_h = in_shape.height(), in_w = in_shape.width();

@@ -31,6 +31,7 @@ Tensor Dropout::forward(const Tensor& input, Mode mode) {
 
 Tensor Dropout::backward(const Tensor& grad_output) {
   if (mask_.empty()) return grad_output;  // was identity
+  check_grad_shape(grad_output, mask_.shape());
   Tensor grad_input(grad_output.shape());
   for (std::int64_t i = 0; i < grad_output.numel(); ++i) {
     grad_input[i] = grad_output[i] * mask_[i];

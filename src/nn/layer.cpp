@@ -1,5 +1,7 @@
 #include "nn/layer.h"
 
+#include <stdexcept>
+
 #include "nn/parameter.h"
 
 namespace meanet::nn {
@@ -9,13 +11,11 @@ void Layer::set_frozen(bool frozen) {
   for (Parameter* p : parameters()) p->trainable = !frozen;
 }
 
-std::int64_t count_parameters(const std::vector<Parameter*>& params, bool trainable_only) {
-  std::int64_t total = 0;
-  for (const Parameter* p : params) {
-    if (trainable_only && !p->trainable) continue;
-    total += p->numel();
+void Layer::check_grad_shape(const Tensor& grad_output, const Shape& expected) const {
+  if (grad_output.shape() != expected) {
+    throw std::invalid_argument(name() + ": gradient " + grad_output.shape().to_string() +
+                                " does not match the forward's output " + expected.to_string());
   }
-  return total;
 }
 
 }  // namespace meanet::nn

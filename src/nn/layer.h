@@ -104,12 +104,14 @@ class Layer {
   bool frozen() const { return frozen_; }
 
  protected:
+  /// Throws std::invalid_argument unless `grad_output` has the shape
+  /// the cached forward produced: a backward indexes its cache by the
+  /// gradient's extent, or the gradient by the cache's.
+  void check_grad_shape(const Tensor& grad_output, const Shape& expected) const;
+
   bool frozen_ = false;
 };
 
 using LayerPtr = std::unique_ptr<Layer>;
-
-/// Total parameter count across `layers`, optionally only trainable ones.
-std::int64_t count_parameters(const std::vector<Parameter*>& params, bool trainable_only = false);
 
 }  // namespace meanet::nn

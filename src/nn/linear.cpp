@@ -39,8 +39,8 @@ Tensor Linear::forward(const Tensor& input, Mode mode) {
   const int batch = input.shape().dim(0);
   Tensor output(out_shape);
   // output = input [batch, in] * W^T [in, out]
-  ops::gemm(false, true, batch, out_features_, in_features_, 1.0f, input.data(), in_features_,
-            weight_.value.data(), in_features_, 0.0f, output.data(), out_features_);
+  ops::gemm(false, true, batch, out_features_, in_features_, input.data(), in_features_,
+            weight_.value.data(), in_features_, output.data(), out_features_);
   for (int n = 0; n < batch; ++n) {
     float* row = output.data() + static_cast<std::int64_t>(n) * out_features_;
     for (int o = 0; o < out_features_; ++o) row[o] += bias_.value[o];
@@ -51,12 +51,12 @@ Tensor Linear::forward(const Tensor& input, Mode mode) {
 
 Tensor Linear::backward(const Tensor& grad_output) {
   if (cached_input_.empty()) throw std::logic_error(name_ + ": backward before forward");
+  check_grad_shape(grad_output, output_shape(cached_input_.shape()));
   const int batch = cached_input_.shape().dim(0);
   if (!frozen_) {
     // dW += gout^T [out, batch] * input [batch, in]
-    ops::gemm(true, false, out_features_, in_features_, batch, 1.0f, grad_output.data(),
-              out_features_, cached_input_.data(), in_features_, 1.0f, weight_.grad.data(),
-              in_features_);
+    ops::gemm(true, false, out_features_, in_features_, batch, grad_output.data(), out_features_,
+              cached_input_.data(), in_features_, weight_.grad.data(), in_features_);
     for (int n = 0; n < batch; ++n) {
       const float* row = grad_output.data() + static_cast<std::int64_t>(n) * out_features_;
       for (int o = 0; o < out_features_; ++o) bias_.grad[o] += row[o];
@@ -64,9 +64,8 @@ Tensor Linear::backward(const Tensor& grad_output) {
   }
   // dX = gout [batch, out] * W [out, in]
   Tensor grad_input(cached_input_.shape());
-  ops::gemm(false, false, batch, in_features_, out_features_, 1.0f, grad_output.data(),
-            out_features_, weight_.value.data(), in_features_, 0.0f, grad_input.data(),
-            in_features_);
+  ops::gemm(false, false, batch, in_features_, out_features_, grad_output.data(), out_features_,
+            weight_.value.data(), in_features_, grad_input.data(), in_features_);
   return grad_input;
 }
 

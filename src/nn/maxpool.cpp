@@ -60,6 +60,7 @@ Tensor MaxPool2d::forward(const Tensor& input, Mode mode) {
 
 Tensor MaxPool2d::backward(const Tensor& grad_output) {
   if (cached_input_shape_.rank() != 4) throw std::logic_error(name_ + ": backward before forward");
+  check_grad_shape(grad_output, output_shape(cached_input_shape_));
   Tensor grad_input(cached_input_shape_);
   for (std::int64_t i = 0; i < grad_output.numel(); ++i) {
     grad_input[argmax_[static_cast<std::size_t>(i)]] += grad_output[i];

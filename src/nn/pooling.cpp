@@ -27,6 +27,7 @@ Tensor GlobalAvgPool::forward(const Tensor& input, Mode mode) {
 
 Tensor GlobalAvgPool::backward(const Tensor& grad_output) {
   if (cached_input_shape_.rank() != 4) throw std::logic_error(name_ + ": backward before forward");
+  check_grad_shape(grad_output, output_shape(cached_input_shape_));
   const int batch = cached_input_shape_.batch(), channels = cached_input_shape_.channels();
   const std::int64_t hw =
       static_cast<std::int64_t>(cached_input_shape_.height()) * cached_input_shape_.width();
@@ -86,6 +87,7 @@ Tensor AvgPool2d::forward(const Tensor& input, Mode mode) {
 
 Tensor AvgPool2d::backward(const Tensor& grad_output) {
   if (cached_input_shape_.rank() != 4) throw std::logic_error(name_ + ": backward before forward");
+  check_grad_shape(grad_output, output_shape(cached_input_shape_));
   Tensor grad_input(cached_input_shape_);
   const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
   const Shape& out_shape = grad_output.shape();

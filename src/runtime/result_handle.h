@@ -118,14 +118,10 @@ struct RequestState {
   /// Per-request deadline override in seconds from submit(); NaN means
   /// the session's per-route deadlines apply.
   double deadline_override_s = std::numeric_limits<double>::quiet_NaN();
-  /// Scheduling priority the request was queued under (the per-submit
-  /// override, or the best EngineConfig::route_priority it could land
-  /// on). Immutable after enqueue.
+  /// Scheduling priority the request was queued under (its
+  /// SubmitOptions::priority, or 0), in the worker queue and for its
+  /// cloud upload. Immutable after enqueue.
   int queue_priority = 0;
-  /// The explicit SubmitOptions::priority, kept apart from the resolved
-  /// queue_priority so the offload stage can re-resolve an unset
-  /// priority against the route the instance is then known to take.
-  std::optional<int> priority_override;
 
   mutable std::mutex mutex;
   mutable std::condition_variable done_cv;

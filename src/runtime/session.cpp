@@ -106,9 +106,6 @@ InferenceSession::InferenceSession(EngineConfig config)
     : batch_size_(config.batch_size),
       offload_timeout_s_(config.offload_timeout_s),
       route_deadline_s_(config.route_deadline_s),
-      route_priority_(config.route_priority),
-      default_priority_(
-          *std::max_element(config.route_priority.begin(), config.route_priority.end())),
       costs_(config.costs),
       clock_(sim::resolve_clock(config.clock)),
       queue_(static_cast<std::size_t>(std::max(1, config.queue_capacity)),
@@ -276,7 +273,7 @@ ResultHandle InferenceSession::enqueue(Tensor images, SubmitOptions options,
   Tensor batch = normalize_batch(std::move(images));
   const int count = batch.shape().batch();
   if (count <= 0) throw std::invalid_argument("InferenceSession::submit: empty batch");
-  const int priority = options.priority.value_or(default_priority_);
+  const int priority = options.priority.value_or(0);
   // Admission gates streaming submit() traffic only (track_in_round):
   // run() is the bulk-eval API — rejecting one of its chunks midway
   // would strand the results of the chunks already enqueued.
@@ -287,12 +284,6 @@ ResultHandle InferenceSession::enqueue(Tensor images, SubmitOptions options,
   state->clock = clock_;  // before any other thread can see the state
   state->submitted_at = clock_->now();
   state->deadline_override_s = options.deadline_s;
-  // The route is only decided by the edge pass, so an un-overridden
-  // request is queued at the best route priority it could land on
-  // (mirroring admission's loosest-deadline rule); the explicit
-  // override is kept so the offload stage can re-resolve against the
-  // route the instance then actually takes.
-  state->priority_override = options.priority;
   state->queue_priority = priority;
   // Runs under the state mutex when a cancel wins, so the counter never
   // lags the handle's cancelled() view. Capturing `this` is safe: a
@@ -826,9 +817,8 @@ void InferenceSession::process(core::EdgeInferenceEngine& engine,
       // last payload instance's deadline keeps anyone interested. The
       // pending upload is ordered against the other dispatch-queue
       // entries by the same (priority, deadline, arrival) key as the
-      // worker queue — the route is known now, so an unset priority
-      // resolves against route_priority[kCloud], and the key's deadline
-      // is the payload's *tightest* instance deadline.
+      // worker queue: the payload's highest request priority and its
+      // *tightest* instance deadline.
       double max_remaining_s = 0.0;
       SchedKey job_key;
       job_key.priority = std::numeric_limits<int>::min();
@@ -842,9 +832,7 @@ void InferenceSession::process(core::EdgeInferenceEngine& engine,
                 ? std::numeric_limits<double>::infinity()
                 : std::chrono::duration<double>(deadline - routed_at).count();
         max_remaining_s = std::max(max_remaining_s, remaining_s);
-        job_key.priority = std::max(
-            job_key.priority, state.priority_override.value_or(
-                                  route_priority_[static_cast<std::size_t>(core::Route::kCloud)]));
+        job_key.priority = std::max(job_key.priority, state.queue_priority);
         job_key.deadline = std::min(job_key.deadline, deadline);
       }
       const std::int64_t first_id =

@@ -126,16 +126,6 @@ struct EngineConfig {
 
   // ----- Deadlines -----
   // ----- Scheduling -----
-  /// Scheduling priority per core::Route (higher = served sooner),
-  /// the session-level default SubmitOptions::priority overrides. A
-  /// request's route is only decided by the edge pass, so at submit
-  /// time it is queued at the *best* route priority it could still land
-  /// on (mirroring how admission uses the loosest route deadline); once
-  /// an instance is known to be cloud-routed, its pending upload is
-  /// ordered by route_priority[kCloud]. The queue key is
-  /// (priority desc, deadline asc, arrival asc) — see
-  /// runtime/request_queue.h.
-  std::array<int, core::kNumRoutes> route_priority{0, 0, 0};
   /// Starvation/aging bound of the priority queues: the oldest waiting
   /// request is never bypassed by more than this many consecutive
   /// dequeues — the next one serves it regardless of priority and
@@ -230,9 +220,9 @@ struct SubmitOptions {
   /// bound for whatever route its instances land on), in seconds from
   /// submit(). NaN (the default) = use EngineConfig::route_deadline_s.
   double deadline_s = std::numeric_limits<double>::quiet_NaN();
-  /// Scheduling priority of this request (higher = served sooner),
-  /// overriding EngineConfig::route_priority. Unset (the default) = the
-  /// best route priority the request could land on. Requests of equal
+  /// Scheduling priority of this request (higher = served sooner), in
+  /// the worker queue and, for its cloud-routed instances, the offload
+  /// dispatch queue. Unset (the default) = 0. Requests of equal
   /// priority are served earliest-deadline-first, then in arrival
   /// order; the starvation bound keeps low priorities from waiting
   /// forever under a high-priority flood.
@@ -445,10 +435,6 @@ class InferenceSession : public diag::DiagnosticProvider {
   int batch_size_;
   double offload_timeout_s_;
   std::array<double, core::kNumRoutes> route_deadline_s_;
-  std::array<int, core::kNumRoutes> route_priority_;
-  /// Best route priority a not-yet-routed request could land on (the
-  /// default queue priority when SubmitOptions::priority is unset).
-  int default_priority_;
   /// Loosest finite route deadline (infinity when every route is
   /// unbounded): the admission bar a request with no override must
   /// clear. Derived once at construction.

@@ -11,11 +11,11 @@
 //         one NR = 16-column panel: B packed into a kc x 16 buffer
 //         that stays in L1, then every MR-row tile of the MC block
 //         runs on it before the next panel is packed.
-// Packing folds the optional transpose and the alpha scale, so one
-// kernel serves all four transpose cases. A conv forward
-// (conv_gemm_nchw) packs B from its NCHW images and writes C into its
-// NCHW output; a conv's input-gradient GEMM (conv_grad_columns) reads
-// B from the NCHW output gradient the same way. That packer
+// Packing folds the optional transpose, so one kernel serves all four
+// transpose cases. A conv forward (conv_gemm_nchw) packs B from its
+// NCHW images and writes C into its NCHW output; a conv's
+// input-gradient GEMM (conv_grad_columns) reads B from the NCHW output
+// gradient the same way. That packer
 // (detail::conv_block_source and pack_b_conv, ops.cpp) checks no
 // bounds: a padded conv's block is first copied into a zero-padded slab
 // of the images x channels the block reads (bounded by KC x NC, not by
@@ -69,14 +69,13 @@ constexpr int kMC = 128;
 // ----- Packing --------------------------------------------------------
 
 /// Packs op(A)[i0:i0+mc, p0:p0+kc] into MR-wide panels:
-/// dst[(ib/MR) * kc * MR + p * MR + i] = alpha * op(A)[i0+ib+i, p0+p],
-/// zero-padded to a full MR in the last panel. Folding alpha here keeps
-/// the microkernel a pure multiply-accumulate. Templated on the active
+/// dst[(ib/MR) * kc * MR + p * MR + i] = op(A)[i0+ib+i, p0+p],
+/// zero-padded to a full MR in the last panel. Templated on the active
 /// kernel's row-tile so the interleave stride is a compile-time
 /// constant in every instantiation.
 template <int MR>
 void pack_a_t(bool transpose, const float* a, int lda, int i0, int mc, int p0, int kc,
-              float alpha, float* dst) {
+              float* dst) {
   for (int ib = 0; ib < mc; ib += MR) {
     const int mr = std::min(MR, mc - ib);
     for (int p = 0; p < kc; ++p) {
@@ -86,20 +85,20 @@ void pack_a_t(bool transpose, const float* a, int lda, int i0, int mc, int p0, i
           const std::ptrdiff_t row = i0 + ib + i, col = p0 + p;
           value = transpose ? a[col * lda + row] : a[row * lda + col];
         }
-        *dst++ = alpha * value;
+        *dst++ = value;
       }
     }
   }
 }
 
 void pack_a(int mr_tile, bool transpose, const float* a, int lda, int i0, int mc, int p0, int kc,
-            float alpha, float* dst) {
+            float* dst) {
   if (mr_tile == 8) {
-    pack_a_t<8>(transpose, a, lda, i0, mc, p0, kc, alpha, dst);
+    pack_a_t<8>(transpose, a, lda, i0, mc, p0, kc, dst);
   } else if (mr_tile == 6) {
-    pack_a_t<6>(transpose, a, lda, i0, mc, p0, kc, alpha, dst);
+    pack_a_t<6>(transpose, a, lda, i0, mc, p0, kc, dst);
   } else {
-    pack_a_t<4>(transpose, a, lda, i0, mc, p0, kc, alpha, dst);
+    pack_a_t<4>(transpose, a, lda, i0, mc, p0, kc, dst);
   }
 }
 
@@ -184,7 +183,6 @@ detail::FloatKernel active_kernel() {
 struct GemmJob {
   bool transpose_a = false, transpose_b = false;
   int m = 0, n = 0, k = 0;
-  float alpha = 1.0f;
   const float* a = nullptr;
   int lda = 0;
   const float* b = nullptr;
@@ -260,7 +258,7 @@ void run_blocked(const GemmJob& job) {
       const int m_panels = (mc + mr_tile - 1) / mr_tile;
       float* apack = workspace.buffer(Workspace::kPackA,
                                       static_cast<std::size_t>(m_panels) * kc * mr_tile);
-      pack_a(mr_tile, job.transpose_a, job.a, job.lda, i0, mc, p0, kc, job.alpha, apack);
+      pack_a(mr_tile, job.transpose_a, job.a, job.lda, i0, mc, p0, kc, apack);
       for (int j0 = 0; j0 < job.n; j0 += kNC) {
         const int nc = std::min(kNC, job.n - j0);
         if (job.conv != nullptr) {
@@ -331,21 +329,10 @@ void run_blocked(const GemmJob& job) {
 
 int gemm_threads() { return 1; }
 
-void gemm(bool transpose_a, bool transpose_b, int m, int n, int k, float alpha, const float* a,
-          int lda, const float* b, int ldb, float beta, float* c, int ldc) {
+void gemm(bool transpose_a, bool transpose_b, int m, int n, int k, const float* a, int lda,
+          const float* b, int ldb, float* c, int ldc) {
   if (m < 0 || n < 0 || k < 0) throw std::invalid_argument("gemm: negative dimension");
-  if (beta == 0.0f) {
-    for (int i = 0; i < m; ++i) {
-      std::memset(c + static_cast<std::ptrdiff_t>(i) * ldc, 0,
-                  sizeof(float) * static_cast<std::size_t>(n));
-    }
-  } else if (beta != 1.0f) {
-    for (int i = 0; i < m; ++i) {
-      float* c_row = c + static_cast<std::ptrdiff_t>(i) * ldc;
-      for (int j = 0; j < n; ++j) c_row[j] *= beta;
-    }
-  }
-  if (m == 0 || n == 0 || k == 0 || alpha == 0.0f) return;
+  if (m == 0 || n == 0 || k == 0) return;
 
   GemmJob job;
   job.transpose_a = transpose_a;
@@ -353,7 +340,6 @@ void gemm(bool transpose_a, bool transpose_b, int m, int n, int k, float alpha, 
   job.m = m;
   job.n = n;
   job.k = k;
-  job.alpha = alpha;
   job.a = a;
   job.lda = lda;
   job.b = b;
@@ -433,8 +419,7 @@ Tensor matmul(const Tensor& a, const Tensor& b, bool transpose_a, bool transpose
                                 " x " + b.shape().to_string());
   }
   Tensor c(Shape{m, n});
-  gemm(transpose_a, transpose_b, m, n, k, 1.0f, a.data(), a_cols, b.data(), b_cols, 0.0f, c.data(),
-       n);
+  gemm(transpose_a, transpose_b, m, n, k, a.data(), a_cols, b.data(), b_cols, c.data(), n);
   return c;
 }
 

@@ -1,11 +1,11 @@
 // Explicit-SIMD float GEMM microkernels, one translation unit per ISA.
 //
 // Every kernel computes C[0:mr, 0:nr] += sum_p apanel[p][·] *
-// bpanel[p][·] over a packed A panel (MR-interleaved, alpha folded by
-// the packer) and a packed B panel (NR-interleaved). The accumulation
-// is strictly p-sequential per C element, exactly like the portable
-// kernel in gemm.cpp — so for a FIXED kernel the result does not depend
-// on where an element sits in its tile or its batch split. The portable
+// bpanel[p][·] over a packed A panel (MR-interleaved) and a packed B
+// panel (NR-interleaved). The accumulation is strictly p-sequential per
+// C element, exactly like the portable kernel in gemm.cpp — so for a
+// FIXED kernel the result does not depend on where an element sits in
+// its tile or its batch split. The portable
 // kernel rounds differently (FMA contracts the multiply-add), which is
 // why the parity tests compare it with a tolerance but batch splits
 // exactly. The AVX2 and AVX-512 kernels run the same FMA chain and the

@@ -259,8 +259,6 @@ void detail::pack_b_conv(const ConvBlockSource& source, int j, int nr, float* ds
 void col2im(const float* columns, const ConvGeometry& g, float* image) {
   if (g.stride == 1) {
     col2im_t<1>(columns, g, image);
-  } else if (g.stride == 2) {
-    col2im_t<2>(columns, g, image);
   } else {
     col2im_t<0>(columns, g, image);
   }
@@ -395,12 +393,6 @@ void row_margin_into(const Tensor& values, std::vector<float>& out) {
     }
     out[static_cast<std::size_t>(r)] = cols == 1 ? top1 : top1 - top2;
   }
-}
-
-std::vector<float> row_margin(const Tensor& values) {
-  std::vector<float> out;
-  row_margin_into(values, out);
-  return out;
 }
 
 Tensor gather_rows(const Tensor& source, const std::vector<int>& rows) {

@@ -44,11 +44,12 @@ int gemm_threads();
 
 // ----- GEMM ------------------------------------------------------------
 
-/// C = alpha * op(A) * op(B) + beta * C.
+/// C += op(A) * op(B).
 /// A is [M, K] after optional transpose, B is [K, N] after optional
-/// transpose, C is [M, N]. C must be pre-sized; beta = 0 overwrites.
-void gemm(bool transpose_a, bool transpose_b, int m, int n, int k, float alpha,
-          const float* a, int lda, const float* b, int ldb, float beta, float* c, int ldc);
+/// transpose, C is [M, N]. It accumulates, so for C = op(A) * op(B)
+/// `c` must arrive zeroed (a fresh Tensor is).
+void gemm(bool transpose_a, bool transpose_b, int m, int n, int k, const float* a, int lda,
+          const float* b, int ldb, float* c, int ldc);
 
 /// Convenience wrapper on rank-2 tensors: returns op(A)*op(B).
 Tensor matmul(const Tensor& a, const Tensor& b, bool transpose_a = false,
@@ -88,8 +89,8 @@ struct ConvEpilogue {
 /// out_w], then the `epilogue`. It accumulates, so `output` must
 /// arrive zeroed (a fresh Tensor is). One GEMM over all batch * out_hw
 /// columns, with B packed straight from the images in im2col's values
-/// and k-order, so the result is bit-identical to im2col + gemm(beta =
-/// 0) per image followed by the epilogue's passes.
+/// and k-order, so the result is bit-identical to im2col + gemm() into
+/// a zeroed output per image followed by the epilogue's passes.
 void conv_gemm_nchw(int out_channels, const float* weight, const float* images, int batch,
                     const ConvGeometry& g, float* output, const ConvEpilogue& epilogue = {});
 
@@ -99,8 +100,8 @@ void conv_gemm_nchw(int out_channels, const float* weight, const float* images, 
 /// [out_channels, out_h*out_w], into `columns` [batch, patch_size(),
 /// out_h*out_w], which it overwrites. One GEMM over all batch * out_hw
 /// columns with W^T packed once and B read straight from grad_output,
-/// so the result is bit-identical to gemm(true, false, beta = 0) per
-/// image.
+/// so the result is bit-identical to gemm(true, false) into zeroed
+/// columns per image.
 void conv_grad_columns(int out_channels, const float* weight, const float* grad_output,
                        int batch, const ConvGeometry& g, float* columns);
 
@@ -127,10 +128,10 @@ void col2im(const float* columns, const ConvGeometry& g, float* image);
 //
 // Each reduction has an _into variant writing a caller-owned buffer —
 // the serving engines keep those buffers across calls so the per-batch
-// routing signals allocate nothing — plus the allocating convenience
-// wrapper. softmax, log_softmax, row_argmax, row_max and row_margin
-// throw std::invalid_argument unless their input is [rows, cols > 0]:
-// a row with no column has no max.
+// routing signals allocate nothing — and all but row_margin an
+// allocating convenience wrapper. softmax, log_softmax, row_argmax,
+// row_max and row_margin throw std::invalid_argument unless their input
+// is [rows, cols > 0]: a row with no column has no max.
 
 /// Row-wise softmax of a [rows, cols] tensor (numerically stabilized).
 /// `out` is resized to match `logits`; in-place (&out == &logits) is
@@ -157,7 +158,6 @@ std::vector<float> row_max(const Tensor& values);
 /// confidence margin when applied to softmax scores). Rows with a single
 /// column have margin equal to their only element.
 void row_margin_into(const Tensor& values, std::vector<float>& out);
-std::vector<float> row_margin(const Tensor& values);
 
 /// Copies the listed batch rows of `source` (any rank >= 1) into a new
 /// tensor of shape [rows.size(), ...]. Used to route instance subsets

@@ -51,9 +51,6 @@ class FaultInjectingTransport final : public Transport {
   void close() override;
   std::string describe() const override;
 
-  /// Bytes actually forwarded to the inner transport so far.
-  std::uint64_t bytes_written() const { return written_; }
-
  private:
   std::unique_ptr<Transport> inner_;
   FaultPlan plan_;

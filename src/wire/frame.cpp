@@ -10,8 +10,6 @@ namespace meanet::wire {
 namespace {
 
 constexpr std::uint32_t kMaxErrorMessage = 1u << 12;
-constexpr std::uint32_t kMaxStatsEntries = 1u << 10;
-constexpr std::uint32_t kMaxStatsName = 1u << 8;
 constexpr std::uint32_t kFlagImages = 1u << 0;
 constexpr std::uint32_t kFlagFeatures = 1u << 1;
 
@@ -214,56 +212,6 @@ std::pair<ErrorCode, std::string> decode_error(const std::vector<std::uint8_t>& 
     std::string message(len, '\0');
     reader.read_bytes(message.data(), len);
     return std::make_pair(static_cast<ErrorCode>(code), std::move(message));
-  });
-}
-
-std::vector<std::uint8_t> encode_stats(const StatsEntries& entries) {
-  std::vector<std::uint8_t> out;
-  append_pod(out, static_cast<std::uint32_t>(entries.size()));
-  for (const auto& [name, value] : entries) {
-    const auto len =
-        static_cast<std::uint32_t>(std::min<std::size_t>(name.size(), kMaxStatsName));
-    append_pod(out, len);
-    out.insert(out.end(), name.begin(), name.begin() + len);
-    append_pod(out, value);
-  }
-  return out;
-}
-
-StatsEntries decode_stats(const std::vector<std::uint8_t>& bytes) {
-  return decode_guarded("decode_stats", [&] {
-    nn::ByteReader reader(bytes.data(), bytes.size());
-    const auto count = reader.read<std::uint32_t>();
-    if (count > kMaxStatsEntries) throw ProtocolError("decode_stats: hostile entry count");
-    StatsEntries entries;
-    entries.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const auto len = reader.read<std::uint32_t>();
-      if (len > kMaxStatsName || len > reader.remaining()) {
-        throw ProtocolError("decode_stats: hostile name length");
-      }
-      std::string name(len, '\0');
-      reader.read_bytes(name.data(), len);
-      const auto value = reader.read<std::uint64_t>();
-      entries.emplace_back(std::move(name), value);
-    }
-    return entries;
-  });
-}
-
-std::vector<std::uint8_t> encode_stats_request(std::uint32_t flags) {
-  std::vector<std::uint8_t> out;
-  if (flags != 0) append_pod(out, flags);
-  return out;
-}
-
-std::uint32_t decode_stats_request(const std::vector<std::uint8_t>& bytes) {
-  if (bytes.empty()) return 0;  // pre-flag clients send no payload
-  return decode_guarded("decode_stats_request", [&]() -> std::uint32_t {
-    nn::ByteReader reader(bytes.data(), bytes.size());
-    const auto flags = reader.read<std::uint32_t>();
-    if (!reader.done()) throw ProtocolError("decode_stats_request: trailing bytes");
-    return flags;
   });
 }
 

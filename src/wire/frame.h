@@ -38,7 +38,9 @@ namespace meanet::wire {
 
 /// Bump on any incompatible frame/payload change; both sides reject
 /// other versions (version-skew test in tests/test_wire_protocol.cpp).
-constexpr std::uint16_t kWireVersion = 1;
+/// Version 2: kStatsRequest carries no payload and is answered with the
+/// diagnostics registry JSON.
+constexpr std::uint16_t kWireVersion = 2;
 
 constexpr std::uint8_t kMagic[4] = {'M', 'W', 'I', 'R'};
 constexpr std::size_t kFrameHeaderBytes = 24;
@@ -47,8 +49,8 @@ enum class Command : std::uint16_t {
   kOffloadRequest = 1,   // payload: flags + image/feature tensors
   kOffloadResponse = 2,  // payload: predicted labels
   kError = 3,            // payload: error code + message
-  kStatsRequest = 4,     // payload: empty, or u32 flags (kStatsFlag*)
-  kStatsResponse = 5,    // payload: named u64 counters, or a JSON document
+  kStatsRequest = 4,     // payload: empty
+  kStatsResponse = 5,    // payload: the diagnostics registry as UTF-8 JSON
   kPing = 6,             // payload: empty
   kPong = 7,             // payload: empty
 };
@@ -111,26 +113,6 @@ std::vector<int> decode_offload_response(const std::vector<std::uint8_t>& bytes)
 /// Error: u32 code, u32 message length, message bytes.
 std::vector<std::uint8_t> encode_error(ErrorCode code, const std::string& message);
 std::pair<ErrorCode, std::string> decode_error(const std::vector<std::uint8_t>& bytes);
-
-/// Stats: u32 entry count, then per entry u32 name length | name bytes
-/// | u64 value. Order-preserving.
-using StatsEntries = std::vector<std::pair<std::string, std::uint64_t>>;
-std::vector<std::uint8_t> encode_stats(const StatsEntries& entries);
-StatsEntries decode_stats(const std::vector<std::uint8_t>& bytes);
-
-/// kStatsRequest flag bits. The server answers a flagless (empty
-/// payload — every pre-flag client) or flags==0 request with the
-/// legacy counter entries; kStatsFlagDiagSnapshot asks for the full
-/// process diagnostics registry snapshot as a UTF-8 JSON document
-/// (schema diag::kSchemaVersion) in the kStatsResponse payload. Wire
-/// version stays 1: old servers never see the flag from old clients,
-/// and the frame layout is unchanged.
-constexpr std::uint32_t kStatsFlagDiagSnapshot = 1u << 0;
-
-/// Stats request: empty for the legacy counters, or a single u32 of
-/// kStatsFlag* bits (encode omits the word when flags == 0).
-std::vector<std::uint8_t> encode_stats_request(std::uint32_t flags);
-std::uint32_t decode_stats_request(const std::vector<std::uint8_t>& bytes);
 
 /// Wire bytes of a single-instance offload request of the given
 /// geometries ([1,C,H,W] / [1,c,h,w]): frame header + flags + the

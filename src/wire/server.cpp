@@ -51,27 +51,6 @@ Tensor concat_rows(const std::vector<const Tensor*>& parts) {
 
 }  // namespace
 
-StatsEntries WireServerStats::to_entries() const {
-  StatsEntries entries = {
-      {"connections_accepted", connections_accepted},
-      {"connections_active", connections_active},
-      {"frames_in", frames_in},
-      {"frames_out", frames_out},
-      {"requests_served", requests_served},
-      {"instances_served", instances_served},
-      {"batches", batches},
-      {"cross_session_batches", cross_session_batches},
-      {"protocol_errors", protocol_errors},
-      {"backend_failures", backend_failures},
-  };
-  for (std::size_t k = 0; k < batch_size_histogram.size(); ++k) {
-    if (batch_size_histogram[k] > 0) {
-      entries.emplace_back("batch_size_" + std::to_string(k), batch_size_histogram[k]);
-    }
-  }
-  return entries;
-}
-
 WireServer::WireServer(std::shared_ptr<runtime::OffloadBackend> backend,
                        WireServerConfig config)
     : backend_(std::move(backend)), config_(config) {
@@ -161,11 +140,7 @@ void WireServer::reader_loop(std::shared_ptr<Connection> conn) {
     } catch (const ProtocolError& e) {
       // A malformed frame poisons the stream (framing is lost), so the
       // connection is told why and dropped.
-      {
-        std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-        stats_.protocol_errors++;
-      }
-      send_error(*conn, 0, ErrorCode::kMalformedFrame, e.what());
+      reject_malformed(*conn, 0, e.what());
       break;
     } catch (const WireError&) {
       break;  // connection died (reset / truncated / closed during stop)
@@ -182,11 +157,7 @@ void WireServer::reader_loop(std::shared_ptr<Connection> conn) {
         try {
           pending.payload = decode_offload_request(frame.payload);
         } catch (const WireError& e) {
-          {
-            std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-            stats_.protocol_errors++;
-          }
-          send_error(*conn, frame.request_id, ErrorCode::kMalformedFrame, e.what());
+          reject_malformed(*conn, frame.request_id, e.what());
           continue;  // payload was framed correctly; the stream is still good
         }
         pending.instances = payload_instances(pending.payload);
@@ -202,28 +173,15 @@ void WireServer::reader_loop(std::shared_ptr<Connection> conn) {
         send_frame(*conn, Frame{Command::kPong, frame.request_id, {}});
         break;
       case Command::kStatsRequest: {
-        std::uint32_t flags = 0;
-        try {
-          flags = decode_stats_request(frame.payload);
-        } catch (const WireError& e) {
-          {
-            std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-            stats_.protocol_errors++;
-          }
-          send_error(*conn, frame.request_id, ErrorCode::kMalformedFrame, e.what());
+        if (!frame.payload.empty()) {
+          reject_malformed(*conn, frame.request_id, "stats request: payload must be empty");
           continue;  // framing is intact; only this request was bad
         }
-        if ((flags & kStatsFlagDiagSnapshot) != 0) {
-          // The full process diagnostics registry (this server's tree
-          // included) as one versioned JSON document.
-          const std::string json = diag::DiagnosticRegistry::global().to_json();
-          send_frame(*conn, Frame{Command::kStatsResponse, frame.request_id,
-                                  std::vector<std::uint8_t>(json.begin(), json.end())});
-        } else {
-          const WireServerStats snapshot = stats();
-          send_frame(*conn, Frame{Command::kStatsResponse, frame.request_id,
-                                  encode_stats(snapshot.to_entries())});
-        }
+        // The full process diagnostics registry (this server's tree
+        // included) as one versioned JSON document.
+        const std::string json = diag::DiagnosticRegistry::global().to_json();
+        send_frame(*conn, Frame{Command::kStatsResponse, frame.request_id,
+                                std::vector<std::uint8_t>(json.begin(), json.end())});
         break;
       }
       default:
@@ -372,6 +330,15 @@ void WireServer::send_frame(Connection& conn, const Frame& frame) {
 void WireServer::send_error(Connection& conn, std::uint64_t request_id, ErrorCode code,
                             const std::string& message) {
   send_frame(conn, Frame{Command::kError, request_id, encode_error(code, message)});
+}
+
+void WireServer::reject_malformed(Connection& conn, std::uint64_t request_id,
+                                  const std::string& message) {
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    stats_.protocol_errors++;
+  }
+  send_error(conn, request_id, ErrorCode::kMalformedFrame, message);
 }
 
 WireServerStats WireServer::stats() const {

@@ -47,7 +47,8 @@ struct WireServerConfig {
 };
 
 /// Monotonic counters + batch-size histogram; a consistent snapshot is
-/// returned by WireServer::stats() and served over kStatsRequest.
+/// returned by WireServer::stats() and exported through diag_snapshot()
+/// (which kStatsRequest serves as part of the registry JSON).
 struct WireServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_active = 0;
@@ -63,8 +64,6 @@ struct WireServerStats {
   /// histogram[k] = batches that carried k requests (index clamped to
   /// the vector's top bucket).
   std::vector<std::uint64_t> batch_size_histogram = std::vector<std::uint64_t>(17, 0);
-
-  StatsEntries to_entries() const;
 };
 
 class WireServer : public diag::DiagnosticProvider {
@@ -120,6 +119,8 @@ class WireServer : public diag::DiagnosticProvider {
   void send_frame(Connection& conn, const Frame& frame);
   void send_error(Connection& conn, std::uint64_t request_id, ErrorCode code,
                   const std::string& message);
+  /// Counts a protocol error and answers it with kMalformedFrame.
+  void reject_malformed(Connection& conn, std::uint64_t request_id, const std::string& message);
 
   std::shared_ptr<runtime::OffloadBackend> backend_;
   WireServerConfig config_;

@@ -7,13 +7,7 @@
 
 namespace meanet::wire {
 
-WireBackend::WireBackend(WireBackendConfig config)
-    : config_(std::move(config)),
-      send_images_(config_.send_images),
-      send_features_(config_.send_features) {
-  if (!send_images_ && !send_features_) {
-    throw std::invalid_argument("WireBackend: must ship images and/or features");
-  }
+WireBackend::WireBackend(WireBackendConfig config) : config_(std::move(config)) {
   if (config_.socket_path.empty() && !config_.transport_factory) {
     throw std::invalid_argument("WireBackend: needs a socket path or transport factory");
   }
@@ -94,7 +88,7 @@ std::vector<int> WireBackend::classify(const runtime::OffloadPayload& payload) {
 
 std::int64_t WireBackend::payload_bytes(const Shape& image_shape,
                                         const Shape& feature_shape) const {
-  return request_wire_bytes(image_shape, feature_shape, send_images_, send_features_);
+  return request_wire_bytes(image_shape, feature_shape, true, false);
 }
 
 std::string WireBackend::describe() const {
@@ -102,15 +96,8 @@ std::string WireBackend::describe() const {
   return "wire(unix:" + config_.socket_path + ")";
 }
 
-StatsEntries WireBackend::fetch_stats() {
-  return decode_stats(
-      roundtrip(Command::kStatsRequest, {}, Command::kStatsResponse).payload);
-}
-
 std::string WireBackend::fetch_diagnostics() {
-  const Frame reply = roundtrip(Command::kStatsRequest,
-                                encode_stats_request(kStatsFlagDiagSnapshot),
-                                Command::kStatsResponse);
+  const Frame reply = roundtrip(Command::kStatsRequest, {}, Command::kStatsResponse);
   return std::string(reply.payload.begin(), reply.payload.end());
 }
 

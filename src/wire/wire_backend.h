@@ -34,9 +34,6 @@ struct WireBackendConfig {
   /// under the session's own offload_timeout_s just means the worker
   /// gives up first and the late answer is dropped.
   double response_timeout_s = 30.0;
-  /// Which payload representations to ship (at least one must be set).
-  bool send_images = true;
-  bool send_features = false;
   FrameLimits limits;
   /// Test seam: dial through this instead of a real socket (e.g. one
   /// end of make_pipe(), optionally wrapped in FaultInjectingTransport).
@@ -57,21 +54,16 @@ class WireBackend : public runtime::OffloadBackend {
   /// daemon may have restarted between offloads).
   std::vector<int> classify(const runtime::OffloadPayload& payload) override;
 
-  bool needs_images() const override { return send_images_; }
-  bool needs_features() const override { return send_features_; }
+  /// Always ships raw images: what meanet_cloudd's RawImageBackend serves.
+  bool needs_images() const override { return true; }
+  bool needs_features() const override { return false; }
   std::int64_t payload_bytes(const Shape& image_shape,
                              const Shape& feature_shape) const override;
   std::string describe() const override;
 
-  /// Fetches the daemon's counters over the wire (kStatsRequest) —
-  /// connects on demand like classify().
-  StatsEntries fetch_stats();
-
   /// Fetches the daemon process's full diagnostics registry snapshot
-  /// (kStatsRequest with kStatsFlagDiagSnapshot) as a JSON document in
-  /// schema diag::kSchemaVersion. Requires a daemon built with the
-  /// flag — i.e. wire version 1 servers from this tree; connects on
-  /// demand like classify().
+  /// (kStatsRequest) as a JSON document in schema
+  /// diag::kSchemaVersion; connects on demand like classify().
   std::string fetch_diagnostics();
 
   /// Round-trips an empty kPing frame; throws WireError on failure.
@@ -85,12 +77,10 @@ class WireBackend : public runtime::OffloadBackend {
                   Command expected_reply);
 
   WireBackendConfig config_;
-  bool send_images_;
-  bool send_features_;
 
   // One in-flight exchange at a time: the session funnels every offload
   // through its single dispatcher thread already, but the backend must
-  // not rely on that (fetch_stats/ping may race classify).
+  // not rely on that (fetch_diagnostics/ping may race classify).
   mutable std::mutex mutex_;
   std::unique_ptr<Transport> conn_;   // guarded by mutex_
   std::uint64_t next_request_id_ = 1;  // guarded by mutex_

@@ -14,13 +14,11 @@
 
 namespace meanet::testing {
 
-/// C = alpha * op(A) * op(B) + beta * C, one k-ordered dot product per
-/// C element. A is [m, k] after the optional transpose (stored [k, m]
-/// when transposed), B is [k, n] (stored [n, k] when transposed).
-/// beta == 0 overwrites C.
-inline void reference_gemm(bool transpose_a, bool transpose_b, int m, int n, int k, float alpha,
-                           const float* a, int lda, const float* b, int ldb, float beta, float* c,
-                           int ldc) {
+/// C += op(A) * op(B), one k-ordered dot product per C element. A is
+/// [m, k] after the optional transpose (stored [k, m] when transposed),
+/// B is [k, n] (stored [n, k] when transposed).
+inline void reference_gemm(bool transpose_a, bool transpose_b, int m, int n, int k,
+                           const float* a, int lda, const float* b, int ldb, float* c, int ldc) {
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < n; ++j) {
       float acc = 0.0f;
@@ -31,8 +29,7 @@ inline void reference_gemm(bool transpose_a, bool transpose_b, int m, int n, int
                                        : b[static_cast<std::ptrdiff_t>(p) * ldb + j];
         acc += a_ip * b_pj;
       }
-      float& c_ij = c[static_cast<std::ptrdiff_t>(i) * ldc + j];
-      c_ij = alpha * acc + (beta == 0.0f ? 0.0f : beta * c_ij);
+      c[static_cast<std::ptrdiff_t>(i) * ldc + j] += acc;
     }
   }
 }
@@ -44,8 +41,8 @@ inline Tensor reference_matmul(const Tensor& a, const Tensor& b, bool transpose_
   const int k = transpose_a ? a.shape().dim(0) : a.shape().dim(1);
   const int n = transpose_b ? b.shape().dim(0) : b.shape().dim(1);
   Tensor c(Shape{m, n});
-  reference_gemm(transpose_a, transpose_b, m, n, k, 1.0f, a.data(), a.shape().dim(1), b.data(),
-                 b.shape().dim(1), 0.0f, c.data(), n);
+  reference_gemm(transpose_a, transpose_b, m, n, k, a.data(), a.shape().dim(1), b.data(),
+                 b.shape().dim(1), c.data(), n);
   return c;
 }
 

@@ -85,18 +85,18 @@ TEST(FailureInjection, ConcatFusionSpatialMismatchThrows) {
 
 TEST(FailureInjection, GemmRejectsNegativeDimensions) {
   float dummy = 0.0f;
-  EXPECT_THROW(ops::gemm(false, false, -1, 1, 1, 1.0f, &dummy, 1, &dummy, 1, 0.0f, &dummy, 1),
+  EXPECT_THROW(ops::gemm(false, false, -1, 1, 1, &dummy, 1, &dummy, 1, &dummy, 1),
                std::invalid_argument);
 }
 
 TEST(FailureInjection, GemmHandlesZeroSizedProblem) {
   float dummy = 0.0f;
   // m == 0: valid no-op.
-  ops::gemm(false, false, 0, 1, 1, 1.0f, &dummy, 1, &dummy, 1, 0.0f, &dummy, 1);
-  // k == 0 with beta=0 zeroes C.
+  ops::gemm(false, false, 0, 1, 1, &dummy, 1, &dummy, 1, &dummy, 1);
+  // k == 0 adds nothing to C.
   float c = 7.0f;
-  ops::gemm(false, false, 1, 1, 0, 1.0f, &dummy, 1, &dummy, 1, 0.0f, &c, 1);
-  EXPECT_EQ(c, 0.0f);
+  ops::gemm(false, false, 1, 1, 0, &dummy, 1, &dummy, 1, &c, 1);
+  EXPECT_EQ(c, 7.0f);
 }
 
 TEST(FailureInjection, RunSystemRejectsEmptyDataset) {

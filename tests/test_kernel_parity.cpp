@@ -106,17 +106,16 @@ TEST(GemmParity, BlockedMatchesNaiveAcrossShapesAndTransposes) {
   }
 }
 
-TEST(GemmParity, AlphaBetaAccumulationMatches) {
+TEST(GemmParity, AccumulationMatches) {
   util::Rng rng(11);
   const int m = 19, n = 37, k = 23;
   const Tensor a = Tensor::normal(Shape{m, k}, rng);
   const Tensor b = Tensor::normal(Shape{k, n}, rng);
   const Tensor c0 = Tensor::normal(Shape{m, n}, rng);
   Tensor expected = c0;
-  reference_gemm(false, false, m, n, k, 0.5f, a.data(), k, b.data(), n, 2.0f, expected.data(),
-                 n);
+  reference_gemm(false, false, m, n, k, a.data(), k, b.data(), n, expected.data(), n);
   Tensor fast = c0;
-  ops::gemm(false, false, m, n, k, 0.5f, a.data(), k, b.data(), n, 2.0f, fast.data(), n);
+  ops::gemm(false, false, m, n, k, a.data(), k, b.data(), n, fast.data(), n);
   for (std::int64_t i = 0; i < expected.numel(); ++i) {
     ASSERT_NEAR(expected[i], fast[i], 1e-4f * std::max(1.0f, std::fabs(expected[i])));
   }
@@ -315,21 +314,19 @@ TEST(SimdParity, Avx512IsBitIdenticalToAvx2) {
     const Tensor c0 = Tensor::normal(Shape{m, n}, rng);
     for (int ta = 0; ta < 2; ++ta) {
       for (int tb = 0; tb < 2; ++tb) {
-        for (const float alpha : {1.0f, 0.7f}) {
-          for (const float beta : {0.0f, 1.0f, 0.5f}) {
-            expect_avx512_matches_avx2(
-                "gemm m=" + std::to_string(m) + " n=" + std::to_string(n) +
-                    " k=" + std::to_string(k) + " ta=" + std::to_string(ta) +
-                    " tb=" + std::to_string(tb) + " alpha=" + std::to_string(alpha) +
-                    " beta=" + std::to_string(beta),
-                [&] {
-                  std::vector<float> c = as_vector(c0);
-                  ops::gemm(ta != 0, tb != 0, m, n, k, alpha, ta ? at.data() : a.data(),
-                            ta ? m : k, tb ? bt.data() : b.data(), tb ? k : n, beta, c.data(),
-                            n);
-                  return c;
-                });
-          }
+        // Into a zeroed C and accumulating onto a filled one.
+        for (const bool accumulate : {false, true}) {
+          expect_avx512_matches_avx2(
+              "gemm m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                  " k=" + std::to_string(k) + " ta=" + std::to_string(ta) +
+                  " tb=" + std::to_string(tb) + " accumulate=" + std::to_string(accumulate),
+              [&] {
+                std::vector<float> c =
+                    accumulate ? as_vector(c0) : std::vector<float>(c0.numel(), 0.0f);
+                ops::gemm(ta != 0, tb != 0, m, n, k, ta ? at.data() : a.data(), ta ? m : k,
+                          tb ? bt.data() : b.data(), tb ? k : n, c.data(), n);
+                return c;
+              });
         }
       }
     }
@@ -470,7 +467,7 @@ TEST(QuantizedParity, QgemmTracksFloatGemmWithinQuantizationError) {
     const Tensor x = Tensor::normal(Shape{k, n}, rng);
     const Tensor bias = Tensor::normal(Shape{rows}, rng);
     Tensor ref(Shape{rows, n});
-    ops::gemm(false, false, rows, n, k, 1.0f, w.data(), k, x.data(), n, 0.0f, ref.data(), n);
+    ops::gemm(false, false, rows, n, k, w.data(), k, x.data(), n, ref.data(), n);
     for (int r = 0; r < rows; ++r) {
       for (int j = 0; j < n; ++j) ref[static_cast<std::int64_t>(r) * n + j] += bias[r];
     }
@@ -756,8 +753,8 @@ TEST(ConvGemmParity, MatchesIm2colPlusGemmPerImageBitForBit) {
               std::vector<float> expected(static_cast<std::size_t>(batch) * out_stride);
               for (int n = 0; n < batch; ++n) {
                 ops::im2col(images.data() + n * in_stride, g, columns.data());
-                ops::gemm(false, false, out_channels, out_hw, patch, 1.0f, weight.data(), patch,
-                          columns.data(), out_hw, 0.0f, expected.data() + n * out_stride, out_hw);
+                ops::gemm(false, false, out_channels, out_hw, patch, weight.data(), patch,
+                          columns.data(), out_hw, expected.data() + n * out_stride, out_hw);
               }
               std::vector<float> actual(expected.size(), 0.0f);
               ops::conv_gemm_nchw(out_channels, weight.data(), images.data(), batch, g,
@@ -865,8 +862,8 @@ TEST(ConvGemmParity, PackerPathsMatchIm2colBitForBit) {
       std::vector<float> expected(static_cast<std::size_t>(tc.batch) * out_stride);
       for (int b = 0; b < tc.batch; ++b) {
         ops::im2col(images.data() + b * in_stride, g, image_columns.data());
-        ops::gemm(false, false, out_channels, out_hw, patch, 1.0f, weight.data(), patch,
-                  image_columns.data(), out_hw, 0.0f, expected.data() + b * out_stride, out_hw);
+        ops::gemm(false, false, out_channels, out_hw, patch, weight.data(), patch,
+                  image_columns.data(), out_hw, expected.data() + b * out_stride, out_hw);
       }
       std::vector<float> actual(expected.size(), 0.0f);
       ops::conv_gemm_nchw(out_channels, weight.data(), images.data(), tc.batch, g,
@@ -923,8 +920,8 @@ struct ConvGrads {
 
 /// The per-image backward Conv2d::backward must reproduce bit for bit:
 /// per image, dW += gout x im2col^T (gemm() reading the columns
-/// transposed), the bias sum, and grad columns = W^T x gout (gemm(),
-/// beta = 0) scattered by reference_col2im. The GEMMs are ops::gemm,
+/// transposed), the bias sum, and grad columns = W^T x gout (gemm()
+/// into zeroed columns) scattered by reference_col2im. The GEMMs are ops::gemm,
 /// not reference_gemm: a memcmp needs the blocked GEMM's KC split and
 /// its tier's FMA rounding, and GemmParity checks ops::gemm against
 /// reference_gemm.
@@ -946,15 +943,16 @@ ConvGrads per_image_backward(const Tensor& input, const Tensor& grad_output,
     const float* gout = grad_output.data() + n * out_stride;
     if (!frozen) {
       ops::im2col(input.data() + n * in_stride, g, columns.data());
-      ops::gemm(false, true, out_channels, patch, out_hw, 1.0f, gout, out_hw, columns.data(),
-                out_hw, 1.0f, grads.weight.data(), patch);
+      ops::gemm(false, true, out_channels, patch, out_hw, gout, out_hw, columns.data(), out_hw,
+                grads.weight.data(), patch);
       for (int oc = 0; oc < out_channels; ++oc) {
         float acc = 0.0f;
         for (int i = 0; i < out_hw; ++i) acc += gout[static_cast<std::ptrdiff_t>(oc) * out_hw + i];
         grads.bias[static_cast<std::size_t>(oc)] += acc;
       }
     }
-    ops::gemm(true, false, patch, out_hw, out_channels, 1.0f, weight, patch, gout, out_hw, 0.0f,
+    std::fill(grad_columns.begin(), grad_columns.end(), 0.0f);
+    ops::gemm(true, false, patch, out_hw, out_channels, weight, patch, gout, out_hw,
               grad_columns.data(), out_hw);
     reference_col2im(grad_columns.data(), g.in_channels, g.in_height, g.in_width,
                               g.kernel, g.stride, g.padding, grads.input.data() + n * in_stride);
@@ -1221,11 +1219,14 @@ std::pair<std::vector<float>, std::vector<float>> fold_by_hand(const nn::BatchNo
 
 /// The eval forward of `seq` as separate passes built from public
 /// calls: a Conv2d + BN pair is Conv2d::forward_with on hand-folded
-/// weights and no bias, then a per-channel bias loop; a depthwise pair
-/// is DepthwiseConv2d::forward_with on hand-folded weights; any other
+/// weights and no bias, then a per-channel bias loop (with
+/// `bias_in_conv`, forward_with takes the folded bias itself, as the
+/// int8 conv adds it inside its requantization); a depthwise pair is
+/// DepthwiseConv2d::forward_with on hand-folded weights; any other
 /// layer (ReLU included) is its own eval forward. Then `residual` by
 /// Tensor::add_ and, with `relu`, ReLU::forward.
-Tensor unfused_eval(nn::Sequential& seq, const Tensor& x, const Tensor* residual, bool relu) {
+Tensor unfused_eval(nn::Sequential& seq, const Tensor& x, const Tensor* residual, bool relu,
+                    bool bias_in_conv = false) {
   Tensor y = x;
   for (int i = 0; i < seq.size(); ++i) {
     const auto* bn =
@@ -1233,9 +1234,13 @@ Tensor unfused_eval(nn::Sequential& seq, const Tensor& x, const Tensor* residual
     if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&seq.layer(i)); conv && bn) {
       const auto [weight, bias] = fold_by_hand(
           *bn, conv->weight().value, conv->has_bias() ? conv->bias().value.data() : nullptr);
-      y = conv->forward_with(y, weight.data(), nullptr);
-      const std::int64_t plane = y.numel() / (y.shape().batch() * bn->channels());
-      for (std::int64_t e = 0; e < y.numel(); ++e) y[e] += bias[(e / plane) % bn->channels()];
+      if (bias_in_conv) {
+        y = conv->forward_with(y, weight.data(), bias.data());
+      } else {
+        y = conv->forward_with(y, weight.data(), nullptr);
+        const std::int64_t plane = y.numel() / (y.shape().batch() * bn->channels());
+        for (std::int64_t e = 0; e < y.numel(); ++e) y[e] += bias[(e / plane) % bn->channels()];
+      }
       ++i;
     } else if (const auto* dw = dynamic_cast<const nn::DepthwiseConv2d*>(&seq.layer(i));
                dw && bn) {
@@ -1347,6 +1352,31 @@ TEST(FusedEpilogueParity, InvertedResidualSkipMatchesSeparatePasses) {
     EXPECT_TRUE(same_bits(unfused_eval(block.main_path(), x, &x, false),
                           block.forward(x, nn::Mode::kEval)))
         << what;
+  });
+}
+
+// The int8 conv adds a fused residual and applies a fused ReLU in a
+// loop after requantization; that loop must match the separate passes
+// bit for bit, for an identity and a projection shortcut.
+TEST(QuantizedParity, ResidualBlockEpilogueMatchesSeparateInt8Passes) {
+  util::Rng rng(239);
+  nn::ResidualBlock identity(16, 16, 1, rng, "identity");
+  ASSERT_FALSE(identity.has_projection());
+  train_bn_stats(identity, 16, rng);
+  nn::ResidualBlock projection(8, 24, 2, rng, "projection");
+  ASSERT_TRUE(projection.has_projection());
+  train_bn_stats(projection, 8, rng);
+  ops::QuantizedScope quantized(true);
+  for_each_epilogue_input(16, rng, [&](const Tensor& x, const std::string& what) {
+    EXPECT_TRUE(same_bits(unfused_eval(identity.main_path(), x, &x, true, true),
+                          identity.forward(x, nn::Mode::kEval)))
+        << "identity " << what;
+  });
+  for_each_epilogue_input(8, rng, [&](const Tensor& x, const std::string& what) {
+    const Tensor shortcut = unfused_eval(projection.shortcut(), x, nullptr, false, true);
+    EXPECT_TRUE(same_bits(unfused_eval(projection.main_path(), x, &shortcut, true, true),
+                          projection.forward(x, nn::Mode::kEval)))
+        << "projection " << what;
   });
 }
 

@@ -5,8 +5,10 @@
 #include "nn/activations.h"
 #include "nn/batchnorm2d.h"
 #include "nn/conv2d.h"
+#include "nn/dropout.h"
 #include "nn/flatten.h"
 #include "nn/linear.h"
+#include "nn/maxpool.h"
 #include "nn/pooling.h"
 #include "util/rng.h"
 
@@ -264,6 +266,57 @@ TEST(Layer, BackwardBeforeForwardThrows) {
   EXPECT_THROW(conv.backward(Tensor(Shape{1, 1, 4, 4})), std::logic_error);
   Linear fc(2, 2, rng);
   EXPECT_THROW(fc.backward(Tensor(Shape{1, 2})), std::logic_error);
+}
+
+/// Train-forwards `x` through `layer`, then checks that backward
+/// rejects a gradient with more rows, fewer rows or a wider last axis
+/// than the forward's output, and accepts the output's own shape.
+void expect_backward_checks_grad_shape(Layer& layer, const Tensor& x) {
+  const Tensor y = layer.forward(x, Mode::kTrain);
+  std::vector<std::vector<int>> wrong(3, y.shape().dims());
+  wrong[0][0] *= 8;
+  wrong[1][0] = 1;
+  wrong[2].back() += 1;
+  for (const std::vector<int>& dims : wrong) {
+    EXPECT_THROW(layer.backward(Tensor::ones(Shape(dims))), std::invalid_argument)
+        << layer.name() << " " << Shape(dims).to_string();
+  }
+  EXPECT_NO_THROW(layer.backward(Tensor::ones(y.shape()))) << layer.name();
+}
+
+TEST(Layer, BackwardRejectsAGradientOfTheWrongShape) {
+  util::Rng rng(10);
+  const Tensor images = Tensor::normal(Shape{2, 4, 4, 4}, rng);
+  ReLU relu;
+  expect_backward_checks_grad_shape(relu, Tensor::normal(Shape{2, 4}, rng));
+  ReLU6 relu6;
+  expect_backward_checks_grad_shape(relu6, images);
+  Linear fc(4, 3, rng);
+  expect_backward_checks_grad_shape(fc, Tensor::normal(Shape{8, 4}, rng));
+  Conv2d conv(4, 3, 3, 1, 1, true, rng);
+  expect_backward_checks_grad_shape(conv, images);
+  DepthwiseConv2d depthwise(4, 3, 2, 1, rng);
+  expect_backward_checks_grad_shape(depthwise, images);
+  BatchNorm2d bn(4);
+  expect_backward_checks_grad_shape(bn, images);
+  MaxPool2d maxpool(2);
+  expect_backward_checks_grad_shape(maxpool, images);
+  AvgPool2d avgpool(2);
+  expect_backward_checks_grad_shape(avgpool, images);
+  GlobalAvgPool gap;
+  expect_backward_checks_grad_shape(gap, images);
+  Dropout dropout(0.5f, rng);
+  expect_backward_checks_grad_shape(dropout, images);
+}
+
+TEST(Layer, FirstLayerBackwardRejectsAGradientOfTheWrongShape) {
+  util::Rng rng(11);
+  Conv2d conv(2, 3, 3, 1, 1, false, rng);
+  const Tensor y = conv.forward(Tensor::normal(Shape{2, 2, 4, 4}, rng), Mode::kTrain);
+  EXPECT_THROW(conv.backward_params(Tensor::ones(Shape{16, 3, 4, 4})), std::invalid_argument);
+  conv.set_frozen(true);  // the frozen early return checks first
+  EXPECT_THROW(conv.backward_params(Tensor::ones(Shape{1, 3, 4, 4})), std::invalid_argument);
+  EXPECT_NO_THROW(conv.backward_params(Tensor::ones(y.shape())));
 }
 
 }  // namespace

@@ -429,8 +429,8 @@ TEST(SessionScheduling, HighPriorityStreamOvertakesABulkRun) {
   cfg.policy = gate;
   cfg.worker_threads = 1;
   cfg.batch_size = 1;
-  // run()'s chunks carry the route_priority default (0 here); the
-  // streamed frame is submitted above it.
+  // run()'s chunks carry the default priority 0; the streamed frame is
+  // submitted above it.
   SettleOrder settle;
   std::vector<InferenceResult> results;
   {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "util/logging.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -82,14 +81,6 @@ TEST(Stopwatch, MeasuresNonNegativeTime) {
   EXPECT_GE(sw.seconds(), 0.0);
   sw.reset();
   EXPECT_GE(sw.milliseconds(), 0.0);
-}
-
-TEST(Logging, LevelsFilter) {
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  // Emitting below threshold must not crash (output discarded).
-  log_info() << "hidden message";
-  set_log_level(LogLevel::kWarn);
 }
 
 }  // namespace

@@ -291,19 +291,11 @@ TEST(Codec, OffloadResponseRejectsCountMismatch) {
   EXPECT_THROW(decode_offload_response(bytes), ProtocolError);
 }
 
-TEST(Codec, ErrorAndStatsRoundTrip) {
+TEST(Codec, ErrorRoundTrip) {
   const auto err = encode_error(ErrorCode::kBackendFailed, "cloud on fire");
   const auto [code, message] = decode_error(err);
   EXPECT_EQ(code, ErrorCode::kBackendFailed);
   EXPECT_EQ(message, "cloud on fire");
-
-  const StatsEntries entries = {{"frames_in", 12}, {"batches", 3}};
-  const StatsEntries back = decode_stats(encode_stats(entries));
-  ASSERT_EQ(back.size(), 2u);
-  EXPECT_EQ(back[0].first, "frames_in");
-  EXPECT_EQ(back[0].second, 12u);
-  EXPECT_EQ(back[1].first, "batches");
-  EXPECT_EQ(back[1].second, 3u);
 }
 
 TEST(Codec, ErrorRejectsHostileLength) {
@@ -311,13 +303,6 @@ TEST(Codec, ErrorRejectsHostileLength) {
   bytes[4] = 0xFF;  // message length far beyond the payload
   bytes[5] = 0xFF;
   EXPECT_THROW(decode_error(bytes), ProtocolError);
-}
-
-TEST(Codec, StatsRejectsHostileCounts) {
-  auto bytes = encode_stats({{"a", 1}});
-  bytes[0] = 0xFF;  // claims 255+ entries
-  bytes[1] = 0xFF;
-  EXPECT_THROW(decode_stats(bytes), ProtocolError);
 }
 
 TEST(Codec, RequestWireBytesPricesTheFraming) {

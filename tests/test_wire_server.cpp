@@ -98,6 +98,23 @@ bool eventually(Fn&& predicate) {
   return predicate();
 }
 
+/// Reads the unsigned counter `field` of the first provider whose name
+/// starts with `provider` out of a registry JSON snapshot (what
+/// kStatsRequest serves).
+std::uint64_t snapshot_counter(const std::string& snapshot, const std::string& provider,
+                               const std::string& field) {
+  const std::size_t at = snapshot.find("\"" + provider);
+  const std::size_t key =
+      at == std::string::npos ? at : snapshot.find("\"" + field + "\"", at);
+  const std::size_t digits =
+      key == std::string::npos ? key : snapshot.find_first_of("0123456789", key);
+  if (digits == std::string::npos) {
+    ADD_FAILURE() << "no " << provider << "*." << field << " in " << snapshot;
+    return 0;
+  }
+  return std::strtoull(snapshot.c_str() + digits, nullptr, 10);
+}
+
 // ---- Direct WireBackend <-> WireServer over pipes and sockets ----
 
 TEST(WireServer, ServesPingStatsAndClassifyOverPipe) {
@@ -119,15 +136,48 @@ TEST(WireServer, ServesPingStatsAndClassifyOverPipe) {
   payload.images = instance_with_pixel(3.0f);
   EXPECT_EQ(client.classify(payload), std::vector<int>{3});
 
-  const StatsEntries stats = client.fetch_stats();
-  bool saw_frames_in = false;
-  for (const auto& [name, value] : stats) {
-    if (name == "frames_in") {
-      saw_frames_in = true;
-      EXPECT_GE(value, 2u);  // ping + classify at least
-    }
-  }
-  EXPECT_TRUE(saw_frames_in);
+  const std::string snapshot = client.fetch_diagnostics();
+  EXPECT_TRUE(diag::json_well_formed(snapshot)) << snapshot;
+  // ping + classify at least
+  EXPECT_GE(snapshot_counter(snapshot, "wire_server/", "frames_in"), 2u);
+  server.stop();
+}
+
+// A stats request carries no payload. One that does is answered with
+// kMalformedFrame and counted, and the connection keeps serving.
+TEST(WireServer, MalformedStatsRequestIsRejectedAndConnectionSurvives) {
+  WireServerConfig config;
+  config.max_batch_instances = 1;  // serve immediately
+  WireServer server(std::make_shared<PixelLabelBackend>(), config);
+  PipePair pipe = make_pipe();
+  server.adopt(std::move(pipe.second));
+  Transport& client = *pipe.first;
+  const std::uint64_t errors_before = server.stats().protocol_errors;
+
+  Frame reply;
+  write_frame(client, Frame{Command::kStatsRequest, 5, {1, 2, 3}});
+  ASSERT_TRUE(read_frame(client, reply));
+  EXPECT_EQ(reply.command, Command::kError);
+  EXPECT_EQ(reply.request_id, 5u);
+  EXPECT_EQ(decode_error(reply.payload).first, ErrorCode::kMalformedFrame);
+  EXPECT_EQ(server.stats().protocol_errors, errors_before + 1);
+
+  runtime::OffloadPayload payload;
+  payload.images = instance_with_pixel(3.0f);
+  write_frame(client, Frame{Command::kOffloadRequest, 6, encode_offload_request(payload)});
+  ASSERT_TRUE(read_frame(client, reply));
+  EXPECT_EQ(reply.command, Command::kOffloadResponse);
+  EXPECT_EQ(reply.request_id, 6u);
+  EXPECT_EQ(decode_offload_response(reply.payload), std::vector<int>{3});
+
+  write_frame(client, Frame{Command::kStatsRequest, 7, {}});
+  ASSERT_TRUE(read_frame(client, reply));
+  EXPECT_EQ(reply.command, Command::kStatsResponse);
+  EXPECT_EQ(reply.request_id, 7u);
+  const std::string snapshot(reply.payload.begin(), reply.payload.end());
+  EXPECT_TRUE(diag::json_well_formed(snapshot)) << snapshot;
+  EXPECT_EQ(server.stats().protocol_errors, errors_before + 1);
+  client.close();
   server.stop();
 }
 
@@ -663,20 +713,13 @@ TEST(ClouddEndToEnd, SpawnedDaemonMatchesInProcessModel) {
     payload.images = Tensor::normal(Shape{round < 4 ? 3 : 64, 2, 4, 4}, data_rng);
     EXPECT_EQ(client.classify(payload), reference.classify(payload)) << "round " << round;
   }
-  const StatsEntries stats = client.fetch_stats();
-  bool saw_requests = false;
-  for (const auto& [name, value] : stats) {
-    if (name == "requests_served") {
-      saw_requests = true;
-      EXPECT_GE(value, 5u);
-    }
-  }
-  EXPECT_TRUE(saw_requests);
+  EXPECT_GE(snapshot_counter(client.fetch_diagnostics(), "wire_server/", "requests_served"),
+            5u);
   daemon.terminate();
   EXPECT_FALSE(daemon.running());
 }
 
-// The wire-served registry snapshot (kStatsRequest + diag flag): the
+// The wire-served registry snapshot (kStatsRequest): the
 // daemon must answer with a well-formed document in the current schema
 // whose providers include its wire server. Same MEANET_CLOUDD gate as
 // above; CI's wire job runs this as its snapshot validation step.
@@ -705,19 +748,11 @@ TEST(ClouddEndToEnd, DiagSnapshotOverWireIsWellFormed) {
   EXPECT_NE(snapshot.find("requests_served"), std::string::npos);
 
   // On a multi-core host the 64-row batch was split over the pool.
-  const std::size_t pool = snapshot.find("\"gemm_pool\"");
-  ASSERT_NE(pool, std::string::npos) << snapshot;
-  const std::size_t field = snapshot.find("\"fanout_jobs\"", pool);
-  ASSERT_NE(field, std::string::npos) << snapshot;
-  const std::size_t digits = snapshot.find_first_of("0123456789", field);
-  ASSERT_NE(digits, std::string::npos) << snapshot;
-  const unsigned long long fanout_jobs = std::strtoull(snapshot.c_str() + digits, nullptr, 10);
+  const std::uint64_t fanout_jobs = snapshot_counter(snapshot, "gemm_pool\"", "fanout_jobs");
   if (std::thread::hardware_concurrency() > 1) EXPECT_GE(fanout_jobs, 1u) << snapshot;
 
-  // The legacy flagless stats request must still work on the same
-  // connection (wire version is unchanged).
-  const StatsEntries stats = client.fetch_stats();
-  EXPECT_FALSE(stats.empty());
+  // A second stats request on the same connection sees this one's frames.
+  EXPECT_GE(snapshot_counter(client.fetch_diagnostics(), "wire_server/", "frames_in"), 2u);
   daemon.terminate();
   EXPECT_FALSE(daemon.running());
 }

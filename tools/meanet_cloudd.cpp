@@ -139,7 +139,7 @@ Options parse_args(int argc, char** argv) {
 
 /// One registry dump: every provider in the process (the wire server,
 /// and the GEMM pool once a batch has run) as the versioned JSON
-/// snapshot — the same document kStatsRequest's diag flag serves.
+/// snapshot — the same document kStatsRequest serves.
 void print_diagnostics() {
   std::printf("[meanet_cloudd] diagnostics %s\n",
               meanet::diag::DiagnosticRegistry::global().to_json().c_str());
