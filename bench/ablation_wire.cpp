@@ -108,9 +108,7 @@ int main(int argc, char** argv) {
   auto backend = std::make_shared<EchoBackend>();
 
   // One server serving both transports for the whole run.
-  wire::WireServerConfig server_config;
-  server_config.max_batch_instances = 1;  // serve each request immediately
-  wire::WireServer server(backend, server_config);
+  wire::WireServer server(backend, wire::WireServerConfig{});
   const std::string socket_path =
       "/tmp/meanet_ablation_wire_" + std::to_string(::getpid()) + ".sock";
   server.listen_unix(socket_path);

@@ -9,19 +9,29 @@
 //     MC block: A packed once, MR-interleaved, L2-resident
 //       NC block: a padded conv copies its zero-padded slab once
 //         one NR = 16-column panel: B packed into a kc x 16 buffer
-//         that stays in L1, then every MR-row tile of the MC block
-//         runs on it before the next panel is packed.
+//         that stays in L1 (or read in place, below), then every
+//         MR-row tile of the MC block runs on it before the next
+//         panel.
 // Packing folds the optional transpose, so one kernel serves all four
-// transpose cases. A conv forward (conv_gemm_nchw) packs B from its
+// transpose cases. A conv forward (conv_gemm_nchw) reads B from its
 // NCHW images and writes C into its NCHW output; a conv's
 // input-gradient GEMM (conv_grad_columns) reads B from the NCHW output
-// gradient the same way. That packer
-// (detail::conv_block_source and pack_b_conv, ops.cpp) checks no
+// gradient the same way. That reader
+// (detail::conv_block_source and conv_b_panel, ops.cpp) checks no
 // bounds: a padded conv's block is first copied into a zero-padded slab
 // of the images x channels the block reads (bounded by KC x NC, not by
-// the batch), each k row's tap offset is worked out once per block, and
-// each panel is then one 16-float copy or one 16-lane offset gather
-// per k row.
+// the batch), and each k row's tap offset is worked out once per block.
+//
+// Kernel contract (gemm_kernels.h): each tier has a packed microkernel,
+// which reads B row p at b + 16p, and an in-place one, which reads it
+// at b + rows[p]. A conv forward panel whose 16 columns are consecutive
+// in the source (the padded slab or the unpadded images) for every k
+// row — nr == 16, in one output row (or, 1x1 unpadded, one image),
+// stride 1 — is read in place: b = its first column, rows = the
+// block's tap offsets, and nothing is copied. Ragged and gathered panels, dense gemm() panels
+// and every conv_grad_columns panel (whose rows are strided by a power
+// of two) are packed. Either way the kernel sees the same values in the
+// same k order, so the output is bit-identical.
 //
 // Epilogue contract: a conv forward may pass an ops::ConvEpilogue
 // {per-channel bias, residual, ReLU}. It runs on each tile once, after
@@ -137,17 +147,19 @@ void pack_b(bool transpose, const float* b, int ldb, int p0, int kc, int j, int 
 
 // ----- Microkernels ---------------------------------------------------
 
-/// C[0:mr, 0:nr] += sum_p apanel[p][.] * bpanel[p][.] — the portable
-/// register tile. The accumulator covers the full padded MR x NR tile
-/// (padded lanes hold zeros), only the valid mr x nr region is written
-/// back.
-void micro_kernel_portable_4x16(int kc, const float* apanel, const float* bpanel, float* c,
-                                int ldc, int mr, int nr) {
+/// C[0:mr, 0:nr] += sum_p apanel[p][.] * B_p[.] — the portable
+/// register tile, B_p = b + 16p (packed) or b + rows[p] (in place). The
+/// accumulator covers the full padded MR x NR tile (padded lanes hold
+/// zeros), only the valid mr x nr region is written back.
+template <bool kInPlace>
+void micro_kernel_portable_4x16(int kc, const float* apanel, const float* b,
+                                const std::ptrdiff_t* rows, float* c, int ldc, int mr, int nr) {
   float acc[kPortableMR][kNR] = {};
-  for (int p = 0; p < kc; ++p, apanel += kPortableMR, bpanel += kNR) {
+  for (int p = 0; p < kc; ++p, apanel += kPortableMR) {
+    const float* b_row = kInPlace ? b + rows[p] : b + static_cast<std::ptrdiff_t>(p) * kNR;
     for (int i = 0; i < kPortableMR; ++i) {
       const float a = apanel[i];
-      for (int j = 0; j < kNR; ++j) acc[i][j] += a * bpanel[j];
+      for (int j = 0; j < kNR; ++j) acc[i][j] += a * b_row[j];
     }
   }
   for (int i = 0; i < mr; ++i) {
@@ -163,18 +175,22 @@ detail::FloatKernel active_kernel() {
   switch (simd_level()) {
 #if defined(__x86_64__) || defined(_M_X64)
     case SimdLevel::kAvx2:
-      return {6, kNR, detail::micro_kernel_avx2_6x16, "avx2"};
+      return {6, detail::micro_kernel_avx2_6x16, detail::micro_kernel_avx2_6x16_in_place,
+              "avx2"};
     case SimdLevel::kAvx512:
-      return {8, kNR, detail::micro_kernel_avx512_8x16, "avx512"};
+      return {8, detail::micro_kernel_avx512_8x16, detail::micro_kernel_avx512_8x16_in_place,
+              "avx512"};
 #endif
 #if defined(__aarch64__)
     case SimdLevel::kNeon:
-      return {6, kNR, detail::micro_kernel_neon_6x16, "neon"};
+      return {6, detail::micro_kernel_neon_6x16, detail::micro_kernel_neon_6x16_in_place,
+              "neon"};
 #endif
     default:
       break;
   }
-  return {kPortableMR, kNR, micro_kernel_portable_4x16, "portable"};
+  return {kPortableMR, micro_kernel_portable_4x16<false>, micro_kernel_portable_4x16<true>,
+          "portable"};
 }
 
 // ----- Blocked driver -------------------------------------------------
@@ -190,9 +206,12 @@ struct GemmJob {
   float* c = nullptr;
   int ldc = 0;
   /// Implicit-GEMM conv (run_nchw): B is the im2col matrix of
-  /// the NCHW images at `b`, packed straight from them, and C is the
+  /// the NCHW images at `b`, read straight from them, and C is the
   /// NCHW output [n / ldc, m, ldc]. Null = dense B and C.
   const ConvGeometry* conv = nullptr;
+  /// A conv's consecutive panels are read in place (the forward), not
+  /// packed (conv_grad_columns).
+  bool conv_in_place = false;
   /// A conv forward's epilogue; null = none.
   const ConvEpilogue* epilogue = nullptr;
   detail::FloatKernel kernel;
@@ -230,8 +249,9 @@ FinishTileFn finish_tile_for(const ConvEpilogue& e) {
 
 /// The blocked loops over all of C's rows, on the calling thread: k
 /// block, MC block (A packed once), NC block (a padded conv's slab),
-/// then one NR-column B panel at a time, which every row tile of the
-/// MC block reads from L1 before the next panel is packed.
+/// then one NR-column B panel at a time (packed, or a conv forward's
+/// read in place), which every row tile of the MC block reads before
+/// the next panel.
 void run_blocked(const GemmJob& job) {
   const int mr_tile = job.kernel.mr;
   // C column j is pixel j % cols of image j / cols: a conv's C is its
@@ -273,11 +293,14 @@ void run_blocked(const GemmJob& job) {
           }
           const int nr = std::min(kNR, nc - jb);
           const int jcol = j0 + jb;
+          detail::BPanel panel{bpanel, nullptr};
           if (job.conv != nullptr) {
-            detail::pack_b_conv(source, jcol, nr, bpanel);
+            panel = detail::conv_b_panel(source, jcol, nr, job.conv_in_place, bpanel);
           } else {
             pack_b(job.transpose_b, job.b, job.ldb, p0, kc, jcol, nr, bpanel);
           }
+          const detail::MicroKernelFn kernel =
+              panel.rows != nullptr ? job.kernel.in_place : job.kernel.packed;
           // A tile inside one image: the kernel writes straight through
           // a base pointer + ldc.
           const std::ptrdiff_t base = image * image_stride +
@@ -290,7 +313,7 @@ void run_blocked(const GemmJob& job) {
             const int row0 = i0 + ib;
             if (direct) {
               const std::ptrdiff_t at = base + static_cast<std::ptrdiff_t>(ib) * job.ldc;
-              job.kernel.fn(kc, apanel, bpanel, job.c + at, job.ldc, mr, nr);
+              kernel(kc, apanel, panel.base, panel.rows, job.c + at, job.ldc, mr, nr);
               if (finish) {
                 finish_fn(epilogue->bias, row0, mr, nr, job.c + at, job.ldc,
                           epilogue->residual != nullptr ? epilogue->residual + at : nullptr);
@@ -313,7 +336,7 @@ void run_blocked(const GemmJob& job) {
                 if (with_residual) residual[i * kNR + j] = epilogue->residual[at];
               }
             }
-            job.kernel.fn(kc, apanel, bpanel, tile, kNR, mr, nr);
+            kernel(kc, apanel, panel.base, panel.rows, tile, kNR, mr, nr);
             if (finish) finish_fn(epilogue->bias, row0, mr, nr, tile, kNR, residual);
             for (int i = 0; i < mr; ++i) {
               for (int j = 0; j < nr; ++j) job.c[c_offset(row0 + i, jcol + j)] = tile[i * kNR + j];
@@ -353,11 +376,11 @@ void gemm(bool transpose_a, bool transpose_b, int m, int n, int k, const float* 
 namespace {
 
 /// C[n] += op(A) [m, patch] x im2col(image n) for each of the `batch`
-/// NCHW images of geometry `g`: one GEMM with B packed straight from the
-/// images and C written as NCHW [batch, m, out_hw], then `epilogue`
-/// (null = none).
+/// NCHW images of geometry `g`: one GEMM with B read straight from the
+/// images (consecutive panels in place when `in_place`) and C written
+/// as NCHW [batch, m, out_hw], then `epilogue` (null = none).
 void run_nchw(bool transpose_a, int m, const float* a, int lda, const float* images, int batch,
-              const ConvGeometry& g, float* c, const ConvEpilogue* epilogue) {
+              const ConvGeometry& g, float* c, bool in_place, const ConvEpilogue* epilogue) {
   const int out_hw = g.out_height() * g.out_width();
   const int patch = g.patch_size();
   if (m < 0 || batch < 0 || out_hw < 0 || patch < 0) {
@@ -376,6 +399,7 @@ void run_nchw(bool transpose_a, int m, const float* a, int lda, const float* ima
   job.c = c;
   job.ldc = out_hw;
   job.conv = &g;
+  job.conv_in_place = in_place;
   job.epilogue = epilogue;
   job.kernel = active_kernel();
   run_blocked(job);
@@ -386,7 +410,7 @@ void run_nchw(bool transpose_a, int m, const float* a, int lda, const float* ima
 void conv_gemm_nchw(int out_channels, const float* weight, const float* images, int batch,
                     const ConvGeometry& g, float* output, const ConvEpilogue& epilogue) {
   const bool any = epilogue.bias != nullptr || epilogue.residual != nullptr || epilogue.relu;
-  run_nchw(false, out_channels, weight, g.patch_size(), images, batch, g, output,
+  run_nchw(false, out_channels, weight, g.patch_size(), images, batch, g, output, true,
            any ? &epilogue : nullptr);
 }
 
@@ -399,9 +423,10 @@ void conv_grad_columns(int out_channels, const float* weight, const float* grad_
   }
   // grad_output [batch, out_channels, out_hw] is the NCHW batch of a
   // 1x1 conv over one row of out_hw pixels, whose im2col matrix is each
-  // image itself.
+  // image itself. Its panels feed patch / MR row tiles each, and their
+  // rows lie a power of two apart, so packing them pays.
   const ConvGeometry rows{out_channels, 1, out_hw, 1, 1, 0};
-  run_nchw(true, patch, weight, patch, grad_output, batch, rows, columns, nullptr);
+  run_nchw(true, patch, weight, patch, grad_output, batch, rows, columns, false, nullptr);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b, bool transpose_a, bool transpose_b) {

@@ -208,14 +208,15 @@ detail::ConvBlockSource detail::conv_block_source(const float* images, const Con
   return source;
 }
 
-void detail::pack_b_conv(const ConvBlockSource& source, int j, int nr, float* dst) {
+detail::BPanel detail::conv_b_panel(const ConvBlockSource& source, int j, int nr,
+                                    bool in_place, float* dst) {
   // The source is unpadded, so every tap of every column lies inside
   // its image. Column j is image j / out_hw at output pixel (oh, ow),
   // whose k row p reads images[offset(j) + taps[p]] with offset(j) =
   // image * image_stride + oh*stride*W + ow*stride. The panel's offsets
   // rise strictly with j, so 16 of them spanning 15 floats are
-  // consecutive: each k row is then one 16-float copy, and otherwise
-  // one 16-lane gather.
+  // consecutive: each k row is then 16 floats in place (or one 16-float
+  // copy), and otherwise one 16-lane gather.
   const ConvGeometry& g = source.g;
   const int out_h = g.out_height(), out_w = g.out_width();
   const int out_hw = out_h * out_w;
@@ -230,30 +231,39 @@ void detail::pack_b_conv(const ConvBlockSource& source, int j, int nr, float* ds
   const auto offset = [&] { return image * image_stride + oh * row_step + ow * g.stride; };
   const std::ptrdiff_t first_offset = offset();
   const float* first = source.images + first_offset;
-  // Lane i reads `first` + lanes[i]; lanes past nr read lane 0 and are
-  // zeroed after.
+  // 16 columns in one output row of a stride-1 conv are consecutive
+  // (the common case, told without the lane offsets). Otherwise lane i
+  // reads `first` + lanes[i]; lanes past nr read lane 0 and are zeroed
+  // after.
+  const bool in_one_row = nr == kNR && g.stride == 1 && ow + kNR <= out_w;
   std::ptrdiff_t lanes[kNR] = {};
-  for (int i = 0; i < nr; ++i) {
-    lanes[i] = offset() - first_offset;
-    if (++ow == out_w) {
-      ow = 0;
-      if (++oh == out_h) {
-        oh = 0;
-        ++image;
+  if (!in_one_row) {
+    for (int i = 0; i < nr; ++i) {
+      lanes[i] = offset() - first_offset;
+      if (++ow == out_w) {
+        ow = 0;
+        if (++oh == out_h) {
+          oh = 0;
+          ++image;
+        }
       }
     }
   }
-  if (nr == kNR && lanes[kNR - 1] == kNR - 1) {
-    for (int p = 0; p < source.kc; ++p, dst += kNR) {
-      std::memcpy(dst, first + source.taps[p], sizeof(float) * kNR);
+  if (in_one_row || (nr == kNR && lanes[kNR - 1] == kNR - 1)) {
+    if (in_place) return {first, source.taps};
+    float* out = dst;
+    for (int p = 0; p < source.kc; ++p, out += kNR) {
+      std::memcpy(out, first + source.taps[p], sizeof(float) * kNR);
     }
-    return;
+    return {dst, nullptr};
   }
-  for (int p = 0; p < source.kc; ++p, dst += kNR) {
+  float* out = dst;
+  for (int p = 0; p < source.kc; ++p, out += kNR) {
     const float* row = first + source.taps[p];
-    for (int i = 0; i < kNR; ++i) dst[i] = row[lanes[i]];
-    if (nr < kNR) std::fill(dst + nr, dst + kNR, 0.0f);
+    for (int i = 0; i < kNR; ++i) out[i] = row[lanes[i]];
+    if (nr < kNR) std::fill(out + nr, out + kNR, 0.0f);
   }
+  return {dst, nullptr};
 }
 
 void col2im(const float* columns, const ConvGeometry& g, float* image) {

@@ -1,7 +1,7 @@
 // Numeric kernels: GEMM, im2col/col2im, softmax-family ops.
 //
 // Every float convolution forward is one implicit GEMM
-// (conv_gemm_nchw): the GEMM packs its B panels straight from the NCHW
+// (conv_gemm_nchw): the GEMM reads its B panels straight from the NCHW
 // batch, so no im2col matrix is written. The GEMM is a blocked,
 // register-tiled kernel with packed operands (scratch from the
 // per-thread ops::Workspace, reused across calls) and a
@@ -10,11 +10,12 @@
 // loops, outermost first: a k block of KC rows; an MC block of rows,
 // whose A panel is packed once; an NC block of columns, for which a
 // padded conv copies the images x channels the block reads into a
-// zero-padded slab; and one 16-column B panel, packed into a kc x 16
-// buffer that stays in L1 while every row tile of the MC block runs
-// on it. A panel is packed with no bounds check: one 16-float copy per
-// k row where its 16 columns are consecutive in the source, one
-// 16-lane offset gather otherwise. After a tile's last k block, a conv
+// zero-padded slab; and one 16-column B panel, which every row tile of
+// the MC block then runs on. A conv forward panel whose 16 columns are
+// consecutive in the source (slab or images) for every k row is read
+// there in place, through a row-offset table; any other panel is
+// packed, with no bounds check, into a kc x 16 buffer that stays in L1:
+// one 16-float copy or one 16-lane offset gather per k row. After a tile's last k block, a conv
 // applies its ConvEpilogue (folded-BN bias, residual, ReLU) to it while
 // it is in L1. The accumulation order is fixed per C element, so a
 // forward over any split of a batch is bit-identical to the whole
@@ -88,9 +89,10 @@ struct ConvEpilogue {
 /// im2col(image n), into the NCHW output [batch, out_channels, out_h,
 /// out_w], then the `epilogue`. It accumulates, so `output` must
 /// arrive zeroed (a fresh Tensor is). One GEMM over all batch * out_hw
-/// columns, with B packed straight from the images in im2col's values
-/// and k-order, so the result is bit-identical to im2col + gemm() into
-/// a zeroed output per image followed by the epilogue's passes.
+/// columns, with B read straight from the images (in place or packed)
+/// in im2col's values and k-order, so the result is bit-identical to
+/// im2col + gemm() into a zeroed output per image followed by the
+/// epilogue's passes.
 void conv_gemm_nchw(int out_channels, const float* weight, const float* images, int batch,
                     const ConvGeometry& g, float* output, const ConvEpilogue& epilogue = {});
 

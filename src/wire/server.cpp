@@ -68,7 +68,6 @@ diag::Value WireServer::diag_snapshot() const {
   if (!socket_path_.empty()) v.set("socket_path", socket_path_);
   diag::Value cfg = diag::Value::object();
   cfg.set("max_batch_instances", config_.max_batch_instances);
-  cfg.set("batch_window_s", config_.batch_window_s);
   v.set("config", std::move(cfg));
   v.set("connections_accepted", s.connections_accepted);
   v.set("connections_active", s.connections_active);
@@ -145,10 +144,14 @@ void WireServer::reader_loop(std::shared_ptr<Connection> conn) {
     } catch (const WireError&) {
       break;  // connection died (reset / truncated / closed during stop)
     }
-    {
+    // An offload request counts in frames_in once it is queued (or
+    // rejected), so whoever sees it counted knows the batch worker can
+    // take it; every other frame counts on arrival.
+    const auto count_frame_in = [this] {
       std::lock_guard<std::mutex> stats_lock(stats_mutex_);
       stats_.frames_in++;
-    }
+    };
+    if (frame.command != Command::kOffloadRequest) count_frame_in();
     switch (frame.command) {
       case Command::kOffloadRequest: {
         Pending pending;
@@ -157,14 +160,15 @@ void WireServer::reader_loop(std::shared_ptr<Connection> conn) {
         try {
           pending.payload = decode_offload_request(frame.payload);
         } catch (const WireError& e) {
+          count_frame_in();
           reject_malformed(*conn, frame.request_id, e.what());
           continue;  // payload was framed correctly; the stream is still good
         }
         pending.instances = payload_instances(pending.payload);
-        pending.arrived = std::chrono::steady_clock::now();
         {
           std::lock_guard<std::mutex> lock(mutex_);
           pending_.push_back(std::move(pending));
+          count_frame_in();
         }
         pending_cv_.notify_all();
         break;
@@ -201,44 +205,31 @@ void WireServer::reader_loop(std::shared_ptr<Connection> conn) {
 }
 
 void WireServer::batch_loop() {
-  const auto window = std::chrono::duration<double>(config_.batch_window_s);
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
     pending_cv_.wait(lock, [&] { return stopping_ || !pending_.empty(); });
     if (stopping_) return;
-    // Fire when enough instances are pending or the oldest request's
-    // window has closed; otherwise sleep until one becomes true.
-    while (!stopping_ && !pending_.empty()) {
-      std::int64_t total = 0;
-      for (const Pending& p : pending_) total += p.instances;
-      const auto deadline =
-          pending_.front().arrived + std::chrono::duration_cast<std::chrono::steady_clock::duration>(window);
-      if (total < config_.max_batch_instances &&
-          std::chrono::steady_clock::now() < deadline) {
-        pending_cv_.wait_until(lock, deadline);
-        continue;
+    // Work-conserving: serve now. Pop the oldest request plus every
+    // batchable peer, capped at max_batch_instances (the front request
+    // always goes, even alone or oversized); whatever arrives while
+    // this group is served rides the next one.
+    std::vector<Pending> group;
+    group.push_back(std::move(pending_.front()));
+    pending_.pop_front();
+    std::int64_t taken = group.front().instances;
+    for (auto it = pending_.begin(); it != pending_.end();) {
+      if (taken + it->instances <= config_.max_batch_instances &&
+          batchable(group.front().payload, it->payload)) {
+        taken += it->instances;
+        group.push_back(std::move(*it));
+        it = pending_.erase(it);
+      } else {
+        ++it;
       }
-      // Pop the oldest request plus every batchable peer, capped at
-      // max_batch_instances (the front request always goes, even alone
-      // or oversized).
-      std::vector<Pending> group;
-      group.push_back(std::move(pending_.front()));
-      pending_.pop_front();
-      std::int64_t taken = group.front().instances;
-      for (auto it = pending_.begin(); it != pending_.end();) {
-        if (taken + it->instances <= config_.max_batch_instances &&
-            batchable(group.front().payload, it->payload)) {
-          taken += it->instances;
-          group.push_back(std::move(*it));
-          it = pending_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      lock.unlock();
-      serve_group(group);
-      lock.lock();
     }
+    lock.unlock();
+    serve_group(group);
+    lock.lock();
   }
 }
 

@@ -9,15 +9,14 @@
 // the same GPU-sized forward instead of paying its own. Responses are
 // demultiplexed back to each request's own connection by request id.
 //
-// Batching policy: the batch worker fires when the pending instance
-// count reaches `max_batch_instances` or the oldest pending request has
-// waited `batch_window_s`, whichever comes first. Tests exploit the
-// first edge: with max_batch_instances=2 and a wide window, two
-// single-instance clients deterministically coalesce into one
-// cross-session batch (no timing flake).
+// Batching policy: work-conserving, with no timed wait. Whenever the
+// batch worker is free and a request is pending, it serves the oldest
+// pending request plus every batchable peer that fits, capped at
+// `max_batch_instances`. Requests coalesce only when they arrive while
+// the previous batch is still running, so an idle daemon answers a
+// lone request at once instead of holding it for company.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -36,11 +35,9 @@
 namespace meanet::wire {
 
 struct WireServerConfig {
-  /// Pending instances that trigger an immediate batch.
+  /// Most instances one coalesced batch carries (a larger request still
+  /// goes, alone).
   int max_batch_instances = 32;
-  /// Max wait of the oldest pending request before its batch fires
-  /// regardless of size.
-  double batch_window_s = 0.002;
   /// Frame limits applied to every connection (timeout_s is ignored:
   /// reader threads block until their connection closes).
   FrameLimits limits;
@@ -52,6 +49,8 @@ struct WireServerConfig {
 struct WireServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_active = 0;
+  /// Frames read. An offload request counts once it is queued for the
+  /// batch worker (or rejected as malformed).
   std::uint64_t frames_in = 0;
   std::uint64_t frames_out = 0;
   std::uint64_t requests_served = 0;
@@ -107,7 +106,6 @@ class WireServer : public diag::DiagnosticProvider {
     std::uint64_t request_id = 0;
     runtime::OffloadPayload payload;
     std::int64_t instances = 0;
-    std::chrono::steady_clock::time_point arrived;
   };
 
   void accept_loop();

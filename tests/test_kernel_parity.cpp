@@ -842,17 +842,29 @@ TEST(ConvGemmParity, PackerPathsMatchIm2colBitForBit) {
           }
         }
         // Start from NaN so a lane the packer never writes shows up.
-        // Pack as the driver does: one source per block, one panel at
-        // a time.
-        std::vector<float> packed(expected.size(), std::nanf(""));
+        // Read as the driver does: one source per block, one panel at
+        // a time, each packed or (when allowed) read in place; the
+        // kernel sees row p at base + rows[p], or base + 16p if packed.
         const ops::detail::ConvBlockSource source =
             ops::detail::conv_block_source(images.data(), g, p0, kc, j0, nc);
-        for (int jb = 0; jb < nc; jb += ops::detail::kNR) {
-          ops::detail::pack_b_conv(source, j0 + jb, std::min(ops::detail::kNR, nc - jb),
-                                   packed.data() + static_cast<std::size_t>(jb) * kc);
+        for (const bool in_place : {false, true}) {
+          std::vector<float> packed(expected.size(), std::nanf(""));
+          std::vector<float> seen(expected.size());
+          for (int jb = 0; jb < nc; jb += ops::detail::kNR) {
+            float* dst = packed.data() + static_cast<std::size_t>(jb) * kc;
+            const ops::detail::BPanel panel = ops::detail::conv_b_panel(
+                source, j0 + jb, std::min(ops::detail::kNR, nc - jb), in_place, dst);
+            for (int p = 0; p < kc; ++p) {
+              const std::ptrdiff_t row =
+                  panel.rows != nullptr ? panel.rows[p] : std::ptrdiff_t{p} * ops::detail::kNR;
+              std::memcpy(seen.data() + static_cast<std::size_t>(jb) * kc +
+                              static_cast<std::size_t>(p) * ops::detail::kNR,
+                          panel.base + row, sizeof(float) * ops::detail::kNR);
+            }
+          }
+          EXPECT_TRUE(same_bits(expected, seen))
+              << tc.what << ": block p0=" << p0 << " j0=" << j0 << " in_place=" << in_place;
         }
-        EXPECT_TRUE(same_bits(expected, packed))
-            << tc.what << ": block p0=" << p0 << " j0=" << j0;
       }
     }
     const Tensor weight = Tensor::normal(Shape{out_channels, patch}, rng);
@@ -875,6 +887,109 @@ TEST(ConvGemmParity, PackerPathsMatchIm2colBitForBit) {
   // sizes.
   EXPECT_TRUE(mid_channel);
   EXPECT_TRUE(mid_image);
+}
+
+TEST(ConvGemmParity, InPlacePanelsMatchDenseGemmBitForBit) {
+  // A conv forward reads a B panel in place when its 16 columns are
+  // consecutive in the block's source, and packs every other panel.
+  // These convs mix both in one block: in-place panels next to gathered
+  // (row- or image-straddling, stride 2), ragged and image-straddling
+  // ones, padded (slab) and unpadded, one and two KC blocks. Each runs
+  // with and without the fused epilogue and is compared bit for bit
+  // with the same tier's dense gemm() on an explicit im2col followed by
+  // the epilogue's separate passes.
+  struct Case {
+    const char* what;
+    ops::ConvGeometry g;
+    int batch;
+  };
+  const Case cases[] = {
+      {"17x17 3x3 pad 1: in place, row straddles, ragged tail", {6, 17, 17, 3, 1, 1}, 3},
+      {"16x16 3x3 pad 1, KC block starts mid-channel", {40, 16, 16, 3, 1, 1}, 2},
+      {"18x18 3x3 unpadded: every panel in place", {5, 18, 18, 3, 1, 0}, 3},
+      {"1x1 over 6x6: in place and image straddles, ragged", {8, 6, 6, 1, 1, 0}, 5},
+      {"1x1 over 16x16, two KC blocks", {300, 16, 16, 1, 1, 0}, 2},
+      {"20x20 3x3 pad 1: NC block starts mid-image", {3, 20, 20, 3, 1, 1}, 4},
+      {"3x3 stride 2 pad 1: gathered", {4, 32, 32, 3, 2, 1}, 2},
+      {"1x1 stride 2: gathered", {8, 32, 32, 1, 2, 0}, 2},
+  };
+  const int out_channels = 19;  // ragged in every tier's MR
+  const std::vector<ops::SimdLevel> levels =
+      ops::simd_level() == ops::SimdLevel::kPortable
+          ? std::vector<ops::SimdLevel>{ops::SimdLevel::kPortable}
+          : std::vector<ops::SimdLevel>{ops::SimdLevel::kPortable, ops::simd_level()};
+  util::Rng rng(151);
+  int mixed_blocks = 0, ragged_panels = 0;
+  for (const Case& tc : cases) {
+    const ops::ConvGeometry& g = tc.g;
+    const int out_hw = g.out_height() * g.out_width(), patch = g.patch_size();
+    const int n = tc.batch * out_hw;
+    const std::int64_t in_stride = static_cast<std::int64_t>(g.in_channels) * g.in_height *
+                                   g.in_width;
+    const std::int64_t out_stride = static_cast<std::int64_t>(out_channels) * out_hw;
+    // Which panels the driver reads in place, block by block.
+    const Tensor images =
+        Tensor::normal(Shape{tc.batch, g.in_channels, g.in_height, g.in_width}, rng);
+    std::vector<float> scratch(static_cast<std::size_t>(ops::detail::kKC) * ops::detail::kNR);
+    int in_place = 0, packed = 0;
+    for (int p0 = 0; p0 < patch; p0 += ops::detail::kKC) {
+      const int kc = std::min(ops::detail::kKC, patch - p0);
+      for (int j0 = 0; j0 < n; j0 += ops::detail::kNC) {
+        const int nc = std::min(ops::detail::kNC, n - j0);
+        const ops::detail::ConvBlockSource source =
+            ops::detail::conv_block_source(images.data(), g, p0, kc, j0, nc);
+        int block_in_place = 0, block_packed = 0;
+        for (int jb = 0; jb < nc; jb += ops::detail::kNR) {
+          const int nr = std::min(ops::detail::kNR, nc - jb);
+          const ops::detail::BPanel panel =
+              ops::detail::conv_b_panel(source, j0 + jb, nr, true, scratch.data());
+          ++(panel.rows != nullptr ? block_in_place : block_packed);
+          ragged_panels += nr < ops::detail::kNR;
+        }
+        mixed_blocks += block_in_place > 0 && block_packed > 0;
+        in_place += block_in_place;
+        packed += block_packed;
+      }
+    }
+    if (g.stride == 1) {
+      EXPECT_GT(in_place, 0) << tc.what;
+    } else {
+      EXPECT_EQ(in_place, 0) << tc.what;
+    }
+
+    const Tensor weight = Tensor::normal(Shape{out_channels, patch}, rng);
+    const Tensor bias = Tensor::normal(Shape{out_channels}, rng);
+    const Tensor residual = Tensor::normal(Shape{tc.batch, out_channels, out_hw}, rng);
+    const ops::ConvEpilogue epilogues[] = {{}, {bias.data(), residual.data(), true}};
+    std::vector<float> image_columns(static_cast<std::size_t>(patch) * out_hw);
+    for (const ops::SimdLevel level : levels) {
+      SimdLevelScope scope(level);
+      for (const ops::ConvEpilogue& e : epilogues) {
+        std::vector<float> expected(static_cast<std::size_t>(tc.batch) * out_stride, 0.0f);
+        for (int b = 0; b < tc.batch; ++b) {
+          ops::im2col(images.data() + b * in_stride, g, image_columns.data());
+          ops::gemm(false, false, out_channels, out_hw, patch, weight.data(), patch,
+                    image_columns.data(), out_hw, expected.data() + b * out_stride, out_hw);
+        }
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          float v = expected[i];
+          if (e.bias != nullptr) v = v + e.bias[(i / out_hw) % out_channels];
+          if (e.residual != nullptr) v = v + e.residual[i];
+          if (e.relu) v = v > 0.0f ? v : 0.0f;
+          expected[i] = v;
+        }
+        std::vector<float> actual(expected.size(), 0.0f);
+        ops::conv_gemm_nchw(out_channels, weight.data(), images.data(), tc.batch, g,
+                            actual.data(), e);
+        EXPECT_TRUE(same_bits(expected, actual))
+            << ops::simd_level_name(level) << " " << tc.what
+            << (e.relu ? " with epilogue" : " without epilogue") << " (" << in_place
+            << " panels in place, " << packed << " packed)";
+      }
+    }
+  }
+  EXPECT_GT(mixed_blocks, 0);
+  EXPECT_GT(ragged_panels, 0);
 }
 
 // ----- Conv2d backward ------------------------------------------------

@@ -8,9 +8,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -119,9 +121,7 @@ std::uint64_t snapshot_counter(const std::string& snapshot, const std::string& p
 
 TEST(WireServer, ServesPingStatsAndClassifyOverPipe) {
   auto backend = std::make_shared<PixelLabelBackend>();
-  WireServerConfig config;
-  config.max_batch_instances = 1;  // serve immediately
-  WireServer server(backend, config);
+  WireServer server(backend, WireServerConfig{});
 
   WireBackendConfig client_config;
   client_config.transport_factory = [&server] {
@@ -146,9 +146,7 @@ TEST(WireServer, ServesPingStatsAndClassifyOverPipe) {
 // A stats request carries no payload. One that does is answered with
 // kMalformedFrame and counted, and the connection keeps serving.
 TEST(WireServer, MalformedStatsRequestIsRejectedAndConnectionSurvives) {
-  WireServerConfig config;
-  config.max_batch_instances = 1;  // serve immediately
-  WireServer server(std::make_shared<PixelLabelBackend>(), config);
+  WireServer server(std::make_shared<PixelLabelBackend>(), WireServerConfig{});
   PipePair pipe = make_pipe();
   server.adopt(std::move(pipe.second));
   Transport& client = *pipe.first;
@@ -181,14 +179,44 @@ TEST(WireServer, MalformedStatsRequestIsRejectedAndConnectionSurvives) {
   server.stop();
 }
 
+/// PixelLabelBackend whose first classify() call blocks until open():
+/// it holds the batch worker busy so the requests that arrive meanwhile
+/// queue up and coalesce into the next batch.
+class GatedBackend : public PixelLabelBackend {
+ public:
+  std::vector<int> classify(const runtime::OffloadPayload& payload) override {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (!entered_) {
+        entered_ = true;
+        changed_.notify_all();
+        changed_.wait(lock, [&] { return open_; });
+      }
+    }
+    return PixelLabelBackend::classify(payload);
+  }
+  void wait_entered() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    changed_.wait(lock, [&] { return entered_; });
+  }
+  void open() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    changed_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable changed_;
+  bool entered_ = false, open_ = false;
+};
+
 TEST(WireServer, CoalescesTwoClientsIntoOneCrossSessionBatch) {
-  auto backend = std::make_shared<PixelLabelBackend>();
-  WireServerConfig config;
-  // The batch worker fires exactly when 2 instances are pending and the
-  // window is far away: two single-instance clients MUST coalesce.
-  config.max_batch_instances = 2;
-  config.batch_window_s = 30.0;
-  WireServer server(backend, config);
+  // A first request holds the batch worker in the gated backend until
+  // single-instance requests from two more connections are queued; the
+  // work-conserving worker must then serve those two as one batch.
+  auto backend = std::make_shared<GatedBackend>();
+  WireServer server(backend, WireServerConfig{});
   const std::string path = test_socket_path("xsession");
   server.listen_unix(path);
 
@@ -200,24 +228,31 @@ TEST(WireServer, CoalescesTwoClientsIntoOneCrossSessionBatch) {
     payload.images = instance_with_pixel(pixel);
     out = client.classify(payload);
   };
-  std::vector<int> got_a, got_b;
+  std::vector<int> got_gate, got_a, got_b;
+  std::thread gate([&] { run_client(0.0f, got_gate); });
+  backend->wait_entered();
   std::thread a([&] { run_client(1.0f, got_a); });
   std::thread b([&] { run_client(2.0f, got_b); });
+  EXPECT_TRUE(eventually([&] { return server.stats().frames_in >= 3u; }));
+  backend->open();
+  gate.join();
   a.join();
   b.join();
 
   // Per-client integrity: each client gets the label of ITS pixel back,
-  // even though both rode one backend call.
+  // even though two rode one backend call.
+  EXPECT_EQ(got_gate, std::vector<int>{0});
   EXPECT_EQ(got_a, std::vector<int>{1});
   EXPECT_EQ(got_b, std::vector<int>{2});
-  EXPECT_EQ(backend->calls(), 1);
+  EXPECT_EQ(backend->calls(), 2);  // the gate's, then the pair's
 
   const WireServerStats stats = server.stats();
   EXPECT_EQ(stats.cross_session_batches, 1u);
-  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.batches, 2u);
   ASSERT_GT(stats.batch_size_histogram.size(), 2u);
+  EXPECT_EQ(stats.batch_size_histogram[1], 1u);  // the gate's request alone
   EXPECT_EQ(stats.batch_size_histogram[2], 1u);  // one batch of 2 requests
-  EXPECT_EQ(stats.instances_served, 2u);
+  EXPECT_EQ(stats.instances_served, 3u);
   server.stop();
 }
 
@@ -380,9 +415,7 @@ class GlacialReadTransport final : public Transport {
 
 TEST(WireRetry, TimedOutResponseIsRetriedOnceWithAFreshRequestId) {
   auto backend = std::make_shared<PixelLabelBackend>();
-  WireServerConfig server_config;
-  server_config.max_batch_instances = 1;  // serve immediately
-  WireServer server(backend, server_config);
+  WireServer server(backend, WireServerConfig{});
 
   auto ids = std::make_shared<std::vector<std::uint64_t>>();
   int dials = 0;
@@ -767,6 +800,22 @@ TEST(ClouddEndToEnd, MalformedNumericFlagExitsWithoutListening) {
   const std::string path = test_socket_path("cloudd_badflag");
   ChildProcess daemon(
       std::vector<std::string>{binary, "--socket", path, "--max-batch", "abc"});
+  EXPECT_TRUE(eventually([&] { return !daemon.running(); }));
+  struct stat info {};
+  EXPECT_NE(::stat(path.c_str(), &info), 0) << "daemon created " << path;
+}
+
+// The daemon batches work-conservingly and has no batch window: the
+// old --batch-window-ms flag is an unknown argument, so it exits with
+// usage instead of serving.
+TEST(ClouddEndToEnd, BatchWindowFlagIsGoneAndExitsWithUsage) {
+  const char* binary = std::getenv("MEANET_CLOUDD");
+  if (binary == nullptr || binary[0] == '\0') {
+    GTEST_SKIP() << "set MEANET_CLOUDD to the meanet_cloudd binary to run";
+  }
+  const std::string path = test_socket_path("cloudd_window");
+  ChildProcess daemon(
+      std::vector<std::string>{binary, "--socket", path, "--batch-window-ms", "2"});
   EXPECT_TRUE(eventually([&] { return !daemon.running(); }));
   struct stat info {};
   EXPECT_NE(::stat(path.c_str(), &info), 0) << "daemon created " << path;

@@ -3,11 +3,14 @@
 // Listens on a Unix-domain socket, speaks the MWIR framed protocol
 // (src/wire/frame.h), and serves every connected edge session's offload
 // requests through ONE shared WireServer batch queue, so concurrent
-// sessions' uploads coalesce into cross-session cloud batches.
+// sessions' uploads coalesce into cross-session cloud batches. The
+// queue is work-conserving: a batch goes as soon as the batch worker is
+// free, with whatever is pending (up to --max-batch instances), and
+// never waits for more.
 //
 //   meanet_cloudd --socket /tmp/meanet.sock --seed 7
 //       --image-channels 3 --classes 10 [--model weights.bin]
-//       [--max-batch 32] [--batch-window-ms 2] [--stats-every-s 10]
+//       [--max-batch 32] [--stats-every-s 10]
 //
 // The cloud classifier is built deterministically from --seed (same
 // architecture + seed on the edge side reproduces the exact weights,
@@ -56,15 +59,13 @@ struct Options {
   int image_channels = 3;
   int classes = 10;
   int max_batch = 32;
-  double batch_window_ms = 2.0;
   double stats_every_s = 0.0;  // 0 = only on exit
 };
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --socket PATH [--seed N] [--image-channels N] [--classes N]\n"
-               "          [--model WEIGHTS] [--max-batch N] [--batch-window-ms X]\n"
-               "          [--stats-every-s X]\n",
+               "          [--model WEIGHTS] [--max-batch N] [--stats-every-s X]\n",
                argv0);
   std::exit(2);
 }
@@ -120,8 +121,6 @@ Options parse_args(int argc, char** argv) {
       ok = parse_int(value(i), 2, opts.classes);
     } else if (arg == "--max-batch") {
       ok = parse_int(value(i), 1, opts.max_batch);
-    } else if (arg == "--batch-window-ms") {
-      ok = parse_nonnegative(value(i), opts.batch_window_ms);
     } else if (arg == "--stats-every-s") {
       ok = parse_nonnegative(value(i), opts.stats_every_s);
     } else {
@@ -168,14 +167,12 @@ int main(int argc, char** argv) {
 
   wire::WireServerConfig config;
   config.max_batch_instances = opts.max_batch;
-  config.batch_window_s = opts.batch_window_ms / 1000.0;
   wire::WireServer server(std::make_shared<runtime::RawImageBackend>(&cloud), config);
   server.listen_unix(opts.socket_path);
   std::printf("[meanet_cloudd] serving on %s (seed=%llu channels=%d classes=%d "
-              "max_batch=%d window=%.3fms threads=%d)\n",
+              "max_batch=%d threads=%d)\n",
               opts.socket_path.c_str(), static_cast<unsigned long long>(opts.seed),
-              opts.image_channels, opts.classes, opts.max_batch, opts.batch_window_ms,
-              cloud.forward_threads());
+              opts.image_channels, opts.classes, opts.max_batch, cloud.forward_threads());
   std::fflush(stdout);
 
   // The periodic stats dump ticks on the sim::Clock seam: under the
