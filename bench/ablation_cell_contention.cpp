@@ -43,7 +43,6 @@
 #include "common.h"
 #include "diag/value.h"
 #include "runtime/session.h"
-#include "runtime/transport.h"
 #include "sim/cloud_node.h"
 #include "sim/event_loop.h"
 #include "sim/shared_cell.h"
@@ -90,9 +89,6 @@ RunOutcome run_once(bench::TrainedSystem& system,
     cc.clock = clk;
     return cc;
   }());
-  runtime::TransportConfig transport;
-  transport.cell = cell;
-
   runtime::EngineConfig cfg;
   cfg.net = &system.net;
   cfg.dict = &system.dict;
@@ -103,14 +99,13 @@ RunOutcome run_once(bench::TrainedSystem& system,
   cfg.worker_threads = 1;
   cfg.queue_capacity = kRequests + 8;
   cfg.starvation_bound = starvation_bound;
-  cfg.transport = transport;
+  cfg.cell = cell;
   cfg.clock = clk;
 
   // The neighbor: a second station on the cell, uploading continuously
   // so the camera never sees an idle medium.
   runtime::EngineConfig neighbor_cfg = cfg;
   neighbor_cfg.starvation_bound = 64;
-  neighbor_cfg.transport = transport;  // same cell
 
   // Seeded 90/10 priority mix, submitted as one burst so the queue is
   // deep before service catches up (the contended scenario). Declared

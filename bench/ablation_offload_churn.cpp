@@ -18,8 +18,8 @@
 #include "common.h"
 #include "runtime/backend_decorators.h"
 #include "runtime/session.h"
-#include "runtime/transport.h"
 #include "sim/cloud_node.h"
+#include "sim/shared_cell.h"
 #include "util/stopwatch.h"
 
 using namespace meanet;
@@ -38,11 +38,12 @@ int main() {
   sim::CloudNode cloud(std::move(cloud_model));
   const auto raw = std::make_shared<runtime::RawImageBackend>(&cloud);
 
-  // WiFi transports: the paper's 18.88 Mb/s cell, and the same cell
+  // WiFi cells: the paper's 18.88 Mb/s cell, and the same cell
   // congested 20x (≈0.94 Mb/s — a 16x16x3 frame upload takes ~6.5ms).
-  runtime::TransportConfig paper_wifi;
-  runtime::TransportConfig congested_wifi;
-  congested_wifi.wifi = congested_wifi.wifi.congested(20.0);
+  // Each scenario's session gets a fresh cell of its own.
+  sim::SharedCellConfig paper_wifi;
+  sim::SharedCellConfig congested_wifi;
+  congested_wifi.uplink = congested_wifi.uplink.congested(20.0);
   congested_wifi.jitter_s = 0.004;
   congested_wifi.seed = 0x51F1;
 
@@ -50,7 +51,7 @@ int main() {
     const char* name;
     std::shared_ptr<runtime::OffloadBackend> backend;
     double timeout_s;
-    std::optional<runtime::TransportConfig> transport;
+    std::optional<sim::SharedCellConfig> cell;
     double cloud_deadline_s;
   };
   const double kInf = std::numeric_limits<double>::infinity();
@@ -82,7 +83,7 @@ int main() {
     cfg.policy_config.entropy_threshold = 0.6;
     cfg.backend = s.backend;
     cfg.offload_timeout_s = s.timeout_s;
-    cfg.transport = s.transport;
+    if (s.cell) cfg.cell = std::make_shared<sim::SharedCell>(*s.cell);
     cfg.route_deadline_s[static_cast<std::size_t>(core::Route::kCloud)] = s.cloud_deadline_s;
     runtime::InferenceSession session(cfg);
     const auto results = session.run(test);

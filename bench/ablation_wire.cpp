@@ -27,7 +27,6 @@
 #include <unistd.h>
 
 #include "diag/value.h"
-#include "nn/serialize.h"
 #include "runtime/offload_backend.h"
 #include "util/rng.h"
 #include "wire/frame.h"
@@ -133,8 +132,7 @@ int main(int argc, char** argv) {
 
     Row row;
     row.batch = batch;
-    row.wire_bytes = static_cast<std::int64_t>(wire::kFrameHeaderBytes) + 4 +
-                     nn::tensor_wire_bytes(payload.images.shape());
+    row.wire_bytes = wire::request_wire_bytes(payload.images.shape());
     row.in_process_us = median_us(reps, [&] { (void)backend->classify(payload); });
     row.encode_decode_us = median_us(reps, [&] {
       const auto request = wire::encode_offload_request(payload);

@@ -46,7 +46,6 @@
 #include "data/synthetic.h"
 #include "nn/serialize.h"
 #include "runtime/session.h"
-#include "runtime/transport.h"
 #include "sim/cloud_node.h"
 #include "sim/shared_cell.h"
 #include "wire/process.h"
@@ -143,9 +142,6 @@ int main(int argc, char** argv) {
     cc.jitter_s = 0.005;
     return cc;
   }());
-  runtime::TransportConfig wifi_link;
-  wifi_link.cell = cell;
-
   // Each session gets its own offload hop (with --wire, its own socket
   // connection to the daemon).
   auto cloud_hop = [&]() -> std::shared_ptr<runtime::OffloadBackend> {
@@ -173,7 +169,7 @@ int main(int argc, char** argv) {
   serve.batch_size = 32;
   serve.costs = costs;
   serve.route_deadline_s[static_cast<std::size_t>(core::Route::kCloud)] = 0.060;
-  serve.transport = wifi_link;
+  serve.cell = cell;
 
   // A completion callback (fired off the serving workers) tallies the
   // frames the deadline rescued with their edge answer. Declared before

@@ -94,6 +94,9 @@ void ByteReader::read_bytes(void* dst, std::size_t n) {
     throw std::runtime_error("serialize: truncated buffer (need " + std::to_string(n) +
                              " bytes, have " + std::to_string(remaining()) + ")");
   }
+  // An empty tensor's data() is null, and memcpy with a null pointer is
+  // undefined even for 0 bytes.
+  if (n == 0) return;
   std::memcpy(dst, data_ + pos_, n);
   pos_ += n;
 }

@@ -53,7 +53,7 @@ class BackendDecorator : public OffloadBackend {
 /// round-trip the seed's backends answered instantly. Pair with
 /// EngineConfig::offload_timeout_s to study the timeout -> edge-fallback
 /// path. (For a link whose delay scales with the payload's byte size,
-/// use EngineConfig::transport instead.)
+/// set EngineConfig::cell instead.)
 class LatencyInjectingBackend : public BackendDecorator {
  public:
   /// `clock` times the injected sleep (null = the process WallClock).

@@ -87,7 +87,7 @@ struct SessionMetrics {
   /// far, in seconds, and that figure per wall-clock second of the
   /// cell's life. Utilization above ~1.0 means the attached stations
   /// jointly demand more airtime than the medium has — a saturated
-  /// cell. Both 0 when no transport is configured.
+  /// cell. Both 0 when the session has no cell (EngineConfig::cell).
   double cell_busy_s = 0.0;
   double cell_airtime_utilization = 0.0;
 

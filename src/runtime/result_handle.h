@@ -73,8 +73,8 @@ struct InferenceResult {
   /// instance's cloud answer: the upload delay of its payload and the
   /// downlink delay of the response (whole-payload figures — coalesced
   /// instances share one transfer). 0 when the instance was not
-  /// offloaded or the session has no transport configured. Pure
-  /// functions of the transport seed and the payload identity, so
+  /// offloaded or the session has no cell (EngineConfig::cell). Pure
+  /// functions of the cell's seed and the payload identity, so
   /// same-seed runs report bit-identical values at any worker count.
   double upload_time_s = 0.0;
   double download_time_s = 0.0;
@@ -105,12 +105,11 @@ struct RequestState {
 
   std::int64_t first_id = 0;
   int expected = 0;
-  /// The session's time source (null = plain condition_variable
-  /// behavior, the standalone-state default): handle waits block
-  /// through it and transitions notify through it, so a caller parked
-  /// on wait() counts as a blocked actor under a VirtualClock. Set once
-  /// at enqueue, before any other thread can see the state.
-  std::shared_ptr<sim::Clock> clock;
+  /// The session's time source (the process WallClock until enqueue
+  /// sets it, before any other thread can see the state): handle waits
+  /// block through it and transitions notify through it, so a caller
+  /// parked on wait() counts as a blocked actor under a VirtualClock.
+  std::shared_ptr<sim::Clock> clock = sim::wall_clock_ptr();
   /// When submit() accepted the request (on the session clock): the
   /// base of end-to-end latency accounting and the epoch its deadline
   /// is measured from.
@@ -177,14 +176,10 @@ struct RequestState {
     return cancelled;
   }
 
-  /// Blocks (through the session clock when one is set) until the
-  /// request settles. Call with `lock` held on `mutex`.
+  /// Blocks through the session clock until the request settles. Call
+  /// with `lock` held on `mutex`.
   void wait_done(std::unique_lock<std::mutex>& lock) const {
-    if (clock) {
-      clock->wait(lock, done_cv, sim::Clock::TimePoint::max(), [&] { return done; });
-    } else {
-      done_cv.wait(lock, [&] { return done; });
-    }
+    clock->wait(lock, done_cv, sim::Clock::TimePoint::max(), [&] { return done; });
   }
 
  private:
@@ -200,11 +195,7 @@ struct RequestState {
       hook = std::move(completion_hook);
       completion_hook = nullptr;
     }
-    if (clock) {
-      clock->notify(done_cv);
-    } else {
-      done_cv.notify_all();
-    }
+    clock->notify(done_cv);
     if (hook) hook();  // outside the lock: the hook may take other locks
     return true;
   }

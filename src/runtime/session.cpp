@@ -131,7 +131,16 @@ InferenceSession::InferenceSession(EngineConfig config)
                  : std::make_shared<core::EntropyThresholdPolicy>(*config.dict,
                                                                   config.policy_config);
   backend_ = config.backend ? config.backend : std::make_shared<NullBackend>();
-  if (config.transport) link_ = std::make_unique<SimulatedLink>(*config.transport, clock_);
+  cell_ = std::move(config.cell);
+  // One medium, one timeline: a cell's waits must run on the same clock
+  // as every session transferring on it, or a virtual-time session
+  // would block on wall airtime (and vice versa). Checked before any
+  // thread starts.
+  if (cell_ && cell_->clock() != clock_) {
+    throw std::invalid_argument(
+        "InferenceSession: the cell and the session must use the same clock "
+        "(set SharedCellConfig::clock and EngineConfig::clock to one instance)");
+  }
   if (config.response_cache_capacity > 0) {
     cache_ = std::make_unique<ResponseCache>(
         static_cast<std::size_t>(config.response_cache_capacity));
@@ -150,6 +159,7 @@ InferenceSession::InferenceSession(EngineConfig config)
         std::make_unique<core::EdgeInferenceEngine>(*config.net, *config.dict, routing_));
   }
   workers_.reserve(static_cast<std::size_t>(worker_count));
+  if (cell_) station_ = cell_->attach();
   try {
     offload_worker_ = std::thread([this] { offload_loop(); });
     for (int i = 0; i < worker_count; ++i) {
@@ -169,6 +179,7 @@ InferenceSession::InferenceSession(EngineConfig config)
     }
     offload_queue_.close();
     if (offload_worker_.joinable()) offload_worker_.join();
+    if (cell_) cell_->detach(station_);
     throw;
   }
 
@@ -201,6 +212,7 @@ InferenceSession::~InferenceSession() {
   // dispatcher drains whatever is left and exits.
   offload_queue_.close();
   if (offload_worker_.joinable()) offload_worker_.join();
+  if (cell_) cell_->detach(station_);
   // Every request has transitioned by now; flush their callbacks.
   callbacks_->shutdown();
 }
@@ -430,9 +442,9 @@ SessionMetrics InferenceSession::metrics() const {
   m.queue_depth_high_water = static_cast<std::int64_t>(queue_.high_water_mark());
   m.starvation_promotions =
       queue_.starvation_promotions() + offload_queue_.starvation_promotions();
-  if (link_) {
-    m.cell_busy_s = link_->cell().busy_seconds();
-    m.cell_airtime_utilization = link_->cell().utilization();
+  if (cell_) {
+    m.cell_busy_s = cell_->busy_seconds();
+    m.cell_airtime_utilization = cell_->utilization();
   }
   if (cache_) {
     m.cache_entries = static_cast<std::int64_t>(cache_->size());
@@ -586,68 +598,47 @@ void InferenceSession::offload_loop() {
     // else is transmitting. An abandoned ticket cuts the transfer short
     // — the sender gave up at its offload timeout or deadline, so
     // nothing keeps transmitting — and skips the backend entirely; the
-    // giving-up waiter pokes the link so the cancel is seen promptly.
+    // giving-up waiter pokes the cell so the cancel is seen promptly.
     const std::uint64_t transfer_key = static_cast<std::uint64_t>(job.first_id);
     auto ticket_abandoned = [&ticket] {
       std::lock_guard<std::mutex> lock(ticket.mutex);
       return ticket.abandoned;
     };
-    double upload_s = 0.0;
+    OffloadAnswer answer;
     bool abandoned = false;
-    if (link_) {
+    if (cell_) {
       const sim::TransferOutcome up =
-          link_->upload(transfer_key, job.payload_bytes, ticket_abandoned);
-      upload_s = up.delay_s;
+          cell_->uplink_transfer(station_, transfer_key, job.payload_bytes, ticket_abandoned);
+      answer.upload_s = up.delay_s;
       abandoned = up.cancelled;
     } else {
       abandoned = ticket_abandoned();
     }
-    if (abandoned) {
-      {
-        std::lock_guard<std::mutex> lock(ticket.mutex);
-        ticket.done = true;  // nobody waits anymore; keep the slip coherent
+    if (!abandoned) {
+      try {
+        answer.predictions = backend_->classify(job.payload);
+      } catch (...) {
+        // A throwing backend is an unreachable cloud (whatever it threw):
+        // the affected instances keep their edge predictions.
+        answer.failed = true;
       }
-      clock_->notify(ticket.answered);
-      continue;
-    }
-    std::vector<int> predictions;
-    bool failed = false;
-    try {
-      predictions = backend_->classify(job.payload);
-    } catch (...) {
-      // A throwing backend is an unreachable cloud (whatever it threw):
-      // the affected instances keep their edge predictions.
-      failed = true;
-      predictions.clear();
     }
     // The answer is not free: its bytes ride the downlink, and only
     // after that transfer does the waiting worker see it. A waiter that
-    // gives up mid-downlink abandons the ticket like mid-upload.
-    double downlink_s = 0.0;
-    if (link_ && !failed && !predictions.empty()) {
+    // gives up mid-downlink cuts it short like mid-upload.
+    if (cell_ && !answer.predictions.empty()) {
       const std::int64_t response_bytes =
-          link_->response_bytes(static_cast<std::int64_t>(predictions.size()));
-      if (response_bytes > 0) {
-        const sim::TransferOutcome down =
-            link_->download(transfer_key, response_bytes, ticket_abandoned);
-        downlink_s = down.delay_s;
-        if (down.cancelled) {
-          {
-            std::lock_guard<std::mutex> lock(ticket.mutex);
-            ticket.done = true;
-          }
-          clock_->notify(ticket.answered);
-          continue;
-        }
-      }
+          kResponseBytesPerInstance * static_cast<std::int64_t>(answer.predictions.size());
+      answer.downlink_s =
+          cell_->downlink_transfer(station_, transfer_key, response_bytes, ticket_abandoned)
+              .delay_s;
     }
     {
+      // The one exit: an abandoned ticket's waiter has already returned
+      // and never reads this answer.
       std::lock_guard<std::mutex> lock(ticket.mutex);
-      ticket.failed = failed;
-      ticket.predictions = std::move(predictions);
-      ticket.answered_at = clock_->now();
-      ticket.upload_s = upload_s;
-      ticket.downlink_s = downlink_s;
+      answer.answered_at = clock_->now();
+      ticket.answer = std::move(answer);
       ticket.done = true;
     }
     clock_->notify(ticket.answered);
@@ -662,7 +653,7 @@ InferenceSession::OffloadAnswer InferenceSession::offload(OffloadPayload payload
   collector_.record_offload_dispatch();
   auto ticket = std::make_shared<OffloadTicket>();
   if (!offload_queue_.push(
-          OffloadJob{std::move(payload), expected, payload_bytes, first_id, ticket}, key)) {
+          OffloadJob{std::move(payload), payload_bytes, first_id, ticket}, key)) {
     return {};  // session shutting down: edge fallback
   }
   std::unique_lock<std::mutex> lock(ticket->mutex);
@@ -680,29 +671,20 @@ InferenceSession::OffloadAnswer InferenceSession::offload(OffloadPayload payload
     ticket->abandoned = true;
     lock.unlock();
     clock_->notify(ticket->answered);
-    if (link_) link_->poke();
+    if (cell_) cell_->poke();
     OffloadAnswer answer;
     answer.gave_up = true;
     return answer;
   }
-  if (ticket->failed) {
-    collector_.record_offload_failure();
-    OffloadAnswer answer;
-    answer.failed = true;
-    return answer;
-  }
-  if (ticket->predictions.size() != expected) {
-    // A wrong-sized reply is a misbehaving backend; treat it like an
-    // unreachable cloud rather than failing the edge-answered instances
-    // in the batch too. (An empty reply is the normal "unavailable".)
-    if (!ticket->predictions.empty()) collector_.record_offload_failure();
+  OffloadAnswer answer = std::move(ticket->answer);
+  if (answer.failed || answer.predictions.size() != expected) {
+    // A throwing backend, or a wrong-sized reply from a misbehaving
+    // one, is treated like an unreachable cloud rather than failing the
+    // edge-answered instances in the batch too. (An empty reply is the
+    // normal "unavailable".)
+    if (answer.failed || !answer.predictions.empty()) collector_.record_offload_failure();
     return {};
   }
-  OffloadAnswer answer;
-  answer.predictions = std::move(ticket->predictions);
-  answer.answered_at = ticket->answered_at;
-  answer.upload_s = ticket->upload_s;
-  answer.downlink_s = ticket->downlink_s;
   return answer;
 }
 

@@ -1,11 +1,11 @@
 // The unified serving API for Alg. 2 (edge pass -> route -> extension
-// or offload), asynchronous since PR 2, with a full request lifecycle
-// since PR 3 (per-route deadlines, cancellation, completion callbacks,
-// a WiFi-timed offload transport) and priority-aware scheduling since
-// PR 5: requests and pending uploads are served by (priority desc,
-// deadline asc, arrival asc) with a configurable starvation bound, and
-// the transport can be a sim::SharedCell several sessions contend on —
-// uplink and downlink both cost airtime now.
+// or offload): asynchronous, with a full request lifecycle (per-route
+// deadlines, cancellation, completion callbacks, WiFi-timed offloads)
+// and priority-aware scheduling: requests and pending uploads are
+// served by (priority desc, deadline asc, arrival asc) with a
+// configurable starvation bound, and offloads are timed on a
+// sim::SharedCell that several sessions can contend on — uplink and
+// downlink both cost airtime.
 //
 // An InferenceSession is built once from an EngineConfig — which model,
 // which routing policy, which offload backend, how many workers — and
@@ -20,7 +20,7 @@
 //   cfg.policy_config = {.entropy_threshold = 0.6, .cloud_available = true};
 //   cfg.backend = std::make_shared<RawImageBackend>(&cloud);
 //   cfg.route_deadline_s[size_t(core::Route::kCloud)] = 0.050;
-//   cfg.transport = TransportConfig{};  // WiFi-timed uploads
+//   cfg.cell = std::make_shared<sim::SharedCell>(sim::SharedCellConfig{});  // WiFi-timed offloads
 //   InferenceSession session(cfg);
 //   SubmitOptions opts;
 //   opts.on_complete = [](const ResultHandle& h) { consume(h.wait()); };
@@ -74,8 +74,8 @@
 #include "runtime/request_queue.h"
 #include "runtime/response_cache.h"
 #include "runtime/result_handle.h"
-#include "runtime/transport.h"
 #include "sim/edge_node.h"
+#include "sim/shared_cell.h"
 
 namespace meanet::runtime {
 
@@ -92,8 +92,8 @@ struct EngineConfig {
   /// default) = the process WallClock: behavior is exactly the
   /// pre-seam wall-clock serving stack. Inject a sim::VirtualClock
   /// (sim/event_loop.h) to replay hours of traffic in wall
-  /// milliseconds, bit-identically at any worker count; a shared
-  /// transport cell must then be on the same clock instance
+  /// milliseconds, bit-identically at any worker count; the `cell`
+  /// below must then be on the same clock instance
   /// (SharedCellConfig::clock), and the thread driving submissions
   /// should register via sim::ActorGuard so its submit timestamps are
   /// deterministic too.
@@ -117,12 +117,16 @@ struct EngineConfig {
   /// Measured from dispatch — the per-route deadlines below are
   /// measured from submit() and bound the same wait from the other end.
   double offload_timeout_s = std::numeric_limits<double>::infinity();
-  /// Simulated link the dispatcher applies to every dispatched payload:
-  /// upload time derived from the WiFi model and the payload's byte
-  /// size, plus base RTT and seeded jitter (see runtime/transport.h).
-  /// This replaces a fixed injected latency as the transport model;
-  /// nullopt = ideal instant link.
-  std::optional<TransportConfig> transport;
+  /// The radio cell the dispatcher times every offload on: a payload's
+  /// upload and its answer's download (kResponseBytesPerInstance per
+  /// answered instance) each occupy the cell for a time derived from
+  /// the cell's WiFi models and the byte size, plus its base RTT and
+  /// seeded jitter (sim/shared_cell.h). The session attaches as one
+  /// station for its lifetime; sessions given the same cell contend
+  /// for its airtime. The cell must run on the session's clock, or the
+  /// constructor throws std::invalid_argument. Null = an ideal instant
+  /// link.
+  std::shared_ptr<sim::SharedCell> cell;
 
   // ----- Deadlines -----
   // ----- Scheduling -----
@@ -213,6 +217,10 @@ struct EngineConfig {
   /// backend's payload_bytes() on first use.
   sim::EdgeNodeCosts costs;
 };
+
+/// Downlink bytes the cell charges per answered instance: the one i32
+/// label the wire's offload response carries for it.
+constexpr std::int64_t kResponseBytesPerInstance = 4;
 
 /// Per-submit request options.
 struct SubmitOptions {
@@ -343,6 +351,21 @@ class InferenceSession : public diag::DiagnosticProvider {
  private:
   using SteadyClock = std::chrono::steady_clock;
 
+  /// What came back from one dispatch: predictions (empty = none) with
+  /// the arrival timestamp, a failure marker, or gave_up when the wait
+  /// bound expired before any answer (that — and only that — is what
+  /// timeout/deadline accounting attributes; an empty-but-prompt reply
+  /// is a drop, e.g. a lossy link or NullBackend).
+  struct OffloadAnswer {
+    std::vector<int> predictions;
+    SteadyClock::time_point answered_at{};
+    bool failed = false;  // backend threw
+    bool gave_up = false;
+    // Simulated transfer delays the dispatcher applied (0 without a
+    // cell); meaningful only when predictions is non-empty.
+    double upload_s = 0.0;
+    double downlink_s = 0.0;
+  };
   /// Completion slip for one in-flight offload dispatch. The worker
   /// waits on it with a timeout; the dispatcher settles it. Whoever
   /// loses the race simply drops its side — the shared_ptr keeps the
@@ -354,38 +377,16 @@ class InferenceSession : public diag::DiagnosticProvider {
     std::condition_variable answered;
     bool done = false;       // guarded by mutex
     bool abandoned = false;  // guarded by mutex; the waiter gave up
-    bool failed = false;     // backend threw or answered the wrong shape
-    std::vector<int> predictions;
-    SteadyClock::time_point answered_at{};
-    // Simulated transfer delays the dispatcher applied (0 without a
-    // transport); guarded by mutex, written before done.
-    double upload_s = 0.0;
-    double downlink_s = 0.0;
+    OffloadAnswer answer;    // guarded by mutex; written before done
   };
   struct OffloadJob {
     OffloadPayload payload;
-    std::size_t expected = 0;       // instances in the payload
     std::int64_t payload_bytes = 0;  // drives the simulated upload time
     /// Result id of the payload's first instance: the transfer key the
-    /// link's jitter is hashed from, so a payload's delay does not
+    /// cell's jitter is hashed from, so a payload's delay does not
     /// depend on dispatch interleaving.
     std::int64_t first_id = 0;
     std::shared_ptr<OffloadTicket> ticket;
-  };
-  /// What came back from one dispatch: predictions (empty = none) with
-  /// the arrival timestamp, a failure marker, or gave_up when the wait
-  /// bound expired before any answer (that — and only that — is what
-  /// timeout/deadline accounting attributes; an empty-but-prompt reply
-  /// is a drop, e.g. a lossy link or NullBackend).
-  struct OffloadAnswer {
-    std::vector<int> predictions;
-    SteadyClock::time_point answered_at{};
-    bool failed = false;
-    bool gave_up = false;
-    // Simulated transfer delays of the answering dispatch (see
-    // OffloadTicket); meaningful only when predictions is non-empty.
-    double upload_s = 0.0;
-    double downlink_s = 0.0;
   };
 
   ResultHandle enqueue(Tensor images, SubmitOptions options, bool track_in_round);
@@ -483,10 +484,11 @@ class InferenceSession : public diag::DiagnosticProvider {
 
   // The offload dispatcher: the single shared cloud link, fed off the
   // worker hot path, ordered by the same (priority, deadline, arrival)
-  // key as the worker queue. `link_` simulates the WiFi transfers when
-  // configured.
+  // key as the worker queue. When `cell_` is set, the dispatcher times
+  // its transfers on it as station `station_`.
   PriorityBoundedQueue<OffloadJob> offload_queue_;
-  std::unique_ptr<SimulatedLink> link_;
+  std::shared_ptr<sim::SharedCell> cell_;
+  int station_ = 0;
   std::thread offload_worker_;
 
   // Completion callbacks run here, never on a worker.

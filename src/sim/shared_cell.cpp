@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <stdexcept>
 
 namespace meanet::sim {
-
-namespace detail {
 
 namespace {
 
@@ -17,8 +16,7 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-}  // namespace
-
+/// Uniform double in [0, width) from a splitmix64 hash of (seed, key).
 double hashed_jitter_s(std::uint64_t seed, std::uint64_t key, double width) {
   if (width <= 0.0) return 0.0;
   // Two mixing rounds so adjacent keys decorrelate; the top 53 bits give
@@ -28,15 +26,19 @@ double hashed_jitter_s(std::uint64_t seed, std::uint64_t key, double width) {
   return unit * width;
 }
 
-}  // namespace detail
+}  // namespace
 
 SharedCell::SharedCell(SharedCellConfig config)
     : config_(std::move(config)), clock_(resolve_clock(config_.clock)) {
-  if (config_.uplink.throughput_mbps <= 0.0 || config_.downlink.throughput_mbps <= 0.0) {
-    throw std::invalid_argument("SharedCell: non-positive throughput");
+  // Phrased so that NaN fails too: a NaN or infinite parameter makes a
+  // delay NaN or infinite, and hold() would then wait forever.
+  const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  const auto non_negative = [](double v) { return std::isfinite(v) && v >= 0.0; };
+  if (!positive(config_.uplink.throughput_mbps) || !positive(config_.downlink.throughput_mbps)) {
+    throw std::invalid_argument("SharedCell: throughput must be finite and positive");
   }
-  if (config_.base_latency_s < 0.0 || config_.jitter_s < 0.0) {
-    throw std::invalid_argument("SharedCell: negative latency or jitter");
+  if (!non_negative(config_.base_latency_s) || !non_negative(config_.jitter_s)) {
+    throw std::invalid_argument("SharedCell: latency and jitter must be finite and >= 0");
   }
   created_ = clock_->now();
   static std::atomic<std::uint64_t> next_cell_id{0};
@@ -79,13 +81,10 @@ int SharedCell::stations() const {
 
 double SharedCell::jitter_for(int station, std::uint64_t key,
                               std::uint64_t direction_salt) const {
-  // Station 0 with direction salt 0 must hash exactly like a plain
-  // single-station SimulatedLink (the parity contract), so the station
-  // salt vanishes for station 0.
   const std::uint64_t salted =
       config_.seed ^ (static_cast<std::uint64_t>(station) * 0x9E3779B97F4A7C15ULL) ^
       direction_salt;
-  return detail::hashed_jitter_s(salted, key, config_.jitter_s);
+  return hashed_jitter_s(salted, key, config_.jitter_s);
 }
 
 double SharedCell::delay_s(const WifiModel& model, int station, std::uint64_t key,

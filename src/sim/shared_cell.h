@@ -2,10 +2,10 @@
 // every station attached to it (paper §IV-B generalized to multiple
 // devices under one access point).
 //
-// PR 3 gave each InferenceSession a private SimulatedLink: uploads paid
-// WiFi time but replies were free and nobody contended for the medium.
-// SharedCell closes both gaps. Several sessions attach to one cell;
-// every transfer — an offload payload going up, its answer coming down —
+// The cell is the session's only link model: an InferenceSession whose
+// EngineConfig::cell is set attaches to it as one station, and a
+// session alone on a link is simply a cell with one station. Every
+// transfer — an offload payload going up, its answer coming down —
 // costs airtime, plus the base round-trip floor and a seeded jitter
 // draw. Two sharing models:
 //
@@ -16,10 +16,7 @@
 //    station id, transfer key, byte size, direction, attached
 //    stations) — the jitter comes from hashing, not a shared RNG
 //    stream — so same-seed runs see bit-identical delays at any worker
-//    count, and station 0 alone on a cell reproduces a standalone
-//    SimulatedLink exactly (runtime/transport.cpp builds a private
-//    single-station cell from every plain TransportConfig, so the
-//    parity is structural).
+//    count.
 //
 //  * Activity-dependent share (SharedCellConfig::
 //    activity_dependent_sharing, the model PR 5 deferred): each
@@ -80,8 +77,8 @@ struct SharedCellConfig {
   double base_latency_s = 0.0;
   /// Width of the uniform jitter added per transfer, seconds. 0 = none.
   double jitter_s = 0.0;
-  /// Seed of the jitter hash. Station 0's draws with this seed equal a
-  /// standalone SimulatedLink's draws with the same seed.
+  /// Seed of the jitter hash: the same seed reproduces the same
+  /// per-transfer delays for the same (station, key, direction).
   std::uint64_t seed = 0x1f1ULL;
   /// Fair-share over *instantaneously transmitting* stations instead of
   /// the static attached-station split — see the header comment. Off by
@@ -90,7 +87,8 @@ struct SharedCellConfig {
   bool activity_dependent_sharing = false;
   /// Clock the cell times its transfers and utilization window on; null
   /// = the process WallClock. Every session transferring on the cell
-  /// must share this clock (SimulatedLink enforces it by pointer).
+  /// must share this clock (InferenceSession's constructor enforces it
+  /// by pointer).
   std::shared_ptr<Clock> clock;
 };
 
@@ -207,12 +205,5 @@ class SharedCell : public diag::DiagnosticProvider {
   std::string diag_name_;
   diag::ScopedRegistration diag_registration_;
 };
-
-namespace detail {
-/// Uniform double in [0, width) from a splitmix64 hash of (seed, key):
-/// the deterministic jitter primitive shared by SharedCell and the
-/// standalone SimulatedLink.
-double hashed_jitter_s(std::uint64_t seed, std::uint64_t key, double width);
-}  // namespace detail
 
 }  // namespace meanet::sim

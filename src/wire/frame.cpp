@@ -10,8 +10,6 @@ namespace meanet::wire {
 namespace {
 
 constexpr std::uint32_t kMaxErrorMessage = 1u << 12;
-constexpr std::uint32_t kFlagImages = 1u << 0;
-constexpr std::uint32_t kFlagFeatures = 1u << 1;
 
 /// resize + memcpy rather than vector::insert: GCC 12's
 /// -Wstringop-overflow misreads the inlined insert of a few bytes.
@@ -127,42 +125,25 @@ bool read_frame(Transport& transport, Frame& out, const FrameLimits& limits) {
 
 std::vector<std::uint8_t> encode_offload_request(const runtime::OffloadPayload& payload) {
   std::vector<std::uint8_t> out;
-  std::uint32_t flags = 0;
-  if (!payload.images.empty()) flags |= kFlagImages;
-  if (!payload.features.empty()) flags |= kFlagFeatures;
-  append_pod(out, flags);
-  if (!payload.images.empty()) nn::append_tensor(out, payload.images);
-  if (!payload.features.empty()) nn::append_tensor(out, payload.features);
+  nn::append_tensor(out, payload.images);
   return out;
 }
 
 runtime::OffloadPayload decode_offload_request(const std::vector<std::uint8_t>& bytes) {
   return decode_guarded("decode_offload_request", [&] {
     nn::ByteReader reader(bytes.data(), bytes.size());
-    const auto flags = reader.read<std::uint32_t>();
-    if ((flags & ~(kFlagImages | kFlagFeatures)) != 0) {
-      throw ProtocolError("decode_offload_request: unknown payload flags");
-    }
     runtime::OffloadPayload payload;
-    if (flags & kFlagImages) payload.images = nn::read_tensor(reader);
-    if (flags & kFlagFeatures) payload.features = nn::read_tensor(reader);
+    payload.images = nn::read_tensor(reader);
     if (!reader.done()) {
-      throw ProtocolError("decode_offload_request: trailing bytes after tensors");
+      throw ProtocolError("decode_offload_request: trailing bytes after the tensor");
     }
-    if (payload.images.empty() && payload.features.empty()) {
-      throw ProtocolError("decode_offload_request: request carries no tensors");
-    }
-    // Offload batches are NCHW rows ([K,C,H,W] / [K,c,h,w]); anything
-    // else would crash the server's row bookkeeping downstream.
-    if (!payload.images.empty() && payload.images.shape().rank() != 4) {
+    // Offload batches are NCHW rows ([K,C,H,W], K >= 1); anything else
+    // would crash the server's row bookkeeping downstream.
+    if (payload.images.shape().rank() != 4) {
       throw ProtocolError("decode_offload_request: image tensor is not rank-4");
     }
-    if (!payload.features.empty() && payload.features.shape().rank() != 4) {
-      throw ProtocolError("decode_offload_request: feature tensor is not rank-4");
-    }
-    if (!payload.images.empty() && !payload.features.empty() &&
-        payload.images.shape().dim(0) != payload.features.shape().dim(0)) {
-      throw ProtocolError("decode_offload_request: image/feature row counts disagree");
+    if (payload.images.empty()) {
+      throw ProtocolError("decode_offload_request: image tensor is empty");
     }
     return payload;
   });
@@ -215,12 +196,8 @@ std::pair<ErrorCode, std::string> decode_error(const std::vector<std::uint8_t>& 
   });
 }
 
-std::int64_t request_wire_bytes(const Shape& image_shape, const Shape& feature_shape,
-                                bool images, bool features) {
-  std::int64_t bytes = static_cast<std::int64_t>(kFrameHeaderBytes) + 4;  // header + flags
-  if (images) bytes += nn::tensor_wire_bytes(image_shape);
-  if (features) bytes += nn::tensor_wire_bytes(feature_shape);
-  return bytes;
+std::int64_t request_wire_bytes(const Shape& image_shape) {
+  return static_cast<std::int64_t>(kFrameHeaderBytes) + nn::tensor_wire_bytes(image_shape);
 }
 
 }  // namespace meanet::wire

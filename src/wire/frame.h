@@ -22,8 +22,8 @@
 // ProtocolError too.
 //
 // Payloads reuse the project's single tensor byte format
-// (nn/serialize.h append_tensor/read_tensor) for image/feature batches
-// — the wire does NOT invent a second tensor encoding.
+// (nn/serialize.h append_tensor/read_tensor) for image batches — the
+// wire does NOT invent a second tensor encoding.
 #pragma once
 
 #include <cstdint>
@@ -39,14 +39,15 @@ namespace meanet::wire {
 /// Bump on any incompatible frame/payload change; both sides reject
 /// other versions (version-skew test in tests/test_wire_protocol.cpp).
 /// Version 2: kStatsRequest carries no payload and is answered with the
-/// diagnostics registry JSON.
-constexpr std::uint16_t kWireVersion = 2;
+/// diagnostics registry JSON. Version 3: an offload request's payload is
+/// the image tensor alone (no flags word, no feature tensor).
+constexpr std::uint16_t kWireVersion = 3;
 
 constexpr std::uint8_t kMagic[4] = {'M', 'W', 'I', 'R'};
 constexpr std::size_t kFrameHeaderBytes = 24;
 
 enum class Command : std::uint16_t {
-  kOffloadRequest = 1,   // payload: flags + image/feature tensors
+  kOffloadRequest = 1,   // payload: the image tensor
   kOffloadResponse = 2,  // payload: predicted labels
   kError = 3,            // payload: error code + message
   kStatsRequest = 4,     // payload: empty
@@ -101,8 +102,9 @@ bool read_frame(Transport& transport, Frame& out, const FrameLimits& limits = {}
 // Encoders produce the payload bytes of one command; decoders are
 // bounds-checked and throw ProtocolError on malformed input.
 
-/// Offload request: u32 flags (bit0 = images present, bit1 = features
-/// present) followed by the present tensors in that order.
+/// Offload request: the payload's [K,C,H,W] image tensor, K >= 1 (its
+/// features are not shipped). The decoder rejects a truncated tensor, a
+/// non-rank-4 or empty one, and trailing bytes.
 std::vector<std::uint8_t> encode_offload_request(const runtime::OffloadPayload& payload);
 runtime::OffloadPayload decode_offload_request(const std::vector<std::uint8_t>& bytes);
 
@@ -114,13 +116,12 @@ std::vector<int> decode_offload_response(const std::vector<std::uint8_t>& bytes)
 std::vector<std::uint8_t> encode_error(ErrorCode code, const std::string& message);
 std::pair<ErrorCode, std::string> decode_error(const std::vector<std::uint8_t>& bytes);
 
-/// Wire bytes of a single-instance offload request of the given
-/// geometries ([1,C,H,W] / [1,c,h,w]): frame header + flags + the
-/// present tensors' encodings. What a WireBackend's payload_bytes()
-/// prices and what the ablation bench reports as framing overhead —
-/// note float32 tensors cost 4 bytes/element where the in-process
-/// RawImageBackend prices an 8-bit upload at 1.
-std::int64_t request_wire_bytes(const Shape& image_shape, const Shape& feature_shape,
-                                bool images, bool features);
+/// Wire bytes of an offload request for images of `image_shape`
+/// (e.g. [1,C,H,W]): frame header + the tensor's encoding. What a
+/// WireBackend's payload_bytes() prices and what the ablation bench
+/// reports as framing overhead — note float32 tensors cost 4
+/// bytes/element where the in-process RawImageBackend prices an 8-bit
+/// upload at 1.
+std::int64_t request_wire_bytes(const Shape& image_shape);
 
 }  // namespace meanet::wire

@@ -10,33 +10,16 @@ namespace meanet::wire {
 
 namespace {
 
-/// Instances a pending payload carries (its dim-0 row count).
-std::int64_t payload_instances(const runtime::OffloadPayload& payload) {
-  if (!payload.images.empty()) return payload.images.shape().dim(0);
-  return payload.features.shape().dim(0);
-}
-
-/// Per-instance geometry of a tensor ("" when absent): batchable
-/// requests must agree on it per modality.
-std::string row_signature(const Tensor& t) {
-  if (t.empty()) return "";
-  std::string sig;
-  for (int i = 1; i < t.shape().rank(); ++i) {
-    sig += std::to_string(t.shape().dim(i));
-    sig += 'x';
-  }
-  return sig;
-}
-
+/// Requests coalesce only when their images share one row geometry
+/// (the decoder guarantees rank-4 tensors).
 bool batchable(const runtime::OffloadPayload& a, const runtime::OffloadPayload& b) {
-  return row_signature(a.images) == row_signature(b.images) &&
-         row_signature(a.features) == row_signature(b.features);
+  const std::vector<int>& x = a.images.shape().dims();
+  const std::vector<int>& y = b.images.shape().dims();
+  return std::equal(x.begin() + 1, x.end(), y.begin() + 1, y.end());
 }
 
-/// Concatenates same-row-geometry tensors along dim 0 (empty inputs →
-/// empty output).
+/// Concatenates same-row-geometry tensors along dim 0.
 Tensor concat_rows(const std::vector<const Tensor*>& parts) {
-  if (parts.empty() || parts.front()->empty()) return {};
   std::vector<int> dims = parts.front()->shape().dims();
   dims[0] = 0;
   for (const Tensor* t : parts) dims[0] += t->shape().dim(0);
@@ -164,7 +147,7 @@ void WireServer::reader_loop(std::shared_ptr<Connection> conn) {
           reject_malformed(*conn, frame.request_id, e.what());
           continue;  // payload was framed correctly; the stream is still good
         }
-        pending.instances = payload_instances(pending.payload);
+        pending.instances = pending.payload.images.shape().dim(0);
         {
           std::lock_guard<std::mutex> lock(mutex_);
           pending_.push_back(std::move(pending));
@@ -244,13 +227,9 @@ void WireServer::serve_group(std::vector<Pending>& group) {
       predictions = backend_->classify(group.front().payload);
     } else {
       runtime::OffloadPayload combined;
-      std::vector<const Tensor*> images, features;
-      for (const Pending& p : group) {
-        if (!p.payload.images.empty()) images.push_back(&p.payload.images);
-        if (!p.payload.features.empty()) features.push_back(&p.payload.features);
-      }
+      std::vector<const Tensor*> images;
+      for (const Pending& p : group) images.push_back(&p.payload.images);
       combined.images = concat_rows(images);
-      combined.features = concat_rows(features);
       predictions = backend_->classify(combined);
     }
   } catch (const std::exception& e) {

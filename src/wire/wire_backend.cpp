@@ -79,16 +79,16 @@ Frame WireBackend::roundtrip(Command command, const std::vector<std::uint8_t>& p
 }
 
 std::vector<int> WireBackend::classify(const runtime::OffloadPayload& payload) {
-  // The session gathers exactly the representations needs_images() /
-  // needs_features() asked for, so the payload ships as-is.
+  // The session gathers the images needs_images() asked for; they are
+  // the whole request.
   const Frame reply = roundtrip(Command::kOffloadRequest, encode_offload_request(payload),
                                 Command::kOffloadResponse);
   return decode_offload_response(reply.payload);
 }
 
 std::int64_t WireBackend::payload_bytes(const Shape& image_shape,
-                                        const Shape& feature_shape) const {
-  return request_wire_bytes(image_shape, feature_shape, true, false);
+                                        const Shape& /*feature_shape*/) const {
+  return request_wire_bytes(image_shape);
 }
 
 std::string WireBackend::describe() const {

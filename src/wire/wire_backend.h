@@ -8,7 +8,7 @@
 // Virtual-clock note: wire I/O blocks the dispatcher thread outside any
 // clock wait, so under a sim::VirtualClock the timeline simply stalls
 // while a frame is in flight — wire RTT costs zero virtual time. The
-// simulated SimulatedLink/SharedCell transfer model still prices the
+// session's simulated SharedCell transfer model still prices the
 // upload; the wire adds real-world delivery, not simulated airtime.
 #pragma once
 

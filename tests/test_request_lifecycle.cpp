@@ -2,8 +2,8 @@
 // API: per-route deadlines (expiry -> edge-prediction parity with
 // NullBackend, never worse), ResultHandle::cancel() racing cleanly with
 // the workers and the dispatcher, completion callbacks firing exactly
-// once and never on a serving worker thread, and the WiFi-timed
-// offload transport (seeded, reproducible jitter).
+// once and never on a serving worker thread, and WiFi-timed offloads
+// on a session's cell (the upload gates the answer).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,7 +17,6 @@
 
 #include "runtime/backend_decorators.h"
 #include "runtime/session.h"
-#include "runtime/transport.h"
 
 #include "core/builders.h"
 #include "core/trainer.h"
@@ -418,16 +417,17 @@ TEST(WifiTransport, UploadTimeScalesWithPayloadAndGatesTheAnswer) {
   Fixture& f = Fixture::instance();
   // A frame is 2x8x8 -> 128 payload bytes for the raw-image backend.
   // At 0.01 Mb/s that is a 102.4ms upload.
-  TransportConfig transport;
-  transport.wifi.throughput_mbps = 0.01;
-  const double upload_s = transport.wifi.upload_time_s(128);
+  auto clock = std::make_shared<sim::VirtualClock>();
+  sim::SharedCellConfig cell_config;
+  cell_config.uplink.throughput_mbps = 0.01;
+  cell_config.clock = clock;
+  const double upload_s = cell_config.uplink.upload_time_s(128);
   ASSERT_NEAR(upload_s, 0.1024, 1e-9);
 
-  auto clock = std::make_shared<sim::VirtualClock>();
   EngineConfig cfg = f.config();
   cfg.policy_config.entropy_threshold = 0.0;  // the frame -> cloud
   cfg.backend = std::make_shared<RawImageBackend>(&f.cloud);
-  cfg.transport = transport;
+  cfg.cell = std::make_shared<sim::SharedCell>(cell_config);
   cfg.clock = clock;
   InferenceSession session(cfg);
   sim::ActorGuard driver(*clock);
@@ -444,32 +444,6 @@ TEST(WifiTransport, UploadTimeScalesWithPayloadAndGatesTheAnswer) {
   EXPECT_GE(waited_s, upload_s);           // ...but only after the upload
   const SessionMetrics m = session.metrics();
   EXPECT_GE(m.route(core::Route::kCloud).p50_s, upload_s);
-}
-
-TEST(WifiTransport, JitterIsSeededAndReproducible) {
-  TransportConfig config;
-  config.wifi.throughput_mbps = 10.0;
-  config.base_latency_s = 0.001;
-  config.jitter_s = 0.050;
-  config.seed = 99;
-  SimulatedLink a(config), b(config);
-  for (std::uint64_t i = 0; i < 32; ++i) {
-    const double da = a.uplink_delay_s(i, 1024);
-    EXPECT_DOUBLE_EQ(da, b.uplink_delay_s(i, 1024));
-    EXPECT_GE(da, config.base_latency_s + config.wifi.upload_time_s(1024));
-    EXPECT_LE(da, config.base_latency_s + config.wifi.upload_time_s(1024) + config.jitter_s);
-  }
-  config.seed = 100;
-  SimulatedLink c(config);
-  bool diverged = false;
-  for (std::uint64_t i = 0; i < 32 && !diverged; ++i) {
-    diverged = a.uplink_delay_s(i, 1024) != c.uplink_delay_s(i, 1024);
-  }
-  EXPECT_TRUE(diverged);
-
-  TransportConfig bad = config;
-  bad.jitter_s = -0.1;
-  EXPECT_THROW(SimulatedLink{bad}, std::invalid_argument);
 }
 
 TEST(WifiTransport, CongestedCellScalesUploadTime) {

@@ -1,18 +1,18 @@
 // Contention determinism tests for sim::SharedCell and the downlink
 // model: cell-level delay math (fair-share contention, hashed seeded
-// jitter, airtime accounting), bit-identical per-request timings for
-// two sessions sharing one cell — across runs at the same seed and at
-// different worker counts — downlink cost scaling with response payload
-// bytes, and single-session-on-cell parity with the standalone
-// SimulatedLink.
+// jitter, airtime accounting, configuration checks), bit-identical
+// per-request timings for two sessions sharing one cell — across runs
+// at the same seed and at different worker counts — and downlink cost
+// scaling with the number of answered instances.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "runtime/session.h"
-#include "runtime/transport.h"
 #include "sim/shared_cell.h"
 
 #include "core/builders.h"
@@ -66,14 +66,25 @@ TEST(SharedCellMath, DownlinkCostScalesWithResponseBytes) {
 
 TEST(SharedCellMath, JitterIsSeededPerStationAndDirection) {
   sim::SharedCellConfig config;
+  // Equal uplink and downlink rates, so only the jitter draw can make
+  // the two directions' delays differ.
+  config.uplink.throughput_mbps = 10.0;
+  config.downlink.throughput_mbps = 10.0;
+  config.base_latency_s = 0.001;
   config.jitter_s = 0.050;
   config.seed = 0xABCD;
   sim::SharedCell a(config), b(config);
   const int a0 = a.attach(), a1 = a.attach();
   const int b0 = b.attach(), b1 = b.attach();
 
+  // Every draw lands in [base + transfer, base + transfer + jitter],
+  // the transfer charged at the two-station share.
+  const double floor_s = config.base_latency_s + 2.0 * config.uplink.upload_time_s(1024);
   bool stations_diverged = false, directions_diverged = false;
   for (std::uint64_t key = 0; key < 32; ++key) {
+    const double delay_s = a.uplink_delay_s(a0, key, 1024);
+    EXPECT_GE(delay_s, floor_s);
+    EXPECT_LE(delay_s, floor_s + config.jitter_s);
     // Same seed, same station, same key -> identical across cells.
     EXPECT_DOUBLE_EQ(a.uplink_delay_s(a0, key, 1024), b.uplink_delay_s(b0, key, 1024));
     EXPECT_DOUBLE_EQ(a.uplink_delay_s(a1, key, 1024), b.uplink_delay_s(b1, key, 1024));
@@ -88,14 +99,19 @@ TEST(SharedCellMath, JitterIsSeededPerStationAndDirection) {
   EXPECT_TRUE(stations_diverged);
   EXPECT_TRUE(directions_diverged);
 
-  // A different seed diverges.
+  // A different seed diverges: two fresh one-station cells that differ
+  // only in seed, so contention cannot make their delays differ.
   sim::SharedCellConfig other = config;
   other.seed = 0xABCE;
-  sim::SharedCell c(other);
-  const int c0 = c.attach();
+  sim::SharedCell solo(config), reseeded(other);
+  const int s0 = solo.attach(), r0 = reseeded.attach();
+  const double solo_floor_s = config.base_latency_s + config.uplink.upload_time_s(1024);
   bool seed_diverged = false;
-  for (std::uint64_t key = 0; key < 32 && !seed_diverged; ++key) {
-    seed_diverged = a.uplink_delay_s(a0, key, 1024) != c.uplink_delay_s(c0, key, 1024);
+  for (std::uint64_t key = 0; key < 32; ++key) {
+    const double delay_s = reseeded.uplink_delay_s(r0, key, 1024);
+    EXPECT_GE(delay_s, solo_floor_s);
+    EXPECT_LE(delay_s, solo_floor_s + config.jitter_s);
+    if (solo.uplink_delay_s(s0, key, 1024) != delay_s) seed_diverged = true;
   }
   EXPECT_TRUE(seed_diverged);
 }
@@ -110,6 +126,25 @@ TEST(SharedCellMath, ValidatesConfiguration) {
   bad = sim::SharedCellConfig{};
   bad.jitter_s = -0.1;
   EXPECT_THROW(sim::SharedCell{bad}, std::invalid_argument);
+
+  // NaN passes a plain `<= 0` / `< 0` test, and a NaN or infinite
+  // parameter makes every transfer wait forever: each must be refused.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v : {nan, inf, -inf}) {
+    bad = sim::SharedCellConfig{};
+    bad.uplink.throughput_mbps = v;
+    EXPECT_THROW(sim::SharedCell{bad}, std::invalid_argument) << "uplink " << v;
+    bad = sim::SharedCellConfig{};
+    bad.downlink.throughput_mbps = v;
+    EXPECT_THROW(sim::SharedCell{bad}, std::invalid_argument) << "downlink " << v;
+    bad = sim::SharedCellConfig{};
+    bad.base_latency_s = v;
+    EXPECT_THROW(sim::SharedCell{bad}, std::invalid_argument) << "base latency " << v;
+    bad = sim::SharedCellConfig{};
+    bad.jitter_s = v;
+    EXPECT_THROW(sim::SharedCell{bad}, std::invalid_argument) << "jitter " << v;
+  }
 }
 
 TEST(SharedCellMath, AirtimeAccountingSumsTransfersNotBaseLatency) {
@@ -206,40 +241,32 @@ void expect_bit_identical(const RequestTimings& a, const RequestTimings& b) {
   }
 }
 
-/// Transport parameters fast enough that the dispatcher's simulated
-/// sleeps stay in the microsecond range (a 128-byte frame at 18.88 Mb/s
-/// is ~54us).
-TransportConfig fast_jittered_transport() {
-  TransportConfig transport;
-  transport.base_latency_s = 0.0001;
-  transport.jitter_s = 0.0002;
-  transport.seed = 0x5E11;
-  return transport;
+/// Cell parameters fast enough that the dispatcher's simulated sleeps
+/// stay in the microsecond range (a 128-byte frame at 18.88 Mb/s is
+/// ~54us).
+sim::SharedCellConfig fast_jittered_cell() {
+  sim::SharedCellConfig cell_config;
+  cell_config.base_latency_s = 0.0001;
+  cell_config.jitter_s = 0.0002;
+  cell_config.seed = 0x5E11;
+  return cell_config;
 }
 
-/// Runs `frames` frames through two sessions sharing one cell built
-/// from `transport` (the cell field is filled here) and returns both
-/// sessions' per-request timings plus the cell's busy seconds.
+/// Runs `frames` frames through two sessions sharing one fresh cell
+/// built from `cell_config` and returns both sessions' per-request
+/// timings plus the cell's busy seconds.
 struct TwoSessionRun {
   RequestTimings a, b;
   double busy_s = 0.0;
 };
 
-TwoSessionRun run_two_sessions(Fixture& f, TransportConfig transport, int frames,
+TwoSessionRun run_two_sessions(Fixture& f, const sim::SharedCellConfig& cell_config, int frames,
                                int worker_threads) {
-  sim::SharedCellConfig cell_config;
-  cell_config.uplink = transport.wifi;
-  cell_config.downlink = transport.downlink;
-  cell_config.base_latency_s = transport.base_latency_s;
-  cell_config.jitter_s = transport.jitter_s;
-  cell_config.seed = transport.seed;
   auto cell = std::make_shared<sim::SharedCell>(cell_config);
-  transport.cell = cell;
-
   EngineConfig cfg_a = f.config(worker_threads);
-  cfg_a.transport = transport;
+  cfg_a.cell = cell;
   EngineConfig cfg_b = f.config(worker_threads);
-  cfg_b.transport = transport;
+  cfg_b.cell = cell;
 
   TwoSessionRun out;
   {
@@ -272,11 +299,11 @@ TwoSessionRun run_two_sessions(Fixture& f, TransportConfig transport, int frames
 TEST(SharedCellSessions, TwoSessionsAreBitIdenticalAcrossRunsAndWorkerCounts) {
   Fixture& f = Fixture::instance();
   constexpr int kFrames = 16;
-  const TransportConfig transport = fast_jittered_transport();
+  const sim::SharedCellConfig cell_config = fast_jittered_cell();
 
-  const TwoSessionRun first = run_two_sessions(f, transport, kFrames, 1);
-  const TwoSessionRun second = run_two_sessions(f, transport, kFrames, 1);
-  const TwoSessionRun threaded = run_two_sessions(f, transport, kFrames, 4);
+  const TwoSessionRun first = run_two_sessions(f, cell_config, kFrames, 1);
+  const TwoSessionRun second = run_two_sessions(f, cell_config, kFrames, 1);
+  const TwoSessionRun threaded = run_two_sessions(f, cell_config, kFrames, 4);
 
   // Same seed, same run: bit-identical per-request timings...
   expect_bit_identical(first.a, second.a);
@@ -312,12 +339,12 @@ TEST(SharedCellSessions, TwoSessionsAreBitIdenticalAcrossRunsAndWorkerCounts) {
 TEST(SharedCellSessions, ContentionDoublesUploadTimeOfEveryPayload) {
   Fixture& f = Fixture::instance();
   constexpr int kFrames = 6;
-  TransportConfig transport;  // no jitter, no base RTT: pure transfer time
-  const TwoSessionRun contended = run_two_sessions(f, transport, kFrames, 1);
+  const sim::SharedCellConfig cell_config;  // no jitter, no base RTT: pure transfer time
+  const TwoSessionRun contended = run_two_sessions(f, cell_config, kFrames, 1);
 
-  // Solo baseline on a plain (private, single-station) link.
+  // Solo baseline: the session alone on a fresh cell.
   EngineConfig cfg = f.config(1);
-  cfg.transport = transport;
+  cfg.cell = std::make_shared<sim::SharedCell>(cell_config);
   InferenceSession solo(cfg);
   std::vector<ResultHandle> handles;
   for (int i = 0; i < kFrames; ++i) handles.push_back(solo.submit(f.ds.test.instance(i)));
@@ -332,62 +359,30 @@ TEST(SharedCellSessions, ContentionDoublesUploadTimeOfEveryPayload) {
   }
 }
 
-TEST(SharedCellSessions, SingleSessionOnCellMatchesStandaloneLinkExactly) {
-  Fixture& f = Fixture::instance();
-  constexpr int kFrames = 12;
-  const TransportConfig plain = fast_jittered_transport();
-
-  // Standalone link (PR 3 shape: TransportConfig without a cell).
-  EngineConfig cfg_plain = f.config(1);
-  cfg_plain.transport = plain;
-
-  // The same parameters as an explicit one-station cell.
-  TransportConfig on_cell = plain;
-  sim::SharedCellConfig cell_config;
-  cell_config.uplink = plain.wifi;
-  cell_config.downlink = plain.downlink;
-  cell_config.base_latency_s = plain.base_latency_s;
-  cell_config.jitter_s = plain.jitter_s;
-  cell_config.seed = plain.seed;
-  on_cell.cell = std::make_shared<sim::SharedCell>(cell_config);
-  EngineConfig cfg_cell = f.config(1);
-  cfg_cell.transport = on_cell;
-
-  auto serve = [&](EngineConfig cfg) {
-    InferenceSession session(cfg);
-    std::vector<ResultHandle> handles;
-    for (int i = 0; i < kFrames; ++i) handles.push_back(session.submit(f.ds.test.instance(i)));
-    std::vector<InferenceResult> results;
-    for (ResultHandle& h : handles) results.push_back(h.wait().front());
-    session.drain();
-    return RequestTimings::of(results);
-  };
-
-  // Backward-compat parity: alone on the cell, every per-request timing
-  // (including the seeded jitter draws) equals the standalone link's.
-  expect_bit_identical(serve(cfg_plain), serve(std::move(cfg_cell)));
-}
-
 TEST(SharedCellSessions, DownlinkGatesTheAnswerAndScalesWithResponseBytes) {
   Fixture& f = Fixture::instance();
-  // Uplink fast; downlink slow enough to dominate: a 125 kB response at
-  // 100 Mb/s is a 10ms transfer.
-  TransportConfig transport;
-  transport.downlink.throughput_mbps = 100.0;
-  transport.response_bytes_per_instance = 125000;
-  const double expected_down_s = transport.downlink.upload_time_s(125000);
+  // Uplink fast; downlink slow enough to dominate: one instance's
+  // answer at 0.0032 Mb/s is a 10ms transfer.
+  sim::SharedCellConfig cell_config;
+  cell_config.downlink.throughput_mbps = 0.0032;
+  const double expected_down_s = cell_config.downlink.upload_time_s(kResponseBytesPerInstance);
   ASSERT_NEAR(expected_down_s, 0.010, 1e-12);
 
-  EngineConfig cfg = f.config(1);
-  cfg.transport = transport;
-  InferenceSession session(cfg);
+  // Each request gets a fresh session on a fresh cell; the jitter is
+  // zero, so the values are exact.
+  auto serve = [&](const Tensor& images) {
+    EngineConfig cfg = f.config(1);
+    cfg.cell = std::make_shared<sim::SharedCell>(cell_config);
+    InferenceSession session(cfg);
+    const auto started = std::chrono::steady_clock::now();
+    const auto results = session.submit(images).wait();
+    const double waited_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
+    session.drain();
+    return std::make_pair(results, waited_s);
+  };
 
-  const auto started = std::chrono::steady_clock::now();
-  const auto results = session.submit(f.ds.test.instance(0)).wait();
-  const double waited_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
-  session.drain();
-
+  const auto [results, waited_s] = serve(f.ds.test.instance(0));
   ASSERT_EQ(results.size(), 1u);
   EXPECT_TRUE(results.front().offloaded);
   // The reported downlink occupancy is the pure-function transfer time,
@@ -395,36 +390,21 @@ TEST(SharedCellSessions, DownlinkGatesTheAnswerAndScalesWithResponseBytes) {
   EXPECT_DOUBLE_EQ(results.front().download_time_s, expected_down_s);
   EXPECT_GE(waited_s, results.front().upload_time_s + expected_down_s);
 
-  // Double the response, double the transfer (fresh session; the jitter
-  // is zero so the values are exact).
-  TransportConfig doubled = transport;
-  doubled.response_bytes_per_instance = 250000;
-  EngineConfig cfg2 = f.config(1);
-  cfg2.transport = doubled;
-  InferenceSession session2(cfg2);
-  const auto results2 = session2.submit(f.ds.test.instance(0)).wait();
-  session2.drain();
-  ASSERT_EQ(results2.size(), 1u);
-  EXPECT_DOUBLE_EQ(results2.front().download_time_s, 2.0 * expected_down_s);
-
-  // And zero response bytes restore PR 3's free answers.
-  TransportConfig free_answers = transport;
-  free_answers.response_bytes_per_instance = 0;
-  EngineConfig cfg3 = f.config(1);
-  cfg3.transport = free_answers;
-  InferenceSession session3(cfg3);
-  const auto results3 = session3.submit(f.ds.test.instance(0)).wait();
-  session3.drain();
-  ASSERT_EQ(results3.size(), 1u);
-  EXPECT_TRUE(results3.front().offloaded);
-  EXPECT_DOUBLE_EQ(results3.front().download_time_s, 0.0);
+  // Two answered instances in one payload: double the bytes, double the
+  // downlink transfer.
+  const auto [pair_results, pair_waited_s] = serve(f.ds.test.images.slice_batch(0, 2));
+  ASSERT_EQ(pair_results.size(), 2u);
+  for (const InferenceResult& r : pair_results) {
+    EXPECT_TRUE(r.offloaded);
+    EXPECT_DOUBLE_EQ(r.download_time_s, 2.0 * expected_down_s);
+  }
+  EXPECT_GE(pair_waited_s, 2.0 * expected_down_s);
 }
 
 TEST(SharedCellSessions, MetricsSurfaceCellAirtime) {
   Fixture& f = Fixture::instance();
-  const TransportConfig transport = fast_jittered_transport();
   EngineConfig cfg = f.config(1);
-  cfg.transport = transport;
+  cfg.cell = std::make_shared<sim::SharedCell>(fast_jittered_cell());
   InferenceSession session(cfg);
   for (int i = 0; i < 4; ++i) session.submit(f.ds.test.instance(i)).wait();
   const SessionMetrics m = session.metrics();

@@ -26,7 +26,6 @@
 
 #include "runtime/backend_decorators.h"
 #include "runtime/session.h"
-#include "runtime/transport.h"
 
 #include "core/builders.h"
 #include "core/trainer.h"
@@ -276,11 +275,11 @@ TEST(Soak, DeadlineBoundsTailLatencyAtEdgeParityOnAWifiTimedLink) {
 
   // A WiFi cell so slow that one 128-byte frame upload takes ~80ms,
   // plus up to 20ms of seeded jitter.
-  TransportConfig transport;
-  transport.wifi.throughput_mbps = 0.0128;
-  transport.jitter_s = 0.020;
-  transport.seed = 0x31415;
-  const double upload_s = transport.wifi.upload_time_s(128);
+  sim::SharedCellConfig cell_config;
+  cell_config.uplink.throughput_mbps = 0.0128;
+  cell_config.jitter_s = 0.020;
+  cell_config.seed = 0x31415;
+  const double upload_s = cell_config.uplink.upload_time_s(128);
   ASSERT_NEAR(upload_s, 0.080, 0.001);
   constexpr double kDeadlineS = 0.012;
   constexpr int kFrames = 12;
@@ -289,7 +288,10 @@ TEST(Soak, DeadlineBoundsTailLatencyAtEdgeParityOnAWifiTimedLink) {
     auto clock = std::make_shared<sim::VirtualClock>();
     EngineConfig cfg = f.config();
     cfg.backend = std::make_shared<RawImageBackend>(&f.cloud);
-    cfg.transport = transport;
+    // A fresh one-station cell per session, on the session's clock.
+    sim::SharedCellConfig session_cell = cell_config;
+    session_cell.clock = clock;
+    cfg.cell = std::make_shared<sim::SharedCell>(session_cell);
     cfg.clock = clock;
     if (with_deadline) {
       cfg.route_deadline_s[static_cast<std::size_t>(core::Route::kCloud)] = kDeadlineS;

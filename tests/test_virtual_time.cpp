@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "runtime/session.h"
-#include "runtime/transport.h"
 #include "sim/clock.h"
 #include "sim/event_loop.h"
 #include "sim/shared_cell.h"
@@ -204,24 +203,8 @@ TEST(VirtualClockBasics, ClockWaitsForRunnableActorsBeforeAdvancing) {
 }
 
 // ---------------------------------------------------------------------
-// Clock identity: a session and its shared cell must tick together
+// Cells on a VirtualClock
 // ---------------------------------------------------------------------
-
-TEST(VirtualClockLinks, MismatchedSessionAndCellClocksThrow) {
-  auto virtual_clock = std::make_shared<sim::VirtualClock>();
-  sim::SharedCellConfig cell_config;
-  cell_config.clock = virtual_clock;
-  TransportConfig transport;
-  transport.cell = std::make_shared<sim::SharedCell>(cell_config);
-
-  // Session on the default WallClock, cell on a VirtualClock: refused.
-  EXPECT_THROW(SimulatedLink(transport, nullptr), std::invalid_argument);
-  // A different VirtualClock instance is just as wrong.
-  EXPECT_THROW(SimulatedLink(transport, std::make_shared<sim::VirtualClock>()),
-               std::invalid_argument);
-  // The same instance is fine.
-  EXPECT_NO_THROW(SimulatedLink(transport, virtual_clock));
-}
 
 TEST(VirtualClockCells, FreshCellReportsZeroUtilizationWithinOneVirtualInstant) {
   sim::SharedCellConfig config;
@@ -396,6 +379,34 @@ struct Fixture {
   }
 };
 
+// Clock identity: a session and its cell must tick together.
+TEST(VirtualClockLinks, MismatchedSessionAndCellClocksThrow) {
+  Fixture& f = Fixture::instance();
+  auto virtual_clock = std::make_shared<sim::VirtualClock>();
+  sim::SharedCellConfig cell_config;
+  cell_config.clock = virtual_clock;
+  auto cell = std::make_shared<sim::SharedCell>(cell_config);
+  EngineConfig cfg = f.config(1);
+  cfg.cell = cell;
+
+  // Session on the default WallClock, cell on a VirtualClock: refused,
+  // and the refused session leaves no station attached.
+  EXPECT_THROW(InferenceSession{cfg}, std::invalid_argument);
+  EXPECT_EQ(cell->stations(), 0);
+  // A different VirtualClock instance is just as wrong.
+  cfg.clock = std::make_shared<sim::VirtualClock>();
+  EXPECT_THROW(InferenceSession{cfg}, std::invalid_argument);
+  EXPECT_EQ(cell->stations(), 0);
+  // The same instance is fine: the session holds one station while it
+  // lives.
+  cfg.clock = virtual_clock;
+  {
+    InferenceSession session(cfg);
+    EXPECT_EQ(cell->stations(), 1);
+  }
+  EXPECT_EQ(cell->stations(), 0);
+}
+
 /// Everything a scenario run produces, ordered by request id: the
 /// clock-independent outcomes (route, prediction, transfer delays) and
 /// the virtual-time figures (e2e latency, settle order) the determinism
@@ -436,15 +447,16 @@ void fill_run(ScenarioRun& run, const std::vector<double>& submit_s,
 
 /// One seeded single-session scenario: `frames` frames submitted with a
 /// fixed inter-arrival gap by a clock-registered driver over a jittered
-/// transport. `clock` null = WallClock (the pre-seam path).
+/// one-station cell. `clock` null = WallClock (the pre-seam path).
 ScenarioRun run_scenario(Fixture& f, std::shared_ptr<sim::Clock> clock, int workers,
                          int frames, double gap_s) {
   EngineConfig cfg = f.config(workers);
-  TransportConfig transport;
-  transport.base_latency_s = 0.0005;
-  transport.jitter_s = 0.0002;
-  transport.seed = 0x5EED;
-  cfg.transport = transport;
+  sim::SharedCellConfig cell_config;
+  cell_config.base_latency_s = 0.0005;
+  cell_config.jitter_s = 0.0002;
+  cell_config.seed = 0x5EED;
+  cell_config.clock = clock;
+  cfg.cell = std::make_shared<sim::SharedCell>(cell_config);
   cfg.clock = clock;
 
   const std::shared_ptr<sim::Clock> clk = sim::resolve_clock(clock);
@@ -563,14 +575,12 @@ TEST(VirtualTimeAcceptance, TwoSessionsOnASaturatedCellReplayMinutesInMillisecon
     cell_config.seed = 0xF1EE7;
     cell_config.clock = clock;
     auto cell = std::make_shared<sim::SharedCell>(cell_config);
-    TransportConfig transport;
-    transport.cell = cell;
 
     EngineConfig cfg_a = f.config(workers);
-    cfg_a.transport = transport;
+    cfg_a.cell = cell;
     cfg_a.clock = clock;
     EngineConfig cfg_b = f.config(workers);
-    cfg_b.transport = transport;
+    cfg_b.cell = cell;
     cfg_b.clock = clock;
 
     TwoSessionRun out;
@@ -660,12 +670,15 @@ TEST(VirtualTimeAcceptance, TwoSessionsOnASaturatedCellReplayMinutesInMillisecon
 
 TEST(VirtualTimeSessions, FreshSessionReportsZeroAirtimeUtilizationNotNaN) {
   Fixture& f = Fixture::instance();
+  auto clock = std::make_shared<sim::VirtualClock>();
+  sim::SharedCellConfig cell_config;
+  cell_config.clock = clock;
   EngineConfig cfg = f.config(1);
-  cfg.transport = TransportConfig{};
-  cfg.clock = std::make_shared<sim::VirtualClock>();
+  cfg.cell = std::make_shared<sim::SharedCell>(cell_config);
+  cfg.clock = clock;
   InferenceSession session(cfg);
-  // Polled within the same virtual instant the session (and its private
-  // cell) was created: zero airtime over a zero-width window.
+  // Polled within the same virtual instant the session (and its cell)
+  // was created: zero airtime over a zero-width window.
   const SessionMetrics m = session.metrics();
   EXPECT_FALSE(std::isnan(m.cell_airtime_utilization));
   EXPECT_DOUBLE_EQ(m.cell_airtime_utilization, 0.0);

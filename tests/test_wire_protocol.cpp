@@ -241,11 +241,12 @@ TEST(FaultInjection, SplitWritesReassembleToo) {
 TEST(Codec, OffloadRequestRoundTrip) {
   runtime::OffloadPayload payload;
   payload.images = iota_tensor(Shape{2, 3, 4, 4});
-  payload.features = iota_tensor(Shape{2, 2, 2, 2});
   const auto bytes = encode_offload_request(payload);
+  // The payload is the image tensor alone: no flags word in front.
+  EXPECT_EQ(static_cast<std::int64_t>(bytes.size()), nn::tensor_wire_bytes(payload.images.shape()));
   const runtime::OffloadPayload back = decode_offload_request(bytes);
   EXPECT_TRUE(allclose(back.images, payload.images, 0.0f));
-  EXPECT_TRUE(allclose(back.features, payload.features, 0.0f));
+  EXPECT_TRUE(back.features.empty());
 }
 
 TEST(Codec, OffloadRequestRejectsHostileInput) {
@@ -253,34 +254,36 @@ TEST(Codec, OffloadRequestRejectsHostileInput) {
   payload.images = iota_tensor(Shape{1, 2, 3, 3});
   const auto good = encode_offload_request(payload);
 
-  // Trailing garbage after the tensors.
+  // Trailing garbage after the tensor.
   auto trailing = good;
   trailing.push_back(0);
   EXPECT_THROW(decode_offload_request(trailing), ProtocolError);
 
-  // Unknown flag bits.
-  auto flags = good;
-  flags[0] |= 0x80;
-  EXPECT_THROW(decode_offload_request(flags), ProtocolError);
-
-  // No tensors at all.
-  const std::vector<std::uint8_t> none = {0, 0, 0, 0};
-  EXPECT_THROW(decode_offload_request(none), ProtocolError);
-
-  // Truncated tensor data.
+  // Truncated tensor data, and a payload cut inside the tensor header.
   auto cut = good;
   cut.resize(cut.size() - 5);
   EXPECT_THROW(decode_offload_request(cut), ProtocolError);
+  EXPECT_THROW(decode_offload_request(std::vector<std::uint8_t>(good.begin(), good.begin() + 6)),
+               ProtocolError);
+  EXPECT_THROW(decode_offload_request({}), ProtocolError);
 
   // Hostile rank (claims 200 dims).
   auto rank = good;
-  rank[4] = 200;
+  rank[0] = 200;
   EXPECT_THROW(decode_offload_request(rank), ProtocolError);
 
-  // Non-NCHW tensor: re-encode a rank-2 tensor by hand.
-  std::vector<std::uint8_t> rank2 = {1, 0, 0, 0};  // flags: images
+  // Non-NCHW tensors: rank 2 and rank 3.
+  std::vector<std::uint8_t> rank2;
   nn::append_tensor(rank2, iota_tensor(Shape{2, 2}));
   EXPECT_THROW(decode_offload_request(rank2), ProtocolError);
+  std::vector<std::uint8_t> rank3;
+  nn::append_tensor(rank3, iota_tensor(Shape{2, 3, 3}));
+  EXPECT_THROW(decode_offload_request(rank3), ProtocolError);
+
+  // A rank-4 tensor with zero rows carries no instances.
+  std::vector<std::uint8_t> zero_rows;
+  nn::append_tensor(zero_rows, Tensor{Shape{0, 2, 3, 3}});
+  EXPECT_THROW(decode_offload_request(zero_rows), ProtocolError);
 }
 
 TEST(Codec, OffloadResponseRejectsCountMismatch) {
@@ -307,12 +310,14 @@ TEST(Codec, ErrorRejectsHostileLength) {
 
 TEST(Codec, RequestWireBytesPricesTheFraming) {
   const Shape image{1, 3, 8, 8};
-  const Shape feature{1, 4, 2, 2};
-  // header + flags + (rank + dims + f32 data) per shipped tensor.
-  const std::int64_t images_only = request_wire_bytes(image, feature, true, false);
-  EXPECT_EQ(images_only, 24 + 4 + (4 + 16 + 4 * image.numel()));
-  const std::int64_t both = request_wire_bytes(image, feature, true, true);
-  EXPECT_EQ(both, images_only + 4 + 16 + 4 * feature.numel());
+  // header + (rank + dims + f32 data) of the image tensor.
+  EXPECT_EQ(request_wire_bytes(image), 24 + (4 + 16 + 4 * image.numel()));
+  runtime::OffloadPayload payload;
+  payload.images = iota_tensor(image);
+  Frame frame;
+  frame.command = Command::kOffloadRequest;
+  frame.payload = encode_offload_request(payload);
+  EXPECT_EQ(request_wire_bytes(image), static_cast<std::int64_t>(encode_frame(frame).size()));
 }
 
 // ---- Pipe transport semantics the framing relies on ----

@@ -25,7 +25,6 @@
 #include "diag/registry.h"
 #include "diag/value.h"
 #include "runtime/session.h"
-#include "runtime/transport.h"
 #include "sim/cloud_node.h"
 #include "sim/shared_cell.h"
 #include "tensor/ops.h"
@@ -672,14 +671,12 @@ TEST(Diagnostics, TwoSessionsCellServerAndPoolInOneSnapshot) {
   data::ClassDict dict(tiny_data_spec().num_classes, {0, 1});
 
   auto cell = std::make_shared<sim::SharedCell>(sim::SharedCellConfig{});
-  runtime::TransportConfig transport;
-  transport.cell = cell;
 
   runtime::EngineConfig cfg;
   cfg.net = &net;
   cfg.dict = &dict;
   cfg.worker_threads = 1;
-  cfg.transport = transport;
+  cfg.cell = cell;
   runtime::InferenceSession first(cfg), second(cfg);
   for (int i = 0; i < 4; ++i) {
     first.submit(ds.test.instance(i));
