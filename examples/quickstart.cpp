@@ -67,7 +67,6 @@ int main() {
   runtime::EngineConfig serve;
   serve.net = &net;
   serve.dict = &dict;  // edge-only: no backend means NullBackend
-  serve.response_cache_capacity = ds.test.size();  // dedup repeated frames
   runtime::InferenceSession session(serve);
   const auto results = session.run(ds.test);
   std::vector<int> predictions;
@@ -82,18 +81,6 @@ int main() {
               static_cast<long long>(routes.main_exit),
               static_cast<long long>(routes.extension_exit));
 
-  // A second pass over the same frames is answered entirely from the
-  // session response cache — no edge forward passes.
-  const auto replay = session.run(ds.test);
-  int replay_matches = 0;
-  for (std::size_t i = 0; i < replay.size(); ++i) {
-    if (replay[i].prediction == results[i].prediction) ++replay_matches;
-  }
-  const runtime::SessionMetrics m = session.metrics();
-  std::printf("replayed the test set: %lld of %d frames served from the response cache, "
-              "%d/%d predictions identical\n",
-              static_cast<long long>(m.cache_hits), ds.test.size(), replay_matches,
-              ds.test.size());
   std::printf("\nNext steps: see examples/smart_camera.cpp for edge-cloud offload\n");
   std::printf("and examples/threshold_tuning.cpp for choosing the entropy threshold.\n");
   return 0;

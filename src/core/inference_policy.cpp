@@ -17,18 +17,18 @@ const char* route_name(Route route) {
   std::abort();  // unreachable: the switch is exhaustive (-Wswitch)
 }
 
-Route InferencePolicy::route(float main_entropy, int main_prediction) const {
+Route EntropyThresholdPolicy::route(const RouteSignals& signals) const {
   if (config_.cloud_available &&
-      static_cast<double>(main_entropy) > config_.entropy_threshold) {
+      static_cast<double>(signals.entropy) > config_.entropy_threshold) {
     return Route::kCloud;
   }
-  return is_hard(main_prediction) ? Route::kExtensionExit : Route::kMainExit;
+  return is_hard(signals.main_prediction) ? Route::kExtensionExit : Route::kMainExit;
 }
 
 std::string EntropyThresholdPolicy::describe() const {
   std::ostringstream os;
-  os << "entropy-threshold(threshold=" << config().entropy_threshold
-     << ", cloud=" << (config().cloud_available ? "on" : "off") << ")";
+  os << "entropy-threshold(threshold=" << config_.entropy_threshold
+     << ", cloud=" << (config_.cloud_available ? "on" : "off") << ")";
   return os.str();
 }
 

@@ -6,10 +6,6 @@
 //   cloud rule fires and cloud available  -> cloud ("complex")
 //   argmax(y1) in hard classes            -> extension block
 //   otherwise                             -> main-block early exit
-//
-// The classic InferencePolicy (entropy rule only) is kept as the
-// reference implementation; EntropyThresholdPolicy adapts it to the
-// interface so the two cannot drift.
 #pragma once
 
 #include <limits>
@@ -42,25 +38,6 @@ struct PolicyConfig {
   double entropy_threshold = std::numeric_limits<double>::infinity();
   /// Paper: "if Cloud is available and Entropy > threshold".
   bool cloud_available = false;
-};
-
-class InferencePolicy {
- public:
-  InferencePolicy(const data::ClassDict& dict, PolicyConfig config)
-      : dict_(&dict), config_(config) {}
-
-  /// The IsHard detector of §III-B: hard iff the main-block argmax is a
-  /// hard class.
-  bool is_hard(int main_prediction) const { return dict_->is_hard(main_prediction); }
-
-  Route route(float main_entropy, int main_prediction) const;
-
-  const PolicyConfig& config() const { return config_; }
-  const data::ClassDict& dict() const { return *dict_; }
-
- private:
-  const data::ClassDict* dict_;
-  PolicyConfig config_;
 };
 
 /// Everything the main-exit pass knows about one instance, handed to a
@@ -109,23 +86,27 @@ class RoutingPolicy {
   virtual std::string describe() const = 0;
 };
 
-/// The paper's rule, adapting InferencePolicy to the interface.
+/// The paper's rule: cloud when the exit-1 entropy exceeds the
+/// threshold and the cloud is available, else the IsHard split.
 class EntropyThresholdPolicy : public RoutingPolicy {
  public:
   EntropyThresholdPolicy(const data::ClassDict& dict, PolicyConfig config)
-      : policy_(dict, config) {}
+      : dict_(&dict), config_(config) {}
 
-  Route route(const RouteSignals& signals) const override {
-    return policy_.route(signals.entropy, signals.main_prediction);
-  }
+  /// The IsHard detector of §III-B: hard iff the main-block argmax is a
+  /// hard class.
+  bool is_hard(int main_prediction) const { return dict_->is_hard(main_prediction); }
+
+  Route route(const RouteSignals& signals) const override;
   unsigned needed_signals() const override { return kSignalEntropy; }
   std::string describe() const override;
 
-  const PolicyConfig& config() const { return policy_.config(); }
-  const data::ClassDict& dict() const { return policy_.dict(); }
+  const PolicyConfig& config() const { return config_; }
+  const data::ClassDict& dict() const { return *dict_; }
 
  private:
-  InferencePolicy policy_;
+  const data::ClassDict* dict_;
+  PolicyConfig config_;
 };
 
 /// Confidence-margin variant: an instance is "complex" when the gap

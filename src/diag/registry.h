@@ -1,5 +1,5 @@
 // Process-wide diagnostic registry: every stats producer (sessions,
-// cells, the wire server, the GEMM pool, response caches) registers a
+// cells, the wire server, the GEMM pool) registers a
 // DiagnosticProvider, and ONE snapshot() pulls them all into a single
 // versioned JSON document — the aggregate view a multi-session run
 // never had while each subsystem kept its own ad-hoc stats shape.
@@ -7,7 +7,7 @@
 // Snapshot envelope (schema diag::kSchemaVersion):
 //
 //   {
-//     "schema": "meanet.diag.v1",
+//     "schema": "meanet.diag.v2",
 //     "providers": {
 //       "session/0":  { ...provider tree... },
 //       "cell/0":     { ... },

@@ -23,7 +23,7 @@ namespace meanet::diag {
 /// Version tag stamped into every registry snapshot envelope (the
 /// "schema" key). Bump on any incompatible change to the envelope or to
 /// a documented provider tree; consumers check it before reading keys.
-inline constexpr const char* kSchemaVersion = "meanet.diag.v1";
+inline constexpr const char* kSchemaVersion = "meanet.diag.v2";
 
 class Value {
  public:

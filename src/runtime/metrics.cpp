@@ -52,9 +52,6 @@ const ScalarField kScalarFields[] = {
     {"cell_busy_s", [](const SessionMetrics& m) { return diag::Value(m.cell_busy_s); }},
     {"cell_airtime_utilization",
      [](const SessionMetrics& m) { return diag::Value(m.cell_airtime_utilization); }},
-    {"cache_hits", [](const SessionMetrics& m) { return diag::Value(m.cache_hits); }},
-    {"cache_entries", [](const SessionMetrics& m) { return diag::Value(m.cache_entries); }},
-    {"cache_evictions", [](const SessionMetrics& m) { return diag::Value(m.cache_evictions); }},
 };
 
 diag::Value percentile_tree(std::int64_t count, double p50, double p95, double p99) {
@@ -179,11 +176,6 @@ void MetricsCollector::record_offload_timeout(std::int64_t instances) {
 void MetricsCollector::record_offload_failure() {
   std::lock_guard<std::mutex> lock(mutex_);
   ++counters_.offload_failures;
-}
-
-void MetricsCollector::record_cache_hits(std::int64_t hits) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  counters_.cache_hits += hits;
 }
 
 SessionMetrics MetricsCollector::snapshot() const {

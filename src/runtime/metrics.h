@@ -91,13 +91,6 @@ struct SessionMetrics {
   double cell_busy_s = 0.0;
   double cell_airtime_utilization = 0.0;
 
-  /// Instances served from the response cache.
-  std::int64_t cache_hits = 0;
-  /// Entries currently held by the response cache.
-  std::int64_t cache_entries = 0;
-  /// Entries LRU-evicted from the response cache so far.
-  std::int64_t cache_evictions = 0;
-
   /// Completed instances and latency percentiles per route, indexed by
   /// core::Route (use the accessors below).
   std::array<RouteLatencyStats, core::kNumRoutes> per_route{};
@@ -192,12 +185,10 @@ class MetricsCollector {
   void record_offload_dispatch();
   void record_offload_timeout(std::int64_t instances);
   void record_offload_failure();
-  void record_cache_hits(std::int64_t hits);
 
   /// Current counters with percentiles reduced from the samples.
-  /// queue_depth_high_water, starvation_promotions, the cell airtime
-  /// figures, cache_entries, and cache_evictions are owned by the
-  /// session and left 0 here.
+  /// queue_depth_high_water, starvation_promotions and the cell
+  /// airtime figures are owned by the session and left 0 here.
   SessionMetrics snapshot() const;
 
  private:

@@ -46,8 +46,6 @@ struct InferenceResult {
   /// True when the instance was cloud-routed and the backend answered
   /// within the offload timeout and the instance's deadline.
   bool offloaded = false;
-  /// True when the result was served from the session response cache.
-  bool cached = false;
   /// True when the instance's routed deadline expired
   /// (EngineConfig::route_deadline_s or the submit-time override). A
   /// cloud-routed instance with this flag kept its edge prediction —

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -118,6 +117,17 @@ InferenceSession::InferenceSession(EngineConfig config)
   if (config.batch_size <= 0) {
     throw std::invalid_argument("InferenceSession: batch_size must be positive");
   }
+  // A NaN deadline would read as "no bound" in every deadline comparison
+  // and a NaN timeout as "never wait"; a negative deadline has expired
+  // before submit() returns.
+  if (std::isnan(config.offload_timeout_s)) {
+    throw std::invalid_argument("InferenceSession: offload_timeout_s must not be NaN");
+  }
+  for (const double deadline_s : config.route_deadline_s) {
+    if (!(deadline_s >= 0.0)) {
+      throw std::invalid_argument("InferenceSession: route deadlines must be >= 0 (not NaN)");
+    }
+  }
   // A request with no per-submit override can land on any route, so
   // admission may only reject when the queue wait blows the loosest of
   // the configured deadlines — i.e. when no route could still make it.
@@ -140,10 +150,6 @@ InferenceSession::InferenceSession(EngineConfig config)
     throw std::invalid_argument(
         "InferenceSession: the cell and the session must use the same clock "
         "(set SharedCellConfig::clock and EngineConfig::clock to one instance)");
-  }
-  if (config.response_cache_capacity > 0) {
-    cache_ = std::make_unique<ResponseCache>(
-        static_cast<std::size_t>(config.response_cache_capacity));
   }
   callbacks_ = std::make_shared<detail::CallbackRunner>(
       static_cast<std::size_t>(std::max(1, config.queue_capacity)), clock_);
@@ -187,11 +193,6 @@ InferenceSession::InferenceSession(EngineConfig config)
   // fully serving, so a concurrent snapshot sees a live object.
   static std::atomic<std::uint64_t> next_session_id{0};
   diag_name_ = "session/" + std::to_string(next_session_id.fetch_add(1));
-  if (cache_) {
-    cache_->set_diag_name("response_cache/" + diag_name_);
-    cache_registration_ =
-        diag::ScopedRegistration(diag::DiagnosticRegistry::global(), cache_.get());
-  }
   diag_registration_ = diag::ScopedRegistration(diag::DiagnosticRegistry::global(), this);
 }
 
@@ -285,6 +286,9 @@ ResultHandle InferenceSession::enqueue(Tensor images, SubmitOptions options,
   Tensor batch = normalize_batch(std::move(images));
   const int count = batch.shape().batch();
   if (count <= 0) throw std::invalid_argument("InferenceSession::submit: empty batch");
+  if (options.deadline_s < 0.0) {
+    throw std::invalid_argument("InferenceSession::submit: deadline_s must be >= 0");
+  }
   const int priority = options.priority.value_or(0);
   // Admission gates streaming submit() traffic only (track_in_round):
   // run() is the bulk-eval API — rejecting one of its chunks midway
@@ -446,10 +450,6 @@ SessionMetrics InferenceSession::metrics() const {
     m.cell_busy_s = cell_->busy_seconds();
     m.cell_airtime_utilization = cell_->utilization();
   }
-  if (cache_) {
-    m.cache_entries = static_cast<std::int64_t>(cache_->size());
-    m.cache_evictions = cache_->evictions();
-  }
   return m;
 }
 
@@ -470,11 +470,7 @@ InferenceSession::SteadyClock::time_point InferenceSession::deadline_at(
   // submitted_at and deadline_override_s are immutable after enqueue.
   double limit = state.deadline_override_s;
   if (std::isnan(limit)) limit = route_deadline_s_[static_cast<std::size_t>(route)];
-  // Anything beyond ~30 years (including infinity) is "unbounded";
-  // the cast below would overflow otherwise.
-  if (!(limit < 1e9)) return SteadyClock::time_point::max();
-  return state.submitted_at +
-         std::chrono::duration_cast<SteadyClock::duration>(std::chrono::duration<double>(limit));
+  return sim::Clock::after(state.submitted_at, limit);
 }
 
 void InferenceSession::mark_started() {
@@ -593,12 +589,11 @@ void InferenceSession::offload_loop() {
     // share of the (possibly shared) cell for its transfer duration
     // (WiFi-derived +base RTT +jitter, keyed by the payload's first
     // result id so the draw does not depend on dispatch interleaving) —
-    // a blocking cell transfer on the session clock, so under
-    // activity-dependent sharing the elapsed time also depends on who
-    // else is transmitting. An abandoned ticket cuts the transfer short
-    // — the sender gave up at its offload timeout or deadline, so
-    // nothing keeps transmitting — and skips the backend entirely; the
-    // giving-up waiter pokes the cell so the cancel is seen promptly.
+    // a blocking cell transfer on the session clock. An abandoned
+    // ticket cuts the transfer short — the sender gave up at its offload
+    // timeout or deadline, so nothing keeps transmitting — and skips the
+    // backend entirely; the giving-up waiter pokes the cell so the
+    // cancel is seen promptly.
     const std::uint64_t transfer_key = static_cast<std::uint64_t>(job.first_id);
     auto ticket_abandoned = [&ticket] {
       std::lock_guard<std::mutex> lock(ticket.mutex);
@@ -657,10 +652,7 @@ InferenceSession::OffloadAnswer InferenceSession::offload(OffloadPayload payload
     return {};  // session shutting down: edge fallback
   }
   std::unique_lock<std::mutex> lock(ticket->mutex);
-  const sim::Clock::TimePoint bound =
-      (std::isinf(wait_bound_s) && wait_bound_s > 0.0)
-          ? sim::Clock::TimePoint::max()
-          : sim::Clock::after(clock_->now(), std::max(0.0, wait_bound_s));
+  const sim::Clock::TimePoint bound = sim::Clock::after(clock_->now(), wait_bound_s);
   if (!clock_->wait(lock, ticket->answered, bound, [&] { return ticket->done; })) {
     // Give up: mark the slip abandoned so the dispatcher stops the
     // simulated upload and never bothers the backend; a late answer
@@ -722,183 +714,127 @@ void InferenceSession::process(core::EdgeInferenceEngine& engine,
     }
   }
   const Tensor& batch = requests.size() > 1 ? stacked : requests.front().images;
-  const std::int64_t stride = batch.numel() / rows;
 
+  core::BatchInference inference = engine.infer_batch(batch);
+  const std::vector<core::InstanceDecision>& decisions = inference.decisions;
   std::vector<InferenceResult> batch_results(static_cast<std::size_t>(rows));
 
-  // ---- Response cache: serve repeated frames without re-inferring ----
-  std::vector<int> fresh_rows;  // rows the engine still has to serve
-  if (cache_) {
-    std::int64_t hits = 0;
-    for (std::int64_t i = 0; i < rows; ++i) {
-      std::optional<InferenceResult> hit = cache_->lookup(batch.data() + i * stride, stride);
-      if (!hit) {
-        fresh_rows.push_back(static_cast<int>(i));
-        continue;
-      }
-      InferenceResult& r = batch_results[static_cast<std::size_t>(i)];
-      r = *hit;
-      r.id = ids[static_cast<std::size_t>(i)];
-      r.cached = true;
-      // A hit re-runs nothing: charge no compute and no upload, or
-      // energy dashboards would double-bill work that never happened.
-      r.compute_energy_j = 0.0;
-      r.comm_energy_j = 0.0;
-      r.compute_time_s = 0.0;
-      r.comm_time_s = 0.0;
-      r.upload_time_s = 0.0;
-      r.download_time_s = 0.0;
-      ++hits;
+  // Ship cloud-routed instances to the offload dispatcher in one
+  // payload. An instance whose request was cancelled, or whose deadline
+  // already passed while it sat in the queue, is excluded — it keeps its
+  // edge prediction and never touches the backend.
+  std::vector<int> cloud_rows;
+  const SteadyClock::time_point routed_at = clock_->now();
+  for (std::size_t row = 0; row < decisions.size(); ++row) {
+    if (decisions[row].route != core::Route::kCloud) continue;
+    const detail::RequestState& state =
+        *requests[static_cast<std::size_t>(req_of_row[row])].completion;
+    if (state.is_cancelled()) continue;
+    if (routed_at >= deadline_at(state, core::Route::kCloud)) {
+      batch_results[row].deadline_expired = true;  // expired while queued
+      continue;
     }
-    if (hits > 0) collector_.record_cache_hits(hits);
-  } else {
-    fresh_rows.resize(static_cast<std::size_t>(rows));
-    std::iota(fresh_rows.begin(), fresh_rows.end(), 0);
+    cloud_rows.push_back(static_cast<int>(row));
   }
-
-  if (!fresh_rows.empty()) {
-    const bool all_fresh = static_cast<std::int64_t>(fresh_rows.size()) == rows;
-    const Tensor gathered = all_fresh ? Tensor{} : ops::gather_rows(batch, fresh_rows);
-    const Tensor& engine_input = all_fresh ? batch : gathered;
-
-    core::BatchInference inference = engine.infer_batch(engine_input);
-    std::vector<core::InstanceDecision>& decisions = inference.decisions;
-
-    // Ship cloud-routed instances to the offload dispatcher in one
-    // payload; row indices are into the fresh sub-batch. An instance
-    // whose request was cancelled, or whose deadline already passed
-    // while it sat in the queue, is excluded — it keeps its edge
-    // prediction and never touches the backend.
-    std::vector<int> cloud_rows;
-    const SteadyClock::time_point routed_at = clock_->now();
-    for (std::size_t j = 0; j < decisions.size(); ++j) {
-      if (decisions[j].route != core::Route::kCloud) continue;
-      const std::size_t row = static_cast<std::size_t>(fresh_rows[j]);
+  OffloadAnswer answer;
+  SteadyClock::time_point gave_up_at{};
+  if (!cloud_rows.empty()) {
+    OffloadPayload payload;
+    if (backend_->needs_images()) payload.images = ops::gather_rows(batch, cloud_rows);
+    if (backend_->needs_features()) {
+      payload.features = ops::gather_rows(inference.features, cloud_rows);
+    }
+    const std::int64_t payload_bytes =
+        backend_->payload_bytes(instance_shape(batch.shape()),
+                                instance_shape(inference.features.shape())) *
+        static_cast<std::int64_t>(cloud_rows.size());
+    // Wait no longer than the offload timeout, and no longer than the
+    // last payload instance's deadline keeps anyone interested. The
+    // pending upload is ordered against the other dispatch-queue
+    // entries by the same (priority, deadline, arrival) key as the
+    // worker queue: the payload's highest request priority and its
+    // *tightest* instance deadline.
+    double max_remaining_s = 0.0;
+    SchedKey job_key;
+    job_key.priority = std::numeric_limits<int>::min();
+    for (const int row : cloud_rows) {
       const detail::RequestState& state =
-          *requests[static_cast<std::size_t>(req_of_row[row])].completion;
-      if (state.is_cancelled()) continue;
-      if (routed_at >= deadline_at(state, core::Route::kCloud)) {
-        batch_results[row].deadline_expired = true;  // expired while queued
-        continue;
-      }
-      cloud_rows.push_back(static_cast<int>(j));
-    }
-    OffloadAnswer answer;
-    SteadyClock::time_point gave_up_at{};
-    if (!cloud_rows.empty()) {
-      OffloadPayload payload;
-      if (backend_->needs_images()) payload.images = ops::gather_rows(engine_input, cloud_rows);
-      if (backend_->needs_features()) {
-        payload.features = ops::gather_rows(inference.features, cloud_rows);
-      }
-      const std::int64_t payload_bytes =
-          backend_->payload_bytes(instance_shape(batch.shape()),
-                                  instance_shape(inference.features.shape())) *
-          static_cast<std::int64_t>(cloud_rows.size());
-      // Wait no longer than the offload timeout, and no longer than the
-      // last payload instance's deadline keeps anyone interested. The
-      // pending upload is ordered against the other dispatch-queue
-      // entries by the same (priority, deadline, arrival) key as the
-      // worker queue: the payload's highest request priority and its
-      // *tightest* instance deadline.
-      double max_remaining_s = 0.0;
-      SchedKey job_key;
-      job_key.priority = std::numeric_limits<int>::min();
-      for (const int j : cloud_rows) {
-        const std::size_t row = static_cast<std::size_t>(fresh_rows[static_cast<std::size_t>(j)]);
-        const detail::RequestState& state =
-            *requests[static_cast<std::size_t>(req_of_row[row])].completion;
-        const SteadyClock::time_point deadline = deadline_at(state, core::Route::kCloud);
-        const double remaining_s =
-            deadline == SteadyClock::time_point::max()
-                ? std::numeric_limits<double>::infinity()
-                : std::chrono::duration<double>(deadline - routed_at).count();
-        max_remaining_s = std::max(max_remaining_s, remaining_s);
-        job_key.priority = std::max(job_key.priority, state.queue_priority);
-        job_key.deadline = std::min(job_key.deadline, deadline);
-      }
-      const std::int64_t first_id =
-          ids[static_cast<std::size_t>(fresh_rows[static_cast<std::size_t>(cloud_rows.front())])];
-      answer = offload(std::move(payload), cloud_rows.size(), payload_bytes, first_id, job_key,
-                       std::min(offload_timeout_s_, max_remaining_s));
-      gave_up_at = clock_->now();
-    }
-
-    // Price the work. An unset upload payload size is derived from the
-    // backend's geometry-based estimate.
-    sim::EdgeNodeCosts costs = costs_;
-    if (costs.upload_bytes_per_instance == 0 && !cloud_rows.empty()) {
-      costs.upload_bytes_per_instance =
-          backend_->payload_bytes(instance_shape(batch.shape()),
-                                  instance_shape(inference.features.shape()));
-    }
-
-    for (std::size_t j = 0; j < decisions.size(); ++j) {
-      const std::size_t row = static_cast<std::size_t>(fresh_rows[j]);
-      const core::InstanceDecision& d = decisions[j];
-      InferenceResult& r = batch_results[row];
-      r.id = ids[row];
-      r.route = d.route;
-      r.entropy = d.entropy;
-      r.main_confidence = d.main_confidence;
-      r.margin = d.margin;
-      r.extension_confidence = d.extension_confidence;
-      r.main_prediction = d.main_prediction;
-      r.edge_prediction = d.prediction;
-      r.prediction = d.prediction;
-      r.compute_energy_j = costs.compute_energy_j(d.route);
-      r.compute_time_s = costs.compute_time_s(d.route);
-      r.comm_energy_j = costs.comm_energy_j(d.route);
-      r.comm_time_s = costs.comm_time_s(d.route);
-    }
-    // Per-instance attribution of the dispatch outcome, each instance
-    // to exactly one cause: a cloud answer is used only if it arrived
-    // before the instance's deadline (an answer past it, or a give-up
-    // past it, is a deadline expiry); a give-up before the deadline is
-    // an offload timeout; a prompt-but-empty reply (lossy link,
-    // NullBackend) or a backend failure is a drop — neither flag.
-    const bool answered = !answer.predictions.empty();
-    std::int64_t timed_out = 0;
-    for (std::size_t k = 0; k < cloud_rows.size(); ++k) {
-      const std::size_t row =
-          static_cast<std::size_t>(fresh_rows[static_cast<std::size_t>(cloud_rows[k])]);
-      const detail::RequestState& state =
-          *requests[static_cast<std::size_t>(req_of_row[row])].completion;
+          *requests[static_cast<std::size_t>(req_of_row[static_cast<std::size_t>(row)])]
+               .completion;
       const SteadyClock::time_point deadline = deadline_at(state, core::Route::kCloud);
-      if (answered && answer.answered_at <= deadline) {
-        batch_results[row].prediction = answer.predictions[k];
-        batch_results[row].offloaded = true;
-        // Simulated transfer occupancy of the payload that delivered
-        // this answer (whole-payload figures; coalesced instances share
-        // one transfer).
-        batch_results[row].upload_time_s = answer.upload_s;
-        batch_results[row].download_time_s = answer.downlink_s;
-      } else if (answered) {
-        batch_results[row].deadline_expired = true;  // the answer came too late
-      } else if (answer.gave_up) {
-        if (gave_up_at < deadline) {
-          ++timed_out;
-        } else {
-          batch_results[row].deadline_expired = true;
-        }
-      }
+      const double remaining_s =
+          deadline == SteadyClock::time_point::max()
+              ? std::numeric_limits<double>::infinity()
+              : std::chrono::duration<double>(deadline - routed_at).count();
+      max_remaining_s = std::max(max_remaining_s, remaining_s);
+      job_key.priority = std::max(job_key.priority, state.queue_priority);
+      job_key.deadline = std::min(job_key.deadline, deadline);
     }
-    if (timed_out > 0) collector_.record_offload_timeout(timed_out);
+    const std::int64_t first_id = ids[static_cast<std::size_t>(cloud_rows.front())];
+    answer = offload(std::move(payload), cloud_rows.size(), payload_bytes, first_id, job_key,
+                     std::min(offload_timeout_s_, max_remaining_s));
+    gave_up_at = clock_->now();
+  }
 
-    if (cache_) {
-      for (const int fresh_row : fresh_rows) {
-        const InferenceResult& fresh_result = batch_results[static_cast<std::size_t>(fresh_row)];
-        if (fresh_result.route == core::Route::kCloud && !fresh_result.offloaded) {
-          // A degraded outcome (offload timeout / deadline expiry /
-          // loss / unreachable cloud) must not be frozen in: the next
-          // occurrence of this frame deserves another shot at the
-          // cloud.
-          continue;
-        }
-        cache_->insert(batch.data() + fresh_row * stride, stride, fresh_result);
+  // Price the work. An unset upload payload size is derived from the
+  // backend's geometry-based estimate.
+  sim::EdgeNodeCosts costs = costs_;
+  if (costs.upload_bytes_per_instance == 0 && !cloud_rows.empty()) {
+    costs.upload_bytes_per_instance =
+        backend_->payload_bytes(instance_shape(batch.shape()),
+                                instance_shape(inference.features.shape()));
+  }
+
+  for (std::size_t row = 0; row < decisions.size(); ++row) {
+    const core::InstanceDecision& d = decisions[row];
+    InferenceResult& r = batch_results[row];
+    r.id = ids[row];
+    r.route = d.route;
+    r.entropy = d.entropy;
+    r.main_confidence = d.main_confidence;
+    r.margin = d.margin;
+    r.extension_confidence = d.extension_confidence;
+    r.main_prediction = d.main_prediction;
+    r.edge_prediction = d.prediction;
+    r.prediction = d.prediction;
+    r.compute_energy_j = costs.compute_energy_j(d.route);
+    r.compute_time_s = costs.compute_time_s(d.route);
+    r.comm_energy_j = costs.comm_energy_j(d.route);
+    r.comm_time_s = costs.comm_time_s(d.route);
+  }
+  // Per-instance attribution of the dispatch outcome, each instance
+  // to exactly one cause: a cloud answer is used only if it arrived
+  // before the instance's deadline (an answer past it, or a give-up
+  // past it, is a deadline expiry); a give-up before the deadline is
+  // an offload timeout; a prompt-but-empty reply (lossy link,
+  // NullBackend) or a backend failure is a drop — neither flag.
+  const bool answered = !answer.predictions.empty();
+  std::int64_t timed_out = 0;
+  for (std::size_t k = 0; k < cloud_rows.size(); ++k) {
+    const std::size_t row = static_cast<std::size_t>(cloud_rows[k]);
+    const detail::RequestState& state =
+        *requests[static_cast<std::size_t>(req_of_row[row])].completion;
+    const SteadyClock::time_point deadline = deadline_at(state, core::Route::kCloud);
+    InferenceResult& r = batch_results[row];
+    if (answered && answer.answered_at <= deadline) {
+      r.prediction = answer.predictions[k];
+      r.offloaded = true;
+      // Simulated transfer occupancy of the payload that delivered this
+      // answer (whole-payload figures; coalesced instances share one
+      // transfer).
+      r.upload_time_s = answer.upload_s;
+      r.download_time_s = answer.downlink_s;
+    } else if (answered) {
+      r.deadline_expired = true;  // the answer came too late
+    } else if (answer.gave_up) {
+      if (gave_up_at < deadline) {
+        ++timed_out;
+      } else {
+        r.deadline_expired = true;
       }
     }
   }
+  if (timed_out > 0) collector_.record_offload_timeout(timed_out);
 
   // Settle each coalesced request's slot in the completion table,
   // flagging instances that completed past their routed deadline and

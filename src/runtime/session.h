@@ -72,7 +72,6 @@
 #include "runtime/metrics.h"
 #include "runtime/offload_backend.h"
 #include "runtime/request_queue.h"
-#include "runtime/response_cache.h"
 #include "runtime/result_handle.h"
 #include "sim/edge_node.h"
 #include "sim/shared_cell.h"
@@ -113,7 +112,8 @@ struct EngineConfig {
   /// How long a worker waits for the offload dispatcher's answer before
   /// the cloud-routed instances fall back to their edge predictions
   /// (the NullBackend behavior). Infinity = wait for the backend;
-  /// <= 0 = never wait (fallback immediately, answers are discarded).
+  /// <= 0 = never wait (fallback immediately, answers are discarded);
+  /// NaN makes the constructor throw std::invalid_argument.
   /// Measured from dispatch — the per-route deadlines below are
   /// measured from submit() and bound the same wait from the other end.
   double offload_timeout_s = std::numeric_limits<double>::infinity();
@@ -149,7 +149,9 @@ struct EngineConfig {
   /// offload_timeouts. An instance whose deadline expires before its
   /// payload is built never touches the backend. Deadlines on the
   /// on-device routes are observational (nothing faster than the edge
-  /// answer exists): a late instance is only flagged and counted.
+  /// answer exists): a late instance is only flagged and counted. A
+  /// NaN or negative entry makes the constructor throw
+  /// std::invalid_argument.
   std::array<double, core::kNumRoutes> route_deadline_s{
       std::numeric_limits<double>::infinity(), std::numeric_limits<double>::infinity(),
       std::numeric_limits<double>::infinity()};
@@ -198,19 +200,6 @@ struct EngineConfig {
   /// default) disables rejection until something has been measured.
   double admission_service_estimate_s = 0.0;
 
-  // ----- Response cache -----
-  /// Entries of the session-level response cache (LRU over the frame's
-  /// image bytes -> InferenceResult), deduplicating repeated frames.
-  /// 0 disables it. Hits are served without re-running the edge pass or
-  /// the offload, charge zero compute/upload cost, refresh the entry's
-  /// recency, and surface in SessionMetrics::cache_hits. Keys are
-  /// compared byte-exactly on hash collision. Only fully-served results
-  /// are cached: a cloud-routed instance that fell back to its edge
-  /// prediction (timeout / deadline / loss / unreachable cloud) is not
-  /// frozen in, so the next occurrence of the frame gets another shot
-  /// at the cloud.
-  int response_cache_capacity = 0;
-
   // ----- Cost model -----
   /// Prices each instance's compute and upload; default costs are all
   /// zero. If upload_bytes_per_instance is 0 it is derived from the
@@ -226,7 +215,9 @@ constexpr std::int64_t kResponseBytesPerInstance = 4;
 struct SubmitOptions {
   /// Overrides the session's per-route deadlines for this request (one
   /// bound for whatever route its instances land on), in seconds from
-  /// submit(). NaN (the default) = use EngineConfig::route_deadline_s.
+  /// submit(). NaN (the default) = use EngineConfig::route_deadline_s;
+  /// a negative value (-infinity included) makes submit() throw
+  /// std::invalid_argument.
   double deadline_s = std::numeric_limits<double>::quiet_NaN();
   /// Scheduling priority of this request (higher = served sooner), in
   /// the worker queue and, for its cloud-routed instances, the offload
@@ -331,8 +322,8 @@ class InferenceSession : public diag::DiagnosticProvider {
 
   /// Point-in-time serving counters: queue depth high-water mark,
   /// per-route counts and end-to-end latency percentiles, offload
-  /// timeouts, deadline expirations, cancellations, cache hits and
-  /// evictions. Cheap enough to poll between rounds.
+  /// timeouts, deadline expirations and cancellations. Cheap enough to
+  /// poll between rounds.
   SessionMetrics metrics() const;
 
   const OffloadBackend& backend() const { return *backend_; }
@@ -342,9 +333,7 @@ class InferenceSession : public diag::DiagnosticProvider {
 
   // DiagnosticProvider: sessions self-register as "session/N" (N
   // counts up per process in construction order); the snapshot wraps
-  // metrics().to_value() with the session's shape. A configured
-  // response cache is registered alongside as
-  // "response_cache/session/N".
+  // metrics().to_value() with the session's shape.
   std::string diag_name() const override { return diag_name_; }
   diag::Value diag_snapshot() const override;
 
@@ -498,9 +487,6 @@ class InferenceSession : public diag::DiagnosticProvider {
 
   MetricsCollector collector_;
 
-  // Response cache (LRU, byte-exact keys); null when disabled.
-  std::unique_ptr<ResponseCache> cache_;
-
   // The current round's completion table: handles issued by submit()
   // and not yet retired by drain(), plus survivors of a failed round.
   // Settled-and-consumed handles are pruned on submit (amortized by the
@@ -516,7 +502,6 @@ class InferenceSession : public diag::DiagnosticProvider {
   // (joining workers) the session is still snapshot-safe: metrics()
   // only reads members that outlive the body.
   std::string diag_name_;
-  diag::ScopedRegistration cache_registration_;
   diag::ScopedRegistration diag_registration_;
 };
 

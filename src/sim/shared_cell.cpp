@@ -1,6 +1,5 @@
 #include "sim/shared_cell.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
@@ -57,7 +56,6 @@ diag::Value SharedCell::diag_snapshot() const {
   cfg.set("downlink_mbps", config_.downlink.throughput_mbps);
   cfg.set("base_latency_s", config_.base_latency_s);
   cfg.set("jitter_s", config_.jitter_s);
-  cfg.set("activity_dependent_sharing", config_.activity_dependent_sharing);
   v.set("config", std::move(cfg));
   return v;
 }
@@ -117,12 +115,12 @@ void SharedCell::poke() {
   clock_->notify(transfer_cv_);
 }
 
-bool SharedCell::hold(double delay_s, const std::function<bool()>& cancel) {
+TransferOutcome SharedCell::hold(double delay_s, const std::function<bool()>& cancel) {
   const Clock::TimePoint deadline = Clock::after(clock_->now(), delay_s);
   std::unique_lock<std::mutex> lock(transfer_mutex_);
   while (true) {
-    if (cancel && cancel()) return false;
-    if (clock_->now() >= deadline) return true;
+    if (cancel && cancel()) return TransferOutcome{delay_s, true};
+    if (clock_->now() >= deadline) return TransferOutcome{delay_s, false};
     // The wake on abandonment is the poke-epoch bump (cancel state
     // lives under mutexes the cell cannot see, so the epoch — guarded
     // by transfer_mutex_ — is what makes the wait race-free).
@@ -132,108 +130,15 @@ bool SharedCell::hold(double delay_s, const std::function<bool()>& cancel) {
   }
 }
 
-void SharedCell::settle_lane(Lane& lane, Clock::TimePoint now) {
-  const double dt = Clock::seconds_between(lane.last_settle, now);
-  lane.last_settle = now;
-  if (dt <= 0.0 || lane.remaining_s.empty()) return;
-  const double share = dt / static_cast<double>(lane.remaining_s.size());
-  for (auto& [flow, remaining] : lane.remaining_s) {
-    (void)flow;
-    remaining = std::max(0.0, remaining - share);
-  }
-}
-
-TransferOutcome SharedCell::transfer(Lane& lane, const WifiModel& model, int station,
-                                     std::uint64_t key, std::int64_t bytes,
-                                     std::uint64_t direction_salt,
-                                     const std::function<bool()>& cancel) {
-  if (!config_.activity_dependent_sharing) {
-    // Static share: the whole delay (and airtime charge) is computed at
-    // reservation, exactly as uplink_delay_s/downlink_delay_s always
-    // did; the clock wait just occupies the caller for that long.
-    TransferOutcome out;
-    out.delay_s = delay_s(model, station, key, bytes, direction_salt);
-    out.cancelled = !hold(out.delay_s, cancel);
-    return out;
-  }
-
-  // Activity-dependent share: a processor-sharing lane over the
-  // transfers in flight right now. Progress is tracked in
-  // "solo-seconds" (time the transfer would need alone at full rate),
-  // accrued at 1/N per elapsed second with N concurrent transfers.
-  const double jitter_s = jitter_for(station, key, direction_salt);
-  bool aborted = false;
-  Clock::TimePoint now;
-  std::uint64_t flow;
-  {
-    std::unique_lock<std::mutex> lock(transfer_mutex_);
-    now = clock_->now();
-    settle_lane(lane, now);
-    flow = lane.next_flow++;
-    lane.remaining_s.emplace(flow, model.upload_time_s(bytes));
-    ++lane.epoch;
-    clock_->notify(transfer_cv_);  // peers re-derive their ETAs at the new share
-    const Clock::TimePoint start = now;
-    while (true) {
-      now = clock_->now();
-      settle_lane(lane, now);
-      const double remaining = lane.remaining_s.at(flow);
-      if (remaining <= 0.0) break;
-      if (cancel && cancel()) {
-        aborted = true;
-        break;
-      }
-      // Finish estimate at the current concurrency; any join/leave
-      // bumps the lane epoch and we re-derive.
-      const double concurrency = static_cast<double>(lane.remaining_s.size());
-      const Clock::TimePoint eta = Clock::after(now, remaining * concurrency);
-      const std::uint64_t seen_epoch = lane.epoch;
-      const std::uint64_t seen_poke = poke_epoch_;
-      clock_->wait(lock, transfer_cv_, eta, [&] {
-        return lane.epoch != seen_epoch || poke_epoch_ != seen_poke || (cancel && cancel());
-      });
-    }
-    lane.remaining_s.erase(flow);
-    ++lane.epoch;
-    clock_->notify(transfer_cv_);
-    const double occupied = Clock::seconds_between(start, now);
-    {
-      // Carried airtime: what the lane actually spent on this transfer
-      // (an abandoned transfer charges only the time it occupied).
-      std::lock_guard<std::mutex> busy_lock(mutex_);
-      busy_s_ += occupied;
-    }
-    if (aborted) {
-      return TransferOutcome{occupied, true};
-    }
-    TransferOutcome out;
-    out.delay_s = occupied;
-    // Jitter is airtime (mirroring the static model's accounting);
-    // charged here so a tail abandonment cannot un-charge it.
-    if (jitter_s > 0.0) {
-      std::lock_guard<std::mutex> busy_lock(mutex_);
-      busy_s_ += jitter_s;
-    }
-    out.delay_s += jitter_s + config_.base_latency_s;
-    lock.unlock();
-    // The jitter + base-latency tail (propagation, cloud turnaround)
-    // is not shared capacity: it runs after the lane occupancy.
-    const double tail_s = jitter_s + config_.base_latency_s;
-    if (tail_s > 0.0) out.cancelled = !hold(tail_s, cancel);
-    return out;
-  }
-}
-
 TransferOutcome SharedCell::uplink_transfer(int station, std::uint64_t key, std::int64_t bytes,
                                             const std::function<bool()>& cancel) {
-  return transfer(uplink_lane_, config_.uplink, station, key, bytes, 0, cancel);
+  return hold(uplink_delay_s(station, key, bytes), cancel);
 }
 
 TransferOutcome SharedCell::downlink_transfer(int station, std::uint64_t key,
                                               std::int64_t bytes,
                                               const std::function<bool()>& cancel) {
-  return transfer(downlink_lane_, config_.downlink, station, key, bytes,
-                  0xD0D0D0D0D0D0D0D0ULL, cancel);
+  return hold(downlink_delay_s(station, key, bytes), cancel);
 }
 
 double SharedCell::busy_seconds() const {

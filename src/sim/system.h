@@ -35,7 +35,7 @@ struct SystemReport {
   std::string backend_description;
   /// Serving counters of the session that produced this report (queue
   /// depth high-water mark, per-route latency percentiles, offload
-  /// timeouts, cache hits).
+  /// timeouts).
   runtime::SessionMetrics serving;
 };
 

@@ -1,7 +1,6 @@
 // Tests for the asynchronous serving surface: ResultHandle semantics,
 // the offload dispatcher's timeout -> edge-fallback path (NullBackend
-// parity), decorator chain composition, the session metrics, and the
-// response cache.
+// parity), decorator chain composition and the session metrics.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -352,80 +351,6 @@ TEST(SessionMetrics, PercentileIsNearestRank) {
   EXPECT_DOUBLE_EQ(percentile({3.0, 1.0, 2.0, 4.0}, 0.95), 4.0);
   EXPECT_DOUBLE_EQ(percentile({3.0, 1.0, 2.0, 4.0}, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(percentile({7.0}, 0.99), 7.0);
-}
-
-TEST(ResponseCache, SecondPassIsServedFromCache) {
-  Fixture& f = Fixture::instance();
-  EngineConfig cfg = f.config();
-  cfg.backend = std::make_shared<RawImageBackend>(&f.cloud);
-  cfg.response_cache_capacity = f.ds.test.size();
-  InferenceSession session(cfg);
-  // With an always-answering backend every result is fully served, so
-  // every frame is cacheable and the replay must hit on all of them.
-
-  const auto first = session.run(f.ds.test);
-  const SessionMetrics after_first = session.metrics();
-  EXPECT_EQ(after_first.cache_hits, 0);
-  EXPECT_GT(after_first.cache_entries, 0);
-
-  const auto second = session.run(f.ds.test);
-  const SessionMetrics after_second = session.metrics();
-  EXPECT_EQ(after_second.cache_hits, f.ds.test.size());
-
-  ASSERT_EQ(second.size(), first.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_FALSE(first[i].cached);
-    EXPECT_TRUE(second[i].cached) << i;
-    EXPECT_EQ(second[i].prediction, first[i].prediction) << i;
-    EXPECT_EQ(second[i].route, first[i].route) << i;
-    EXPECT_EQ(second[i].offloaded, first[i].offloaded) << i;
-  }
-}
-
-TEST(ResponseCache, DedupsRepeatedFramesWithinAStream) {
-  Fixture& f = Fixture::instance();
-  EngineConfig cfg = f.config();
-  cfg.backend = std::make_shared<RawImageBackend>(&f.cloud);  // fully served -> cacheable
-  cfg.response_cache_capacity = 8;
-  InferenceSession session(cfg);
-  const Tensor frame = f.ds.test.instance(3);
-  const auto a = session.submit(frame).wait();
-  const auto b = session.submit(frame).wait();
-  session.drain();
-  ASSERT_EQ(a.size(), 1u);
-  ASSERT_EQ(b.size(), 1u);
-  EXPECT_FALSE(a.front().cached);
-  EXPECT_TRUE(b.front().cached);
-  EXPECT_EQ(b.front().prediction, a.front().prediction);
-  EXPECT_EQ(session.metrics().cache_hits, 1);
-}
-
-TEST(ResponseCache, DegradedOffloadOutcomesAreNotCachedAndHitsCostNothing) {
-  Fixture& f = Fixture::instance();
-  EngineConfig cfg = f.config();  // kNone: cloud-routed -> edge fallback
-  cfg.response_cache_capacity = f.ds.test.size();
-  cfg.costs.main_macs = 1000;
-  cfg.costs.extension_macs = 500;
-  InferenceSession session(cfg);
-
-  const auto first = session.run(f.ds.test);
-  const std::int64_t cloud_routed = count_routes(first).cloud;
-  ASSERT_GT(cloud_routed, 0);
-
-  const auto second = session.run(f.ds.test);
-  // Fallback answers (cloud-routed, never offloaded) must not be frozen
-  // into the cache — those frames are re-served fresh on the replay.
-  EXPECT_EQ(session.metrics().cache_hits, f.ds.test.size() - cloud_routed);
-  for (const InferenceResult& r : second) {
-    if (r.route == core::Route::kCloud) {
-      EXPECT_FALSE(r.cached);
-    } else {
-      EXPECT_TRUE(r.cached);
-      // A hit re-runs nothing, so it charges nothing.
-      EXPECT_DOUBLE_EQ(r.compute_energy_j, 0.0);
-      EXPECT_DOUBLE_EQ(r.compute_time_s, 0.0);
-    }
-  }
 }
 
 TEST(NeededSignals, PolicyMasksMatchWhatTheyRead) {

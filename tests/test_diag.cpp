@@ -99,7 +99,7 @@ TEST(Value, GoldenJson) {
   doc.set("items", std::move(arr));
   const std::string expected =
       "{\n"
-      "  \"schema\": \"meanet.diag.v1\",\n"
+      "  \"schema\": \"meanet.diag.v2\",\n"
       "  \"count\": 3,\n"
       "  \"inner\": {\n"
       "    \"ok\": true,\n"
@@ -112,7 +112,7 @@ TEST(Value, GoldenJson) {
       "}";
   EXPECT_EQ(to_json(doc), expected);
   EXPECT_EQ(to_json(doc, 0),
-            "{\"schema\":\"meanet.diag.v1\",\"count\":3,"
+            "{\"schema\":\"meanet.diag.v2\",\"count\":3,"
             "\"inner\":{\"ok\":true,\"ratio\":0.5},\"items\":[1,\"two\"]}");
 }
 
@@ -330,9 +330,7 @@ struct TinySession {
 
 TEST(SessionExport, EveryDocumentedCounterAppears) {
   TinySession tiny = TinySession::make();
-  runtime::EngineConfig cfg = tiny.config();
-  cfg.response_cache_capacity = 8;
-  runtime::InferenceSession session(cfg);
+  runtime::InferenceSession session(tiny.config());
   for (int i = 0; i < 8; ++i) session.submit(tiny.ds.test.instance(i));
   (void)session.drain();
 
@@ -348,22 +346,18 @@ TEST(SessionExport, EveryDocumentedCounterAppears) {
   EXPECT_TRUE(json_well_formed(to_json(tree)));
 }
 
-TEST(SessionExport, SessionAndCacheRegisterWithGlobalRegistry) {
+TEST(SessionExport, SessionRegistersWithGlobalRegistry) {
   TinySession tiny = TinySession::make();
-  runtime::EngineConfig cfg = tiny.config();
-  cfg.response_cache_capacity = 8;
   const std::size_t before = DiagnosticRegistry::global().size();
   {
-    runtime::InferenceSession session(cfg);
+    runtime::InferenceSession session(tiny.config());
     const std::vector<std::string> names = DiagnosticRegistry::global().names();
-    EXPECT_EQ(DiagnosticRegistry::global().size(), before + 2);
-    bool found_session = false, found_cache = false;
+    EXPECT_EQ(DiagnosticRegistry::global().size(), before + 1);
+    bool found_session = false;
     for (const std::string& n : names) {
       if (n.rfind("session/", 0) == 0) found_session = true;
-      if (n.rfind("response_cache/session/", 0) == 0) found_cache = true;
     }
     EXPECT_TRUE(found_session);
-    EXPECT_TRUE(found_cache);
 
     const Value snap = DiagnosticRegistry::global().snapshot_of(session.diag_name());
     ASSERT_FALSE(snap.is_null());
@@ -371,7 +365,7 @@ TEST(SessionExport, SessionAndCacheRegisterWithGlobalRegistry) {
     EXPECT_NE(snap.find("metrics")->find("submitted_instances"), nullptr);
     EXPECT_EQ(snap.find("workers")->as_int(), session.worker_count());
   }
-  // Destruction unregisters both the session and its cache.
+  // Destruction unregisters the session.
   EXPECT_EQ(DiagnosticRegistry::global().size(), before);
 }
 
@@ -391,9 +385,7 @@ TEST(SessionExport, SnapshotMidChurnStaysWellFormed) {
     }
   });
   for (int round = 0; round < 3; ++round) {
-    runtime::EngineConfig cfg = tiny.config();
-    cfg.response_cache_capacity = 4;
-    runtime::InferenceSession session(cfg);
+    runtime::InferenceSession session(tiny.config());
     for (int i = 0; i < 24; ++i) {
       session.submit(tiny.ds.test.instance(i % tiny.ds.test.size()));
     }

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -244,6 +245,47 @@ TEST(Deadlines, PerSubmitOverrideBeatsTheSessionDefault) {
   EXPECT_FALSE(u.front().deadline_expired);
   EXPECT_TRUE(u.front().offloaded);
   EXPECT_EQ(counting->calls(), 1);  // only the unbounded frame uploaded
+}
+
+TEST(Deadlines, SubmitRejectsANegativeDeadline) {
+  Fixture& f = Fixture::instance();
+  InferenceSession session(f.config());
+  const double inf = std::numeric_limits<double>::infinity();
+  // -inf and anything at or below about -9.2e9 s would overflow the
+  // int64 nanosecond cast of a deadline time point.
+  for (const double bad : {-1e-9, -1.0, -1e10, -inf}) {
+    SubmitOptions opts;
+    opts.deadline_s = bad;
+    EXPECT_THROW(session.submit(f.ds.test.instance(0), opts), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(session.metrics().submitted_instances, 0);
+  // NaN still means "the session default"; 0 and +inf are valid bounds.
+  for (const double good : {std::numeric_limits<double>::quiet_NaN(), 0.0, inf}) {
+    SubmitOptions opts;
+    opts.deadline_s = good;
+    EXPECT_EQ(session.submit(f.ds.test.instance(0), opts).wait().size(), 1u) << good;
+  }
+  session.drain();
+}
+
+TEST(Deadlines, ConstructorRejectsNaNOrNegativeRouteDeadlinesAndANaNTimeout) {
+  Fixture& f = Fixture::instance();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (std::size_t route = 0; route < core::kNumRoutes; ++route) {
+    for (const double bad : {nan, -1e-9, -1e10, -inf}) {
+      EngineConfig cfg = f.config();
+      cfg.route_deadline_s[route] = bad;
+      EXPECT_THROW(InferenceSession{cfg}, std::invalid_argument) << route << " " << bad;
+    }
+  }
+  EngineConfig cfg = f.config();
+  cfg.offload_timeout_s = nan;
+  EXPECT_THROW(InferenceSession{cfg}, std::invalid_argument);
+  // A non-positive timeout ("never wait") and a zero deadline stay valid.
+  cfg.offload_timeout_s = -1.0;
+  cfg.set_deadline_s(0.0);
+  EXPECT_NO_THROW(InferenceSession{cfg});
 }
 
 // ---------------------------------------------------------------------

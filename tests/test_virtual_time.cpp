@@ -1,7 +1,7 @@
 // The virtual-time discrete-event core (sim/clock.h, sim/event_loop.h):
 // EventQueue ordering property-tested against a std::stable_sort oracle,
-// VirtualClock advance/timeout/notify semantics, the activity-dependent
-// airtime sharing model of sim::SharedCell, clock-identity enforcement
+// VirtualClock advance/timeout/notify semantics, sim::SharedCell's static
+// airtime share timed on a VirtualClock, clock-identity enforcement
 // between a session and its shared cell, and the parity suite — a seeded
 // serving scenario reproduced bit-identically across reruns and worker
 // counts under VirtualClock, matching the WallClock run on every
@@ -220,92 +220,16 @@ TEST(VirtualClockCells, FreshCellReportsZeroUtilizationWithinOneVirtualInstant) 
 }
 
 // ---------------------------------------------------------------------
-// Activity-dependent airtime sharing
+// Airtime sharing on a VirtualClock
 // ---------------------------------------------------------------------
 
-TEST(ActivitySharing, LoneTransferMovesAtFullRateDespiteIdleStations) {
-  auto clock = std::make_shared<sim::VirtualClock>();
-  sim::SharedCellConfig config;
-  config.uplink.throughput_mbps = 8.0;
-  config.activity_dependent_sharing = true;
-  config.clock = clock;
-  sim::SharedCell cell(config);
-  const int station = cell.attach();
-  cell.attach();  // two more stations, both idle: they must not
-  cell.attach();  // slow the lone transfer down
-
-  const std::int64_t bytes = 1 << 20;
-  const double solo_s = config.uplink.upload_time_s(bytes);
-  const auto t0 = clock->now();
-  sim::ActorGuard actor(*clock);
-  const sim::TransferOutcome out = cell.uplink_transfer(station, 0, bytes);
-
-  EXPECT_FALSE(out.cancelled);
-  // Virtual timestamps are nanosecond-quantized, so the occupancy can
-  // sit a sub-nanosecond off the analytic figure.
-  EXPECT_NEAR(out.delay_s, solo_s, 1e-8);
-  EXPECT_NEAR(sim::Clock::seconds_between(t0, clock->now()), solo_s, 1e-8);
-}
-
-TEST(ActivitySharing, TwoOverlappedTransfersEachTakeTwiceTheirSoloTime) {
-  auto clock = std::make_shared<sim::VirtualClock>();
-  sim::SharedCellConfig config;
-  config.uplink.throughput_mbps = 8.0;
-  config.activity_dependent_sharing = true;
-  config.clock = clock;
-  sim::SharedCell cell(config);
-  const int s0 = cell.attach();
-  const int s1 = cell.attach();
-
-  const std::int64_t bytes = 1 << 20;
-  const double solo_s = config.uplink.upload_time_s(bytes);
-  const auto t0 = clock->now();
-
-  // Both stations must register before either can block, or the clock
-  // would run the first transfer to completion alone.
-  std::mutex mutex;
-  std::condition_variable cv;
-  int ready = 0;
-  auto rendezvous = [&] {
-    std::unique_lock<std::mutex> lock(mutex);
-    ++ready;
-    cv.notify_all();
-    cv.wait(lock, [&] { return ready == 2; });
-  };
-
-  sim::TransferOutcome out0, out1;
-  std::thread a([&] {
-    sim::ActorGuard guard(*clock);
-    rendezvous();
-    out0 = cell.uplink_transfer(s0, 0, bytes);
-  });
-  std::thread b([&] {
-    sim::ActorGuard guard(*clock);
-    rendezvous();
-    out1 = cell.uplink_transfer(s1, 1, bytes);
-  });
-  a.join();
-  b.join();
-
-  // Fully overlapped equal transfers: each progresses at half rate the
-  // whole way, so each occupies exactly twice its solo time and both
-  // finish together.
-  EXPECT_FALSE(out0.cancelled);
-  EXPECT_FALSE(out1.cancelled);
-  EXPECT_NEAR(out0.delay_s, 2.0 * solo_s, 1e-8);
-  EXPECT_NEAR(out1.delay_s, 2.0 * solo_s, 1e-8);
-  EXPECT_NEAR(sim::Clock::seconds_between(t0, clock->now()), 2.0 * solo_s, 1e-8);
-}
-
 TEST(ActivitySharing, StaticShareStaysTheDefaultModel) {
-  // Default config: the flag is off, and a transfer on a two-station
-  // cell is charged the full static contention factor even though the
-  // second station is idle — the pre-existing oracle.
+  // A transfer on a two-station cell is charged the full static
+  // contention factor even though the second station is idle.
   auto clock = std::make_shared<sim::VirtualClock>();
   sim::SharedCellConfig config;
   config.uplink.throughput_mbps = 8.0;
   config.clock = clock;
-  ASSERT_FALSE(config.activity_dependent_sharing);
   sim::SharedCell cell(config);
   const int station = cell.attach();
   cell.attach();  // idle, but statically counted
