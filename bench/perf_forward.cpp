@@ -33,8 +33,15 @@
 // rows time ResNet-B's eval forward_main at batch 128 (one
 // wire_offload request) and forward_extension at batch 64 (about the
 // hard half of one). Both report GFLOP/s = 2 x MACs (nn::collect_stats,
-// MEANet::edge_macs) x batch / time. The JSON header records the host
-// shape (nproc, SIMD and int8 tiers).
+// MEANet::edge_macs) x batch / time. The conv_pack rows split those two
+// forwards (the cloud at batch 16, forward_main at batch 128) by conv
+// geometry: each row times one conv_gemm_nchw call and, interleaved
+// with it, the B packing that call does outside the microkernels alone
+// (ops::detail::conv_b_packing: every (KC, NC) block's slab copy and
+// panel set-up, and the gathered panels' gathers; a panel of
+// consecutive columns is packed inside its first row tile's kernel, so
+// its copy counts in conv_ms). The JSON
+// header records the host shape (nproc, SIMD and int8 tiers).
 //
 // Usage: perf_forward [--quick] [--out PATH]
 // Exit status is nonzero when, on any single-image forward, the
@@ -45,7 +52,7 @@
 // fallback's by more than the larger of the two sides' interquartile
 // ranges, both timed interleaved in one loop: a smaller gap is within
 // what the host's noise moves a median. The batch-sweep, training,
-// cloud and edge rows are recorded, not gated.
+// cloud, edge and conv_pack rows are recorded, not gated.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -60,9 +67,13 @@
 #include "common.h"
 #include "core/builders.h"
 #include "diag/value.h"
+#include "nn/conv2d.h"
 #include "nn/loss.h"
 #include "nn/model_stats.h"
+#include "nn/residual_block.h"
+#include "nn/sequential.h"
 #include "runtime/session.h"
+#include "tensor/gemm_kernels.h"
 #include "tensor/ops.h"
 #include "tensor/qgemm.h"
 #include "tensor/simd.h"
@@ -237,6 +248,84 @@ PassRow measure_pass(const std::string& model, const std::string& pass, int batc
   return row;
 }
 
+/// The Conv2d calls of a forward, by geometry: out_channels, the
+/// geometry and how many convs of the forward share both.
+struct ConvCall {
+  int out_channels = 0;
+  ops::ConvGeometry g;
+  int count = 0;
+};
+
+/// Adds the convs `layer` runs on `input` (one instance) to `calls`,
+/// walking Sequentials and residual blocks (main path and shortcut).
+void collect_convs(nn::Layer& layer, const Shape& input, std::vector<ConvCall>& calls) {
+  if (auto* seq = dynamic_cast<nn::Sequential*>(&layer)) {
+    Shape shape = input;
+    for (int i = 0; i < seq->size(); ++i) {
+      collect_convs(seq->layer(i), shape, calls);
+      shape = seq->layer(i).output_shape(shape);
+    }
+  } else if (auto* block = dynamic_cast<nn::ResidualBlock*>(&layer)) {
+    collect_convs(block->main_path(), input, calls);
+    collect_convs(block->shortcut(), input, calls);
+  } else if (auto* conv = dynamic_cast<nn::Conv2d*>(&layer)) {
+    const ops::ConvGeometry g{conv->in_channels(), input.height(), input.width(),
+                              conv->kernel(),      conv->stride(), conv->padding()};
+    const auto same = [&](const ConvCall& c) {
+      return c.out_channels == conv->out_channels() && c.g.in_channels == g.in_channels &&
+             c.g.in_height == g.in_height && c.g.in_width == g.in_width &&
+             c.g.kernel == g.kernel && c.g.stride == g.stride && c.g.padding == g.padding;
+    };
+    const auto it = std::find_if(calls.begin(), calls.end(), same);
+    if (it != calls.end()) {
+      ++it->count;
+    } else {
+      calls.push_back({conv->out_channels(), g, 1});
+    }
+  }
+}
+
+/// One conv geometry of a forward: a conv_gemm_nchw call and its B
+/// packing alone, next to the whole forward.
+struct PackRow {
+  std::string forward;
+  int batch = 0;
+  double forward_ms = 0.0;
+  ConvCall call;
+  Timing conv;
+  Timing pack;
+};
+
+/// Times every conv geometry of a forward at `batch` (reps interleaved
+/// per geometry: the conv, then its packing alone).
+std::vector<PackRow> measure_conv_pack(const std::string& forward, int batch, double forward_ms,
+                                       const std::vector<ConvCall>& calls, int reps) {
+  std::vector<PackRow> rows;
+  util::Rng rng(23);
+  for (const ConvCall& call : calls) {
+    const ops::ConvGeometry& g = call.g;
+    const Tensor images =
+        Tensor::normal(Shape{batch, g.in_channels, g.in_height, g.in_width}, rng);
+    const Tensor weight = Tensor::normal(Shape{call.out_channels, g.patch_size()}, rng);
+    Tensor output(Shape{batch, call.out_channels, g.out_height(), g.out_width()});
+    const auto conv = [&] {
+      ops::conv_gemm_nchw(call.out_channels, weight.data(), images.data(), batch, g,
+                          output.data());
+    };
+    const auto pack = [&] {
+      ops::detail::conv_b_packing(call.out_channels, images.data(), batch, g);
+    };
+    const std::vector<Timing> timings = interleaved_timings(reps, {conv, pack});
+    rows.push_back({forward, batch, forward_ms, call, timings[0], timings[1]});
+    std::printf("  %-18s batch %3d  %2dx%2dx%2d k%d s%d p%d -> %2d  x%d   conv %7.3f ms   "
+                "pack %7.3f ms\n",
+                forward.c_str(), batch, g.in_channels, g.in_height, g.in_width, g.kernel,
+                g.stride, g.padding, call.out_channels, call.count, timings[0].median_ms,
+                timings[1].median_ms);
+  }
+  return rows;
+}
+
 TrainRow measure_training(const std::string& model, core::MEANet& net, const Tensor& images,
                           int num_classes, int reps) {
   std::vector<int> labels(static_cast<std::size_t>(images.shape().batch()));
@@ -339,6 +428,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<PassRow> cloud_rows;
+  std::vector<PackRow> pack_rows;
   {
     // The cloud classifier on the CIFAR-like images e2ebench's wire
     // daemon classifies.
@@ -354,6 +444,12 @@ int main(int argc, char** argv) {
       cloud_rows.push_back(measure_pass("cloud_classifier", "forward", bs, macs,
                                         quick ? 11 : 31,
                                         [&] { (void)cloud.forward(input, nn::Mode::kEval); }));
+    }
+    std::vector<ConvCall> calls;
+    collect_convs(cloud, Shape{1, spec.channels, spec.height, spec.width}, calls);
+    for (PackRow& row : measure_conv_pack("cloud_classifier", 16, cloud_rows[0].forward.median_ms,
+                                          calls, quick ? 11 : 31)) {
+      pack_rows.push_back(std::move(row));
     }
   }
   std::vector<PassRow> edge_rows;
@@ -377,6 +473,14 @@ int main(int argc, char** argv) {
     edge_rows.push_back(measure_pass(
         "resnet_b_cifar", "forward_extension", 64, macs.extension, pass_reps,
         [&] { (void)net.forward_extension(hard, features, nn::Mode::kEval); }));
+    std::vector<ConvCall> calls;
+    const Shape image{1, spec.channels, spec.height, spec.width};
+    collect_convs(net.main_trunk(), image, calls);
+    collect_convs(net.main_exit(), net.main_trunk().output_shape(image), calls);
+    for (PackRow& row : measure_conv_pack("resnet_b_forward_main", 128,
+                                          edge_rows[0].forward.median_ms, calls, pass_reps)) {
+      pack_rows.push_back(std::move(row));
+    }
   }
 
   {
@@ -485,6 +589,28 @@ int main(int argc, char** argv) {
   };
   doc.set("cloud_forward", pass_rows(cloud_rows));
   doc.set("edge_forward", pass_rows(edge_rows));
+  diag::Value conv_pack = diag::Value::array();
+  for (const PackRow& row : pack_rows) {
+    const ops::ConvGeometry& g = row.call.g;
+    diag::Value v = diag::Value::object();
+    v.set("forward", row.forward);
+    v.set("batch", row.batch);
+    v.set("forward_ms", row.forward_ms);
+    v.set("in_channels", g.in_channels);
+    v.set("in_height", g.in_height);
+    v.set("in_width", g.in_width);
+    v.set("kernel", g.kernel);
+    v.set("stride", g.stride);
+    v.set("padding", g.padding);
+    v.set("out_channels", row.call.out_channels);
+    v.set("count", row.call.count);
+    v.set("conv_ms", row.conv.median_ms);
+    v.set("conv_iqr_ms", row.conv.iqr_ms);
+    v.set("pack_ms", row.pack.median_ms);
+    v.set("pack_iqr_ms", row.pack.iqr_ms);
+    conv_pack.push(std::move(v));
+  }
+  doc.set("conv_pack", std::move(conv_pack));
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());

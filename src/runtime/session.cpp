@@ -1,6 +1,7 @@
 #include "runtime/session.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -213,6 +214,13 @@ InferenceSession::~InferenceSession() {
   // dispatcher drains whatever is left and exits.
   offload_queue_.close();
   if (offload_worker_.joinable()) offload_worker_.join();
+#ifndef NDEBUG
+  // With every thread joined the books must close: each accepted
+  // instance completed, was cancelled or failed, exactly once.
+  const SessionMetrics books = collector_.snapshot();
+  assert(books.submitted_instances ==
+         books.completed_instances + books.cancelled_instances + books.failed_instances);
+#endif
   if (cell_) cell_->detach(station_);
   // Every request has transitioned by now; flush their callbacks.
   callbacks_->shutdown();

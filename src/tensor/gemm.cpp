@@ -7,31 +7,36 @@
 // conv_grad_columns(); its loops, outermost first:
 //   k block (KC rows)
 //     MC block: A packed once, MR-interleaved, L2-resident
-//       NC block: a padded conv copies its zero-padded slab once
+//       NC block: a padded conv copies its slab once
 //         one NR = 16-column panel: B packed into a kc x 16 buffer
-//         that stays in L1 (or read in place, below), then every
-//         MR-row tile of the MC block runs on it before the next
-//         panel.
+//         that stays in L1, then every MR-row tile of the MC block
+//         runs on it before the next panel.
 // Packing folds the optional transpose, so one kernel serves all four
 // transpose cases. A conv forward (conv_gemm_nchw) reads B from its
 // NCHW images and writes C into its NCHW output; a conv's
 // input-gradient GEMM (conv_grad_columns) reads B from the NCHW output
 // gradient the same way. That reader
 // (detail::conv_block_source and conv_b_panel, ops.cpp) checks no
-// bounds: a padded conv's block is first copied into a zero-padded slab
-// of the images x channels the block reads (bounded by KC x NC, not by
-// the batch), and each k row's tap offset is worked out once per block.
+// bounds: a padded conv's block is first copied into a slab of the
+// images x channels the block reads (bounded by KC x NC, not by the
+// batch), padded vertically only — each plane (H+2p) rows of width W
+// followed by p zero guard floats, p more before the first — and each
+// k row's tap offset, and each kernel column's lane masks, are worked
+// out once per block.
 //
-// Kernel contract (gemm_kernels.h): each tier has a packed microkernel,
-// which reads B row p at b + 16p, and an in-place one, which reads it
-// at b + rows[p]. A conv forward panel whose 16 columns are consecutive
-// in the source (the padded slab or the unpadded images) for every k
-// row — nr == 16, in one output row (or, 1x1 unpadded, one image),
-// stride 1 — is read in place: b = its first column, rows = the
-// block's tap offsets, and nothing is copied. Ragged and gathered panels, dense gemm() panels
-// and every conv_grad_columns panel (whose rows are strided by a power
-// of two) are packed. Either way the kernel sees the same values in the
-// same k order, so the output is bit-identical.
+// Kernel contract (gemm_kernels.h): each tier has a microkernel, which
+// reads B row p at b + 16p of a packed kc x 16 panel, a packing kernel
+// and a gather. A conv panel whose 16 columns are consecutive in the
+// source for every k row — nr == 16, stride 1, in one output row, or
+// in one image when output rows are as wide as input rows (a "same"
+// conv, or a 1x1) — is packed by the packing kernel of its first row
+// tile, one 16-float load per k row, as that tile runs; the other row
+// tiles read the packed panel. Any other panel (stride 2, straddling
+// images, ragged) is gathered, 16 lanes per k row, before its first
+// tile. Either way the lanes whose input column lies in the horizontal
+// padding are zeroed by a mask, so every kernel sees the values, the
+// +0.0 padding and the k order of im2col, and the output is
+// bit-identical to it.
 //
 // Epilogue contract: a conv forward may pass an ops::ConvEpilogue
 // {per-channel bias, residual, ReLU}. It runs on each tile once, after
@@ -54,6 +59,7 @@
 // whole (the serving determinism tests rely on this).
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 
@@ -66,10 +72,6 @@ namespace meanet::ops {
 
 namespace {
 
-// Portable register tile: MR x NR floats of C accumulated in locals.
-// 4 x 16 keeps the accumulator within the vector register budget of
-// any SSE2+ target while giving -O3 full unroll + vectorize freedom.
-constexpr int kPortableMR = 4;
 using detail::kKC;
 using detail::kNC;
 using detail::kNR;
@@ -145,53 +147,35 @@ void pack_b(bool transpose, const float* b, int ldb, int p0, int kc, int j, int 
   }
 }
 
-// ----- Microkernels ---------------------------------------------------
+}  // namespace
 
-/// C[0:mr, 0:nr] += sum_p apanel[p][.] * B_p[.] — the portable
-/// register tile, B_p = b + 16p (packed) or b + rows[p] (in place). The
-/// accumulator covers the full padded MR x NR tile (padded lanes hold
-/// zeros), only the valid mr x nr region is written back.
-template <bool kInPlace>
-void micro_kernel_portable_4x16(int kc, const float* apanel, const float* b,
-                                const std::ptrdiff_t* rows, float* c, int ldc, int mr, int nr) {
-  float acc[kPortableMR][kNR] = {};
-  for (int p = 0; p < kc; ++p, apanel += kPortableMR) {
-    const float* b_row = kInPlace ? b + rows[p] : b + static_cast<std::ptrdiff_t>(p) * kNR;
-    for (int i = 0; i < kPortableMR; ++i) {
-      const float a = apanel[i];
-      for (int j = 0; j < kNR; ++j) acc[i][j] += a * b_row[j];
-    }
-  }
-  for (int i = 0; i < mr; ++i) {
-    float* c_row = c + static_cast<std::ptrdiff_t>(i) * ldc;
-    for (int j = 0; j < nr; ++j) c_row[j] += acc[i][j];
-  }
-}
+// ----- Kernel tier ----------------------------------------------------
 
-/// The microkernel matching the active SimdLevel. Levels the binary
-/// has no kernel for (clamped away by set_simd_level, but belt and
-/// braces) fall back to the portable tile.
-detail::FloatKernel active_kernel() {
+/// The tier matching the active SimdLevel. Levels the binary has no
+/// kernel for (clamped away by set_simd_level, but belt and braces)
+/// fall back to the portable tile.
+detail::FloatKernel detail::active_kernel() {
   switch (simd_level()) {
 #if defined(__x86_64__) || defined(_M_X64)
     case SimdLevel::kAvx2:
-      return {6, detail::micro_kernel_avx2_6x16, detail::micro_kernel_avx2_6x16_in_place,
+      return {6, micro_kernel_avx2_6x16, packing_kernel_avx2_6x16, gather_panel_portable,
               "avx2"};
     case SimdLevel::kAvx512:
-      return {8, detail::micro_kernel_avx512_8x16, detail::micro_kernel_avx512_8x16_in_place,
+      return {8, micro_kernel_avx512_8x16, packing_kernel_avx512_8x16, gather_panel_avx512,
               "avx512"};
 #endif
 #if defined(__aarch64__)
     case SimdLevel::kNeon:
-      return {6, detail::micro_kernel_neon_6x16, detail::micro_kernel_neon_6x16_in_place,
-              "neon"};
+      return {6, micro_kernel_neon_6x16, packing_kernel_neon_6x16, gather_panel_portable, "neon"};
 #endif
     default:
       break;
   }
-  return {kPortableMR, micro_kernel_portable_4x16<false>, micro_kernel_portable_4x16<true>,
+  return {4, micro_kernel_portable_4x16, packing_kernel_portable_4x16, gather_panel_portable,
           "portable"};
 }
+
+namespace {
 
 // ----- Blocked driver -------------------------------------------------
 
@@ -209,12 +193,12 @@ struct GemmJob {
   /// the NCHW images at `b`, read straight from them, and C is the
   /// NCHW output [n / ldc, m, ldc]. Null = dense B and C.
   const ConvGeometry* conv = nullptr;
-  /// A conv's consecutive panels are read in place (the forward), not
-  /// packed (conv_grad_columns).
-  bool conv_in_place = false;
   /// A conv forward's epilogue; null = none.
   const ConvEpilogue* epilogue = nullptr;
   detail::FloatKernel kernel;
+  /// Set up every B panel, gathering those the kernels do not pack,
+  /// but pack no A and run no kernel (detail::conv_b_packing).
+  bool b_only = false;
 };
 
 /// Finishes the mr x nr tile at `c` (row stride ldc, first row =
@@ -249,9 +233,8 @@ FinishTileFn finish_tile_for(const ConvEpilogue& e) {
 
 /// The blocked loops over all of C's rows, on the calling thread: k
 /// block, MC block (A packed once), NC block (a padded conv's slab),
-/// then one NR-column B panel at a time (packed, or a conv forward's
-/// read in place), which every row tile of the MC block reads before
-/// the next panel.
+/// then one NR-column B panel at a time, packed, which every row tile
+/// of the MC block reads before the next panel.
 void run_blocked(const GemmJob& job) {
   const int mr_tile = job.kernel.mr;
   // C column j is pixel j % cols of image j / cols: a conv's C is its
@@ -266,8 +249,11 @@ void run_blocked(const GemmJob& job) {
   const ConvEpilogue* epilogue = job.epilogue;
   const FinishTileFn finish_fn = epilogue != nullptr ? finish_tile_for(*epilogue) : nullptr;
   Workspace& workspace = Workspace::tls();
+  // The B panel starts on a 64-byte boundary, so no packed row
+  // straddles two cache lines.
   float* bpanel = workspace.buffer(Workspace::kPackB,
-                                   static_cast<std::size_t>(std::min(kKC, job.k)) * kNR);
+                                   static_cast<std::size_t>(std::min(kKC, job.k)) * kNR + 15);
+  bpanel += (kNR - reinterpret_cast<std::uintptr_t>(bpanel) / sizeof(float) % kNR) % kNR;
   detail::ConvBlockSource source;  // a conv's, per (k block, NC block)
   for (int p0 = 0; p0 < job.k; p0 += kKC) {
     const int kc = std::min(kKC, job.k - p0);
@@ -278,7 +264,7 @@ void run_blocked(const GemmJob& job) {
       const int m_panels = (mc + mr_tile - 1) / mr_tile;
       float* apack = workspace.buffer(Workspace::kPackA,
                                       static_cast<std::size_t>(m_panels) * kc * mr_tile);
-      pack_a(mr_tile, job.transpose_a, job.a, job.lda, i0, mc, p0, kc, apack);
+      if (!job.b_only) pack_a(mr_tile, job.transpose_a, job.a, job.lda, i0, mc, p0, kc, apack);
       for (int j0 = 0; j0 < job.n; j0 += kNC) {
         const int nc = std::min(kNC, job.n - j0);
         if (job.conv != nullptr) {
@@ -293,14 +279,25 @@ void run_blocked(const GemmJob& job) {
           }
           const int nr = std::min(kNR, nc - jb);
           const int jcol = j0 + jb;
-          detail::BPanel panel{bpanel, nullptr};
+          detail::PanelRead read;
           if (job.conv != nullptr) {
-            panel = detail::conv_b_panel(source, jcol, nr, job.conv_in_place, bpanel);
+            read = detail::conv_b_panel(source, nr);
+            if (read.lanes != nullptr) job.kernel.gather(read, bpanel);
           } else {
             pack_b(job.transpose_b, job.b, job.ldb, p0, kc, jcol, nr, bpanel);
           }
-          const detail::MicroKernelFn kernel =
-              panel.rows != nullptr ? job.kernel.in_place : job.kernel.packed;
+          if (job.b_only) continue;
+          // A conv panel of consecutive columns is packed by the kernel
+          // of its first row tile, as that runs.
+          bool pack_in_kernel = job.conv != nullptr && read.lanes == nullptr;
+          const auto kernel = [&](const float* apanel, float* c, int ldc, int mr) {
+            if (pack_in_kernel) {
+              pack_in_kernel = false;
+              job.kernel.packing(apanel, read, bpanel, c, ldc, mr, nr);
+            } else {
+              job.kernel.kernel(kc, apanel, bpanel, c, ldc, mr, nr);
+            }
+          };
           // A tile inside one image: the kernel writes straight through
           // a base pointer + ldc.
           const std::ptrdiff_t base = image * image_stride +
@@ -313,7 +310,7 @@ void run_blocked(const GemmJob& job) {
             const int row0 = i0 + ib;
             if (direct) {
               const std::ptrdiff_t at = base + static_cast<std::ptrdiff_t>(ib) * job.ldc;
-              kernel(kc, apanel, panel.base, panel.rows, job.c + at, job.ldc, mr, nr);
+              kernel(apanel, job.c + at, job.ldc, mr);
               if (finish) {
                 finish_fn(epilogue->bias, row0, mr, nr, job.c + at, job.ldc,
                           epilogue->residual != nullptr ? epilogue->residual + at : nullptr);
@@ -336,7 +333,7 @@ void run_blocked(const GemmJob& job) {
                 if (with_residual) residual[i * kNR + j] = epilogue->residual[at];
               }
             }
-            kernel(kc, apanel, panel.base, panel.rows, tile, kNR, mr, nr);
+            kernel(apanel, tile, kNR, mr);
             if (finish) finish_fn(epilogue->bias, row0, mr, nr, tile, kNR, residual);
             for (int i = 0; i < mr; ++i) {
               for (int j = 0; j < nr; ++j) job.c[c_offset(row0 + i, jcol + j)] = tile[i * kNR + j];
@@ -369,7 +366,7 @@ void gemm(bool transpose_a, bool transpose_b, int m, int n, int k, const float* 
   job.ldb = ldb;
   job.c = c;
   job.ldc = ldc;
-  job.kernel = active_kernel();
+  job.kernel = detail::active_kernel();
   run_blocked(job);
 }
 
@@ -377,10 +374,11 @@ namespace {
 
 /// C[n] += op(A) [m, patch] x im2col(image n) for each of the `batch`
 /// NCHW images of geometry `g`: one GEMM with B read straight from the
-/// images (consecutive panels in place when `in_place`) and C written
-/// as NCHW [batch, m, out_hw], then `epilogue` (null = none).
+/// images and C written as NCHW [batch, m, out_hw], then `epilogue`
+/// (null = none). With `b_only`, only the B side runs (GemmJob::b_only).
 void run_nchw(bool transpose_a, int m, const float* a, int lda, const float* images, int batch,
-              const ConvGeometry& g, float* c, bool in_place, const ConvEpilogue* epilogue) {
+              const ConvGeometry& g, float* c, const ConvEpilogue* epilogue,
+              bool b_only = false) {
   const int out_hw = g.out_height() * g.out_width();
   const int patch = g.patch_size();
   if (m < 0 || batch < 0 || out_hw < 0 || patch < 0) {
@@ -399,18 +397,23 @@ void run_nchw(bool transpose_a, int m, const float* a, int lda, const float* ima
   job.c = c;
   job.ldc = out_hw;
   job.conv = &g;
-  job.conv_in_place = in_place;
   job.epilogue = epilogue;
-  job.kernel = active_kernel();
+  job.kernel = detail::active_kernel();
+  job.b_only = b_only;
   run_blocked(job);
 }
 
 }  // namespace
 
+void detail::conv_b_packing(int out_channels, const float* images, int batch,
+                            const ConvGeometry& g) {
+  run_nchw(false, out_channels, nullptr, g.patch_size(), images, batch, g, nullptr, nullptr, true);
+}
+
 void conv_gemm_nchw(int out_channels, const float* weight, const float* images, int batch,
                     const ConvGeometry& g, float* output, const ConvEpilogue& epilogue) {
   const bool any = epilogue.bias != nullptr || epilogue.residual != nullptr || epilogue.relu;
-  run_nchw(false, out_channels, weight, g.patch_size(), images, batch, g, output, true,
+  run_nchw(false, out_channels, weight, g.patch_size(), images, batch, g, output,
            any ? &epilogue : nullptr);
 }
 
@@ -423,10 +426,9 @@ void conv_grad_columns(int out_channels, const float* weight, const float* grad_
   }
   // grad_output [batch, out_channels, out_hw] is the NCHW batch of a
   // 1x1 conv over one row of out_hw pixels, whose im2col matrix is each
-  // image itself. Its panels feed patch / MR row tiles each, and their
-  // rows lie a power of two apart, so packing them pays.
+  // image itself.
   const ConvGeometry rows{out_channels, 1, out_hw, 1, 1, 0};
-  run_nchw(true, patch, weight, patch, grad_output, batch, rows, columns, false, nullptr);
+  run_nchw(true, patch, weight, patch, grad_output, batch, rows, columns, nullptr);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b, bool transpose_a, bool transpose_b) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -147,56 +148,54 @@ detail::ConvBlockSource detail::conv_block_source(const float* images, const Con
   ConvBlockSource source;
   source.images = images;
   source.g = g;
+  source.out_h = g.out_height();
+  source.out_w = g.out_width();
   source.kc = kc;
   const int taps = g.kernel * g.kernel;
-  if (g.padding > 0) {
+  const int pad = g.padding, width = g.in_width;
+  const int out_w = source.out_w, out_hw = source.out_h * out_w;
+  std::ptrdiff_t plane = static_cast<std::ptrdiff_t>(g.in_height) * width;
+  source.image_stride = g.in_channels * plane;
+  if (pad > 0) {
     // Copy what the block reads — images [n0, n1] x channels [c0, c1] —
-    // into a zero-padded slab once; its panels then pack it as an
-    // unpadded geometry. nc columns touch at most nc / out_hw + 2
-    // images and kc rows at most kc / k^2 + 2 channels, so the slab is
-    // bounded by the block, not by the batch.
-    const int out_hw = g.out_height() * g.out_width();
+    // into the slab once, each plane as p zero rows, its H input rows
+    // (one contiguous copy) and p zero rows, then p zero guard floats;
+    // p more lead the first plane. nc columns touch at most
+    // nc / out_hw + 2 images and kc rows at most kc / k^2 + 2 channels,
+    // so the slab is bounded by the block, not by the batch.
     const int n0 = j0 / out_hw, n1 = (j0 + nc - 1) / out_hw;
     const int c0 = p0 / taps, c1 = (p0 + kc - 1) / taps;
-    const int pad = g.padding;
-    ConvGeometry& padded = source.g;
-    padded.in_channels = c1 - c0 + 1;
-    padded.in_height = g.in_height + 2 * pad;
-    padded.in_width = g.in_width + 2 * pad;
-    padded.padding = 0;
-    const int width = g.in_width, padded_width = padded.in_width;
-    const std::ptrdiff_t plane = static_cast<std::ptrdiff_t>(g.in_height) * width;
-    const std::ptrdiff_t padded_plane =
-        static_cast<std::ptrdiff_t>(padded.in_height) * padded_width;
+    const int channels = c1 - c0 + 1;
+    const std::ptrdiff_t image_plane = plane, pad_rows = static_cast<std::ptrdiff_t>(pad) * width;
+    plane = image_plane + 2 * pad_rows + pad;
     float* slab = Workspace::tls().buffer(
         Workspace::kPaddedSlab,
-        static_cast<std::size_t>(n1 - n0 + 1) * padded.in_channels * padded_plane);
-    float* out = slab;
+        static_cast<std::size_t>(pad + (n1 - n0 + 1) * channels * plane));
+    float* out = std::fill_n(slab, pad, 0.0f);
     for (int n = n0; n <= n1; ++n) {
-      for (int c = c0; c <= c1; ++c, out += padded_plane) {
-        const float* in = images + (static_cast<std::ptrdiff_t>(n) * g.in_channels + c) * plane;
-        // The top pad rows and the first row's left pad, then each input
-        // row followed by its right pad and the next row's left pad.
-        float* o = std::fill_n(out, pad * padded_width + pad, 0.0f);
-        for (int ih = 0; ih < g.in_height; ++ih, in += width) {
-          o = std::copy_n(in, width, o);
-          o = std::fill_n(o, 2 * pad, 0.0f);
-        }
-        std::fill(o, out + padded_plane, 0.0f);
+      for (int c = c0; c <= c1; ++c) {
+        const float* in = images + (static_cast<std::ptrdiff_t>(n) * g.in_channels + c) *
+                                       image_plane;
+        out = std::fill_n(out, pad_rows, 0.0f);
+        out = std::copy_n(in, image_plane, out);
+        out = std::fill_n(out, pad_rows + pad, 0.0f);
       }
     }
-    source.images = slab;
-    source.j0 = n0 * out_hw;
+    source.images = slab + pad;
+    source.image_stride = channels * plane;
+    j0 -= n0 * out_hw;
     p0 -= c0 * taps;
   }
+  source.image = j0 / out_hw;
+  source.oh = j0 % out_hw / out_w;
+  source.ow = j0 % out_w;
   // k row p is tap (kh, kw) of input channel c: p = (c*k + kh)*k + kw,
   // stepped without a division.
-  const ConvGeometry& sg = source.g;
-  const int k = sg.kernel;
-  const std::ptrdiff_t plane = static_cast<std::ptrdiff_t>(sg.in_height) * sg.in_width;
+  const int k = g.kernel;
   int c = p0 / taps, kh = p0 % taps / k, kw = p0 % k;
   for (int p = 0; p < kc; ++p) {
-    source.taps[p] = c * plane + kh * sg.in_width + kw;
+    source.taps[p] = c * plane + kh * width + kw - pad;
+    source.kws[p] = pad > 0 ? kw : 0;
     if (++kw == k) {
       kw = 0;
       if (++kh == k) {
@@ -205,65 +204,87 @@ detail::ConvBlockSource detail::conv_block_source(const float* images, const Con
       }
     }
   }
+  // Panel t of the block starts at output column (ow0 + 16t) mod out_w,
+  // so its masks repeat every out_w / gcd(out_w, 16) panels. Lane i of
+  // that panel is output column (its first + i) mod out_w, whose tap
+  // column ow * stride + kw - p must lie in [0, W).
+  source.mask_k = pad > 0 ? k : 1;
+  source.phases = pad > 0 ? std::min((nc + kNR - 1) / kNR, out_w / std::gcd(out_w, kNR)) : 1;
+  const std::size_t count = static_cast<std::size_t>(source.phases + 1) * source.mask_k;
+  source.masks = reinterpret_cast<std::uint16_t*>(
+      Workspace::tls().byte_buffer(Workspace::kLaneMasks, count * sizeof(std::uint16_t)));
+  source.ragged = source.masks + count - source.mask_k;
+  if (pad == 0) {
+    source.masks[0] = 0xFFFF;
+    return source;
+  }
+  std::uint16_t* masks = source.masks;
+  for (int t = 0; t < source.phases; ++t, masks += k) {
+    std::fill_n(masks, k, 0);
+    int ow = (source.ow + t * kNR) % out_w;
+    for (int i = 0; i < kNR; ++i) {
+      const int col = ow * g.stride - pad;
+      for (int tap = 0; tap < k; ++tap) {
+        if (col + tap >= 0 && col + tap < width) masks[tap] |= 1u << i;
+      }
+      if (++ow == out_w) ow = 0;
+    }
+  }
   return source;
 }
 
-detail::BPanel detail::conv_b_panel(const ConvBlockSource& source, int j, int nr,
-                                    bool in_place, float* dst) {
-  // The source is unpadded, so every tap of every column lies inside
-  // its image. Column j is image j / out_hw at output pixel (oh, ow),
-  // whose k row p reads images[offset(j) + taps[p]] with offset(j) =
-  // image * image_stride + oh*stride*W + ow*stride. The panel's offsets
-  // rise strictly with j, so 16 of them spanning 15 floats are
-  // consecutive: each k row is then 16 floats in place (or one 16-float
-  // copy), and otherwise one 16-lane gather.
+detail::PanelRead detail::conv_b_panel(ConvBlockSource& source, int nr) {
+  // Column (image, oh, ow) reads images[offset + taps[p]] in k row p,
+  // with offset = image * image_stride + oh*stride*W + ow*stride. A
+  // stride-1 panel inside one output row is consecutive, and so is one
+  // inside one image when an output row is an input row (out_w == W:
+  // the slab has no horizontal padding between rows); either is one
+  // load per k row. Any other panel is one 16-lane gather per k row.
   const ConvGeometry& g = source.g;
-  const int out_h = g.out_height(), out_w = g.out_width();
-  const int out_hw = out_h * out_w;
+  const int out_h = source.out_h, out_w = source.out_w;
   const std::ptrdiff_t row_step = static_cast<std::ptrdiff_t>(g.stride) * g.in_width;
-  const std::ptrdiff_t image_stride =
-      static_cast<std::ptrdiff_t>(g.in_channels) * g.in_height * g.in_width;
-  // Column j + i is output pixel (oh, ow) of `image`, stepped without a
-  // division.
-  j -= source.j0;
-  int image = j / out_hw, pixel = j - image * out_hw;
-  int oh = pixel / out_w, ow = pixel - oh * out_w;
-  const auto offset = [&] { return image * image_stride + oh * row_step + ow * g.stride; };
+  int image = source.image, oh = source.oh, ow = source.ow;
+  PanelRead read;
+  read.taps = source.taps;
+  read.kws = source.kws;
+  read.kc = source.kc;
+  read.masks = source.masks + source.phase * source.mask_k;
+  if (++source.phase == source.phases) source.phase = 0;
+  for (source.ow += kNR; source.ow >= out_w; source.ow -= out_w) {
+    if (++source.oh == out_h) {
+      source.oh = 0;
+      ++source.image;
+    }
+  }
+  const auto offset = [&] { return image * source.image_stride + oh * row_step + ow * g.stride; };
   const std::ptrdiff_t first_offset = offset();
-  const float* first = source.images + first_offset;
-  // 16 columns in one output row of a stride-1 conv are consecutive
-  // (the common case, told without the lane offsets). Otherwise lane i
-  // reads `first` + lanes[i]; lanes past nr read lane 0 and are zeroed
-  // after.
-  const bool in_one_row = nr == kNR && g.stride == 1 && ow + kNR <= out_w;
-  std::ptrdiff_t lanes[kNR] = {};
-  if (!in_one_row) {
-    for (int i = 0; i < nr; ++i) {
-      lanes[i] = offset() - first_offset;
-      if (++ow == out_w) {
-        ow = 0;
-        if (++oh == out_h) {
-          oh = 0;
-          ++image;
-        }
+  read.first = source.images + first_offset;
+  if (nr == kNR && g.stride == 1 &&
+      (ow + kNR <= out_w || (out_w == g.in_width && oh * out_w + ow + kNR <= out_h * out_w))) {
+    return read;
+  }
+  // Lane i reads `first` + lanes[i]; lanes past nr read lane 0 and are
+  // masked off.
+  std::int32_t* lanes = source.lanes;
+  std::fill_n(lanes, kNR, 0);
+  for (int i = 0; i < nr; ++i) {
+    lanes[i] = static_cast<std::int32_t>(offset() - first_offset);
+    if (++ow == out_w) {
+      ow = 0;
+      if (++oh == out_h) {
+        oh = 0;
+        ++image;
       }
     }
   }
-  if (in_one_row || (nr == kNR && lanes[kNR - 1] == kNR - 1)) {
-    if (in_place) return {first, source.taps};
-    float* out = dst;
-    for (int p = 0; p < source.kc; ++p, out += kNR) {
-      std::memcpy(out, first + source.taps[p], sizeof(float) * kNR);
+  read.lanes = lanes;
+  if (nr < kNR) {
+    for (int kw = 0; kw < source.mask_k; ++kw) {
+      source.ragged[kw] = static_cast<std::uint16_t>(read.masks[kw] & ((1u << nr) - 1u));
     }
-    return {dst, nullptr};
+    read.masks = source.ragged;
   }
-  float* out = dst;
-  for (int p = 0; p < source.kc; ++p, out += kNR) {
-    const float* row = first + source.taps[p];
-    for (int i = 0; i < kNR; ++i) out[i] = row[lanes[i]];
-    if (nr < kNR) std::fill(out + nr, out + kNR, 0.0f);
-  }
-  return {dst, nullptr};
+  return read;
 }
 
 void col2im(const float* columns, const ConvGeometry& g, float* image) {

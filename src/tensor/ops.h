@@ -10,12 +10,14 @@
 // loops, outermost first: a k block of KC rows; an MC block of rows,
 // whose A panel is packed once; an NC block of columns, for which a
 // padded conv copies the images x channels the block reads into a
-// zero-padded slab; and one 16-column B panel, which every row tile of
-// the MC block then runs on. A conv forward panel whose 16 columns are
-// consecutive in the source (slab or images) for every k row is read
-// there in place, through a row-offset table; any other panel is
-// packed, with no bounds check, into a kc x 16 buffer that stays in L1:
-// one 16-float copy or one 16-lane offset gather per k row. After a tile's last k block, a conv
+// slab padded vertically only; and one 16-column B panel, packed with
+// no bounds check into a kc x 16 buffer that stays in L1 while every
+// row tile of the MC block runs on it. A panel whose 16 columns are
+// consecutive in the source (slab or images) is packed by the first
+// row tile's kernel as it runs, one masked 16-float load per k row;
+// any other is gathered first, 16 lanes per k row. The lanes whose
+// input column lies in the horizontal padding are zeroed by per-lane
+// masks, worked out once per block. After a tile's last k block, a conv
 // applies its ConvEpilogue (folded-BN bias, residual, ReLU) to it while
 // it is in L1. The accumulation order is fixed per C element, so a
 // forward over any split of a batch is bit-identical to the whole
@@ -89,8 +91,8 @@ struct ConvEpilogue {
 /// im2col(image n), into the NCHW output [batch, out_channels, out_h,
 /// out_w], then the `epilogue`. It accumulates, so `output` must
 /// arrive zeroed (a fresh Tensor is). One GEMM over all batch * out_hw
-/// columns, with B read straight from the images (in place or packed)
-/// in im2col's values and k-order, so the result is bit-identical to
+/// columns, with B packed straight from the images in im2col's values
+/// and k-order, so the result is bit-identical to
 /// im2col + gemm() into a zeroed output per image followed by the
 /// epilogue's passes.
 void conv_gemm_nchw(int out_channels, const float* weight, const float* images, int batch,

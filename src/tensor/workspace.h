@@ -31,23 +31,29 @@ class Workspace {
     kFoldedBias,
     kQuantScales,  // int8 path: per-row weight scales + fused epilogue scales
     kColumns,      // conv backward: im2col columns (dW), then grad columns (dX)
-    // Implicit-GEMM B packer of a padded conv: the zero-padded copy of
-    // what one (KC, NC) block reads — the images its nc columns touch x
-    // the channels its kc rows touch, each (H+2p) x (W+2p) — so its size
-    // is bounded by the block, not by the batch.
+    // Implicit-GEMM B packer of a padded conv: the copy of what one
+    // (KC, NC) block reads — the images its nc columns touch x the
+    // channels its kc rows touch, each plane (H+2p) rows of width W
+    // (padded vertically only) followed by p zero guard floats, with p
+    // more before the first — so its size is bounded by the block, not
+    // by the batch.
     kPaddedSlab,
     kNumSlots,
   };
 
-  /// Raw (non-float) scratch of the int8 quantized path: int8 weight
-  /// storage, s32 row sums, u8 quantized activations, and the packed
-  /// activation panels the VNNI kernel consumes.
+  /// Raw (non-float) scratch: the int8 quantized path's int8 weight
+  /// storage, s32 row sums, u8 quantized activations and the packed
+  /// activation panels the VNNI kernel consumes, and the float conv
+  /// packer's lane masks.
   enum ByteSlot {
     kQuantWeights,
     kQuantRowSums,
     kQuantTile,  // u8-quantized input image, fed to the byte-domain im2col
     kQuantAct,
     kQuantPack,
+    // Implicit-GEMM B packer: the lane masks of one (KC, NC) block of a
+    // conv (gemm_kernels.h ConvBlockSource), as uint16.
+    kLaneMasks,
     kNumByteSlots,
   };
 

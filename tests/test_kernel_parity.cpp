@@ -25,8 +25,9 @@
 //    the documented tolerance, and its scalar and VNNI kernels produce
 //    bit-identical results;
 //  - the implicit-GEMM conv (ops::conv_gemm_nchw) is bit-identical to
-//    im2col + gemm() per image, on every kernel tier, and its B packer
-//    writes im2col's values lane for lane, zero past a ragged panel;
+//    im2col + gemm() per image, on every kernel tier, and each tier's
+//    B packer writes im2col's values lane for lane, +0.0 in the
+//    horizontal padding and past a ragged panel;
 //  - a conv forward over a batch, float or int8, is bit-identical to
 //    one batch-1 forward per image;
 //  - Conv2d's backward (per-image dW, one whole-batch dX GEMM, the
@@ -773,39 +774,76 @@ TEST(ConvGemmParity, MatchesIm2colPlusGemmPerImageBitForBit) {
   EXPECT_GT(checked, 0);
 }
 
+/// The float tiers this host runs: portable and every vector tier up
+/// to its ceiling (an AVX-512 host also runs AVX2).
+std::vector<ops::SimdLevel> host_levels() {
+  std::vector<ops::SimdLevel> levels{ops::SimdLevel::kPortable};
+  const ops::SimdLevel max = ops::max_simd_level();
+  if (max == ops::SimdLevel::kAvx512) levels.push_back(ops::SimdLevel::kAvx2);
+  if (max != ops::SimdLevel::kPortable) levels.push_back(max);
+  return levels;
+}
+
+/// Packs the block's next panel as the driver does, with the active
+/// tier: a consecutive panel by the packing kernel (run here on an A
+/// panel of zeros into a scratch tile), any other by the gather.
+/// Returns whether the panel was gathered.
+bool pack_next_panel(ops::detail::ConvBlockSource& source, int nr, float* dst) {
+  const ops::detail::FloatKernel tier = ops::detail::active_kernel();
+  const ops::detail::PanelRead read = ops::detail::conv_b_panel(source, nr);
+  if (read.lanes != nullptr) {
+    tier.gather(read, dst);
+    return true;
+  }
+  const std::vector<float> apanel(static_cast<std::size_t>(read.kc) * tier.mr, 0.0f);
+  float tile[ops::detail::kMaxMR * ops::detail::kNR] = {};
+  tier.packing(apanel.data(), read, dst, tile, ops::detail::kNR, tier.mr, nr);
+  return false;
+}
+
 TEST(ConvGemmParity, PackerPathsMatchIm2colBitForBit) {
-  // The geometries each path of the B packer serves, checked twice: the
-  // packed panels of every (KC, NC) block against im2col's matrix, lane
-  // for lane (a lane past a ragged panel's nr must read 0), and the
-  // conv against im2col + gemm() per image. Every case is padded (the
-  // packer copies a zero-padded slab per block) or ends on a ragged
-  // gathered panel.
+  // The geometries each path of the B packer serves, on every tier this
+  // host runs, checked twice: the packed panels of every (KC, NC) block
+  // against im2col's matrix, lane for lane (a lane in the horizontal
+  // padding or past a ragged panel's nr must read +0.0), and the conv
+  // against im2col + gemm() per image. Each block is packed on a fresh
+  // thread, so its slab is a buffer of exactly the block's size and a
+  // read past either guard is out of bounds (AddressSanitizer). Every
+  // padded case reads both guards: its first block's first panel reads
+  // p floats before the slab's first plane, and its last block's last
+  // panel p floats past the last plane.
   struct Case {
     const char* what;
     ops::ConvGeometry g;
     int batch;
   };
   const Case cases[] = {
-      {"16x16 3x3 pad 1: contiguous panels", {16, 16, 16, 3, 1, 1}, 3},
-      {"8x8 3x3 pad 1: 8-wide gathers", {32, 8, 8, 3, 1, 1}, 3},
-      {"4x4 3x3 pad 1: 4-wide gathers", {64, 4, 4, 3, 1, 1}, 5},
-      {"24x24 3x3 pad 1: mixed runs", {8, 24, 24, 3, 1, 1}, 2},
+      {"16x16 3x3 pad 1: one output row per panel", {16, 16, 16, 3, 1, 1}, 3},
+      {"8x8 3x3 pad 1: panels cross output rows", {32, 8, 8, 3, 1, 1}, 3},
+      {"4x4 3x3 pad 1: panels cross output rows", {64, 4, 4, 3, 1, 1}, 5},
+      {"24x24 3x3 pad 1: in-row and row-crossing panels", {8, 24, 24, 3, 1, 1}, 2},
+      {"6x6 3x3 pad 1: panels straddle images", {6, 6, 6, 3, 1, 1}, 3},
+      {"7x7 3x3 pad 1: panels straddle images", {5, 7, 7, 3, 1, 1}, 3},
+      {"12x12 3x3 pad 1: mixed", {12, 12, 12, 3, 1, 1}, 3},
+      {"8x8 5x5 pad 2: row-crossing panels, pad 2", {6, 8, 8, 5, 1, 2}, 3},
+      {"10x10 7x7 pad 3", {3, 10, 10, 7, 1, 3}, 2},
+      {"6x6 3x3 pad 2: output rows wider than input rows", {4, 6, 6, 3, 1, 2}, 3},
+      {"5x5 1x1 pad 1", {3, 5, 5, 1, 1, 1}, 3},
       {"24x24 3x3 stride 2 pad 1", {8, 24, 24, 3, 2, 1}, 3},
-      {"12x12 3x3 pad 1: mixed runs", {12, 12, 12, 3, 1, 1}, 3},
+      {"9x9 3x3 stride 2 pad 2", {5, 9, 9, 3, 2, 2}, 3},
+      {"97-wide rows: more mask phases than the block's panels", {2, 2, 97, 3, 1, 1}, 2},
       {"1x1 over 5x5: panels straddle images", {12, 5, 5, 1, 1, 0}, 3},
       {"1-wide 3x3 pad 1", {4, 5, 1, 3, 1, 1}, 3},
       {"1-wide 1x1", {4, 5, 1, 1, 1, 0}, 3},
       {"stride 3", {6, 10, 10, 3, 3, 1}, 3},
       {"kernel 2", {5, 7, 7, 2, 1, 0}, 3},
       {"kernel 4 stride 2 pad 1", {5, 9, 9, 4, 2, 1}, 3},
+      {"17x17 pad 8: more kernel columns than lanes", {2, 18, 18, 17, 1, 8}, 2},
+      {"17x17 pad 8 over 4x4: a kernel wider than the image", {2, 4, 4, 17, 1, 8}, 3},
       {"padded, a KC block starts mid-channel", {40, 6, 6, 3, 1, 1}, 2},
       {"padded, an NC block starts mid-image", {3, 7, 7, 3, 1, 1}, 23},
   };
   const int out_channels = 19;  // ragged in every tier's MR
-  const std::vector<ops::SimdLevel> levels =
-      ops::simd_level() == ops::SimdLevel::kPortable
-          ? std::vector<ops::SimdLevel>{ops::SimdLevel::kPortable}
-          : std::vector<ops::SimdLevel>{ops::SimdLevel::kPortable, ops::simd_level()};
   util::Rng rng(139);
   bool mid_channel = false, mid_image = false;
   for (const Case& tc : cases) {
@@ -821,55 +859,50 @@ TEST(ConvGemmParity, PackerPathsMatchIm2colBitForBit) {
     for (int b = 0; b < tc.batch; ++b) {
       columns.push_back(im2col_by_definition(images.data() + b * in_stride, g));
     }
-    for (int p0 = 0; p0 < patch; p0 += ops::detail::kKC) {
-      const int kc = std::min(ops::detail::kKC, patch - p0);
-      mid_channel |= g.padding > 0 && p0 % (g.kernel * g.kernel) != 0;
-      for (int j0 = 0; j0 < n; j0 += ops::detail::kNC) {
-        const int nc = std::min(ops::detail::kNC, n - j0);
-        mid_image |= g.padding > 0 && j0 % out_hw != 0;
-        const int panels = (nc + ops::detail::kNR - 1) / ops::detail::kNR;
-        std::vector<float> expected(static_cast<std::size_t>(panels) * kc * ops::detail::kNR);
-        for (int jb = 0; jb < nc; jb += ops::detail::kNR) {
-          for (int p = 0; p < kc; ++p) {
-            for (int i = 0; i < ops::detail::kNR; ++i) {
-              const int col = j0 + jb + i;
-              expected[(static_cast<std::size_t>(jb / ops::detail::kNR) * kc + p) *
-                           ops::detail::kNR + i] =
-                  jb + i < nc ? columns[col / out_hw][static_cast<std::size_t>(p0 + p) * out_hw +
-                                                      col % out_hw]
-                              : 0.0f;
-            }
-          }
-        }
-        // Start from NaN so a lane the packer never writes shows up.
-        // Read as the driver does: one source per block, one panel at
-        // a time, each packed or (when allowed) read in place; the
-        // kernel sees row p at base + rows[p], or base + 16p if packed.
-        const ops::detail::ConvBlockSource source =
-            ops::detail::conv_block_source(images.data(), g, p0, kc, j0, nc);
-        for (const bool in_place : {false, true}) {
-          std::vector<float> packed(expected.size(), std::nanf(""));
-          std::vector<float> seen(expected.size());
+    for (const ops::SimdLevel level : host_levels()) {
+      SimdLevelScope scope(level);
+      for (int p0 = 0; p0 < patch; p0 += ops::detail::kKC) {
+        const int kc = std::min(ops::detail::kKC, patch - p0);
+        mid_channel |= g.padding > 0 && p0 % (g.kernel * g.kernel) != 0;
+        for (int j0 = 0; j0 < n; j0 += ops::detail::kNC) {
+          const int nc = std::min(ops::detail::kNC, n - j0);
+          mid_image |= g.padding > 0 && j0 % out_hw != 0;
+          const int panels = (nc + ops::detail::kNR - 1) / ops::detail::kNR;
+          std::vector<float> expected(static_cast<std::size_t>(panels) * kc * ops::detail::kNR);
           for (int jb = 0; jb < nc; jb += ops::detail::kNR) {
-            float* dst = packed.data() + static_cast<std::size_t>(jb) * kc;
-            const ops::detail::BPanel panel = ops::detail::conv_b_panel(
-                source, j0 + jb, std::min(ops::detail::kNR, nc - jb), in_place, dst);
             for (int p = 0; p < kc; ++p) {
-              const std::ptrdiff_t row =
-                  panel.rows != nullptr ? panel.rows[p] : std::ptrdiff_t{p} * ops::detail::kNR;
-              std::memcpy(seen.data() + static_cast<std::size_t>(jb) * kc +
-                              static_cast<std::size_t>(p) * ops::detail::kNR,
-                          panel.base + row, sizeof(float) * ops::detail::kNR);
+              for (int i = 0; i < ops::detail::kNR; ++i) {
+                const int col = j0 + jb + i;
+                expected[(static_cast<std::size_t>(jb / ops::detail::kNR) * kc + p) *
+                             ops::detail::kNR + i] =
+                    jb + i < nc ? columns[col / out_hw][static_cast<std::size_t>(p0 + p) *
+                                                            out_hw + col % out_hw]
+                                : 0.0f;
+              }
             }
           }
-          EXPECT_TRUE(same_bits(expected, seen))
-              << tc.what << ": block p0=" << p0 << " j0=" << j0 << " in_place=" << in_place;
+          // Start from NaN so a lane the packer never writes shows up.
+          // Read as the driver does: one source per block, then one
+          // panel at a time. The SIMD level is process-wide, so the
+          // thread packs with the tier under test.
+          std::vector<float> packed(expected.size(), std::nanf(""));
+          std::thread([&] {
+            ops::detail::ConvBlockSource source =
+                ops::detail::conv_block_source(images.data(), g, p0, kc, j0, nc);
+            for (int jb = 0; jb < nc; jb += ops::detail::kNR) {
+              pack_next_panel(source, std::min(ops::detail::kNR, nc - jb),
+                              packed.data() + static_cast<std::size_t>(jb) * kc);
+            }
+          }).join();
+          EXPECT_TRUE(same_bits(expected, packed))
+              << ops::simd_level_name(level) << " " << tc.what << ": block p0=" << p0
+              << " j0=" << j0;
         }
       }
     }
     const Tensor weight = Tensor::normal(Shape{out_channels, patch}, rng);
     std::vector<float> image_columns(static_cast<std::size_t>(patch) * out_hw);
-    for (const ops::SimdLevel level : levels) {
+    for (const ops::SimdLevel level : host_levels()) {
       SimdLevelScope scope(level);
       std::vector<float> expected(static_cast<std::size_t>(tc.batch) * out_stride);
       for (int b = 0; b < tc.batch; ++b) {
@@ -889,35 +922,34 @@ TEST(ConvGemmParity, PackerPathsMatchIm2colBitForBit) {
   EXPECT_TRUE(mid_image);
 }
 
-TEST(ConvGemmParity, InPlacePanelsMatchDenseGemmBitForBit) {
-  // A conv forward reads a B panel in place when its 16 columns are
-  // consecutive in the block's source, and packs every other panel.
-  // These convs mix both in one block: in-place panels next to gathered
-  // (row- or image-straddling, stride 2), ragged and image-straddling
-  // ones, padded (slab) and unpadded, one and two KC blocks. Each runs
-  // with and without the fused epilogue and is compared bit for bit
-  // with the same tier's dense gemm() on an explicit im2col followed by
-  // the epilogue's separate passes.
+TEST(ConvGemmParity, LoadedAndGatheredPanelsMatchDenseGemmBitForBit) {
+  // A conv forward packs a B panel with one load per k row when its 16
+  // columns are consecutive in the block's source, and gathers every
+  // other panel. These convs mix both in one block: loaded panels in
+  // one output row or across output rows next to gathered (image
+  // straddling, stride 2) and ragged ones, padded (slab) and unpadded,
+  // one and two KC blocks. Each runs on every tier with and without
+  // the fused epilogue and is compared bit for bit with the same tier's
+  // dense gemm() on an explicit im2col followed by the epilogue's
+  // separate passes.
   struct Case {
     const char* what;
     ops::ConvGeometry g;
     int batch;
   };
   const Case cases[] = {
-      {"17x17 3x3 pad 1: in place, row straddles, ragged tail", {6, 17, 17, 3, 1, 1}, 3},
+      {"17x17 3x3 pad 1: loaded, straddling, ragged tail", {6, 17, 17, 3, 1, 1}, 3},
       {"16x16 3x3 pad 1, KC block starts mid-channel", {40, 16, 16, 3, 1, 1}, 2},
-      {"18x18 3x3 unpadded: every panel in place", {5, 18, 18, 3, 1, 0}, 3},
-      {"1x1 over 6x6: in place and image straddles, ragged", {8, 6, 6, 1, 1, 0}, 5},
+      {"8x8 3x3 pad 1: row-crossing loads", {24, 8, 8, 3, 1, 1}, 5},
+      {"6x6 3x3 pad 1: loads and image straddles", {8, 6, 6, 3, 1, 1}, 5},
+      {"18x18 3x3 unpadded: every full panel in one row", {5, 18, 18, 3, 1, 0}, 3},
+      {"1x1 over 6x6: loads and image straddles, ragged", {8, 6, 6, 1, 1, 0}, 5},
       {"1x1 over 16x16, two KC blocks", {300, 16, 16, 1, 1, 0}, 2},
       {"20x20 3x3 pad 1: NC block starts mid-image", {3, 20, 20, 3, 1, 1}, 4},
       {"3x3 stride 2 pad 1: gathered", {4, 32, 32, 3, 2, 1}, 2},
       {"1x1 stride 2: gathered", {8, 32, 32, 1, 2, 0}, 2},
   };
   const int out_channels = 19;  // ragged in every tier's MR
-  const std::vector<ops::SimdLevel> levels =
-      ops::simd_level() == ops::SimdLevel::kPortable
-          ? std::vector<ops::SimdLevel>{ops::SimdLevel::kPortable}
-          : std::vector<ops::SimdLevel>{ops::SimdLevel::kPortable, ops::simd_level()};
   util::Rng rng(151);
   int mixed_blocks = 0, ragged_panels = 0;
   for (const Case& tc : cases) {
@@ -927,34 +959,32 @@ TEST(ConvGemmParity, InPlacePanelsMatchDenseGemmBitForBit) {
     const std::int64_t in_stride = static_cast<std::int64_t>(g.in_channels) * g.in_height *
                                    g.in_width;
     const std::int64_t out_stride = static_cast<std::int64_t>(out_channels) * out_hw;
-    // Which panels the driver reads in place, block by block.
+    // Which panels the packer loads and which it gathers, block by block.
     const Tensor images =
         Tensor::normal(Shape{tc.batch, g.in_channels, g.in_height, g.in_width}, rng);
     std::vector<float> scratch(static_cast<std::size_t>(ops::detail::kKC) * ops::detail::kNR);
-    int in_place = 0, packed = 0;
+    int loaded = 0, gathered = 0;
     for (int p0 = 0; p0 < patch; p0 += ops::detail::kKC) {
       const int kc = std::min(ops::detail::kKC, patch - p0);
       for (int j0 = 0; j0 < n; j0 += ops::detail::kNC) {
         const int nc = std::min(ops::detail::kNC, n - j0);
-        const ops::detail::ConvBlockSource source =
+        ops::detail::ConvBlockSource source =
             ops::detail::conv_block_source(images.data(), g, p0, kc, j0, nc);
-        int block_in_place = 0, block_packed = 0;
+        int block_loaded = 0, block_gathered = 0;
         for (int jb = 0; jb < nc; jb += ops::detail::kNR) {
           const int nr = std::min(ops::detail::kNR, nc - jb);
-          const ops::detail::BPanel panel =
-              ops::detail::conv_b_panel(source, j0 + jb, nr, true, scratch.data());
-          ++(panel.rows != nullptr ? block_in_place : block_packed);
+          ++(pack_next_panel(source, nr, scratch.data()) ? block_gathered : block_loaded);
           ragged_panels += nr < ops::detail::kNR;
         }
-        mixed_blocks += block_in_place > 0 && block_packed > 0;
-        in_place += block_in_place;
-        packed += block_packed;
+        mixed_blocks += block_loaded > 0 && block_gathered > 0;
+        loaded += block_loaded;
+        gathered += block_gathered;
       }
     }
     if (g.stride == 1) {
-      EXPECT_GT(in_place, 0) << tc.what;
+      EXPECT_GT(loaded, 0) << tc.what;
     } else {
-      EXPECT_EQ(in_place, 0) << tc.what;
+      EXPECT_EQ(loaded, 0) << tc.what;
     }
 
     const Tensor weight = Tensor::normal(Shape{out_channels, patch}, rng);
@@ -962,7 +992,7 @@ TEST(ConvGemmParity, InPlacePanelsMatchDenseGemmBitForBit) {
     const Tensor residual = Tensor::normal(Shape{tc.batch, out_channels, out_hw}, rng);
     const ops::ConvEpilogue epilogues[] = {{}, {bias.data(), residual.data(), true}};
     std::vector<float> image_columns(static_cast<std::size_t>(patch) * out_hw);
-    for (const ops::SimdLevel level : levels) {
+    for (const ops::SimdLevel level : host_levels()) {
       SimdLevelScope scope(level);
       for (const ops::ConvEpilogue& e : epilogues) {
         std::vector<float> expected(static_cast<std::size_t>(tc.batch) * out_stride, 0.0f);
@@ -983,8 +1013,8 @@ TEST(ConvGemmParity, InPlacePanelsMatchDenseGemmBitForBit) {
                             actual.data(), e);
         EXPECT_TRUE(same_bits(expected, actual))
             << ops::simd_level_name(level) << " " << tc.what
-            << (e.relu ? " with epilogue" : " without epilogue") << " (" << in_place
-            << " panels in place, " << packed << " packed)";
+            << (e.relu ? " with epilogue" : " without epilogue") << " (" << loaded
+            << " panels loaded, " << gathered << " gathered)";
       }
     }
   }
@@ -1372,12 +1402,6 @@ Tensor unfused_eval(nn::Sequential& seq, const Tensor& x, const Tensor* residual
 
 bool same_bits(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() && same_bits(as_vector(a), as_vector(b));
-}
-
-/// Every kernel tier the host runs, the portable one first.
-std::vector<ops::SimdLevel> host_levels() {
-  if (ops::simd_level() == ops::SimdLevel::kPortable) return {ops::SimdLevel::kPortable};
-  return {ops::SimdLevel::kPortable, ops::simd_level()};
 }
 
 /// The input maps of the fused-epilogue cases: out_hw 36, 9 and 5 are
