@@ -27,7 +27,11 @@
 // ops::conv_gemm_nchw; int8 runs per image), reporting imgs/s. The
 // training rows time one Alg. 1 main-block step per model at batch 32:
 // a train-mode forward_main, then backward_main of its cross-entropy
-// gradient. The cloud rows time build_cloud_classifier's eval forward
+// gradient; ResNet-B's conv_dw rows split its step by conv geometry,
+// each timing Conv2d::backward_params (the weight gradient, a GEMM per
+// image whose B panels are packed straight from the cached input) on
+// a standalone conv at that batch. The cloud rows time
+// build_cloud_classifier's eval forward
 // at batch 16 (one of meanet_cloudd's row shards on a 4-core host) and
 // batch 62 (the mean server batch of e2ebench's wire_offload); the edge
 // rows time ResNet-B's eval forward_main at batch 128 (one
@@ -52,7 +56,7 @@
 // fallback's by more than the larger of the two sides' interquartile
 // ranges, both timed interleaved in one loop: a smaller gap is within
 // what the host's noise moves a median. The batch-sweep, training,
-// cloud, edge and conv_pack rows are recorded, not gated.
+// conv_dw, cloud, edge and conv_pack rows are recorded, not gated.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -326,6 +330,38 @@ std::vector<PackRow> measure_conv_pack(const std::string& forward, int batch, do
   return rows;
 }
 
+/// One conv geometry of a training step: its weight-gradient backward
+/// (Conv2d::backward_params) at the step's batch.
+struct DwRow {
+  std::string model;
+  int batch = 0;
+  ConvCall call;
+  Timing dw;
+};
+
+/// Times backward_params of a bias-free conv of every geometry in
+/// `calls`, after one train forward over a random batch.
+std::vector<DwRow> measure_conv_dw(const std::string& model, int batch,
+                                   const std::vector<ConvCall>& calls, int reps) {
+  std::vector<DwRow> rows;
+  util::Rng rng(29);
+  for (const ConvCall& call : calls) {
+    const ops::ConvGeometry& g = call.g;
+    nn::Conv2d conv(g.in_channels, call.out_channels, g.kernel, g.stride, g.padding,
+                    /*bias=*/false, rng);
+    const Tensor images =
+        Tensor::normal(Shape{batch, g.in_channels, g.in_height, g.in_width}, rng);
+    (void)conv.forward(images, nn::Mode::kTrain);
+    const Tensor grad = Tensor::normal(conv.output_shape(images.shape()), rng);
+    const Timing dw = interleaved_timings(reps, {[&] { conv.backward_params(grad); }})[0];
+    rows.push_back({model, batch, call, dw});
+    std::printf("  %-28s conv_dw batch %2d  %2dx%2dx%2d k%d s%d p%d -> %2d  x%d   %7.3f ms\n",
+                model.c_str(), batch, g.in_channels, g.in_height, g.in_width, g.kernel, g.stride,
+                g.padding, call.out_channels, call.count, dw.median_ms);
+  }
+  return rows;
+}
+
 TrainRow measure_training(const std::string& model, core::MEANet& net, const Tensor& images,
                           int num_classes, int reps) {
   std::vector<int> labels(static_cast<std::size_t>(images.shape().batch()));
@@ -380,6 +416,7 @@ int main(int argc, char** argv) {
   std::vector<Row> gated;  // single-image rows the exit status checks
   std::vector<BatchRow> sweep;
   std::vector<TrainRow> training;
+  std::vector<DwRow> dw_rows;
 
   const ModelUnderTest models[] = {
       {"resnet_b_cifar", bench::EdgeModel::kResNetB, bench::DatasetKind::kCifarLike},
@@ -425,6 +462,16 @@ int main(int argc, char** argv) {
       sweep.push_back(row);
     }
     training.push_back(measure_training(m.name, net, batch, spec.num_classes, std::max(11, reps)));
+    if (m.model == bench::EdgeModel::kResNetB) {
+      std::vector<ConvCall> calls;
+      const Shape image{1, spec.channels, spec.height, spec.width};
+      collect_convs(net.main_trunk(), image, calls);
+      collect_convs(net.main_exit(), net.main_trunk().output_shape(image), calls);
+      for (DwRow& row : measure_conv_dw(m.name, batch.shape().batch(), calls,
+                                        std::max(11, reps))) {
+        dw_rows.push_back(std::move(row));
+      }
+    }
   }
 
   std::vector<PassRow> cloud_rows;
@@ -573,6 +620,25 @@ int main(int argc, char** argv) {
     train_rows.push(std::move(v));
   }
   doc.set("training", std::move(train_rows));
+  diag::Value conv_dw = diag::Value::array();
+  for (const DwRow& row : dw_rows) {
+    const ops::ConvGeometry& g = row.call.g;
+    diag::Value v = diag::Value::object();
+    v.set("model", row.model);
+    v.set("batch", row.batch);
+    v.set("in_channels", g.in_channels);
+    v.set("in_height", g.in_height);
+    v.set("in_width", g.in_width);
+    v.set("kernel", g.kernel);
+    v.set("stride", g.stride);
+    v.set("padding", g.padding);
+    v.set("out_channels", row.call.out_channels);
+    v.set("count", row.call.count);
+    v.set("dw_ms", row.dw.median_ms);
+    v.set("dw_iqr_ms", row.dw.iqr_ms);
+    conv_dw.push(std::move(v));
+  }
+  doc.set("conv_dw", std::move(conv_dw));
   const auto pass_rows = [](const std::vector<PassRow>& rows) {
     diag::Value array = diag::Value::array();
     for (const PassRow& row : rows) {

@@ -1,9 +1,44 @@
 #include "nn/batchnorm2d.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace meanet::nn {
+
+namespace {
+
+/// Channels whose train-mode forward reductions run side by side.
+constexpr int kChannelGroup = 8;
+
+/// Calls step(j0 + j, at) for j in [0, kCount) on every element `at` of
+/// channel c0 + j of an NCHW [batch, channels, hw] tensor, in (n, i)
+/// order for each channel. The kCount channels interleave, so kCount
+/// double add chains overlap instead of waiting on each other, and each
+/// channel still sees its elements in a one-channel loop's order.
+template <int kCount, typename Step>
+void channel_elements(int batch, int channels, std::int64_t hw, int c0, int j0, Step& step) {
+  for (int n = 0; n < batch; ++n) {
+    const std::int64_t base = (static_cast<std::int64_t>(n) * channels + c0) * hw;
+    for (std::int64_t i = 0; i < hw; ++i) {
+#pragma GCC unroll 8
+      for (int j = 0; j < kCount; ++j) step(j0 + j, base + j * hw + i);
+    }
+  }
+}
+
+/// channel_elements over channels [c0, c0 + count), count <= kChannelGroup:
+/// a full group side by side, a partial one channel at a time.
+template <typename Step>
+void group_elements(int count, int batch, int channels, std::int64_t hw, int c0, Step step) {
+  if (count == kChannelGroup) {
+    channel_elements<kChannelGroup>(batch, channels, hw, c0, 0, step);
+    return;
+  }
+  for (int j = 0; j < count; ++j) channel_elements<1>(batch, channels, hw, c0 + j, j, step);
+}
+
+}  // namespace
 
 BatchNorm2d::BatchNorm2d(int channels, float momentum, float eps, std::string name)
     : channels_(channels),
@@ -60,29 +95,35 @@ Tensor BatchNorm2d::forward(const Tensor& input, Mode mode) {
   }
 
   const bool use_batch_stats = !frozen_;  // mode is kTrain here
+  if (use_batch_stats && count == 0) {
+    // The batch statistics of no element are 0/0; they would turn the
+    // running statistics, and so every later eval forward, into NaN.
+    throw std::invalid_argument(name_ + ": a train-mode forward needs a non-empty batch, got " +
+                                input.shape().to_string());
+  }
 
   std::vector<float> mean(static_cast<std::size_t>(channels_), 0.0f);
   std::vector<float> var(static_cast<std::size_t>(channels_), 0.0f);
   if (use_batch_stats) {
-    for (int c = 0; c < channels_; ++c) {
-      double acc = 0.0;
-      for (int n = 0; n < batch; ++n) {
-        const float* src = input.data() + ((static_cast<std::int64_t>(n) * channels_ + c) * hw);
-        for (std::int64_t i = 0; i < hw; ++i) acc += src[i];
+    const float* x = input.data();
+    for (int c0 = 0; c0 < channels_; c0 += kChannelGroup) {
+      const int group = std::min(kChannelGroup, channels_ - c0);
+      double sum[kChannelGroup] = {}, squares[kChannelGroup] = {};
+      group_elements(group, batch, channels_, hw, c0,
+                     [&](int j, std::int64_t at) { sum[j] += x[at]; });
+      float m[kChannelGroup] = {};
+      for (int j = 0; j < group; ++j) {
+        m[j] = static_cast<float>(sum[j] / static_cast<double>(count));
+        mean[static_cast<std::size_t>(c0 + j)] = m[j];
       }
-      mean[static_cast<std::size_t>(c)] = static_cast<float>(acc / static_cast<double>(count));
-    }
-    for (int c = 0; c < channels_; ++c) {
-      double acc = 0.0;
-      const float m = mean[static_cast<std::size_t>(c)];
-      for (int n = 0; n < batch; ++n) {
-        const float* src = input.data() + ((static_cast<std::int64_t>(n) * channels_ + c) * hw);
-        for (std::int64_t i = 0; i < hw; ++i) {
-          const double d = src[i] - m;
-          acc += d * d;
-        }
+      group_elements(group, batch, channels_, hw, c0, [&](int j, std::int64_t at) {
+        const double d = x[at] - m[j];
+        squares[j] += d * d;
+      });
+      for (int j = 0; j < group; ++j) {
+        var[static_cast<std::size_t>(c0 + j)] =
+            static_cast<float>(squares[j] / static_cast<double>(count));
       }
-      var[static_cast<std::size_t>(c)] = static_cast<float>(acc / static_cast<double>(count));
     }
     for (int c = 0; c < channels_; ++c) {
       running_mean_[c] = (1.0f - momentum_) * running_mean_[c] + momentum_ * mean[static_cast<std::size_t>(c)];

@@ -209,18 +209,14 @@ void Conv2d::backward_params(const Tensor& grad_output) {
   const ops::ConvGeometry g = geometry(cached_input_.shape());
   const int batch = cached_input_.shape().batch();
   const int out_hw = g.out_height() * g.out_width();
-  const int patch = g.patch_size();
-  const std::int64_t in_stride = static_cast<std::int64_t>(in_channels_) * g.in_height * g.in_width;
-  const std::int64_t out_stride = static_cast<std::int64_t>(out_channels_) * out_hw;
-  float* columns = ops::Workspace::tls().buffer(ops::Workspace::kColumns,
-                                                static_cast<std::size_t>(patch) * out_hw);
-  for (int n = 0; n < batch; ++n) {
-    const float* gout = grad_output.data() + n * out_stride;
-    // dW += gout [out_c, out_hw] * columns^T [out_hw, patch]
-    ops::im2col(cached_input_.data() + n * in_stride, g, columns);
-    ops::gemm(false, true, out_channels_, patch, out_hw, gout, out_hw, columns, out_hw,
-              weight_.grad.data(), patch);
-    if (has_bias_) {
+  // dW += gout[n] [out_c, out_hw] * im2col(x[n])^T [out_hw, patch], per
+  // image, with B packed straight from the cached input.
+  ops::conv_weight_grad(out_channels_, grad_output.data(), cached_input_.data(), batch, g,
+                        weight_.grad.data());
+  if (has_bias_) {
+    const std::int64_t out_stride = static_cast<std::int64_t>(out_channels_) * out_hw;
+    for (int n = 0; n < batch; ++n) {
+      const float* gout = grad_output.data() + n * out_stride;
       for (int oc = 0; oc < out_channels_; ++oc) {
         const float* go = gout + static_cast<std::int64_t>(oc) * out_hw;
         float acc = 0.0f;

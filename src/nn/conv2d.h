@@ -3,10 +3,12 @@
 //
 // Conv2d's backward keeps the per-image float summation order of
 // im2col + gemm() + col2im, so its gradients are bit-identical to that
-// loop: the weight gradient is one im2col and one gemm() against the
-// transposed columns per image; the input gradient is one GEMM per
-// group of images (ops::conv_grad_columns: W^T packed once, B read
-// straight from the NCHW output gradient) and one col2im per image.
+// loop: the weight gradient is one GEMM per image
+// (ops::conv_weight_grad) whose transposed im2col panels are packed
+// straight from the cached input, no column matrix written; the input
+// gradient is one GEMM per group of images (ops::conv_grad_columns:
+// W^T packed once, B read straight from the NCHW output gradient) and
+// one col2im per image.
 // backward_params() skips the input gradient, which a layer reading
 // the image never needs.
 //

@@ -3,8 +3,9 @@
 //
 // Layout: the classic three-level blocking (KC x MC x NC) around an
 // MR x NR microkernel (Goto and van de Geijn, ACM TOMS 2008). The one
-// driver, run_blocked, serves gemm(), conv_gemm_nchw() and
-// conv_grad_columns(); its loops, outermost first:
+// driver, run_blocked, serves gemm(), conv_gemm_nchw(),
+// conv_weight_grad() and conv_grad_columns(); its loops, outermost
+// first:
 //   k block (KC rows)
 //     MC block: A packed once, MR-interleaved, L2-resident
 //       NC block: a padded conv copies its slab once
@@ -15,7 +16,9 @@
 // transpose cases. A conv forward (conv_gemm_nchw) reads B from its
 // NCHW images and writes C into its NCHW output; a conv's
 // input-gradient GEMM (conv_grad_columns) reads B from the NCHW output
-// gradient the same way. That reader
+// gradient the same way, and its weight-gradient GEMM
+// (conv_weight_grad) reads B = im2col^T from the cached NCHW input,
+// so no float im2col matrix is ever written. That reader
 // (detail::conv_block_source and conv_b_panel, ops.cpp) checks no
 // bounds: a padded conv's block is first copied into a slab of the
 // images x channels the block reads (bounded by KC x NC, not by the
@@ -25,18 +28,20 @@
 // out once per block.
 //
 // Kernel contract (gemm_kernels.h): each tier has a microkernel, which
-// reads B row p at b + 16p of a packed kc x 16 panel, a packing kernel
-// and a gather. A conv panel whose 16 columns are consecutive in the
-// source for every k row — nr == 16, stride 1, in one output row, or
-// in one image when output rows are as wide as input rows (a "same"
-// conv, or a 1x1) — is packed by the packing kernel of its first row
-// tile, one 16-float load per k row, as that tile runs; the other row
-// tiles read the packed panel. Any other panel (stride 2, straddling
+// reads B row p at b + 16p of a packed kc x 16 panel, a packing kernel,
+// a gather and a transposed packer. A conv panel whose 16 columns are
+// consecutive in the source for every k row — nr == 16, stride 1, in
+// one output row, or in one image when output rows are as wide as
+// input rows (a "same" conv, or a 1x1) — is packed by the packing
+// kernel of its first row tile, one 16-float load per k row, as that
+// tile runs; the other row tiles read the packed panel. Any other panel (stride 2, straddling
 // images, ragged) is gathered, 16 lanes per k row, before its first
 // tile. Either way the lanes whose input column lies in the horizontal
 // padding are zeroed by a mask, so every kernel sees the values, the
 // +0.0 padding and the k order of im2col, and the output is
-// bit-identical to it.
+// bit-identical to it. A weight-gradient panel (kc pixels x 16 taps)
+// is packed before its first tile, 16 pixels at a time: the transpose
+// of the forward's 16 k rows for those pixels, read the same way.
 //
 // Epilogue contract: a conv forward may pass an ops::ConvEpilogue
 // {per-channel bias, residual, ReLU}. It runs on each tile once, after
@@ -116,9 +121,9 @@ void pack_a(int mr_tile, bool transpose, const float* a, int lda, int i0, int mc
 
 /// Packs op(B)[p0:p0+kc, j:j+nr] (nr <= NR) into one NR-wide panel:
 /// dst[p * NR + i] = op(B)[p0+p, j+i], zero-padded past nr. A full
-/// panel copies rows straight, or — transposed, as a conv's dW GEMM
-/// reads its im2col columns — gathers one float from each of NR row
-/// pointers per k step.
+/// panel copies rows straight, or — transposed, as Linear's forward
+/// reads its weight — gathers one float from each of NR row pointers
+/// per k step.
 void pack_b(bool transpose, const float* b, int ldb, int p0, int kc, int j, int nr, float* dst) {
   if (nr == kNR && !transpose) {
     const float* src = b + static_cast<std::ptrdiff_t>(p0) * ldb + j;
@@ -159,27 +164,48 @@ detail::FloatKernel detail::active_kernel() {
 #if defined(__x86_64__) || defined(_M_X64)
     case SimdLevel::kAvx2:
       return {6, micro_kernel_avx2_6x16, packing_kernel_avx2_6x16, gather_panel_portable,
-              "avx2"};
+              transposed_panel_avx2, "avx2"};
     case SimdLevel::kAvx512:
       return {8, micro_kernel_avx512_8x16, packing_kernel_avx512_8x16, gather_panel_avx512,
-              "avx512"};
+              transposed_panel_avx512, "avx512"};
 #endif
 #if defined(__aarch64__)
     case SimdLevel::kNeon:
-      return {6, micro_kernel_neon_6x16, packing_kernel_neon_6x16, gather_panel_portable, "neon"};
+      return {6, micro_kernel_neon_6x16, packing_kernel_neon_6x16, gather_panel_portable,
+              transposed_panel_portable, "neon"};
 #endif
     default:
       break;
   }
   return {4, micro_kernel_portable_4x16, packing_kernel_portable_4x16, gather_panel_portable,
-          "portable"};
+          transposed_panel_portable, "portable"};
 }
 
 namespace {
 
 // ----- Blocked driver -------------------------------------------------
 
-/// One gemm(), conv_gemm_nchw() or conv_grad_columns() call.
+/// A conv weight-gradient block's pixels: the forward panels they form
+/// over the block's source (its taps as k rows), set up once per block
+/// for all its 16-tap panels. Gathered lanes are copied, since
+/// conv_b_panel reuses its buffer.
+struct PixelPanels {
+  detail::PanelRead reads[kKC / kNR];
+  std::int32_t lanes[kKC / kNR][kNR];
+
+  void set_up(detail::ConvBlockSource& source, int kc) {
+    for (int q = 0; q * kNR < kc; ++q) {
+      reads[q] = detail::conv_b_panel(source, std::min(kNR, kc - q * kNR));
+      if (reads[q].lanes != nullptr) {
+        std::copy_n(reads[q].lanes, kNR, lanes[q]);
+        reads[q].lanes = lanes[q];
+      }
+    }
+  }
+};
+
+/// One gemm(), conv_gemm_nchw(), conv_weight_grad() or
+/// conv_grad_columns() call.
 struct GemmJob {
   bool transpose_a = false, transpose_b = false;
   int m = 0, n = 0, k = 0;
@@ -189,9 +215,10 @@ struct GemmJob {
   int ldb = 0;
   float* c = nullptr;
   int ldc = 0;
-  /// Implicit-GEMM conv (run_nchw): B is the im2col matrix of
-  /// the NCHW images at `b`, read straight from them, and C is the
-  /// NCHW output [n / ldc, m, ldc]. Null = dense B and C.
+  /// Implicit-GEMM conv: B is the im2col matrix of the NCHW image(s)
+  /// at `b`, read straight from them. Untransposed (run_nchw), C is the
+  /// NCHW output [n / ldc, m, ldc]; transposed (conv_weight_grad), B is
+  /// im2col^T of one image and C is dense. Null = dense B and C.
   const ConvGeometry* conv = nullptr;
   /// A conv forward's epilogue; null = none.
   const ConvEpilogue* epilogue = nullptr;
@@ -199,6 +226,9 @@ struct GemmJob {
   /// Set up every B panel, gathering those the kernels do not pack,
   /// but pack no A and run no kernel (detail::conv_b_packing).
   bool b_only = false;
+  /// A transposed conv's per-block pixel panels (conv_weight_grad
+  /// owns them); null otherwise.
+  PixelPanels* pixels = nullptr;
 };
 
 /// Finishes the mr x nr tile at `c` (row stride ldc, first row =
@@ -237,9 +267,13 @@ FinishTileFn finish_tile_for(const ConvEpilogue& e) {
 /// of the MC block reads before the next panel.
 void run_blocked(const GemmJob& job) {
   const int mr_tile = job.kernel.mr;
-  // C column j is pixel j % cols of image j / cols: a conv's C is its
-  // NCHW output [n / ldc, m, ldc], and dense C is one image.
-  const int cols = job.conv != nullptr ? job.ldc : job.n;
+  const bool conv_forward = job.conv != nullptr && !job.transpose_b;
+  const bool conv_transposed = job.conv != nullptr && job.transpose_b;
+  // C column j is pixel j % cols of image j / cols: a conv forward's C
+  // is its NCHW output [n / ldc, m, ldc], and dense C is one image.
+  const int cols = conv_forward ? job.ldc : job.n;
+  // A transposed conv's NC block is its source's k rows, at most KC.
+  const int block_n = conv_transposed ? kKC : kNC;
   const std::ptrdiff_t image_stride = static_cast<std::ptrdiff_t>(job.m) * job.ldc;
   const auto c_offset = [&](int row, int col) {
     const int image = col / cols;
@@ -265,10 +299,15 @@ void run_blocked(const GemmJob& job) {
       float* apack = workspace.buffer(Workspace::kPackA,
                                       static_cast<std::size_t>(m_panels) * kc * mr_tile);
       if (!job.b_only) pack_a(mr_tile, job.transpose_a, job.a, job.lda, i0, mc, p0, kc, apack);
-      for (int j0 = 0; j0 < job.n; j0 += kNC) {
-        const int nc = std::min(kNC, job.n - j0);
-        if (job.conv != nullptr) {
+      for (int j0 = 0; j0 < job.n; j0 += block_n) {
+        const int nc = std::min(block_n, job.n - j0);
+        if (conv_forward) {
           source = detail::conv_block_source(job.b, *job.conv, p0, kc, j0, nc);
+        } else if (conv_transposed) {
+          // The source's k rows are the block's taps [j0, j0+nc) and its
+          // columns the block's pixels [p0, p0+kc).
+          source = detail::conv_block_source(job.b, *job.conv, j0, nc, p0, kc);
+          job.pixels->set_up(source, kc);
         }
         // Column jcol is `pixel` of `image`, stepped without a division.
         int image = j0 / cols, pixel = j0 % cols;
@@ -280,16 +319,18 @@ void run_blocked(const GemmJob& job) {
           const int nr = std::min(kNR, nc - jb);
           const int jcol = j0 + jb;
           detail::PanelRead read;
-          if (job.conv != nullptr) {
+          if (conv_forward) {
             read = detail::conv_b_panel(source, nr);
             if (read.lanes != nullptr) job.kernel.gather(read, bpanel);
+          } else if (conv_transposed) {
+            job.kernel.transposed(job.pixels->reads, kc, jb, nr, bpanel);
           } else {
             pack_b(job.transpose_b, job.b, job.ldb, p0, kc, jcol, nr, bpanel);
           }
           if (job.b_only) continue;
-          // A conv panel of consecutive columns is packed by the kernel
-          // of its first row tile, as that runs.
-          bool pack_in_kernel = job.conv != nullptr && read.lanes == nullptr;
+          // A conv forward panel of consecutive columns is packed by the
+          // kernel of its first row tile, as that runs.
+          bool pack_in_kernel = conv_forward && read.lanes == nullptr;
           const auto kernel = [&](const float* apanel, float* c, int ldc, int mr) {
             if (pack_in_kernel) {
               pack_in_kernel = false;
@@ -415,6 +456,39 @@ void conv_gemm_nchw(int out_channels, const float* weight, const float* images, 
   const bool any = epilogue.bias != nullptr || epilogue.residual != nullptr || epilogue.relu;
   run_nchw(false, out_channels, weight, g.patch_size(), images, batch, g, output,
            any ? &epilogue : nullptr);
+}
+
+void conv_weight_grad(int out_channels, const float* grad_output, const float* images,
+                      int batch, const ConvGeometry& g, float* weight_grad) {
+  const int out_hw = g.out_height() * g.out_width();
+  const int patch = g.patch_size();
+  if (out_channels < 0 || batch < 0 || out_hw < 0 || patch < 0) {
+    throw std::invalid_argument("conv weight gradient: negative dimension");
+  }
+  if (out_channels == 0 || batch == 0 || out_hw == 0 || patch == 0) return;
+
+  GemmJob job;
+  job.transpose_b = true;
+  job.m = out_channels;
+  job.n = patch;
+  job.k = out_hw;
+  job.lda = out_hw;
+  job.c = weight_grad;
+  job.ldc = patch;
+  job.conv = &g;
+  job.kernel = detail::active_kernel();
+  PixelPanels pixels;
+  job.pixels = &pixels;
+  // One GEMM per image: each dW element gets its k blocks, and so its
+  // c += acc steps, in the order of gemm(false, true) over each image's
+  // im2col in turn.
+  const std::ptrdiff_t in_stride = static_cast<std::ptrdiff_t>(g.in_channels) * g.in_height *
+                                   g.in_width;
+  for (int n = 0; n < batch; ++n) {
+    job.a = grad_output + static_cast<std::ptrdiff_t>(n) * out_channels * out_hw;
+    job.b = images + n * in_stride;
+    run_blocked(job);
+  }
 }
 
 void conv_grad_columns(int out_channels, const float* weight, const float* grad_output,

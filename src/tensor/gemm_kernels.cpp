@@ -75,6 +75,22 @@ void gather_panel_portable(PanelRead read, float* dst) {
   }
 }
 
+void transposed_panel_portable(const PanelRead* pixels, int kc, int tap, int nr, float* dst) {
+  for (int p0 = 0; p0 < kc; p0 += kNR, ++pixels) {
+    // The forward's k rows tap..tap+15 over these pixels; a row past nr
+    // reads the first one under an empty mask.
+    float rows[kNR][kNR];
+    for (int r = 0; r < kNR; ++r) {
+      const int t = tap + (r < nr ? r : 0);
+      masked_row(pixels->first + pixels->taps[t], pixels->lanes,
+                 r < nr ? pixels->masks[pixels->kws[t]] : 0u, rows[r]);
+    }
+    for (int i = 0, count = std::min(kNR, kc - p0); i < count; ++i, dst += kNR) {
+      for (int r = 0; r < kNR; ++r) dst[r] = rows[r][i];
+    }
+  }
+}
+
 #if defined(__x86_64__) || defined(_M_X64)
 
 namespace {
@@ -85,6 +101,29 @@ __attribute__((target("avx2"), always_inline)) inline __m256 lane_mask_avx2(std:
                                                                             __m256i select) {
   const __m256i bits = _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(mask)), select);
   return _mm256_castsi256_ps(_mm256_cmpeq_epi32(bits, select));
+}
+
+/// Transposes the 8 x 8 tile held as rows r[0..7] in place.
+__attribute__((target("avx2"), always_inline)) inline void transpose_8x8_avx2(__m256* r) {
+  __m256 t[8], s[8];
+#pragma GCC unroll 4
+  for (int k = 0; k < 4; ++k) {
+    t[2 * k] = _mm256_unpacklo_ps(r[2 * k], r[2 * k + 1]);
+    t[2 * k + 1] = _mm256_unpackhi_ps(r[2 * k], r[2 * k + 1]);
+  }
+  // s[4g + j], 128-bit lane L: column 4L + j of rows 4g..4g+3.
+#pragma GCC unroll 2
+  for (int g = 0; g < 2; ++g) {
+    s[4 * g] = _mm256_shuffle_ps(t[4 * g], t[4 * g + 2], _MM_SHUFFLE(1, 0, 1, 0));
+    s[4 * g + 1] = _mm256_shuffle_ps(t[4 * g], t[4 * g + 2], _MM_SHUFFLE(3, 2, 3, 2));
+    s[4 * g + 2] = _mm256_shuffle_ps(t[4 * g + 1], t[4 * g + 3], _MM_SHUFFLE(1, 0, 1, 0));
+    s[4 * g + 3] = _mm256_shuffle_ps(t[4 * g + 1], t[4 * g + 3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+#pragma GCC unroll 4
+  for (int j = 0; j < 4; ++j) {
+    r[j] = _mm256_permute2f128_ps(s[j], s[4 + j], 0x20);
+    r[4 + j] = _mm256_permute2f128_ps(s[j], s[4 + j], 0x31);
+  }
 }
 
 /// The 6x16 AVX2 tile over a packed B panel at b, or (kPack) over the
@@ -141,6 +180,46 @@ __attribute__((target("avx2,fma"), always_inline)) inline void avx2_6x16(
     float* c_row = c + static_cast<std::ptrdiff_t>(i) * ldc;
     for (int j = 0; j < nr; ++j) c_row[j] += tile[i][j];
   }
+}
+
+/// The two vpermt2ps index vectors of one 16 x 16 transpose stage:
+/// rows i and i + d (bit d of i clear) swap bit d of the row and column
+/// index of every element whose two bits differ.
+struct TransposeStage {
+  std::int32_t lo[kNR], hi[kNR];
+};
+
+constexpr TransposeStage transpose_stage(int d) {
+  TransposeStage stage{};
+  for (int c = 0; c < kNR; ++c) {
+    const int group = c & ~(2 * d - 1), o = c & (2 * d - 1);
+    stage.lo[c] = o < d ? group + o : kNR + group + o - d;
+    stage.hi[c] = o < d ? group + d + o : kNR + group + o;
+  }
+  return stage;
+}
+
+template <int kD>
+__attribute__((target("avx512f"), always_inline)) inline void transpose_stage_avx512(__m512* r) {
+  static constexpr TransposeStage kStage = transpose_stage(kD);
+  const __m512i lo = _mm512_loadu_si512(kStage.lo), hi = _mm512_loadu_si512(kStage.hi);
+#pragma GCC unroll 16
+  for (int i = 0; i < kNR; ++i) {
+    if ((i & kD) != 0) continue;
+    const __m512 a = r[i], b = r[i + kD];
+    r[i] = _mm512_permutex2var_ps(a, lo, b);
+    r[i + kD] = _mm512_permutex2var_ps(a, hi, b);
+  }
+}
+
+/// Transposes the 16 x 16 tile held as rows r[0..15] in place: four
+/// stages of two-source permutes, each swapping one bit of the row and
+/// column indices.
+__attribute__((target("avx512f"), always_inline)) inline void transpose_16x16_avx512(__m512* r) {
+  transpose_stage_avx512<8>(r);
+  transpose_stage_avx512<4>(r);
+  transpose_stage_avx512<2>(r);
+  transpose_stage_avx512<1>(r);
 }
 
 /// The 8x16 AVX-512 tile, packed or packing like avx2_6x16. The eight
@@ -245,6 +324,85 @@ __attribute__((target("avx512f"))) void gather_panel_avx512(PanelRead read, floa
                                              index,
                                              _mm512_maskz_loadu_ps(window[3], row + 3 * kNR));
     _mm512_storeu_ps(dst, _mm512_maskz_mov_ps(mask, _mm512_mask_blend_ps(upper, lo, hi)));
+  }
+}
+
+__attribute__((target("avx2"))) void transposed_panel_avx2(const PanelRead* pixels, int kc,
+                                                            int tap, int nr, float* dst) {
+  const __m256i select_lo = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+  const __m256i select_hi = _mm256_slli_epi32(select_lo, 8);
+  alignas(32) float gathered_rows[kNR * kNR];
+  alignas(32) float tail[kNR * kNR];
+  for (int p0 = 0; p0 < kc; p0 += kNR, ++pixels) {
+    // Rows tap..tap+15 of the forward panel: loaded under their masks,
+    // or gathered first; a row past nr reads the first one under an
+    // empty mask.
+    PanelRead piece = *pixels;
+    piece.taps += tap;
+    piece.kws += tap;
+    piece.kc = nr;
+    const bool gathered = piece.lanes != nullptr;
+    if (gathered) gather_panel_portable(piece, gathered_rows);
+    const int count = std::min(kNR, kc - p0);
+    float* out = count == kNR ? dst : tail;
+#pragma GCC unroll 2
+    for (int h = 0; h < 2; ++h) {
+      // Lanes 8h..8h+7 of the 16 rows: pixel 8h + i is row i of
+      // half[0..7]^T followed by row i of half[8..15]^T.
+      const __m256i select = h == 0 ? select_lo : select_hi;
+      __m256 half[kNR];
+#pragma GCC unroll 16
+      for (int i = 0; i < kNR; ++i) {
+        const int r = i < nr ? i : 0;
+        const float* row = gathered ? gathered_rows + kNR * r : piece.first + piece.taps[r];
+        const std::uint32_t mask = i >= nr ? 0u : gathered ? 0xFFFFu : piece.masks[piece.kws[i]];
+        half[i] = _mm256_and_ps(_mm256_loadu_ps(row + 8 * h), lane_mask_avx2(mask, select));
+      }
+      transpose_8x8_avx2(half);
+      transpose_8x8_avx2(half + 8);
+#pragma GCC unroll 8
+      for (int i = 0; i < 8; ++i) {
+        _mm256_storeu_ps(out + kNR * (8 * h + i), half[i]);
+        _mm256_storeu_ps(out + kNR * (8 * h + i) + 8, half[8 + i]);
+      }
+    }
+    if (count < kNR) std::copy_n(tail, count * kNR, dst);
+    dst += count * kNR;
+  }
+}
+
+__attribute__((target("avx512f"))) void transposed_panel_avx512(const PanelRead* pixels, int kc,
+                                                                int tap, int nr, float* dst) {
+  alignas(64) float scratch[kNR * kNR];
+  for (int p0 = 0; p0 < kc; p0 += kNR, ++pixels) {
+    // Rows tap..tap+15 of the forward panel: loaded under their masks,
+    // or gathered first; a row past nr loads no lane.
+    PanelRead piece = *pixels;
+    piece.taps += tap;
+    piece.kws += tap;
+    piece.kc = nr;
+    __m512 rows[kNR];
+    if (piece.lanes != nullptr) {
+      gather_panel_avx512(piece, scratch);
+#pragma GCC unroll 16
+      for (int i = 0; i < kNR; ++i) {
+        rows[i] = _mm512_maskz_loadu_ps(i < nr ? 0xFFFF : 0, scratch + kNR * i);
+      }
+    } else {
+#pragma GCC unroll 16
+      for (int i = 0; i < kNR; ++i) {
+        const int r = i < nr ? i : 0;
+        rows[i] = _mm512_maskz_loadu_ps(i < nr ? piece.masks[piece.kws[r]] : 0,
+                                        piece.first + piece.taps[r]);
+      }
+    }
+    transpose_16x16_avx512(rows);
+    const int count = std::min(kNR, kc - p0);
+    float* out = count == kNR ? dst : scratch;
+#pragma GCC unroll 16
+    for (int i = 0; i < kNR; ++i) _mm512_storeu_ps(out + kNR * i, rows[i]);
+    if (count < kNR) std::copy_n(scratch, count * kNR, dst);
+    dst += count * kNR;
   }
 }
 

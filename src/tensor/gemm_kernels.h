@@ -20,7 +20,11 @@
 // first, 16 lanes per k row. Either way the lanes whose input column
 // lies in the horizontal padding are zeroed by a lane mask — a zeroing
 // masked load on AVX-512, a load plus an AND with the mask on AVX2,
-// NEON and portable — so every tier packs the same bits.
+// NEON and portable — so every tier packs the same bits. A conv's
+// weight-gradient GEMM reads B = im2col^T: each 16 x 16 piece of its
+// panel is read as the forward reads 16 of its k rows (loaded or
+// gathered, masked) and transposed, in registers on AVX-512 and AVX2,
+// element by element on portable and NEON.
 //
 // The vector kernels are compiled with per-function target attributes
 // (the binary stays runnable on baseline hardware); gemm.cpp calls
@@ -89,7 +93,7 @@ struct ConvBlockSource {
 
 /// The source of rows [p0, p0+kc) x columns [j0, j0+nc) of the im2col
 /// matrix of NCHW `images` (image n at columns [n*out_hw,
-/// (n+1)*out_hw)). It fills the calling thread's lane masks
+/// (n+1)*out_hw)); kc <= KC. It fills the calling thread's lane masks
 /// (Workspace::kLaneMasks) and, with padding, its slab, which stay
 /// valid until the next call.
 ConvBlockSource conv_block_source(const float* images, const ConvGeometry& g, int p0, int kc,
@@ -140,15 +144,24 @@ using PackingKernelFn = void (*)(const float* apanel, PanelRead read, float* b, 
 /// Packs the gathered conv panel `read` (lanes set) into dst as one
 /// kc x NR panel.
 using GatherFn = void (*)(PanelRead read, float* dst);
+/// Packs one kc x NR panel of a conv's weight-gradient GEMM, whose B is
+/// im2col^T, into dst: row r is pixel r of the block, lane i its tap
+/// row `tap + i` (+0.0 past nr). The block's kc pixels are the forward
+/// panels pixels[0], pixels[1], ... of 16 pixels each (the last may be
+/// ragged), as conv_b_panel returned them over a source whose k rows
+/// are the block's taps; each 16 x 16 piece is the transpose of those
+/// panels' rows tap..tap+15.
+using TransposedPanelFn = void (*)(const PanelRead* pixels, int kc, int tap, int nr, float* dst);
 
-/// A float kernel tier — its microkernel, packing kernel and gather —
-/// and the register-tile rows its A packer must produce (A panels are
-/// interleaved at stride `mr`).
+/// A float kernel tier — its microkernel, packing kernel, gather and
+/// transposed packer — and the register-tile rows its A packer must
+/// produce (A panels are interleaved at stride `mr`).
 struct FloatKernel {
   int mr = 0;
   MicroKernelFn kernel = nullptr;
   PackingKernelFn packing = nullptr;
   GatherFn gather = nullptr;
+  TransposedPanelFn transposed = nullptr;
   const char* name = "";
 };
 
@@ -156,12 +169,14 @@ struct FloatKernel {
 FloatKernel active_kernel();
 
 /// 4x16 plain C++ tile, every target (auto-vectorized at the baseline
-/// ISA); its gather also serves AVX2 and NEON.
+/// ISA); its gather also serves AVX2 and NEON, its transposed packer
+/// NEON.
 void micro_kernel_portable_4x16(int kc, const float* apanel, const float* b, float* c, int ldc,
                                 int mr, int nr);
 void packing_kernel_portable_4x16(const float* apanel, PanelRead read, float* b, float* c,
                                   int ldc, int mr, int nr);
 void gather_panel_portable(PanelRead read, float* dst);
+void transposed_panel_portable(const PanelRead* pixels, int kc, int tap, int nr, float* dst);
 
 #if defined(__x86_64__) || defined(_M_X64)
 /// 6x16 AVX2+FMA tile: 12 YMM accumulators, one broadcast per A lane.
@@ -169,6 +184,7 @@ void micro_kernel_avx2_6x16(int kc, const float* apanel, const float* b, float* 
                             int mr, int nr);
 void packing_kernel_avx2_6x16(const float* apanel, PanelRead read, float* b, float* c, int ldc,
                               int mr, int nr);
+void transposed_panel_avx2(const PanelRead* pixels, int kc, int tap, int nr, float* dst);
 /// 8x16 AVX-512F tile: 8 ZMM accumulators, one 16-wide B load and 8
 /// broadcasts per k step; ragged nr through masked loads/stores.
 void micro_kernel_avx512_8x16(int kc, const float* apanel, const float* b, float* c, int ldc,
@@ -176,6 +192,7 @@ void micro_kernel_avx512_8x16(int kc, const float* apanel, const float* b, float
 void packing_kernel_avx512_8x16(const float* apanel, PanelRead read, float* b, float* c,
                                 int ldc, int mr, int nr);
 void gather_panel_avx512(PanelRead read, float* dst);
+void transposed_panel_avx512(const PanelRead* pixels, int kc, int tap, int nr, float* dst);
 #endif
 
 #if defined(__aarch64__)

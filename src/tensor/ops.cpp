@@ -55,8 +55,8 @@ void copy_tap_row(const T* channel, const ConvGeometry& g, int ih, int kw, int o
   }
 }
 
-/// Shared im2col writer over floats (fill 0) or u8 codes (fill the
-/// activation zero point).
+/// The im2col writer; its one instance is the int8 path's, over u8
+/// codes (fill: the activation zero point).
 template <typename T>
 void im2col_into(const T* image, const ConvGeometry& g, T* columns, T fill) {
   const int out_h = g.out_height();
@@ -134,10 +134,6 @@ void col2im_t(const float* columns, const ConvGeometry& g, float* image) {
 constexpr std::uint8_t kU8ZeroPoint = 128;
 
 }  // namespace
-
-void im2col(const float* image, const ConvGeometry& g, float* columns) {
-  im2col_into<float>(image, g, columns, 0.0f);
-}
 
 void im2col_u8(const std::uint8_t* image, const ConvGeometry& g, std::uint8_t* columns) {
   im2col_into<std::uint8_t>(image, g, columns, kU8ZeroPoint);

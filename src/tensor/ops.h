@@ -1,4 +1,4 @@
-// Numeric kernels: GEMM, im2col/col2im, softmax-family ops.
+// Numeric kernels: GEMM, the conv GEMMs, col2im, softmax-family ops.
 //
 // Every float convolution forward is one implicit GEMM
 // (conv_gemm_nchw): the GEMM reads its B panels straight from the NCHW
@@ -23,11 +23,12 @@
 // forward over any split of a batch is bit-identical to the whole
 // under a fixed kernel (and across the AVX2 and AVX-512 tiers), and the
 // epilogue adds nothing but the element-wise passes it replaces, in
-// their order. A conv's backward runs per image for its weight
-// gradient (im2col + gemm() against the transposed columns) and as one
+// their order. A conv's weight gradient is one GEMM per image
+// (conv_weight_grad) whose transposed B panels are packed straight
+// from the cached NCHW input, as the forward packs its own, so no
+// float im2col matrix is written anywhere. Its input gradient is one
 // GEMM over a group of images (conv_grad_columns) plus a per-image
-// col2im for its input gradient. The int8 quantized serving path lives
-// in tensor/qgemm.h.
+// col2im. The int8 quantized serving path lives in tensor/qgemm.h.
 //
 // There is one implementation of each kernel. The parity tests check
 // them against plain loop-nest references of their own
@@ -98,6 +99,15 @@ struct ConvEpilogue {
 void conv_gemm_nchw(int out_channels, const float* weight, const float* images, int batch,
                     const ConvGeometry& g, float* output, const ConvEpilogue& epilogue = {});
 
+/// The float conv's weight-gradient GEMM: for each image n in turn,
+/// weight_grad [out_channels, patch_size()] += grad_output[n]
+/// [out_channels, out_h*out_w] x im2col(images[n])^T. B's panels are
+/// packed straight from the NCHW `images` [batch, C, H, W], im2col's
+/// values in its order, and each image is its own GEMM, so the result
+/// is bit-identical to im2col + gemm(false, true) per image.
+void conv_weight_grad(int out_channels, const float* grad_output, const float* images,
+                      int batch, const ConvGeometry& g, float* weight_grad);
+
 /// The float conv's input-gradient GEMM over NCHW `grad_output`
 /// [batch, out_channels, out_h, out_w]: for each image n, columns[n] =
 /// weight^T [patch_size(), out_channels] x grad_output[n]
@@ -109,16 +119,14 @@ void conv_gemm_nchw(int out_channels, const float* weight, const float* images, 
 void conv_grad_columns(int out_channels, const float* weight, const float* grad_output,
                        int batch, const ConvGeometry& g, float* columns);
 
-/// Expands one image [C, H, W] into a patch matrix
-/// [C*k*k, out_h*out_w] (column-major over output positions).
-/// `columns` must have patch_size() * out_h * out_w elements.
-void im2col(const float* image, const ConvGeometry& g, float* columns);
-
-/// im2col over a u8-quantized image for the int8 serving path. Padding
-/// positions are filled with qgemm.h's activation zero point (the code
-/// a float 0 quantizes to), so quantize-then-im2col produces exactly
-/// the byte matrix im2col-then-quantize would — at a quarter of the
-/// memory traffic and without the float scratch.
+/// Expands one u8-quantized image [C, H, W] into its patch matrix
+/// [C*k*k, out_h*out_w] (row (c, kh, kw), column (oh, ow)) for the int8
+/// serving path. Padding positions are filled with qgemm.h's
+/// activation zero point (the code a float 0 quantizes to), so
+/// quantize-then-im2col produces exactly the byte matrix
+/// im2col-then-quantize would — at a quarter of the memory traffic and
+/// without the float scratch. `columns` must have patch_size() *
+/// out_h * out_w elements.
 void im2col_u8(const std::uint8_t* image, const ConvGeometry& g, std::uint8_t* columns);
 
 /// Inverse scatter-add of im2col: accumulates patch-matrix gradients back

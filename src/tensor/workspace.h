@@ -30,7 +30,7 @@ class Workspace {
     kFoldedWeights,
     kFoldedBias,
     kQuantScales,  // int8 path: per-row weight scales + fused epilogue scales
-    kColumns,      // conv backward: im2col columns (dW), then grad columns (dX)
+    kColumns,      // conv backward: the input gradient's grad columns (dX)
     // Implicit-GEMM B packer of a padded conv: the copy of what one
     // (KC, NC) block reads — the images its nc columns touch x the
     // channels its kc rows touch, each plane (H+2p) rows of width W

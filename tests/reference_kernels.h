@@ -1,10 +1,10 @@
 // Reference kernels: the GEMM, the direct NCHW convolution, the
-// depthwise convolution and its backward, and col2im, written out as
-// their definitions, one loop nest each, with no blocking, packing or
-// vector code. They are the oracles the parity tests compare the
-// production kernels (ops::gemm, ops::conv_gemm_nchw, ops::col2im,
-// DepthwiseConv2d's unrolled 3x3 path and its backward) against; the
-// library itself never calls them.
+// depthwise convolution and its backward, im2col and col2im, written
+// out as their definitions, one loop nest each, with no blocking,
+// packing or vector code. They are the oracles the parity tests compare
+// the production kernels (ops::gemm, ops::conv_gemm_nchw,
+// ops::conv_weight_grad, ops::col2im, DepthwiseConv2d's unrolled 3x3
+// path and its backward) against; the library itself never calls them.
 #pragma once
 
 #include <cstddef>
@@ -121,6 +121,33 @@ inline Tensor reference_depthwise(const Tensor& input, const float* weight, cons
     }
   }
   return out;
+}
+
+/// The patch matrix of one image [C, H, W]: row (c, kh, kw), column
+/// (oh, ow) of `columns` [C*k*k, out_h*out_w] is in(c, oh*s - p + kh,
+/// ow*s - p + kw), or +0.0 where that tap lies in the padding. The
+/// conv GEMMs pack their B panels in exactly these values and this
+/// order.
+inline void reference_im2col(const float* image, int in_channels, int in_height, int in_width,
+                             int kernel, int stride, int padding, float* columns) {
+  const int out_h = reference_conv_extent(in_height, kernel, stride, padding);
+  const int out_w = reference_conv_extent(in_width, kernel, stride, padding);
+  for (int c = 0; c < in_channels; ++c) {
+    for (int kh = 0; kh < kernel; ++kh) {
+      for (int kw = 0; kw < kernel; ++kw) {
+        for (int oh = 0; oh < out_h; ++oh) {
+          for (int ow = 0; ow < out_w; ++ow) {
+            const int ih = oh * stride - padding + kh;
+            const int iw = ow * stride - padding + kw;
+            const bool inside = ih >= 0 && ih < in_height && iw >= 0 && iw < in_width;
+            *columns++ =
+                inside ? image[(static_cast<std::ptrdiff_t>(c) * in_height + ih) * in_width + iw]
+                       : 0.0f;
+          }
+        }
+      }
+    }
+  }
 }
 
 /// Inverse scatter-add of im2col for one image: adds the patch matrix

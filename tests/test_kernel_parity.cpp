@@ -30,10 +30,11 @@
 //    horizontal padding and past a ragged panel;
 //  - a conv forward over a batch, float or int8, is bit-identical to
 //    one batch-1 forward per image;
-//  - Conv2d's backward (per-image dW, one whole-batch dX GEMM, the
-//    stride-specialized col2im) and its parameters-only variant are
-//    bit-identical to im2col + gemm() + col2im per image, on every
-//    kernel tier; ops::col2im and DepthwiseConv2d's backward are
+//  - Conv2d's backward (per-image dW with B packed from the cached
+//    input, one whole-batch dX GEMM, the stride-specialized col2im)
+//    and its parameters-only variant are bit-identical to
+//    reference_im2col + gemm() + col2im per image, on every kernel
+//    tier; ops::col2im and DepthwiseConv2d's backward are
 //    bit-identical to their loop-nest references;
 //  - the persistent GemmPool serves jobs of changing width, and a throw
 //    in any of its slots reaches the caller only after every slot has
@@ -76,6 +77,7 @@ using meanet::testing::reference_conv;
 using meanet::testing::reference_depthwise;
 using meanet::testing::reference_depthwise_backward;
 using meanet::testing::reference_gemm;
+using meanet::testing::reference_im2col;
 using meanet::testing::reference_matmul;
 using meanet::testing::tiny_meanet_b;
 
@@ -541,6 +543,55 @@ TEST(QuantizedParity, ConvForwardTracksFloat) {
   }
 }
 
+TEST(QuantizedParity, Im2colU8MatchesReferenceIm2colByteForByte) {
+  // im2col_u8 (the int8 conv's patch matrix) shares its tap-row copy
+  // with nothing else the float tests reach. Each byte code b is held
+  // as the float b - 128, so reference_im2col's +0.0 padding maps to
+  // the activation zero point 128 and every column must come out as
+  // the reference + 128, byte for byte. Same geometries as
+  // MatchesIm2colPlusGemmPerImageBitForBit: kernels 1/3/5, strides
+  // 1/2, pads 0/1/2, inputs narrower than the kernel.
+  struct Input {
+    int channels, height, width;
+  };
+  const Input inputs[] = {{3, 7, 7}, {32, 7, 7}, {2, 3, 2}, {32, 9, 9}};
+  util::Rng rng(139);
+  int checked = 0;
+  for (const Input in : inputs) {
+    const std::size_t in_size = static_cast<std::size_t>(in.channels) * in.height * in.width;
+    std::vector<std::uint8_t> codes(in_size);
+    std::vector<float> image(in_size);
+    for (std::size_t i = 0; i < in_size; ++i) {
+      codes[i] = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+      image[i] = static_cast<float>(codes[i]) - 128.0f;
+    }
+    for (const int kernel : {1, 3, 5}) {
+      for (const int stride : {1, 2}) {
+        for (const int padding : {0, 1, 2}) {
+          if (in.height + 2 * padding < kernel || in.width + 2 * padding < kernel) continue;
+          const ops::ConvGeometry g{in.channels, in.height, in.width, kernel, stride, padding};
+          const std::size_t size =
+              static_cast<std::size_t>(g.patch_size()) * g.out_height() * g.out_width();
+          std::vector<float> reference(size);
+          reference_im2col(image.data(), in.channels, in.height, in.width, kernel, stride,
+                           padding, reference.data());
+          std::vector<std::uint8_t> expected(size);
+          for (std::size_t i = 0; i < size; ++i) {
+            expected[i] = static_cast<std::uint8_t>(reference[i] + 128.0f);
+          }
+          std::vector<std::uint8_t> actual(size, 0xA5);
+          ops::im2col_u8(codes.data(), g, actual.data());
+          ASSERT_EQ(std::memcmp(actual.data(), expected.data(), size), 0)
+              << "cin=" << in.channels << " " << in.height << "x" << in.width << " k=" << kernel
+              << " s=" << stride << " p=" << padding;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 60);
+}
+
 TEST(QuantizedParity, FoldedConvBnEvalComposesWithInt8) {
   util::Rng rng(73);
   nn::Sequential fused("fused");
@@ -684,29 +735,12 @@ TEST(DepthwiseParity, NarrowerThanKernelInputsStayInBounds) {
 
 // ----- Implicit-GEMM conv (ops::conv_gemm_nchw) -----------------------
 
-/// im2col written out as its definition, element by element: the
-/// oracle's own oracle, so a fault in the tap-row copy that im2col and
-/// the implicit-GEMM packer share cannot hide in both sides at once.
-std::vector<float> im2col_by_definition(const float* image, const ops::ConvGeometry& g) {
-  const int out_h = g.out_height(), out_w = g.out_width();
-  std::vector<float> columns;
-  for (int c = 0; c < g.in_channels; ++c) {
-    for (int kh = 0; kh < g.kernel; ++kh) {
-      for (int kw = 0; kw < g.kernel; ++kw) {
-        for (int oh = 0; oh < out_h; ++oh) {
-          for (int ow = 0; ow < out_w; ++ow) {
-            const int ih = oh * g.stride - g.padding + kh;
-            const int iw = ow * g.stride - g.padding + kw;
-            const bool inside = ih >= 0 && ih < g.in_height && iw >= 0 && iw < g.in_width;
-            columns.push_back(
-                inside ? image[(static_cast<std::ptrdiff_t>(c) * g.in_height + ih) * g.in_width +
-                               iw]
-                       : 0.0f);
-          }
-        }
-      }
-    }
-  }
+/// reference_im2col of one image.
+std::vector<float> im2col_of(const float* image, const ops::ConvGeometry& g) {
+  std::vector<float> columns(static_cast<std::size_t>(g.patch_size()) * g.out_height() *
+                             g.out_width());
+  reference_im2col(image, g.in_channels, g.in_height, g.in_width, g.kernel, g.stride, g.padding,
+                   columns.data());
   return columns;
 }
 
@@ -742,18 +776,11 @@ TEST(ConvGemmParity, MatchesIm2colPlusGemmPerImageBitForBit) {
           for (const int batch : {1, 3, 17}) {
             const Tensor images =
                 Tensor::normal(Shape{batch, in.channels, in.height, in.width}, rng);
-            std::vector<float> columns(static_cast<std::size_t>(patch) * out_hw);
-            for (int n = 0; n < batch; ++n) {
-              ops::im2col(images.data() + n * in_stride, g, columns.data());
-              ASSERT_TRUE(same_bits(columns, im2col_by_definition(images.data() + n * in_stride, g)))
-                  << "im2col itself, cin=" << in.channels << " " << in.height << "x" << in.width
-                  << " k=" << kernel << " s=" << stride << " p=" << padding << " n=" << n;
-            }
             for (const ops::SimdLevel level : levels) {
               SimdLevelScope scope(level);
               std::vector<float> expected(static_cast<std::size_t>(batch) * out_stride);
               for (int n = 0; n < batch; ++n) {
-                ops::im2col(images.data() + n * in_stride, g, columns.data());
+                const std::vector<float> columns = im2col_of(images.data() + n * in_stride, g);
                 ops::gemm(false, false, out_channels, out_hw, patch, weight.data(), patch,
                           columns.data(), out_hw, expected.data() + n * out_stride, out_hw);
               }
@@ -857,7 +884,7 @@ TEST(ConvGemmParity, PackerPathsMatchIm2colBitForBit) {
         Tensor::normal(Shape{tc.batch, g.in_channels, g.in_height, g.in_width}, rng);
     std::vector<std::vector<float>> columns;  // im2col of each image
     for (int b = 0; b < tc.batch; ++b) {
-      columns.push_back(im2col_by_definition(images.data() + b * in_stride, g));
+      columns.push_back(im2col_of(images.data() + b * in_stride, g));
     }
     for (const ops::SimdLevel level : host_levels()) {
       SimdLevelScope scope(level);
@@ -901,14 +928,12 @@ TEST(ConvGemmParity, PackerPathsMatchIm2colBitForBit) {
       }
     }
     const Tensor weight = Tensor::normal(Shape{out_channels, patch}, rng);
-    std::vector<float> image_columns(static_cast<std::size_t>(patch) * out_hw);
     for (const ops::SimdLevel level : host_levels()) {
       SimdLevelScope scope(level);
       std::vector<float> expected(static_cast<std::size_t>(tc.batch) * out_stride);
       for (int b = 0; b < tc.batch; ++b) {
-        ops::im2col(images.data() + b * in_stride, g, image_columns.data());
         ops::gemm(false, false, out_channels, out_hw, patch, weight.data(), patch,
-                  image_columns.data(), out_hw, expected.data() + b * out_stride, out_hw);
+                  columns[b].data(), out_hw, expected.data() + b * out_stride, out_hw);
       }
       std::vector<float> actual(expected.size(), 0.0f);
       ops::conv_gemm_nchw(out_channels, weight.data(), images.data(), tc.batch, g,
@@ -991,13 +1016,12 @@ TEST(ConvGemmParity, LoadedAndGatheredPanelsMatchDenseGemmBitForBit) {
     const Tensor bias = Tensor::normal(Shape{out_channels}, rng);
     const Tensor residual = Tensor::normal(Shape{tc.batch, out_channels, out_hw}, rng);
     const ops::ConvEpilogue epilogues[] = {{}, {bias.data(), residual.data(), true}};
-    std::vector<float> image_columns(static_cast<std::size_t>(patch) * out_hw);
     for (const ops::SimdLevel level : host_levels()) {
       SimdLevelScope scope(level);
       for (const ops::ConvEpilogue& e : epilogues) {
         std::vector<float> expected(static_cast<std::size_t>(tc.batch) * out_stride, 0.0f);
         for (int b = 0; b < tc.batch; ++b) {
-          ops::im2col(images.data() + b * in_stride, g, image_columns.data());
+          const std::vector<float> image_columns = im2col_of(images.data() + b * in_stride, g);
           ops::gemm(false, false, out_channels, out_hw, patch, weight.data(), patch,
                     image_columns.data(), out_hw, expected.data() + b * out_stride, out_hw);
         }
@@ -1064,12 +1088,12 @@ struct ConvGrads {
 };
 
 /// The per-image backward Conv2d::backward must reproduce bit for bit:
-/// per image, dW += gout x im2col^T (gemm() reading the columns
-/// transposed), the bias sum, and grad columns = W^T x gout (gemm()
-/// into zeroed columns) scattered by reference_col2im. The GEMMs are ops::gemm,
-/// not reference_gemm: a memcmp needs the blocked GEMM's KC split and
-/// its tier's FMA rounding, and GemmParity checks ops::gemm against
-/// reference_gemm.
+/// per image, dW += gout x im2col^T (gemm() reading reference_im2col's
+/// columns transposed), the bias sum, and grad columns = W^T x gout
+/// (gemm() into zeroed columns) scattered by reference_col2im. The GEMMs
+/// are ops::gemm, not reference_gemm: a memcmp needs the blocked GEMM's
+/// KC split and its tier's FMA rounding, and GemmParity checks ops::gemm
+/// against reference_gemm.
 ConvGrads per_image_backward(const Tensor& input, const Tensor& grad_output,
                              const float* weight, int out_channels, const ops::ConvGeometry& g,
                              bool frozen) {
@@ -1082,12 +1106,11 @@ ConvGrads per_image_backward(const Tensor& input, const Tensor& grad_output,
   grads.weight.assign(static_cast<std::size_t>(out_channels) * patch, 0.0f);
   grads.bias.assign(static_cast<std::size_t>(out_channels), 0.0f);
   grads.input.assign(static_cast<std::size_t>(input.numel()), 0.0f);
-  std::vector<float> columns(static_cast<std::size_t>(patch) * out_hw);
-  std::vector<float> grad_columns(columns.size());
+  std::vector<float> grad_columns(static_cast<std::size_t>(patch) * out_hw);
   for (int n = 0; n < batch; ++n) {
     const float* gout = grad_output.data() + n * out_stride;
     if (!frozen) {
-      ops::im2col(input.data() + n * in_stride, g, columns.data());
+      const std::vector<float> columns = im2col_of(input.data() + n * in_stride, g);
       ops::gemm(false, true, out_channels, patch, out_hw, gout, out_hw, columns.data(), out_hw,
                 grads.weight.data(), patch);
       for (int oc = 0; oc < out_channels; ++oc) {
@@ -1106,34 +1129,39 @@ ConvGrads per_image_backward(const Tensor& input, const Tensor& grad_output,
 }
 
 TEST(ConvBackwardParity, MatchesPerImageIm2colGemmCol2imBitForBit) {
-  // ConvGemmParity's geometries plus a 16x16 input with 256-column
-  // images (ResNet-B's first stage). 19 output channels are ragged in
-  // every tier's MR; the 17-image batches span several image groups of
-  // the input-gradient GEMM.
+  // On every tier this host runs: ConvGemmParity's geometries (the 7x7
+  // input's 49 pixels leave a ragged pixel panel, and a 5x5 pad-2
+  // kernel and a 1x1 stride-2 shortcut are among the combinations),
+  // a 16x16 input with 256-pixel images (ResNet-B's first stage) and an
+  // 18x18 one whose images span two KC blocks of the weight-gradient
+  // GEMM (324 pixels at pad 1). The 32-channel 3x3 and 5x5 patches
+  // (288 and 800 taps) span several of its column blocks. 19 output
+  // channels are ragged in every tier's MR; the 17-image batches span
+  // several image groups of the input-gradient GEMM. Each backward runs
+  // on a fresh thread, so its padded slabs are buffers of exactly their
+  // block's size and AddressSanitizer sees a read past one.
   struct Input {
     int channels, height, width;
   };
-  const Input inputs[] = {{3, 7, 7}, {32, 9, 9}, {2, 3, 2}, {8, 16, 16}};
+  const Input inputs[] = {{3, 7, 7}, {32, 9, 9}, {2, 3, 2}, {8, 16, 16}, {4, 18, 18}};
   const int out_channels = 19;
-  const std::vector<ops::SimdLevel> levels =
-      ops::simd_level() == ops::SimdLevel::kPortable
-          ? std::vector<ops::SimdLevel>{ops::SimdLevel::kPortable}
-          : std::vector<ops::SimdLevel>{ops::SimdLevel::kPortable, ops::simd_level()};
   util::Rng rng(151);
   int checked = 0;
+  bool two_k_blocks = false;
   for (const Input in : inputs) {
     for (const int kernel : {1, 3, 5}) {
       for (const int stride : {1, 2}) {
         for (const int padding : {0, 1, 2}) {
           if (in.height + 2 * padding < kernel || in.width + 2 * padding < kernel) continue;
           const ops::ConvGeometry g{in.channels, in.height, in.width, kernel, stride, padding};
+          two_k_blocks |= g.out_height() * g.out_width() > ops::detail::kKC;
           nn::Conv2d conv(in.channels, out_channels, kernel, stride, padding, /*bias=*/true, rng);
           for (const int batch : {1, 3, 17}) {
             const Tensor x = Tensor::normal(Shape{batch, in.channels, in.height, in.width}, rng);
             const Tensor gout = Tensor::normal(conv.output_shape(x.shape()), rng);
             for (const bool frozen : {false, true}) {
               conv.set_frozen(frozen);
-              for (const ops::SimdLevel level : levels) {
+              for (const ops::SimdLevel level : host_levels()) {
                 SimdLevelScope scope(level);
                 const std::string where =
                     std::string(ops::simd_level_name(level)) + " cin=" +
@@ -1143,10 +1171,13 @@ TEST(ConvBackwardParity, MatchesPerImageIm2colGemmCol2imBitForBit) {
                     " batch=" + std::to_string(batch) + (frozen ? " frozen" : "");
                 const ConvGrads expected = per_image_backward(
                     x, gout, conv.weight().value.data(), out_channels, g, frozen);
-                conv.weight().zero_grad();
-                conv.bias().zero_grad();
-                (void)conv.forward(x, nn::Mode::kTrain);
-                const Tensor grad_input = conv.backward(gout);
+                Tensor grad_input;
+                std::thread([&] {
+                  conv.weight().zero_grad();
+                  conv.bias().zero_grad();
+                  (void)conv.forward(x, nn::Mode::kTrain);
+                  grad_input = conv.backward(gout);
+                }).join();
                 EXPECT_TRUE(same_bits(expected.weight, as_vector(conv.weight().grad)))
                     << "weight grad, " << where;
                 EXPECT_TRUE(same_bits(expected.bias, as_vector(conv.bias().grad)))
@@ -1154,10 +1185,12 @@ TEST(ConvBackwardParity, MatchesPerImageIm2colGemmCol2imBitForBit) {
                 EXPECT_TRUE(same_bits(expected.input, as_vector(grad_input)))
                     << "input grad, " << where;
                 // The parameters-only backward accumulates the same bits.
-                conv.weight().zero_grad();
-                conv.bias().zero_grad();
-                (void)conv.forward(x, nn::Mode::kTrain);
-                conv.backward_params(gout);
+                std::thread([&] {
+                  conv.weight().zero_grad();
+                  conv.bias().zero_grad();
+                  (void)conv.forward(x, nn::Mode::kTrain);
+                  conv.backward_params(gout);
+                }).join();
                 EXPECT_TRUE(same_bits(expected.weight, as_vector(conv.weight().grad)))
                     << "backward_params weight grad, " << where;
                 EXPECT_TRUE(same_bits(expected.bias, as_vector(conv.bias().grad)))
@@ -1171,6 +1204,7 @@ TEST(ConvBackwardParity, MatchesPerImageIm2colGemmCol2imBitForBit) {
     }
   }
   EXPECT_GT(checked, 0);
+  EXPECT_TRUE(two_k_blocks);
 }
 
 TEST(ConvBackwardParity, SequentialBackwardParamsMatchesBackward) {
@@ -1198,7 +1232,10 @@ TEST(ConvBackwardParity, SequentialBackwardParamsMatchesBackward) {
     }
     return all;
   };
-  EXPECT_TRUE(same_bits(grads_after(false), grads_after(true)));
+  for (const ops::SimdLevel level : host_levels()) {
+    SimdLevelScope scope(level);
+    EXPECT_TRUE(same_bits(grads_after(false), grads_after(true))) << ops::simd_level_name(level);
+  }
 }
 
 // ----- Whole-batch conv forward ---------------------------------------

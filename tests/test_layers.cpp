@@ -162,6 +162,59 @@ TEST(BatchNorm2d, FrozenIgnoresTrainMode) {
   EXPECT_NEAR(y[0], x[0], 1e-3f);
 }
 
+TEST(BatchNorm2d, TrainStatsAreOneChannelDoubleSums) {
+  // The train forward sums several channels side by side; each
+  // channel's mean and variance must still be its own double sum over
+  // (n, h, w) in order, bit for bit. 11 channels: one full group of
+  // eight and a partial one.
+  util::Rng rng(6);
+  const int batch = 3, channels = 11, hw = 5 * 7;
+  BatchNorm2d bn(channels, /*momentum=*/1.0f);
+  const Tensor x = Tensor::normal(Shape{batch, channels, 5, 7}, rng, 0.5f, 3.0f);
+  (void)bn.forward(x, Mode::kTrain);
+  for (int c = 0; c < channels; ++c) {
+    double sum = 0.0;
+    for (int n = 0; n < batch; ++n) {
+      for (int i = 0; i < hw; ++i) sum += x[(n * channels + c) * hw + i];
+    }
+    const float mean = static_cast<float>(sum / (batch * hw));
+    double squares = 0.0;
+    for (int n = 0; n < batch; ++n) {
+      for (int i = 0; i < hw; ++i) {
+        const double d = x[(n * channels + c) * hw + i] - mean;
+        squares += d * d;
+      }
+    }
+    // momentum 1: the running statistics are this batch's.
+    EXPECT_EQ(bn.running_mean()[c], mean) << "channel " << c;
+    EXPECT_EQ(bn.running_var()[c], static_cast<float>(squares / (batch * hw))) << "channel " << c;
+  }
+}
+
+TEST(BatchNorm2d, TrainForwardRejectsAnEmptyBatch) {
+  // An empty batch has no statistics (0/0); a train forward over it
+  // used to write NaN into the running statistics, so every later eval
+  // forward returned NaN. It must throw and leave the layer as it was.
+  util::Rng rng(5);
+  BatchNorm2d bn(4);
+  const Tensor x = Tensor::normal(Shape{6, 4, 3, 3}, rng, 1.0f, 2.0f);
+  (void)bn.forward(x, Mode::kTrain);
+  const Tensor mean = bn.running_mean(), var = bn.running_var();
+  const Tensor before = bn.forward(x, Mode::kEval);
+  for (const Shape& empty : {Shape{0, 4, 3, 3}, Shape{2, 4, 0, 3}}) {
+    EXPECT_THROW(bn.forward(Tensor(empty), Mode::kTrain), std::invalid_argument)
+        << empty.to_string();
+  }
+  for (int c = 0; c < 4; ++c) {
+    EXPECT_EQ(bn.running_mean()[c], mean[c]);
+    EXPECT_EQ(bn.running_var()[c], var[c]);
+  }
+  const Tensor after = bn.forward(x, Mode::kEval);
+  for (std::int64_t i = 0; i < before.numel(); ++i) ASSERT_EQ(after[i], before[i]);
+  // The cache of the last good train forward still backs a backward.
+  EXPECT_EQ(bn.backward(Tensor::ones(x.shape())).shape(), x.shape());
+}
+
 TEST(ReLU, ClampsNegatives) {
   ReLU relu;
   Tensor x(Shape{1, 4}, std::vector<float>{-1.0f, 0.0f, 2.0f, -3.0f});

@@ -58,6 +58,8 @@ TEST(Matmul, RejectsMismatchedInner) {
   EXPECT_THROW(matmul(a, b), std::invalid_argument);
 }
 
+// ops has no float im2col (the conv GEMMs pack B straight from the
+// images); these pin down the oracle the parity tests compare them with.
 TEST(Im2Col, IdentityKernelCopiesPixels) {
   ConvGeometry g;
   g.in_channels = 1;
@@ -68,7 +70,8 @@ TEST(Im2Col, IdentityKernelCopiesPixels) {
   g.padding = 0;
   Tensor img(Shape{1, 1, 3, 3}, std::vector<float>{1, 2, 3, 4, 5, 6, 7, 8, 9});
   std::vector<float> cols(9);
-  im2col(img.data(), g, cols.data());
+  testing::reference_im2col(img.data(), g.in_channels, g.in_height, g.in_width, g.kernel,
+                            g.stride, g.padding, cols.data());
   for (int i = 0; i < 9; ++i) EXPECT_FLOAT_EQ(cols[static_cast<std::size_t>(i)], img[i]);
 }
 
@@ -82,7 +85,8 @@ TEST(Im2Col, PaddingProducesZeros) {
   g.padding = 1;
   Tensor img(Shape{1, 1, 2, 2}, std::vector<float>{1, 2, 3, 4});
   std::vector<float> cols(static_cast<std::size_t>(g.patch_size()) * 4);
-  im2col(img.data(), g, cols.data());
+  testing::reference_im2col(img.data(), g.in_channels, g.in_height, g.in_width, g.kernel,
+                            g.stride, g.padding, cols.data());
   // First output position (0,0), kernel tap (0,0) reads padded corner.
   EXPECT_FLOAT_EQ(cols[0], 0.0f);
   // Kernel tap (1,1) at output (0,0) reads pixel (0,0) = 1.
@@ -118,7 +122,8 @@ TEST(Col2Im, IsAdjointOfIm2Col) {
   const Tensor x = Tensor::normal(Shape{img_elems}, rng);
   const Tensor y = Tensor::normal(Shape{cols_elems}, rng);
   std::vector<float> cols(static_cast<std::size_t>(cols_elems), 0.0f);
-  im2col(x.data(), g, cols.data());
+  testing::reference_im2col(x.data(), g.in_channels, g.in_height, g.in_width, g.kernel,
+                            g.stride, g.padding, cols.data());
   float lhs = 0.0f;
   for (int i = 0; i < cols_elems; ++i) lhs += cols[static_cast<std::size_t>(i)] * y[i];
 
